@@ -25,6 +25,7 @@ def _require_tropical(m):
 
 
 def _topological_order(m):
+    """Kahn order of all states, or None when the machine has a cycle."""
     indeg = [0] * m.num_states
     for _, arc in m.all_arcs():
         indeg[arc.nextstate] += 1
@@ -37,9 +38,7 @@ def _topological_order(m):
             indeg[arc.nextstate] -= 1
             if indeg[arc.nextstate] == 0:
                 queue.append(arc.nextstate)
-    if len(order) != m.num_states:
-        raise ContractError("machine has a cycle; acyclic algorithm inapplicable")
-    return order
+    return order if len(order) == m.num_states else None
 
 
 def shortest_distance(m: Machine, algo: str = "dijkstra") -> dict[int, float]:
@@ -53,7 +52,10 @@ def shortest_distance(m: Machine, algo: str = "dijkstra") -> dict[int, float]:
     d = {q: INF for q in m.states()}
     d[m.start] = m.start_weight
     if algo == "acyclic":
-        for q in _topological_order(m):
+        order = _topological_order(m)
+        if order is None:
+            raise ContractError("machine has a cycle; acyclic algorithm inapplicable")
+        for q in order:
             if d[q] == INF:
                 continue
             for arc in m.arcs(q):
@@ -99,20 +101,29 @@ def shortest_distance(m: Machine, algo: str = "dijkstra") -> dict[int, float]:
 
 
 def backward_distances(m: Machine) -> dict[int, float]:
-    """Shortest distance from each state to a final (final weight included)."""
+    """Shortest distance from each state to a final (final weight included).
+
+    One relaxation pass in reverse topological order settles an acyclic
+    machine, O(V+E) (Mohri 2002).  Otherwise Bellman-Ford, O(V*E): without a
+    negative-weight cycle pass |V| changes nothing, so a distance that still
+    improves in pass |V| + 1 raises ContractError.
+    """
     _require_tropical(m)
     d = {q: INF for q in m.states()}
-    for q, w in m.finals.items():
-        d[q] = w
-    changed = True
-    while changed:
+    d.update(m.finals)
+    order = _topological_order(m)
+    states = m.states() if order is None else reversed(order)
+    arcs = [(q, arc) for q in states for arc in m.arcs(q)]
+    for _ in range(m.num_states + 1):
         changed = False
-        for q, arc in m.all_arcs():
+        for q, arc in arcs:
             cand = arc.weight + d[arc.nextstate]
             if cand < d[q]:
                 d[q] = cand
                 changed = True
-    return d
+        if order is not None or not changed:
+            return d
+    raise ContractError("negative-weight cycle: shortest distances unbounded")
 
 
 def best_path(m: Machine):
@@ -128,13 +139,17 @@ def best_path(m: Machine):
     # hop counts to an optimal stopping state along weight-optimal arcs
     # only, so extraction cannot orbit a zero-weight cycle
     h = {q: (0 if m.final(q) == d[q] else INF) for q in m.states()}
-    changed = True
-    while changed:
-        changed = False
-        for q, arc in m.all_arcs():
-            if arc.weight + d[arc.nextstate] == d[q] and h[arc.nextstate] + 1 < h[q]:
-                h[q] = h[arc.nextstate] + 1
-                changed = True
+    optimal_preds = {q: [] for q in m.states()}
+    for q, arc in m.all_arcs():
+        if arc.weight + d[arc.nextstate] == d[q]:
+            optimal_preds[arc.nextstate].append(q)
+    queue = deque(q for q in m.states() if h[q] == 0)
+    while queue:
+        t = queue.popleft()
+        for q in optimal_preds[t]:
+            if h[q] == INF:
+                h[q] = h[t] + 1
+                queue.append(q)
     inp, out = [], []
     q = m.start
     cost = m.start_weight

@@ -323,8 +323,9 @@ def write_arpa(model: BackoffModel) -> str:
             grams_by_order[len(h) + 1].append((h + (y,), p))
     # contexts that carry a back-off weight but no probability of their own
     # (the sentence-start context) still need a line
+    emitted = {k: {g for g, _ in grams} for k, grams in grams_by_order.items()}
     for h in model.alphas:
-        if all(g != h for g, _ in grams_by_order.get(len(h), ())):
+        if h not in emitted.get(len(h), ()):
             grams_by_order[len(h)].append((h, 0.0))
     for k in range(1, model.order + 1):
         lines.append(f"ngram {k}={len(grams_by_order[k])}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .decode import backward_distances
 from .errors import CapExceededError, ContractError, SemiringError
 from .machine import EPSILON, Machine, connect
 from .semiring import Semiring
@@ -97,7 +98,6 @@ def _emit_string(out, src, ilabel, symbols, weight, dst):
         target = dst if i == len(symbols) - 1 else out.add_state()
         out.add_arc(cur, il, sym, w, target)
         cur, il, w = target, EPSILON, kind.one
-    return
 
 
 def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machine:
@@ -159,11 +159,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                         "the input is likely not subsequentiable (try twins_test)")
                 ids[target] = out.add_state()
                 queue.append(target)
-            if len(prefix) <= 1:
-                out.add_arc(q, label, prefix[0] if prefix else EPSILON,
-                            total, ids[target])
-            else:
-                _emit_string(out, q, label, prefix, total, ids[target])
+            _emit_string(out, q, label, prefix, total, ids[target])
     return out.freeze()
 
 
@@ -366,22 +362,6 @@ def local_determinize(m: Machine, k: int) -> Machine:
 # -- pushing ------------------------------------------------------------
 
 
-def _backward_distances(m):
-    """Tropical shortest distance from each state to the finals."""
-    d = {q: m.kind.zero for q in m.states()}
-    for q, w in m.finals.items():
-        d[q] = w
-    changed = True
-    while changed:
-        changed = False
-        for q, arc in m.all_arcs():
-            cand = arc.weight + d[arc.nextstate]
-            if cand < d[q]:
-                d[q] = cand
-                changed = True
-    return d
-
-
 def _string_potentials(m):
     """Per-state longest common prefix of all output strings to a final."""
     bottom = object()
@@ -420,7 +400,7 @@ def push(m: Machine, mode: str) -> Machine:
     if mode == "weights":
         if m.kind is not Semiring.TROPICAL:
             raise SemiringError("weight pushing requires the TROPICAL semiring")
-        d = _backward_distances(m)
+        d = backward_distances(m)
         dead = [q for q in m.states() if d[q] == m.kind.zero]
         if dead:
             raise ContractError(
@@ -444,25 +424,15 @@ def push(m: Machine, mode: str) -> Machine:
             if full[:len(p[q])] != p[q]:
                 raise ContractError("not a functional transducer: "
                                     f"prefix mismatch at state {q}")
-            residue = full[len(p[q]):]
-            if len(residue) <= 1:
-                out.add_arc(q, arc.ilabel,
-                            residue[0] if residue else EPSILON,
-                            arc.weight, arc.nextstate)
-            else:
-                _emit_string(out, q, arc.ilabel, residue, arc.weight,
-                             arc.nextstate)
+            _emit_string(out, q, arc.ilabel, full[len(p[q]):], arc.weight,
+                         arc.nextstate)
         for q, w in m.finals.items():
             out.set_final(q, w)
         if p[m.start]:
-            chain_start = out.add_state()
-            tail_targets = m.start
             # emit the hoisted start prefix before entering the old start
-            cur = chain_start
-            for i, sym in enumerate(p[m.start]):
-                nxt = tail_targets if i == len(p[m.start]) - 1 else out.add_state()
-                out.add_arc(cur, EPSILON, sym, m.kind.one, nxt)
-                cur = nxt
+            chain_start = out.add_state()
+            _emit_string(out, chain_start, EPSILON, p[m.start], m.kind.one,
+                         m.start)
             out.set_start(chain_start, m.start_weight)
         else:
             out.set_start(m.start, m.start_weight)
@@ -505,27 +475,40 @@ def _encoded_dfa(m):
 
 
 def _hopcroft(states, enc, finals):
-    """Partition refinement; returns state -> class id."""
+    """Partition refinement; returns state -> class id.
+
+    A splitter (block, label) is queued only when an arc with that label
+    enters the block.  Blocks only shrink, so any other splitter would still
+    have an empty preimage when popped and split nothing: skipping it keeps
+    the effective splits, their order and the class ids."""
     by_final = {}
     for q in states:
         by_final.setdefault(finals[q], set()).add(q)
     partition = [set(block) for block in by_final.values()]
-    labels = sorted({label for q in states for label in enc[q]})
-    inverse = {label: {} for label in labels}
+    inverse = {}
+    in_labels = {q: set() for q in states}
     for q in states:
         for label, t in enc[q].items():
-            inverse[label].setdefault(t, set()).add(q)
+            inverse.setdefault(label, {}).setdefault(t, set()).add(q)
+            in_labels[t].add(label)
     index = {}
     for i, block in enumerate(partition):
         for q in block:
             index[q] = i
-    work = deque((i, label) for i in range(len(partition)) for label in labels)
+
+    def splitters(i):
+        entering = set().union(*(in_labels[q] for q in partition[i]))
+        return [(i, label) for label in sorted(entering)]
+
+    work = deque(s for i in range(len(partition)) for s in splitters(i))
     while work:
         i, label = work.popleft()
         pre = set()
         inv = inverse[label]
         for q in partition[i]:
-            pre |= inv.get(q, set())
+            sources = inv.get(q)
+            if sources:
+                pre |= sources
         if not pre:
             continue
         touched = {}
@@ -542,8 +525,7 @@ def _hopcroft(states, enc, finals):
             nj = len(partition) - 1
             for q in smaller:
                 index[q] = nj
-            for lbl in labels:
-                work.append((nj, lbl))
+            work.extend(splitters(nj))
     return index
 
 
@@ -564,23 +546,17 @@ def minimize(m: Machine) -> Machine:
     reps = {}
     for q in work.states():
         reps.setdefault(index[q], q)
+    acceptor = work.is_acceptor()
     for cls, rep in sorted(reps.items()):
-        for label, t in sorted(enc[rep].items()):
-            il, residue, w = label
-            if len(residue) <= 1:
-                out.add_arc(cls, il, residue[0] if residue else (
-                    il if work.is_acceptor() else EPSILON), w, index[t])
-            else:
-                _emit_string(out, cls, il, residue, w, index[t])
+        for (il, residue, w), t in sorted(enc[rep].items()):
+            # an acceptor's residue is empty: its output repeats the input
+            _emit_string(out, cls, il, (il,) if acceptor else residue, w,
+                         index[t])
         if finals[rep] != m.kind.zero:
             out.set_final(cls, finals[rep])
     if prefix:
         chain = out.add_state()
-        cur = chain
-        for i, sym in enumerate(prefix):
-            nxt = index[work.start] if i == len(prefix) - 1 else out.add_state()
-            out.add_arc(cur, EPSILON, sym, m.kind.one, nxt)
-            cur = nxt
+        _emit_string(out, chain, EPSILON, prefix, m.kind.one, index[work.start])
         out.set_start(chain, work.start_weight)
     else:
         out.set_start(index[work.start], work.start_weight)

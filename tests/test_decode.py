@@ -2,14 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfst import (CascadeSpec, ContractError, Lattice, NoPathError, Semiring,
                   backward_distances, beam_decode, best_path, compose,
-                  connect, lattice_prune, observation_machine, rescore,
-                  shortest_distance, weight_of)
+                  connect, lattice_prune, minimize, observation_machine, push,
+                  rescore, shortest_distance, weight_of)
 from wfst.decode import DecodeStats
 
-from helpers import acceptor, build, sample_machines
+from helpers import acceptor, build, enum_paths, sample_machines
 
 T = Semiring.TROPICAL
 INF = math.inf
@@ -84,6 +85,51 @@ def test_backward_distances():
     m = acceptor(T, [(0, 1, 1.0, 1), (1, 2, 2.0, 2)], {2: 0.5})
     d = backward_distances(m)
     assert d[2] == 0.5 and d[1] == 2.5 and d[0] == 3.5
+
+
+@st.composite
+def small_machines(draw, acyclic):
+    """(n, arcs, finals) over n <= 5 states; dyadic weights keep every path
+    sum exact, so distances compare with ==."""
+    n = draw(st.integers(1, 5))
+    weight = st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(1, 2), weight,
+                    st.integers(0, n - 1))
+    arcs = draw(st.lists(arc, max_size=8))
+    if acyclic:
+        arcs = [(min(s, d), a, w, max(s, d)) for s, a, w, d in arcs if s != d]
+    finals = draw(st.dictionaries(st.integers(0, n - 1), weight, max_size=n))
+    return n, arcs, finals
+
+
+def check_against_enumeration(n, arcs, finals):
+    d = backward_distances(acceptor(T, arcs, finals, num_states=n))
+    for q in range(n):
+        # with non-negative weights some best path is simple: < n arcs
+        paths = enum_paths(acceptor(T, arcs, finals, start=q, num_states=n),
+                           n - 1)
+        assert d[q] == min(paths.values(), default=INF), q
+
+
+@settings(deadline=None)
+@given(small_machines(acyclic=True))
+def test_backward_distances_match_enumeration_acyclic(machine):
+    check_against_enumeration(*machine)
+
+
+@settings(deadline=None)
+@given(small_machines(acyclic=False))
+def test_backward_distances_match_enumeration_cyclic(machine):
+    check_against_enumeration(*machine)
+
+
+def test_negative_cycle_raises():
+    # the cycle 0 -> 1 -> 0 weighs -1, so no distance to the final is bounded
+    m = acceptor(T, [(0, 1, 0.0, 1), (1, 1, -1.0, 0)], [1])
+    for fn in (backward_distances, best_path, minimize,
+               lambda x: push(x, "weights")):
+        with pytest.raises(ContractError):
+            fn(m)
 
 
 # -- best path -----------------------------------------------------------

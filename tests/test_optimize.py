@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
 from wfst import (CapExceededError, ContractError, Machine, Semiring,
-                  SemiringError, accepted_pairs, connect, determinize,
-                  equivalent, local_determinize, minimize, push, twins_test,
-                  weight_of)
+                  SemiringError, accepted_pairs, backward_distances, connect,
+                  determinize, equivalent, local_determinize, minimize, push,
+                  twins_test, weight_of)
 
 from helpers import (acceptor, bounded_pairs, build, nerode_class_count,
                      random_det_acceptor, sample_machines, strings_up_to,
@@ -164,8 +165,7 @@ def test_push_weights_preserves_and_normalizes():
         p = push(m, "weights")
         same_behaviour(m, p, max_len=4)
         # best completion from every state is zero
-        from wfst.optimize import _backward_distances
-        d = _backward_distances(p)
+        d = backward_distances(p)
         for q in p.states():
             assert abs(d[q]) < 1e-9, (q, d[q])
 
@@ -227,6 +227,19 @@ def test_minimize_idempotent():
         twice = minimize(once)
         assert twice.num_states == once.num_states
         assert equivalent(once, twice)
+
+
+def test_minimize_scales_near_linearly():
+    # one class per state; refinement that queued every (block, label)
+    # pair was quadratic in the chain length here
+    n = 4000
+    m = acceptor(T, [(q, 1 + q % 5, 0.25 * (q % 97), q + 1)
+                     for q in range(n - 1)], [n - 1])
+    begin = time.perf_counter()
+    mini = minimize(m)
+    elapsed = time.perf_counter() - begin
+    assert mini.num_states == n
+    assert elapsed < 3.0, elapsed
 
 
 def test_minimize_requires_deterministic():

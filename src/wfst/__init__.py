@@ -4,8 +4,8 @@ from .errors import (CapExceededError, ContractError, DivergenceError,
                      FsmError, KindMismatchError, NoPathError, ParseError,
                      SemiringError, SymbolError)
 from .machine import (ANY, EPSILON, EPSILON_SYMBOL, Arc, Machine, SymbolTable,
-                      accepted_pairs, connect, read_text, weight_of,
-                      write_text)
+                      accepted_pairs, connect, observation_machine, read_text,
+                      weight_of, write_text)
 from .ops import (closure, complement, compose, concat, difference, intersect,
                   project, reverse, union)
 from .optimize import (determinize, equivalent, local_determinize, minimize,
@@ -13,8 +13,7 @@ from .optimize import (determinize, equivalent, local_determinize, minimize,
 from .lazy import (LRU, MEMOIZE, REFCOUNT, CachedMachine, LazyComposition,
                    cached, expand, lazy_compose)
 from .decode import (CascadeSpec, Lattice, backward_distances, beam_decode,
-                     best_path, lattice_prune, observation_machine, rescore,
-                     shortest_distance)
+                     best_path, lattice_prune, rescore, shortest_distance)
 from .ngram import (BackoffModel, CountTable, build_lm_fsa, count_ngrams,
                     good_turing, katz_model, mle, read_arpa, write_arpa)
 from .rewrite import (DecisionTreeSpec, Rule, TreeLeaf, apply_rewrite,

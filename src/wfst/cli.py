@@ -226,7 +226,7 @@ def _rule_run(args):
         machines = [rewrite.compile_weighted_rule(r, symtab) for r in rules]
         m = machines[0]
         for nxt in machines[1:]:
-            m = connect(ops.compose(m, nxt))
+            m = ops.compose(m, nxt)
             m.isymbols = m.osymbols = symtab
         _save_machine_with_syms(args, m)
         return 0

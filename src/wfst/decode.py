@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ContractError, NoPathError
-from .machine import EPSILON, Machine, connect
+from .machine import EPSILON, Machine, connect, observation_machine
 from .lazy import cached, lazy_compose
 from .ops import compose
 from .semiring import Semiring
@@ -243,20 +243,6 @@ class DecodeStats:
     expanded_states: int = 0
     frames: int = 0
     pruned: int = 0
-
-
-def observation_machine(labels, kind=Semiring.TROPICAL,
-                        isymbols=None) -> Machine:
-    """Linear-chain acceptor for one observation string."""
-    m = Machine(kind, isymbols, isymbols)
-    prev = m.add_state()
-    m.set_start(prev)
-    for label in labels:
-        nxt = m.add_state()
-        m.add_arc(prev, label, label, kind.one, nxt)
-        prev = nxt
-    m.set_final(prev, kind.one)
-    return m.freeze()
 
 
 def beam_decode(cascade: CascadeSpec, observations, beam=INF):

@@ -12,7 +12,8 @@ from collections import OrderedDict, deque
 
 from .errors import ContractError
 from .machine import Arc, Machine
-from .ops import FILTER_INITIAL, check_composable, merge_arcs
+from .ops import (FILTER_INITIAL, check_composable, label_index,
+                  label_indexes, merge_arcs)
 
 
 class LazyComposition:
@@ -32,6 +33,7 @@ class LazyComposition:
         self.start_weight = self.kind.extend(a.start_weight, b.start_weight)
         self._ids = {}
         self._pairs = []
+        self._index_b = label_indexes(b)
         self.start = self._register((a.start, b.start, FILTER_INITIAL))
 
     def _register(self, pair):
@@ -51,7 +53,8 @@ class LazyComposition:
         s1, s2, f = self._pairs[state]
         result = []
         for il, ol, w, (n1, n2, nf) in merge_arcs(
-                self.kind, self.a.arcs(s1), self.b.arcs(s2), f):
+                self.kind, self.a.arcs(s1),
+                label_index(self.b, self._index_b, s2), f):
             target = (n1 if n1 is not None else s1,
                       n2 if n2 is not None else s2, nf)
             result.append(Arc(il, ol, w, self._register(target)))

@@ -105,6 +105,9 @@ class Machine:
         self.finals: dict[int, float] = {}
         self._arcs: list[list[Arc]] = []
         self._frozen = False
+        # state -> ops.label_index once frozen, filled by the compositions
+        # that read this machine as their right operand; None while mutable
+        self.label_indexes = None
 
     # -- construction ---------------------------------------------------
 
@@ -150,6 +153,7 @@ class Machine:
             self.ensure_state(self.start)
             self._arcs = [tuple(arcs) for arcs in self._arcs]
             self._frozen = True
+            self.label_indexes = {}
         return self
 
     def _check_mutable(self):
@@ -229,6 +233,21 @@ class Machine:
     def __repr__(self):
         return (f"<Machine {self.kind.value} states={self.num_states} "
                 f"arcs={self.num_arcs} finals={len(self.finals)}>")
+
+
+def observation_machine(labels, kind=Semiring.TROPICAL,
+                        isymbols=None) -> Machine:
+    """Linear-chain acceptor spelling one label string, such as an
+    utterance to decode or a word to rewrite."""
+    m = Machine(kind, isymbols, isymbols)
+    prev = m.add_state()
+    m.set_start(prev)
+    for label in labels:
+        nxt = m.add_state()
+        m.add_arc(prev, label, label, kind.one, nxt)
+        prev = nxt
+    m.set_final(prev, kind.one)
+    return m.freeze()
 
 
 # -- text format --------------------------------------------------------

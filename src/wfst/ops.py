@@ -26,30 +26,63 @@ _A_ALONE = 1
 _B_ALONE = 2
 
 
-def merge_arcs(kind, arcs_a, arcs_b, f, filtered=True):
+def label_index(m, table, state):
+    """``m``'s arcs leaving ``state`` grouped by input label.
+
+    The index maps ``ilabel -> tuple of arcs`` in arc order, with the
+    epsilon-input arcs under ``EPSILON``.  It is built on first use and
+    kept in ``table`` (see ``label_indexes``), so a composition indexes each
+    state of its right operand once rather than on every pair-state visit.
+    """
+    index = table.get(state)
+    if index is None:
+        groups = {}
+        for arc in m.arcs(state):
+            groups.setdefault(arc.ilabel, []).append(arc)
+        index = {label: tuple(group) for label, group in groups.items()}
+        table[state] = index
+    return index
+
+
+def label_indexes(m):
+    """The ``state -> label_index`` table a composition reads ``m`` through.
+
+    A frozen ``Machine`` carries its own table, shared by every composition
+    that reads it, since its arcs never change.  Anything else, a lazy view
+    or a machine still being built, gets a fresh table private to the one
+    composition that asks.
+    """
+    table = getattr(m, "label_indexes", None)
+    return {} if table is None else table
+
+
+def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
     """Composite moves from a pair state with filter state ``f``.
+
+    ``index_b`` is the B state's ``label_index``, so the work is
+    O(|arcs_a| + matches + |epsilon arcs of B|) rather than a scan of every
+    B arc.  Moves come out in A's arc order, each A arc's matches in B's
+    arc order, then the B-alone epsilon moves.  Weights are multiplied with
+    the unchecked ``kind.times``: both were validated when their arcs were
+    added.
 
     Yields (ilabel, olabel, weight, (next_a, next_b, next_f)) tuples, where
     ``next_a``/``next_b`` of ``None`` mean "that side stays put".
     """
-    by_ilabel = {}
-    eps_b = []
-    for arc in arcs_b:
-        if arc.ilabel == EPSILON:
-            eps_b.append(arc)
-        else:
-            by_ilabel.setdefault(arc.ilabel, []).append(arc)
+    times = kind.times
+    matches = index_b.get
+    eps_b = matches(EPSILON, ())
     for arc_a in arcs_a:
         if arc_a.olabel != EPSILON:
-            for arc_b in by_ilabel.get(arc_a.olabel, ()):
+            for arc_b in matches(arc_a.olabel, ()):
                 yield (arc_a.ilabel, arc_b.olabel,
-                       kind.extend(arc_a.weight, arc_b.weight),
+                       times(arc_a.weight, arc_b.weight),
                        (arc_a.nextstate, arc_b.nextstate, FILTER_INITIAL))
         else:
             if not filtered or f == FILTER_INITIAL:
                 for arc_b in eps_b:
                     yield (arc_a.ilabel, arc_b.olabel,
-                           kind.extend(arc_a.weight, arc_b.weight),
+                           times(arc_a.weight, arc_b.weight),
                            (arc_a.nextstate, arc_b.nextstate, FILTER_INITIAL))
             if not filtered or f in (FILTER_INITIAL, _A_ALONE):
                 yield (arc_a.ilabel, EPSILON, arc_a.weight,
@@ -79,6 +112,7 @@ def compose(a: Machine, b: Machine, *, _filtered=True) -> Machine:
     start = (a.start, b.start, FILTER_INITIAL)
     ids = {start: out.add_state()}
     out.set_start(ids[start], kind.extend(a.start_weight, b.start_weight))
+    table_b = label_indexes(b)
     queue = deque([start])
     while queue:
         s1, s2, f = queue.popleft()
@@ -87,7 +121,8 @@ def compose(a: Machine, b: Machine, *, _filtered=True) -> Machine:
         if fw != kind.zero:
             out.set_final(q, fw)
         for il, ol, w, (n1, n2, nf) in merge_arcs(
-                kind, a.arcs(s1), b.arcs(s2), f, filtered=_filtered):
+                kind, a.arcs(s1), label_index(b, table_b, s2), f,
+                filtered=_filtered):
             target = (n1 if n1 is not None else s1,
                       n2 if n2 is not None else s2, nf)
             if target not in ids:

@@ -41,8 +41,14 @@ def _lcp(strings):
 # -- determinization ----------------------------------------------------
 
 
-def _close_epsilon(m, elements):
-    """Extend subset elements along input-epsilon arcs (tropical/boolean)."""
+def _close_epsilon(m, elements, cap):
+    """Extend subset elements along input-epsilon arcs (tropical/boolean).
+
+    A subset of more than ``cap`` elements raises: on a non-subsequentiable
+    transducer the leftover output strings can double with every symbol, so
+    a few subsets would otherwise exhaust memory long before the cap on
+    their number is reached.
+    """
     kind = m.kind
     best = {}
     for q, s, r in elements:
@@ -51,6 +57,11 @@ def _close_epsilon(m, elements):
             best[key] = r
     queue = deque(best)
     while queue:
+        # every added element is queued, so this sees the final size too
+        if len(best) > cap:
+            raise CapExceededError(
+                f"determinization subset exceeded {cap} elements; "
+                "the input is likely not subsequentiable (try twins_test)")
         q, s = queue.popleft()
         r = best[(q, s)]
         for arc in m.arcs(q):
@@ -106,12 +117,13 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     The result is deterministic on input; transducer subsets carry leftover
     output strings, materialized as epsilon-input emission chains when a
     leftover longer than one symbol must be flushed.  Exceeding
-    ``expansion_cap`` subset states raises (suggesting ``twins_test``).
+    ``expansion_cap`` subset states, or ``expansion_cap`` elements in one
+    subset, raises ``CapExceededError`` (suggesting ``twins_test``).
     """
     _require_divisible(m.kind)
     kind = m.kind
     out = Machine(kind, m.isymbols, m.osymbols)
-    start_elems = _close_epsilon(m, [(m.start, (), kind.one)])
+    start_elems = _close_epsilon(m, [(m.start, (), kind.one)], expansion_cap)
     total, prefix, start_subset = _normalize(kind, start_elems)
     # weight and output prefix that cannot be emitted before the first arc
     # stay inside the start subset
@@ -150,7 +162,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 by_label.setdefault(arc.ilabel, []).append(
                     (arc.nextstate, ns, kind.extend(r, arc.weight)))
         for label in sorted(by_label):
-            elems = _close_epsilon(m, by_label[label])
+            elems = _close_epsilon(m, by_label[label], expansion_cap)
             total, prefix, target = _normalize(kind, elems)
             if target not in ids:
                 if len(ids) >= expansion_cap:

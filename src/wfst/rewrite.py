@@ -18,7 +18,7 @@ from functools import reduce
 
 from .errors import ContractError, ParseError
 from .machine import (ANY, EPSILON, Machine, SymbolTable, accepted_pairs,
-                      connect, weight_of)
+                      connect, observation_machine, weight_of)
 from .ops import closure, complement, compose, concat, intersect, reverse, union
 from .optimize import determinize
 from .semiring import Semiring, require_same_kind
@@ -441,7 +441,7 @@ def compile_weighted_rule(rule: Rule, symtab: SymbolTable | None = None, *,
     l1 = marker(alpha_l, 2, delete=(b1,), alphabet=sigma, passthrough=(b2,))
     l2 = marker(alpha_l, 3, delete=(b2,), alphabet=sigma)
 
-    t = connect(compose(compose(compose(compose(r, f), rep), l1), l2))
+    t = compose(compose(compose(compose(r, f), rep), l1), l2)
     t.isymbols = symtab
     t.osymbols = symtab
     return t
@@ -462,15 +462,8 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
     """
     table = rule_fst.isymbols
     labels = [table.find(t) if isinstance(t, str) else int(t) for t in inp]
-    chain = Machine(rule_fst.kind, table, table)
-    prev = chain.add_state()
-    chain.set_start(prev)
-    for label in labels:
-        nxt = chain.add_state()
-        chain.add_arc(prev, label, label, rule_fst.kind.one, nxt)
-        prev = nxt
-    chain.set_final(prev)
-    comp = connect(compose(chain.freeze(), rule_fst))
+    comp = compose(observation_machine(labels, rule_fst.kind, table),
+                   rule_fst)
     if not comp.finals:
         return []
     if mode == "best":

@@ -14,16 +14,30 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 from .errors import SemiringError
 
 INF = math.inf
 
 
+def _boolean_and(a: float, b: float) -> float:
+    return 1.0 if (a and b) else 0.0
+
+
+_TIMES = {"boolean": _boolean_and, "tropical": operator.add,
+          "real": operator.mul}
+
+
 class Semiring(enum.Enum):
     BOOLEAN = "boolean"
     TROPICAL = "tropical"
     REAL = "real"
+
+    def __init__(self, value):
+        #: the unchecked ``(x)`` as a plain callable, for inner loops whose
+        #: weights were validated when their arcs were added
+        self.times = _TIMES[value]
 
     @property
     def zero(self) -> float:
@@ -71,11 +85,7 @@ class Semiring(enum.Enum):
         """The semiring's ``(x)``: path extension."""
         self.check(a)
         self.check(b)
-        if self is Semiring.BOOLEAN:
-            return 1.0 if (a and b) else 0.0
-        if self is Semiring.TROPICAL:
-            return a + b
-        return a * b
+        return self.times(a, b)
 
     def compare(self, a: float, b: float) -> int:
         """Total order consistent with "better path": negative if a is better."""

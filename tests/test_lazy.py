@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Semiring,
+from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Machine, Semiring,
                   accepted_pairs, cached, compose, connect, expand,
-                  lazy_compose, weight_of, write_text)
+                  lazy_compose, read_text, weight_of, write_text)
 
 from helpers import acceptor, build, sample_machines
 
@@ -115,3 +116,81 @@ def test_stacked_lazy_composition():
         for inp, _ in accepted_pairs(static, max_path_len=8):
             assert weight_of(lazy, inp, max_path_len=12) == \
                 weight_of(static, inp, max_path_len=12)
+
+
+# -- the per-state label index compositions keep for their right operand --
+
+
+def text_of(m):
+    return write_text(m, acceptor=False)
+
+
+def test_shared_index_on_frozen_machine_matches_fresh_copy():
+    # B is read from text, as its fresh copies are, so arc orders agree
+    b_text = text_of(sample_machines(1800, 1, kind=T, max_states=5,
+                                     max_arcs=10)[0])
+    b = read_text(b_text, kind=T, acceptor=False)
+    many_a = sample_machines(1801, 30, kind=T, max_states=4, max_arcs=7)
+    for i, a in enumerate(many_a):
+        fresh = read_text(b_text, kind=T, acceptor=False)
+        expected = text_of(compose(a, fresh))
+        if i % 2:
+            got = text_of(expand(lazy_compose(a, b), trim=True))
+        else:
+            got = text_of(compose(a, b))
+        assert got == expected, i
+    assert b.label_indexes  # filled once, then shared by every composition
+
+
+def test_unfrozen_machine_is_indexed_fresh_per_composition():
+    a = build(T, [(0, 1, 1, 0.5, 1), (1, 2, 2, 0.0, 1)], [1])
+    b = Machine(T)
+    b.add_states(2)
+    b.add_arc(0, 1, 3, 1.0, 1)
+    b.set_final(1)
+    before = text_of(compose(a, b))
+    lazy = lazy_compose(a, b)
+    assert text_of(expand(lazy, trim=True)) == before
+    b.add_arc(1, 2, 4, 0.25, 1)  # B gains an arc between compositions
+    after = build(T, [(0, 1, 3, 1.0, 1), (1, 2, 4, 0.25, 1)], [1])
+    assert text_of(compose(a, b)) == text_of(compose(a, after)) != before
+    assert text_of(expand(lazy_compose(a, b), trim=True)) == \
+        text_of(compose(a, after))
+
+
+def test_evicting_lazy_view_as_right_operand():
+    for a, b1, b2 in zip(*(sample_machines(seed, 10, kind=T, max_states=4,
+                                           max_arcs=7)
+                           for seed in (1900, 1901, 1902))):
+        expected = text_of(compose(a, expand(lazy_compose(b1, b2))))
+        view = cached(lazy_compose(b1, b2), LRU, capacity=1)
+        assert text_of(compose(a, view)) == expected
+        assert text_of(expand(lazy_compose(a, view), trim=True)) == expected
+
+
+KIND_WEIGHTS = {Semiring.BOOLEAN: (1.0,), Semiring.TROPICAL: (0.0, 0.5, 2.5),
+                Semiring.REAL: (0.25, 0.5, 1.0)}
+
+
+@st.composite
+def machine_pairs(draw):
+    kind = draw(st.sampled_from(list(KIND_WEIGHTS)))
+    weight = st.sampled_from(KIND_WEIGHTS[kind])
+
+    def machine():
+        n = draw(st.integers(1, 4))
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, 2),
+                        st.integers(0, 2), weight, st.integers(0, n - 1))
+        arcs = draw(st.lists(arc, max_size=8))
+        finals = draw(st.dictionaries(st.integers(0, n - 1), weight,
+                                      max_size=n))
+        return build(kind, arcs, finals, num_states=n)
+    return machine(), machine()
+
+
+@settings(deadline=None)
+@given(machine_pairs())
+def test_trimmed_lazy_expansion_equals_static_compose(pair):
+    a, b = pair
+    assert text_of(expand(lazy_compose(a, b), trim=True)) == \
+        text_of(compose(a, b))

@@ -115,6 +115,21 @@ def test_twins_violation_blows_determinize_cap():
         determinize(TWIN_VIOLATION, expansion_cap=500)
 
 
+@pytest.mark.parametrize("arcs", [
+    [(0, 2, 2, 0.5, 0), (0, 2, 3, 0.5, 0)],                     # on input
+    [(0, 0, 2, 0.5, 0), (0, 0, 3, 0.5, 0), (0, 1, 1, 0.0, 1)],  # on epsilon
+])
+def test_determinize_caps_subset_size(arcs):
+    # the leftover strings of one subset double with every symbol read (or
+    # every epsilon step), so memory ran out before the cap on the number
+    # of subsets was reached
+    m = build(T, arcs, [max(a[4] for a in arcs)])
+    begin = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        determinize(m)
+    assert time.perf_counter() - begin < 15.0
+
+
 def test_twins_holds_on_sibling_cycles_with_equal_weights():
     m = acceptor(T, [(0, 1, 0.0, 1), (0, 1, 0.5, 2),
                      (1, 2, 1.0, 1), (2, 2, 1.0, 2)], {1: 0.0, 2: 0.0})

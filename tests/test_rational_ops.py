@@ -8,6 +8,7 @@ from wfst import (ContractError, KindMismatchError, Semiring, SemiringError,
                   connect, difference, intersect, project, reverse, union,
                   weight_of)
 from wfst.ops import compose as _compose
+from wfst.ops import label_index, label_indexes, merge_arcs
 
 from helpers import (acceptor, bounded_pairs, build, sample_machines,
                      strings_up_to)
@@ -71,6 +72,19 @@ def test_unfiltered_composition_overcounts():
     w_bad = weight_of(bad, (1, 3), (4, 5), max_path_len=10)
     assert w_good == 1.0
     assert w_bad == 3.0  # both orders plus the simultaneous move
+
+
+def test_merge_arcs_order():
+    # A arcs in order, each one's matches in B's arc order, then B-alone
+    # epsilon moves: composition's state numbering follows this order
+    a = build(T, [(0, 1, 5, 0.5, 1), (0, 2, 0, 0.0, 1)], [1])
+    b = build(T, [(0, 5, 7, 1.0, 1), (0, 0, 8, 0.0, 1), (0, 5, 6, 2.0, 1)],
+              [1])
+    moves = list(merge_arcs(T, a.arcs(0), label_index(b, label_indexes(b), 0),
+                            0))
+    assert moves == [(1, 7, 1.5, (1, 1, 0)), (1, 6, 2.5, (1, 1, 0)),
+                     (2, 8, 0.0, (1, 1, 0)), (2, 0, 0.0, (1, None, 1)),
+                     (0, 8, 0.0, (None, 1, 2))]
 
 
 def test_compose_respects_epsilon_paths():

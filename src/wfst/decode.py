@@ -194,24 +194,21 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
     if best == INF:
         raise NoPathError("empty lattice")
     bound = best + threshold
-    out = Machine(m.kind, m.isymbols, m.osymbols)
     keep = [q for q in m.states()
             if fwd[q] + bwd[q] <= bound]
-    remap = {}
-    for q in ([m.start] if m.start in keep else []) + [q for q in keep if q != m.start]:
-        remap[q] = out.add_state()
-    if m.start not in remap:
+    if m.start not in keep:
         raise NoPathError("threshold pruned away every path")
-    out.set_start(remap[m.start], m.start_weight)
+    # pruned states keep their ids with no arcs; connect drops and renumbers
+    arcs = [()] * m.num_states
+    finals = {}
     for q in keep:
-        for arc in m.arcs(q):
-            if arc.nextstate in remap and \
-                    fwd[q] + arc.weight + bwd[arc.nextstate] <= bound:
-                out.add_arc(remap[q], arc.ilabel, arc.olabel, arc.weight,
-                            remap[arc.nextstate])
+        arcs[q] = [arc for arc in m.arcs(q)
+                   if fwd[q] + arc.weight + bwd[arc.nextstate] <= bound]
         if q in m.finals and fwd[q] + m.finals[q] <= bound:
-            out.set_final(remap[q], m.finals[q])
-    return Lattice(connect(out.freeze()), stage=lattice.stage)
+            finals[q] = m.finals[q]
+    out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
+                              m.start, m.start_weight)
+    return Lattice(connect(out), stage=lattice.stage)
 
 
 def rescore(lattice: Lattice, full: Machine):

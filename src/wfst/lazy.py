@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 
 from .errors import ContractError
-from .machine import Arc, Machine
+from .machine import Arc, Machine, connect
 from .ops import (FILTER_INITIAL, check_composable, label_index,
                   label_indexes, merge_arcs)
 
@@ -65,6 +65,34 @@ def lazy_compose(a, b) -> LazyComposition:
     return LazyComposition(a, b)
 
 
+class _IndexTable(dict):
+    """A cache's ``state -> label_index`` table (see ``ops.label_indexes``).
+
+    It takes an entry only for a state whose arcs the cache holds, and the
+    cache drops the entry when it evicts those arcs, so a composition that
+    reads the cache as its right operand keeps no more indexes than the
+    cache keeps states.  A lookup that finds an index counts as a use of
+    the state, so an LRU cache keeps a state recent while its index is read.
+    """
+
+    __slots__ = ("_held", "_lru")
+
+    def __init__(self, held, lru):
+        super().__init__()
+        self._held = held
+        self._lru = lru
+
+    def get(self, state, default=None):
+        index = super().get(state, default)
+        if self._lru and index is not default:
+            self._held.move_to_end(state)
+        return index
+
+    def __setitem__(self, state, index):
+        if state in self._held:
+            super().__setitem__(state, index)
+
+
 MEMOIZE = "memoize"
 LRU = "lru"
 REFCOUNT = "refcount"
@@ -81,6 +109,9 @@ class CachedMachine:
 
     ``expansions`` counts how many times the underlying machine's ``arcs``
     was invoked; eviction never changes returned arc contents.
+    ``label_indexes`` holds the label index (``ops.label_index``) of cached
+    states that compositions read as their right operand; a state's index
+    is evicted with its arcs.
     """
 
     def __init__(self, m, mode=MEMOIZE, capacity=None):
@@ -100,6 +131,7 @@ class CachedMachine:
         self.expansions = 0
         self._cache = OrderedDict()
         self._refs = {}
+        self.label_indexes = _IndexTable(self._cache, mode == LRU)
 
     def final(self, state):
         return self.m.final(state)
@@ -115,7 +147,7 @@ class CachedMachine:
         count = self._refs.get(state, 0) - 1
         if count <= 0:
             self._refs.pop(state, None)
-            self._cache.pop(state, None)
+            self._evict(state)
         else:
             self._refs[state] = count
 
@@ -131,8 +163,12 @@ class CachedMachine:
         self._cache[state] = arcs
         if self.mode == LRU:
             while len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
+                self._evict(next(iter(self._cache)))
         return arcs
+
+    def _evict(self, state):
+        self._cache.pop(state, None)
+        self.label_indexes.pop(state, None)
 
 
 def cached(m, mode=MEMOIZE, capacity=None) -> CachedMachine:
@@ -140,27 +176,34 @@ def cached(m, mode=MEMOIZE, capacity=None) -> CachedMachine:
 
 
 def expand(view, trim=False) -> Machine:
-    """Materialize a generalized state machine by breadth-first expansion."""
-    out = Machine(view.kind, getattr(view, "isymbols", None),
-                  getattr(view, "osymbols", None))
-    ids = {view.start: out.add_state()}
-    out.set_start(ids[view.start], view.start_weight)
+    """Materialize a generalized state machine by breadth-first expansion.
+
+    A view's weights come from outside any frozen machine (a lazy
+    composition's products, or a user's own view), so each one is checked
+    as it is copied.
+    """
+    kind = view.kind
+    check, zero = kind.check, kind.zero
+    start_weight = check(view.start_weight)
+    ids = {view.start: 0}
+    arcs = [[]]
+    finals = {}
     queue = deque([view.start])
     while queue:
         s = queue.popleft()
         q = ids[s]
         fw = view.final(s)
-        if fw != view.kind.zero:
-            out.set_final(q, fw)
+        if fw != zero:
+            finals[q] = check(fw)
+        out = arcs[q]
         for arc in view.arcs(s):
-            if arc.nextstate not in ids:
-                ids[arc.nextstate] = out.add_state()
+            t = ids.get(arc.nextstate)
+            if t is None:
+                t = ids[arc.nextstate] = len(arcs)
+                arcs.append([])
                 queue.append(arc.nextstate)
-            out.add_arc(q, arc.ilabel, arc.olabel, arc.weight,
-                        ids[arc.nextstate])
-    out.freeze()
-    if trim:
-        from .machine import connect
-
-        out = connect(out)
-    return out
+            out.append(Arc(arc.ilabel, arc.olabel, check(arc.weight), t))
+    out = Machine._from_parts(kind, getattr(view, "isymbols", None),
+                              getattr(view, "osymbols", None), arcs, finals,
+                              0, start_weight)
+    return connect(out) if trim else out

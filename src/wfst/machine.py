@@ -9,7 +9,7 @@ machines and returns frozen machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError, DivergenceError, ParseError, SymbolError
 from .semiring import Semiring
@@ -85,8 +85,7 @@ class SymbolTable:
         return "".join(f"{sym}\t{label}\n" for label, sym in self.items())
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     ilabel: int
     olabel: int
     weight: float
@@ -108,6 +107,29 @@ class Machine:
         # state -> ops.label_index once frozen, filled by the compositions
         # that read this machine as their right operand; None while mutable
         self.label_indexes = None
+
+    @classmethod
+    def _from_parts(cls, kind, isymbols, osymbols, arcs, finals, start=0,
+                    start_weight=None):
+        """Frozen machine from an algorithm's own output, as ``freeze``
+        leaves it, without re-checking anything.
+
+        ``arcs`` holds one list (or tuple) of ``Arc`` per state and must
+        include ``start``; ``finals`` maps state -> weight and holds no
+        zero weight.  Every weight must already be in ``kind``'s carrier:
+        copied from a machine, or computed and checked with ``kind.valid``.
+        """
+        m = cls.__new__(cls)
+        m.kind = kind
+        m.isymbols = isymbols
+        m.osymbols = osymbols
+        m.start = start
+        m.start_weight = kind.one if start_weight is None else start_weight
+        m.finals = finals
+        m._arcs = [tuple(state_arcs) for state_arcs in arcs]
+        m._frozen = True
+        m.label_indexes = {}
+        return m
 
     # -- construction ---------------------------------------------------
 
@@ -267,19 +289,34 @@ def _resolve(token, table):
     return table.find(token)
 
 
+def _state_id(token):
+    q = int(token)
+    if q < 0:
+        raise ValueError(f"negative state {q}")
+    return q
+
+
 def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
               acceptor=None):
     """Parse the machine text format.
 
     ``acceptor`` disambiguates 4-field lines (acceptor arc with weight vs.
     transducer arc without); it defaults to true iff no output table is given.
+    Weights are checked once, by ``kind.parse``.
     """
     if acceptor is None:
         acceptor = osymbols is None
     if acceptor and osymbols is None:
         osymbols = isymbols
-    m = Machine(kind, isymbols, osymbols)
-    start_set = False
+    parse, one, zero = kind.parse, kind.one, kind.zero
+    arcs = []
+    finals = {}
+    start = None
+
+    def ensure_state(q):
+        while q >= len(arcs):
+            arcs.append([])
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -287,34 +324,40 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
         parts = line.split()
         try:
             if len(parts) <= 2:  # final line
-                state = int(parts[0])
-                weight = kind.parse(parts[1]) if len(parts) == 2 else kind.one
-                m.set_final(state, weight)
-                if not start_set:
-                    m.set_start(state)
-                    start_set = True
+                state = _state_id(parts[0])
+                weight = parse(parts[1]) if len(parts) == 2 else one
+                ensure_state(state)
+                if weight == zero:
+                    finals.pop(state, None)
+                else:
+                    finals[state] = weight
+                if start is None:
+                    start = state
                 continue
-            src, dst = int(parts[0]), int(parts[1])
+            src, dst = _state_id(parts[0]), _state_id(parts[1])
             if acceptor:
                 if len(parts) not in (3, 4):
                     raise ParseError("expected 'src dst sym [weight]'", lineno)
                 il = ol = _resolve(parts[2], isymbols)
-                weight = kind.parse(parts[3]) if len(parts) == 4 else kind.one
+                weight = parse(parts[3]) if len(parts) == 4 else one
             else:
                 if len(parts) not in (4, 5):
                     raise ParseError("expected 'src dst isym osym [weight]'", lineno)
                 il = _resolve(parts[2], isymbols)
                 ol = _resolve(parts[3], osymbols)
-                weight = kind.parse(parts[4]) if len(parts) == 5 else kind.one
-            m.add_arc(src, il, ol, weight, dst)
-            if not start_set:
-                m.set_start(src)
-                start_set = True
+                weight = parse(parts[4]) if len(parts) == 5 else one
+            ensure_state(max(src, dst))
+            arcs[src].append(Arc(il, ol, weight, dst))
+            if start is None:
+                start = src
         except (ValueError, IndexError):
             raise ParseError(f"malformed line {raw!r}", lineno) from None
         except SymbolError as exc:
             raise ParseError(str(exc), lineno) from None
-    return m.freeze()
+    if start is None:
+        start = 0
+    ensure_state(start)
+    return Machine._from_parts(kind, isymbols, osymbols, arcs, finals, start)
 
 
 def _label_text(label, table):
@@ -352,47 +395,57 @@ def write_text(m: Machine, acceptor=None) -> str:
 
 
 def connect(m: Machine) -> Machine:
-    """Restrict to states both accessible and coaccessible; renumber densely."""
-    accessible = set()
+    """Restrict to states both accessible and coaccessible; renumber densely.
+
+    The start state becomes state 0 and the others keep their ascending
+    order; an arc whose target keeps its number is reused as it is.
+    """
+    n = m.num_states
+    state_arcs = [m.arcs(q) for q in range(n)]
+    # forward search from the start, recording each arc backwards; every
+    # state on a path from an accessible state to a final is accessible,
+    # so the backward search needs no other arcs
+    back = [[] for _ in range(n)]
+    accessible = bytearray(n)
+    accessible[m.start] = 1
     stack = [m.start]
     while stack:
         q = stack.pop()
-        if q in accessible:
-            continue
-        accessible.add(q)
-        stack.extend(a.nextstate for a in m.arcs(q))
-
-    back = {q: [] for q in m.states()}
-    for q, arc in m.all_arcs():
-        back[arc.nextstate].append(q)
-    coaccessible = set()
-    stack = [q for q in m.finals]
+        for arc in state_arcs[q]:
+            t = arc.nextstate
+            back[t].append(q)
+            if not accessible[t]:
+                accessible[t] = 1
+                stack.append(t)
+    useful = bytearray(n)
+    stack = [q for q in m.finals if accessible[q]]
+    for q in stack:
+        useful[q] = 1
     while stack:
-        q = stack.pop()
-        if q in coaccessible:
-            continue
-        coaccessible.add(q)
-        stack.extend(back[q])
+        for q in back[stack.pop()]:
+            if not useful[q]:
+                useful[q] = 1
+                stack.append(q)
 
-    keep = sorted(accessible & coaccessible)
-    out = Machine(m.kind, m.isymbols, m.osymbols)
-    if m.start not in keep:
-        out.add_state()  # empty language: bare non-final start
-        return out.freeze()
-    remap = {}
-    remap[m.start] = out.add_state()
-    for q in keep:
-        if q != m.start:
-            remap[q] = out.add_state()
-    out.set_start(remap[m.start], m.start_weight)
-    for q in keep:
-        for arc in m.arcs(q):
-            if arc.nextstate in remap:
-                out.add_arc(remap[q], arc.ilabel, arc.olabel, arc.weight,
-                            remap[arc.nextstate])
-        if q in m.finals:
-            out.set_final(remap[q], m.finals[q])
-    return out.freeze()
+    if not useful[m.start]:
+        # empty language: bare non-final start
+        return Machine._from_parts(m.kind, m.isymbols, m.osymbols, [()], {})
+    keep = [q for q in range(n) if useful[q]]
+    order = [m.start] + [q for q in keep if q != m.start]
+    remap = {q: i for i, q in enumerate(order)}
+    arcs = []
+    for q in order:
+        kept = []
+        for arc in state_arcs[q]:
+            t = remap.get(arc.nextstate)
+            if t is None:
+                continue
+            kept.append(arc if t == arc.nextstate
+                        else Arc(arc.ilabel, arc.olabel, arc.weight, t))
+        arcs.append(kept)
+    finals = {remap[q]: m.finals[q] for q in keep if q in m.finals}
+    return Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
+                               0, m.start_weight)
 
 
 # -- reference path oracle ----------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import ContractError, KindMismatchError, SemiringError, SymbolError
-from .machine import EPSILON, Machine, connect
+from .machine import EPSILON, Arc, Machine, connect
 from .semiring import Semiring, require_same_kind
 
 FILTER_INITIAL = 0
@@ -33,6 +33,9 @@ def label_index(m, table, state):
     epsilon-input arcs under ``EPSILON``.  It is built on first use and
     kept in ``table`` (see ``label_indexes``), so a composition indexes each
     state of its right operand once rather than on every pair-state visit.
+    The table is read with ``get`` and written with ``table[state] = ...``
+    only after ``m.arcs(state)`` has run: a caching machine's table accepts
+    an entry only for a state whose arcs the cache then holds.
     """
     index = table.get(state)
     if index is None:
@@ -48,9 +51,10 @@ def label_indexes(m):
     """The ``state -> label_index`` table a composition reads ``m`` through.
 
     A frozen ``Machine`` carries its own table, shared by every composition
-    that reads it, since its arcs never change.  Anything else, a lazy view
-    or a machine still being built, gets a fresh table private to the one
-    composition that asks.
+    that reads it, since its arcs never change; so does a ``CachedMachine``,
+    whose table keeps an index only while the cache keeps that state's arcs.
+    Anything else, a bare lazy view or a machine still being built, gets a
+    fresh table private to the one composition that asks.
     """
     table = getattr(m, "label_indexes", None)
     return {} if table is None else table
@@ -104,32 +108,51 @@ def check_composable(a, b):
 def compose(a: Machine, b: Machine, *, _filtered=True) -> Machine:
     """Static composition: (u, w) -> sum_v A(u, v) (x) B(v, w), trimmed.
 
+    The operands' weights are in the carrier already, so products are
+    taken with the unchecked ``kind.times``; each weight of the result is
+    range-checked once (``kind.valid``), which turns an overflow into
+    ``SemiringError``.
+
     ``_filtered=False`` disables the epsilon filter (test-only; overcounts
     redundant epsilon interleavings under non-idempotent semirings).
     """
     kind = check_composable(a, b)
-    out = Machine(kind, a.isymbols, b.osymbols)
+    times, valid, zero = kind.times, kind.valid, kind.zero
+    start_weight = times(a.start_weight, b.start_weight)
+    if not valid(start_weight):
+        raise kind.carrier_error(start_weight)
     start = (a.start, b.start, FILTER_INITIAL)
-    ids = {start: out.add_state()}
-    out.set_start(ids[start], kind.extend(a.start_weight, b.start_weight))
+    ids = {start: 0}
+    arcs = [[]]
+    finals = {}
+    final_a, final_b, arcs_a = a.final, b.final, a.arcs
     table_b = label_indexes(b)
     queue = deque([start])
     while queue:
-        s1, s2, f = queue.popleft()
-        q = ids[(s1, s2, f)]
-        fw = kind.extend(a.final(s1), b.final(s2))
-        if fw != kind.zero:
-            out.set_final(q, fw)
+        pair = queue.popleft()
+        s1, s2, f = pair
+        q = ids[pair]
+        fw = times(final_a(s1), final_b(s2))
+        if fw != zero:
+            if not valid(fw):
+                raise kind.carrier_error(fw)
+            finals[q] = fw
+        out = arcs[q]
         for il, ol, w, (n1, n2, nf) in merge_arcs(
-                kind, a.arcs(s1), label_index(b, table_b, s2), f,
+                kind, arcs_a(s1), label_index(b, table_b, s2), f,
                 filtered=_filtered):
+            if not valid(w):
+                raise kind.carrier_error(w)
             target = (n1 if n1 is not None else s1,
                       n2 if n2 is not None else s2, nf)
-            if target not in ids:
-                ids[target] = out.add_state()
+            t = ids.get(target)
+            if t is None:
+                t = ids[target] = len(arcs)
+                arcs.append([])
                 queue.append(target)
-            out.add_arc(q, il, ol, w, ids[target])
-    return connect(out.freeze())
+            out.append(Arc(il, ol, w, t))
+    return connect(Machine._from_parts(kind, a.isymbols, b.osymbols, arcs,
+                                       finals, 0, start_weight))
 
 
 def intersect(a: Machine, b: Machine) -> Machine:

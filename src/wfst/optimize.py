@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .decode import backward_distances
 from .errors import CapExceededError, ContractError, SemiringError
-from .machine import EPSILON, Machine, connect
+from .machine import EPSILON, Arc, Machine, connect
 from .semiring import Semiring
 
 DEFAULT_EXPANSION_CAP = 10_000
@@ -50,6 +50,7 @@ def _close_epsilon(m, elements, cap):
     their number is reached.
     """
     kind = m.kind
+    times, valid = kind.times, kind.valid
     best = {}
     for q, s, r in elements:
         key = (q, s)
@@ -70,7 +71,9 @@ def _close_epsilon(m, elements, cap):
             ns = s if arc.olabel == EPSILON else s + (arc.olabel,)
             if len(ns) > _RESIDUAL_STRING_CAP:
                 raise CapExceededError("leftover output string grew without bound")
-            nr = kind.extend(r, arc.weight)
+            nr = times(r, arc.weight)
+            if not valid(nr):
+                raise kind.carrier_error(nr)
             key = (arc.nextstate, ns)
             if key not in best or kind.compare(nr, best[key]) < 0:
                 best[key] = nr
@@ -80,9 +83,10 @@ def _close_epsilon(m, elements, cap):
 
 def _normalize(kind, elements):
     """Factor total weight and common output prefix out of a subset."""
+    plus = kind.plus
     total = kind.zero
     for _, _, r in elements:
-        total = kind.combine(total, r)
+        total = plus(total, r)
     prefix = _lcp([s for _, s, _ in elements])
     normalized = {}
     for q, s, r in elements:
@@ -97,18 +101,26 @@ def _normalize(kind, elements):
     return total, prefix, subset
 
 
-def _emit_string(out, src, ilabel, symbols, weight, dst):
-    """Arc chain spelling ``symbols`` on the output tape."""
-    kind = out.kind
+def _emit_string(arcs, src, ilabel, symbols, weight, dst, one):
+    """Arc chain spelling ``symbols`` on the output tape.
+
+    ``arcs`` is the per-state arc lists of a machine under construction;
+    the chain's inner states are appended to it.
+    """
     if not symbols:
-        out.add_arc(src, ilabel, EPSILON, weight, dst)
+        arcs[src].append(Arc(ilabel, EPSILON, weight, dst))
         return
     cur = src
     il, w = ilabel, weight
+    last = len(symbols) - 1
     for i, sym in enumerate(symbols):
-        target = dst if i == len(symbols) - 1 else out.add_state()
-        out.add_arc(cur, il, sym, w, target)
-        cur, il, w = target, EPSILON, kind.one
+        if i == last:
+            target = dst
+        else:
+            target = len(arcs)
+            arcs.append([])
+        arcs[cur].append(Arc(il, sym, w, target))
+        cur, il, w = target, EPSILON, one
 
 
 def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machine:
@@ -119,19 +131,23 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     leftover longer than one symbol must be flushed.  Exceeding
     ``expansion_cap`` subset states, or ``expansion_cap`` elements in one
     subset, raises ``CapExceededError`` (suggesting ``twins_test``).
+    Every product is range-checked as it is formed; sums of carrier
+    weights under min or boolean or stay in the carrier.
     """
     _require_divisible(m.kind)
     kind = m.kind
-    out = Machine(kind, m.isymbols, m.osymbols)
-    start_elems = _close_epsilon(m, [(m.start, (), kind.one)], expansion_cap)
+    times, plus, valid = kind.times, kind.plus, kind.valid
+    zero, one = kind.zero, kind.one
+    start_elems = _close_epsilon(m, [(m.start, (), one)], expansion_cap)
     total, prefix, start_subset = _normalize(kind, start_elems)
     # weight and output prefix that cannot be emitted before the first arc
     # stay inside the start subset
     start_subset = tuple(sorted(
         (q, prefix + s, (kind.extend(total, r) if kind is Semiring.TROPICAL else r))
         for q, s, r in start_subset))
-    ids = {start_subset: out.add_state()}
-    out.set_start(ids[start_subset], m.start_weight)
+    ids = {start_subset: 0}
+    arcs = [[]]
+    finals = {}
     queue = deque([start_subset])
     while queue:
         subset = queue.popleft()
@@ -140,39 +156,49 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
         final_groups = {}
         for state, s, r in subset:
             fw = m.final(state)
-            if fw == kind.zero:
+            if fw == zero:
                 continue
-            w = kind.extend(r, fw)
+            w = times(r, fw)
+            if not valid(w):
+                raise kind.carrier_error(w)
             if s in final_groups:
-                w = kind.combine(final_groups[s], w)
+                w = plus(final_groups[s], w)
             final_groups[s] = w
         for s, w in sorted(final_groups.items()):
             if not s:
-                out.set_final(q, kind.combine(out.final(q), w))
+                if w != zero:
+                    finals[q] = w
             else:
-                tail = out.add_state()
-                out.set_final(tail, kind.one)
-                _emit_string(out, q, EPSILON, s, w, tail)
+                tail = len(arcs)
+                arcs.append([])
+                finals[tail] = one
+                _emit_string(arcs, q, EPSILON, s, w, tail, one)
         by_label = {}
         for state, s, r in subset:
             for arc in m.arcs(state):
                 if arc.ilabel == EPSILON:
                     continue
                 ns = s if arc.olabel == EPSILON else s + (arc.olabel,)
+                w = times(r, arc.weight)
+                if not valid(w):
+                    raise kind.carrier_error(w)
                 by_label.setdefault(arc.ilabel, []).append(
-                    (arc.nextstate, ns, kind.extend(r, arc.weight)))
+                    (arc.nextstate, ns, w))
         for label in sorted(by_label):
             elems = _close_epsilon(m, by_label[label], expansion_cap)
             total, prefix, target = _normalize(kind, elems)
-            if target not in ids:
+            t = ids.get(target)
+            if t is None:
                 if len(ids) >= expansion_cap:
                     raise CapExceededError(
                         f"determinization exceeded {expansion_cap} subset states; "
                         "the input is likely not subsequentiable (try twins_test)")
-                ids[target] = out.add_state()
+                t = ids[target] = len(arcs)
+                arcs.append([])
                 queue.append(target)
-            _emit_string(out, q, label, prefix, total, ids[target])
-    return out.freeze()
+            _emit_string(arcs, q, label, prefix, total, t, one)
+    return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
+                               m.start_weight)
 
 
 # -- twin property ------------------------------------------------------
@@ -406,49 +432,62 @@ def push(m: Machine, mode: str) -> Machine:
     """Move weights or output strings toward the start state.
 
     weights-mode (TROPICAL): reweight by shortest-distance potentials so
-    the best completion from every state costs zero.  strings-mode
-    (functional transducer): hoist each state's common output prefix.
+    the best completion from every state costs zero; each reweighted weight
+    is range-checked.  strings-mode (functional transducer): hoist each
+    state's common output prefix; weights are copied as they are.
     """
+    kind = m.kind
+    one = kind.one
     if mode == "weights":
-        if m.kind is not Semiring.TROPICAL:
+        if kind is not Semiring.TROPICAL:
             raise SemiringError("weight pushing requires the TROPICAL semiring")
         d = backward_distances(m)
-        dead = [q for q in m.states() if d[q] == m.kind.zero]
+        dead = [q for q in m.states() if d[q] == kind.zero]
         if dead:
             raise ContractError(
                 f"state(s) {dead} cannot reach a final state; connect() first")
-        out = Machine(m.kind, m.isymbols, m.osymbols)
-        out.add_states(m.num_states)
-        out.set_start(m.start, m.start_weight + d[m.start])
-        for q, arc in m.all_arcs():
-            out.add_arc(q, arc.ilabel, arc.olabel,
-                        arc.weight + d[arc.nextstate] - d[q], arc.nextstate)
+        valid = kind.valid
+        start_weight = m.start_weight + d[m.start]
+        if not valid(start_weight):
+            raise kind.carrier_error(start_weight)
+        arcs = []
+        for q in m.states():
+            dq = d[q]
+            row = []
+            for arc in m.arcs(q):
+                w = arc.weight + d[arc.nextstate] - dq
+                if not valid(w):
+                    raise kind.carrier_error(w)
+                row.append(Arc(arc.ilabel, arc.olabel, w, arc.nextstate))
+            arcs.append(row)
+        finals = {}
         for q, w in m.finals.items():
-            out.set_final(q, w - d[q])
-        return out.freeze()
+            w -= d[q]
+            if w != kind.zero:
+                if not valid(w):
+                    raise kind.carrier_error(w)
+                finals[q] = w
+        return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals,
+                                   m.start, start_weight)
     if mode == "strings":
         p = _string_potentials(m)
-        out = Machine(m.kind, m.isymbols, m.osymbols)
-        out.add_states(m.num_states)
+        arcs = [[] for _ in m.states()]
         for q, arc in m.all_arcs():
             o = (arc.olabel,) if arc.olabel != EPSILON else ()
             full = o + p[arc.nextstate]
             if full[:len(p[q])] != p[q]:
                 raise ContractError("not a functional transducer: "
                                     f"prefix mismatch at state {q}")
-            _emit_string(out, q, arc.ilabel, full[len(p[q]):], arc.weight,
-                         arc.nextstate)
-        for q, w in m.finals.items():
-            out.set_final(q, w)
+            _emit_string(arcs, q, arc.ilabel, full[len(p[q]):], arc.weight,
+                         arc.nextstate, one)
+        start = m.start
         if p[m.start]:
             # emit the hoisted start prefix before entering the old start
-            chain_start = out.add_state()
-            _emit_string(out, chain_start, EPSILON, p[m.start], m.kind.one,
-                         m.start)
-            out.set_start(chain_start, m.start_weight)
-        else:
-            out.set_start(m.start, m.start_weight)
-        return out.freeze()
+            start = len(arcs)
+            arcs.append([])
+            _emit_string(arcs, start, EPSILON, p[m.start], one, m.start, one)
+        return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs,
+                                   dict(m.finals), start, m.start_weight)
     raise ContractError(f"mode must be 'weights' or 'strings', got {mode!r}")
 
 
@@ -550,11 +589,11 @@ def minimize(m: Machine) -> Machine:
     m = connect(m)
     if not m.finals:
         return m
+    kind = m.kind
     work, enc, finals, prefix = _encoded_dfa(m)
     index = _hopcroft(list(work.states()), enc, finals)
-    out = Machine(m.kind, m.isymbols, m.osymbols)
-    n_classes = len(set(index.values()))
-    out.add_states(n_classes)
+    arcs = [[] for _ in range(len(set(index.values())))]
+    out_finals = {}
     reps = {}
     for q in work.states():
         reps.setdefault(index[q], q)
@@ -562,17 +601,18 @@ def minimize(m: Machine) -> Machine:
     for cls, rep in sorted(reps.items()):
         for (il, residue, w), t in sorted(enc[rep].items()):
             # an acceptor's residue is empty: its output repeats the input
-            _emit_string(out, cls, il, (il,) if acceptor else residue, w,
-                         index[t])
-        if finals[rep] != m.kind.zero:
-            out.set_final(cls, finals[rep])
+            _emit_string(arcs, cls, il, (il,) if acceptor else residue, w,
+                         index[t], kind.one)
+        if finals[rep] != kind.zero:
+            out_finals[cls] = finals[rep]
+    start = index[work.start]
     if prefix:
-        chain = out.add_state()
-        _emit_string(out, chain, EPSILON, prefix, m.kind.one, index[work.start])
-        out.set_start(chain, work.start_weight)
-    else:
-        out.set_start(index[work.start], work.start_weight)
-    return out.freeze()
+        chain = len(arcs)
+        arcs.append([])
+        _emit_string(arcs, chain, EPSILON, prefix, kind.one, start, kind.one)
+        start = chain
+    return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, out_finals,
+                               start, work.start_weight)
 
 
 # -- equivalence --------------------------------------------------------

@@ -25,8 +25,22 @@ def _boolean_and(a: float, b: float) -> float:
     return 1.0 if (a and b) else 0.0
 
 
-_TIMES = {"boolean": _boolean_and, "tropical": operator.add,
-          "real": operator.mul}
+def _boolean_or(a: float, b: float) -> float:
+    return 1.0 if (a or b) else 0.0
+
+
+def _real_valid(w: float) -> bool:
+    return 0.0 <= w < INF
+
+
+# per kind: zero, one, (+), (x), carrier test for floats
+_ALGEBRA = {
+    "boolean": (0.0, 1.0, _boolean_or, _boolean_and, (0.0, 1.0).__contains__),
+    # negative costs arise legitimately (e.g. back-off weights above one);
+    # only NaN and -inf are excluded
+    "tropical": (INF, 0.0, min, operator.add, (-INF).__lt__),
+    "real": (0.0, 1.0, operator.add, operator.mul, _real_valid),
+}
 
 
 class Semiring(enum.Enum):
@@ -35,51 +49,36 @@ class Semiring(enum.Enum):
     REAL = "real"
 
     def __init__(self, value):
-        #: the unchecked ``(x)`` as a plain callable, for inner loops whose
-        #: weights were validated when their arcs were added
-        self.times = _TIMES[value]
-
-    @property
-    def zero(self) -> float:
-        if self is Semiring.BOOLEAN:
-            return 0.0
-        if self is Semiring.TROPICAL:
-            return INF
-        return 0.0
-
-    @property
-    def one(self) -> float:
-        if self is Semiring.BOOLEAN:
-            return 1.0
-        if self is Semiring.TROPICAL:
-            return 0.0
-        return 1.0
+        self.zero, self.one, plus, times, valid = _ALGEBRA[value]
+        #: the unchecked ``(+)`` and ``(x)`` as plain callables, for inner
+        #: loops whose operands are already known to be in the carrier
+        self.plus = plus
+        self.times = times
+        #: one comparison telling whether a float is in the carrier; the
+        #: kernels apply it to the weights they compute (an overflow to
+        #: -inf or +inf, a NaN) and raise ``carrier_error`` when it fails
+        self.valid = valid
 
     def member(self, w: float) -> bool:
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             return False
-        if self is Semiring.BOOLEAN:
-            return w in (0.0, 1.0)
-        if self is Semiring.TROPICAL:
-            # negative costs arise legitimately (e.g. back-off weights
-            # above one); only NaN and -inf are excluded
-            return w == w and w != -INF
-        return 0.0 <= w < INF
+        return self.valid(w)
+
+    def carrier_error(self, w) -> SemiringError:
+        return SemiringError(f"{w!r} is not in the {self.value} carrier")
 
     def check(self, w: float) -> float:
+        if type(w) is float and self.valid(w):
+            return w
         if not self.member(w):
-            raise SemiringError(f"{w!r} is not in the {self.value} carrier")
+            raise self.carrier_error(w)
         return float(w)
 
     def combine(self, a: float, b: float) -> float:
         """The semiring's ``(+)``: alternative-path accumulation."""
         self.check(a)
         self.check(b)
-        if self is Semiring.BOOLEAN:
-            return 1.0 if (a or b) else 0.0
-        if self is Semiring.TROPICAL:
-            return min(a, b)
-        return a + b
+        return self.plus(a, b)
 
     def extend(self, a: float, b: float) -> float:
         """The semiring's ``(x)``: path extension."""

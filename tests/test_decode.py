@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wfst import (CascadeSpec, ContractError, Lattice, NoPathError, Semiring,
                   backward_distances, beam_decode, best_path, compose,
                   connect, lattice_prune, minimize, observation_machine, push,
-                  rescore, shortest_distance, weight_of)
+                  rescore, shortest_distance, weight_of, write_text)
 from wfst.decode import DecodeStats
 
 from helpers import acceptor, build, enum_paths, sample_machines
@@ -202,6 +202,18 @@ def test_lattice_prune_random():
                 assert kept.get(key) == w, key
         for key, w in kept.items():
             assert w <= best + theta + 1e-9
+
+
+def test_lattice_prune_keeps_start_numbering_independent():
+    # start state 2, an unreachable state 1: the result equals pruning the
+    # connected copy, start first and the rest in ascending order
+    lat = acceptor(T, [(2, 1, 1.0, 3), (2, 4, 3.0, 3), (0, 3, 1.0, 4),
+                       (3, 3, 0.5, 4), (1, 4, 0.0, 4)], [4], start=2)
+    for theta in (0.5, 2.0):
+        pruned = lattice_prune(Lattice(lat), theta).machine
+        again = lattice_prune(Lattice(connect(lat)), theta).machine
+        assert pruned.start == 0
+        assert write_text(pruned) == write_text(again)
 
 
 def test_lattice_prune_empty():

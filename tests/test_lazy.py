@@ -7,6 +7,8 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Machine, Semiring,
                   accepted_pairs, cached, compose, connect, expand,
                   lazy_compose, read_text, weight_of, write_text)
 
+from wfst.ops import label_index, label_indexes
+
 from helpers import acceptor, build, sample_machines
 
 T = Semiring.TROPICAL
@@ -165,7 +167,34 @@ def test_evicting_lazy_view_as_right_operand():
         expected = text_of(compose(a, expand(lazy_compose(b1, b2))))
         view = cached(lazy_compose(b1, b2), LRU, capacity=1)
         assert text_of(compose(a, view)) == expected
+        # the view's label indexes are evicted with its arcs
+        assert len(view.label_indexes) <= view.capacity
         assert text_of(expand(lazy_compose(a, view), trim=True)) == expected
+        assert len(view.label_indexes) <= view.capacity
+
+
+def test_index_hit_keeps_lru_state_recent():
+    m = build(T, [(0, 1, 1, 1.0, 1), (1, 2, 2, 1.0, 2), (2, 3, 3, 1.0, 0)],
+              [2])
+    view = cached(m, LRU, capacity=2)
+    table = label_indexes(view)
+    for state in (0, 1, 0, 2):  # the third lookup is an index hit
+        label_index(view, table, state)
+    assert list(view.label_indexes) == [0, 2]  # 1 was least recent
+    assert view.expansions == 3
+
+
+def test_refcount_view_indexes_only_held_states():
+    for a, b1, b2 in zip(*(sample_machines(seed, 10, kind=T, max_states=4,
+                                           max_arcs=7)
+                           for seed in (1910, 1911, 1912))):
+        expected = text_of(compose(a, expand(lazy_compose(b1, b2))))
+        view = cached(lazy_compose(b1, b2), REFCOUNT)
+        view.acquire(view.start)
+        assert text_of(compose(a, view)) == expected
+        assert list(view.label_indexes) == [view.start]
+        view.release(view.start)
+        assert not view.label_indexes
 
 
 KIND_WEIGHTS = {Semiring.BOOLEAN: (1.0,), Semiring.TROPICAL: (0.0, 0.5, 2.5),

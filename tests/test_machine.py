@@ -92,6 +92,9 @@ def test_parse_errors():
         read_text("0 1 a 0.5\n1\n")  # no table, non-numeric label
     with pytest.raises(ParseError):
         read_text("0 1 1 2 3 4\n1\n", acceptor=False)
+    for text in ("0 1 1\n-1\n", "0 -1 1\n1\n"):  # state ids are >= 0
+        with pytest.raises(ParseError):
+            read_text(text)
 
 
 def test_start_is_source_of_first_line():

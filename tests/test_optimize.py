@@ -1,17 +1,19 @@
 import math
 import random
 import time
+from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wfst import (CapExceededError, ContractError, Machine, Semiring,
                   SemiringError, accepted_pairs, backward_distances, connect,
                   determinize, equivalent, local_determinize, minimize, push,
-                  twins_test, weight_of)
+                  twins_test, weight_of, write_text)
 
-from helpers import (acceptor, bounded_pairs, build, nerode_class_count,
-                     random_det_acceptor, sample_machines, strings_up_to,
-                     table_filling_class_count)
+from helpers import (acceptor, bounded_pairs, build, enum_paths,
+                     nerode_class_count, random_det_acceptor, sample_machines,
+                     strings_up_to, table_filling_class_count)
 
 T = Semiring.TROPICAL
 B = Semiring.BOOLEAN
@@ -185,6 +187,21 @@ def test_push_weights_preserves_and_normalizes():
             assert abs(d[q]) < 1e-9, (q, d[q])
 
 
+def test_overflowing_weights_raise():
+    # each arc weight is in the carrier, but two in a row sum to -inf
+    chain = acceptor(T, [(0, 1, -1e308, 1), (1, 2, -1e308, 2)], [2])
+    eps_chain = acceptor(T, [(0, 1, 0.0, 1), (1, 0, -1e308, 2),
+                             (2, 0, -1e308, 3)], [3])
+    # the start subset keeps its weight, so a final weight can overflow
+    heavy_final = acceptor(T, [(0, 0, -1e308, 1)], {1: -1e308})
+    message = r"^-inf is not in the tropical carrier$"
+    with pytest.raises(SemiringError, match=message):
+        push(chain, "weights")
+    for m in (eps_chain, heavy_final):
+        with pytest.raises(SemiringError, match=message):
+            determinize(m)
+
+
 def test_push_weights_needs_coaccessible():
     m = acceptor(T, [(0, 1, 0.0, 1), (0, 2, 0.0, 2)], [1], num_states=3)
     with pytest.raises(ContractError):
@@ -205,6 +222,34 @@ def test_push_bad_mode():
     m = acceptor(T, [(0, 1, 0.0, 1)], [1])
     with pytest.raises(ContractError):
         push(m, "sideways")
+
+
+@st.composite
+def acyclic_machines(draw, kinds=(T,), acceptors=False):
+    """Small acyclic machine, arcs pointing to higher states; dyadic
+    TROPICAL weights keep every path sum exact, so weights compare with ==."""
+    kind = draw(st.sampled_from(kinds))
+    weight = st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5) if kind is T
+                             else (1.0,))
+    n = draw(st.integers(1, 5))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, 2),
+                    st.integers(0, 2), weight, st.integers(0, n - 1))
+    arcs = [(min(s, d), il, il if acceptors else ol, w, max(s, d))
+            for s, il, ol, w, d in draw(st.lists(arc, max_size=8)) if s != d]
+    finals = draw(st.dictionaries(st.integers(0, n - 1), weight, max_size=n))
+    return build(kind, arcs, finals, num_states=n)
+
+
+@settings(deadline=None)
+@given(acyclic_machines())
+def test_push_weights_preserves_weight_of(m):
+    m = connect(m)
+    assume(m.finals)
+    pushed = push(m, "weights")
+    pairs = set(enum_paths(m, m.num_states)) | \
+        set(enum_paths(pushed, pushed.num_states))
+    for inp, out in pairs:
+        assert weight_of(pushed, inp, out) == weight_of(m, inp, out)
 
 
 # -- minimize ------------------------------------------------------------
@@ -271,6 +316,34 @@ def test_minimize_transducer_with_outputs():
     mini = minimize(d)
     same_behaviour(m, mini, max_len=3)
     assert mini.is_deterministic()
+
+
+def breadth_first_text(m):
+    """``write_text`` after renumbering states breadth-first from the start,
+    so machines that differ only in state numbering print alike."""
+    order = {m.start: 0}
+    queue = deque([m.start])
+    arcs = []
+    while queue:
+        q = queue.popleft()
+        for arc in sorted(m.arcs(q),
+                          key=lambda a: (a.ilabel, a.olabel, a.weight)):
+            if arc.nextstate not in order:
+                order[arc.nextstate] = len(order)
+                queue.append(arc.nextstate)
+            arcs.append((order[q], arc.ilabel, arc.olabel, arc.weight,
+                         order[arc.nextstate]))
+    finals = {order[q]: w for q, w in m.finals.items() if q in order}
+    return write_text(build(m.kind, arcs, finals, num_states=len(order),
+                            start_weight=m.start_weight))
+
+
+@settings(deadline=None)
+@given(acyclic_machines(kinds=(T, B), acceptors=True))
+def test_minimize_determinize_is_idempotent(m):
+    once = minimize(determinize(m))
+    assert breadth_first_text(minimize(determinize(once))) == \
+        breadth_first_text(once)
 
 
 # -- equivalence ---------------------------------------------------------

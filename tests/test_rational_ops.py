@@ -5,8 +5,8 @@ import pytest
 
 from wfst import (ContractError, KindMismatchError, Semiring, SemiringError,
                   accepted_pairs, closure, complement, compose, concat,
-                  connect, difference, intersect, project, reverse, union,
-                  weight_of)
+                  connect, difference, expand, intersect, lazy_compose,
+                  project, reverse, union, weight_of)
 from wfst.ops import compose as _compose
 from wfst.ops import label_index, label_indexes, merge_arcs
 
@@ -19,12 +19,17 @@ R = Semiring.REAL
 
 
 def join_oracle(kind, pairs_a, pairs_b):
-    """(u, w) -> combine over v of A(u, v) (x) B(v, w)."""
+    """(u, w) -> combine over v of A(u, v) (x) B(v, w).
+
+    ``pairs_b`` is grouped by its middle string v once; each key still
+    combines A's pairs in order, each one's matches in ``pairs_b`` order.
+    """
+    by_middle = {}
+    for (v, w), wb in pairs_b.items():
+        by_middle.setdefault(v, []).append((w, wb))
     out = {}
     for (u, v), wa in pairs_a.items():
-        for (v2, w), wb in pairs_b.items():
-            if v != v2:
-                continue
+        for w, wb in by_middle.get(v, ()):
             key = (u, w)
             total = kind.extend(wa, wb)
             out[key] = kind.combine(out[key], total) if key in out else total
@@ -85,6 +90,23 @@ def test_merge_arcs_order():
     assert moves == [(1, 7, 1.5, (1, 1, 0)), (1, 6, 2.5, (1, 1, 0)),
                      (2, 8, 0.0, (1, 1, 0)), (2, 0, 0.0, (1, None, 1)),
                      (0, 8, 0.0, (None, 1, 2))]
+
+
+@pytest.mark.parametrize("kind, big", [(T, -1e308), (R, 1e308)])
+def test_overflowing_products_raise(kind, big):
+    # every operand weight is in the carrier; their products overflow to
+    # -inf (TROPICAL) or inf (REAL), which is not
+    one = kind.one
+    heavy_arc = build(kind, [(0, 1, 1, big, 1)], {1: one})
+    heavy_final = build(kind, [(0, 1, 1, one, 1)], {1: big})
+    heavy_start = build(kind, [(0, 1, 1, one, 1)], {1: one},
+                        start_weight=big)
+    message = r"^-?inf is not in the \w+ carrier$"
+    for m in (heavy_arc, heavy_final, heavy_start):
+        with pytest.raises(SemiringError, match=message):
+            compose(m, m)
+        with pytest.raises(SemiringError, match=message):
+            expand(lazy_compose(m, m))
 
 
 def test_compose_respects_epsilon_paths():

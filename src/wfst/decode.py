@@ -226,7 +226,6 @@ class CascadeSpec:
     """Ordered recognition cascade; stage 0 consumes the observations."""
 
     stages: list
-    lazy: bool = True
 
     def __post_init__(self):
         if not self.stages:

@@ -1,9 +1,10 @@
-"""On-demand machine views: deferred composition and state caching.
+"""On-demand machine views: state caching and expansion.
 
 A lazy view implements the generalized-state-machine contract (``start``,
-``final(state)``, ``arcs(state)``) over integer state ids, expanding pair
-states only when a traversal asks for them.  Views stack: a lazy
-composition can be built over machines or over other lazy views.
+``final(state)``, ``arcs(state)``) over integer state ids, expanding states
+only when a traversal asks for them.  Views stack: a lazy composition
+(``ops.LazyComposition``, the pair-state kernel ``compose`` also expands)
+can be built over machines, caches or other lazy views.
 """
 
 from __future__ import annotations
@@ -12,57 +13,7 @@ from collections import OrderedDict, deque
 
 from .errors import ContractError
 from .machine import Arc, Machine, connect
-from .ops import (FILTER_INITIAL, check_composable, label_index,
-                  label_indexes, merge_arcs)
-
-
-class LazyComposition:
-    """Deferred composition of two generalized state machines.
-
-    Pair states (s1, s2, filter) are registered once and receive stable
-    integer ids for the lifetime of the view.  The filter state is part of
-    the state identity; dropping it is a known correctness bug.
-    """
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-        self.kind = check_composable(a, b)
-        self.isymbols = a.isymbols
-        self.osymbols = b.osymbols
-        self.start_weight = self.kind.extend(a.start_weight, b.start_weight)
-        self._ids = {}
-        self._pairs = []
-        self._index_b = label_indexes(b)
-        self.start = self._register((a.start, b.start, FILTER_INITIAL))
-
-    def _register(self, pair):
-        if pair not in self._ids:
-            self._ids[pair] = len(self._pairs)
-            self._pairs.append(pair)
-        return self._ids[pair]
-
-    def pair_of(self, state):
-        return self._pairs[state]
-
-    def final(self, state):
-        s1, s2, _ = self._pairs[state]
-        return self.kind.extend(self.a.final(s1), self.b.final(s2))
-
-    def arcs(self, state):
-        s1, s2, f = self._pairs[state]
-        result = []
-        for il, ol, w, (n1, n2, nf) in merge_arcs(
-                self.kind, self.a.arcs(s1),
-                label_index(self.b, self._index_b, s2), f):
-            target = (n1 if n1 is not None else s1,
-                      n2 if n2 is not None else s2, nf)
-            result.append(Arc(il, ol, w, self._register(target)))
-        return tuple(result)
-
-
-def lazy_compose(a, b) -> LazyComposition:
-    return LazyComposition(a, b)
+from .ops import LazyComposition, lazy_compose  # noqa: F401 (re-exported)
 
 
 class _IndexTable(dict):

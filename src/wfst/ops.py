@@ -15,8 +15,6 @@ may not move alone until the next match.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import ContractError, KindMismatchError, SemiringError, SymbolError
 from .machine import EPSILON, Arc, Machine, connect
 from .semiring import Semiring, require_same_kind
@@ -105,54 +103,93 @@ def check_composable(a, b):
     return kind
 
 
-def compose(a: Machine, b: Machine, *, _filtered=True) -> Machine:
-    """Static composition: (u, w) -> sum_v A(u, v) (x) B(v, w), trimmed.
+class LazyComposition:
+    """Deferred composition of two generalized state machines.
+
+    The one pair-state kernel: ``compose`` expands it state by state, and
+    lazy cascades read it on demand.  Pair states (s1, s2, filter) receive
+    stable integer ids, in the order moves first reach them, for the
+    lifetime of the view; the start pair is state 0.  The filter state is
+    part of the state identity; dropping it is a known correctness bug.
 
     The operands' weights are in the carrier already, so products are
-    taken with the unchecked ``kind.times``; each weight of the result is
-    range-checked once (``kind.valid``), which turns an overflow into
-    ``SemiringError``.
+    taken with the unchecked ``kind.times``; each product (arc, final and
+    start weight) is range-checked once (``kind.valid``), which turns an
+    overflow into ``SemiringError``.
 
     ``_filtered=False`` disables the epsilon filter (test-only; overcounts
     redundant epsilon interleavings under non-idempotent semirings).
     """
-    kind = check_composable(a, b)
-    times, valid, zero = kind.times, kind.valid, kind.zero
-    start_weight = times(a.start_weight, b.start_weight)
-    if not valid(start_weight):
-        raise kind.carrier_error(start_weight)
-    start = (a.start, b.start, FILTER_INITIAL)
-    ids = {start: 0}
-    arcs = [[]]
-    finals = {}
-    final_a, final_b, arcs_a = a.final, b.final, a.arcs
-    table_b = label_indexes(b)
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        s1, s2, f = pair
-        q = ids[pair]
-        fw = times(final_a(s1), final_b(s2))
-        if fw != zero:
-            if not valid(fw):
-                raise kind.carrier_error(fw)
-            finals[q] = fw
-        out = arcs[q]
+
+    start = 0
+
+    def __init__(self, a, b, *, _filtered=True):
+        self.a = a
+        self.b = b
+        self.kind = check_composable(a, b)
+        self.isymbols = a.isymbols
+        self.osymbols = b.osymbols
+        self.start_weight = self.kind.times(a.start_weight, b.start_weight)
+        if not self.kind.valid(self.start_weight):
+            raise self.kind.carrier_error(self.start_weight)
+        start = (a.start, b.start, FILTER_INITIAL)
+        self._ids = {start: 0}
+        self._pairs = [start]
+        self._index_b = label_indexes(b)
+        self._filtered = _filtered
+
+    def final(self, state):
+        s1, s2, _ = self._pairs[state]
+        w = self.kind.times(self.a.final(s1), self.b.final(s2))
+        if not self.kind.valid(w):
+            raise self.kind.carrier_error(w)
+        return w
+
+    def arcs(self, state):
+        s1, s2, f = self._pairs[state]
+        kind, ids, pairs = self.kind, self._ids, self._pairs
+        valid = kind.valid
+        result = []
         for il, ol, w, (n1, n2, nf) in merge_arcs(
-                kind, arcs_a(s1), label_index(b, table_b, s2), f,
-                filtered=_filtered):
+                kind, self.a.arcs(s1),
+                label_index(self.b, self._index_b, s2), f, self._filtered):
             if not valid(w):
                 raise kind.carrier_error(w)
             target = (n1 if n1 is not None else s1,
                       n2 if n2 is not None else s2, nf)
             t = ids.get(target)
             if t is None:
-                t = ids[target] = len(arcs)
-                arcs.append([])
-                queue.append(target)
-            out.append(Arc(il, ol, w, t))
-    return connect(Machine._from_parts(kind, a.isymbols, b.osymbols, arcs,
-                                       finals, 0, start_weight))
+                t = ids[target] = len(pairs)
+                pairs.append(target)
+            result.append(Arc(il, ol, w, t))
+        return tuple(result)
+
+
+def lazy_compose(a, b) -> LazyComposition:
+    return LazyComposition(a, b)
+
+
+def compose(a: Machine, b: Machine, *, _filtered=True) -> Machine:
+    """Static composition: (u, w) -> sum_v A(u, v) (x) B(v, w), trimmed.
+
+    Expands every pair state of ``LazyComposition`` in id order, which is
+    breadth-first order, then trims.  ``_filtered=False`` disables the
+    epsilon filter (test-only).
+    """
+    view = LazyComposition(a, b, _filtered=_filtered)
+    final, arcs_of, pairs = view.final, view.arcs, view._pairs
+    zero = view.kind.zero
+    arcs = []
+    finals = {}
+    q = 0
+    while q < len(pairs):
+        fw = final(q)
+        if fw != zero:
+            finals[q] = fw
+        arcs.append(arcs_of(q))
+        q += 1
+    return connect(Machine._from_parts(view.kind, view.isymbols, view.osymbols,
+                                       arcs, finals, 0, view.start_weight))
 
 
 def intersect(a: Machine, b: Machine) -> Machine:

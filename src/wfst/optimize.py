@@ -179,6 +179,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 if arc.ilabel == EPSILON:
                     continue
                 ns = s if arc.olabel == EPSILON else s + (arc.olabel,)
+                if len(ns) > _RESIDUAL_STRING_CAP:
+                    raise CapExceededError("leftover output string grew without bound")
                 w = times(r, arc.weight)
                 if not valid(w):
                     raise kind.carrier_error(w)

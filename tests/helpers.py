@@ -72,12 +72,21 @@ def enum_paths(m, max_arcs):
     return result
 
 
-def bounded_pairs(m, max_in, max_out, max_arcs):
+class WorkCapExceeded(Exception):
+    """``bounded_pairs`` met more partial paths than its ``cap``."""
+
+
+def bounded_pairs(m, max_in, max_out, max_arcs, cap=None):
     """(input, output) -> weight over accepting paths, pruning any prefix
-    longer than the string bounds; layered like a product construction."""
+    longer than the string bounds; layered like a product construction.
+
+    With ``cap``, raises ``WorkCapExceeded`` once the layers together hold
+    more than ``cap`` partial paths.
+    """
     kind = m.kind
     result = {}
     layer = {(m.start, (), ()): m.start_weight}
+    work = 0
     for depth in range(max_arcs + 1):
         for (q, inp, out), w in layer.items():
             if q in m.finals:
@@ -97,6 +106,9 @@ def bounded_pairs(m, max_in, max_out, max_arcs):
                 key = (arc.nextstate, ninp, nout)
                 nw = kind.extend(w, arc.weight)
                 nxt[key] = kind.combine(nxt[key], nw) if key in nxt else nw
+        work += len(nxt)
+        if cap is not None and work > cap:
+            raise WorkCapExceeded
         if not nxt:
             break
         layer = nxt

@@ -24,9 +24,9 @@ from wfst.cli import decode_main, fst_main, lm_main, rule_main
 from wfst.ngram import EOS, frequency_of_frequencies, model_path_cost
 from wfst.rewrite import Rule, apply_rewrite, compile_weighted_rule
 
-from helpers import (acceptor, bounded_pairs, build, nerode_class_count,
-                     random_det_acceptor, random_machine, random_rule_spec,
-                     sample_machines, scan_rewrite)
+from helpers import (WorkCapExceeded, acceptor, bounded_pairs, build,
+                     nerode_class_count, random_det_acceptor, random_machine,
+                     random_rule_spec, sample_machines, scan_rewrite)
 from test_decode import layered_distances, toy_cascade
 from test_ngram import viable_model
 from test_optimize import TWIN_VIOLATION, twin_satisfying_machines
@@ -111,50 +111,13 @@ def test_criterion_2_semiring_laws():
 # -- 3: composition oracle ------------------------------------------------
 
 
-class _TooBig(Exception):
-    pass
-
-
-def capped_pairs(m, max_in, max_out, max_arcs, cap=60_000):
-    kind = m.kind
-    result = {}
-    layer = {(m.start, (), ()): m.start_weight}
-    work = 0
-    for depth in range(max_arcs + 1):
-        for (q, inp, out), w in layer.items():
-            if q in m.finals:
-                key = (inp, out)
-                total = kind.extend(w, m.finals[q])
-                result[key] = kind.combine(result[key], total) \
-                    if key in result else total
-        if depth == max_arcs:
-            break
-        nxt = {}
-        for (q, inp, out), w in layer.items():
-            for arc in m.arcs(q):
-                ninp = inp if arc.ilabel == 0 else inp + (arc.ilabel,)
-                nout = out if arc.olabel == 0 else out + (arc.olabel,)
-                if len(ninp) > max_in or len(nout) > max_out:
-                    continue
-                key = (arc.nextstate, ninp, nout)
-                nw = kind.extend(w, arc.weight)
-                nxt[key] = kind.combine(nxt[key], nw) if key in nxt else nw
-        work += len(nxt)
-        if work > cap:
-            raise _TooBig
-        if not nxt:
-            break
-        layer = nxt
-    return result
-
-
 def check_compose_oracle(a, b, tol):
     c = compose(a, b)
-    pa = capped_pairs(a, 8, 10, 30)
-    pb = capped_pairs(b, 10, 8, 30)
+    pa = bounded_pairs(a, 8, 10, 30, cap=60_000)
+    pb = bounded_pairs(b, 10, 8, 30, cap=60_000)
     expected = {k: w for k, w in join_oracle(a.kind, pa, pb).items()
                 if len(k[0]) <= 8 and len(k[1]) <= 8}
-    got = capped_pairs(c, 8, 8, 40)
+    got = bounded_pairs(c, 8, 8, 40, cap=60_000)
     for key, w in expected.items():
         gw = got.get(key, a.kind.zero)
         if tol:
@@ -176,7 +139,7 @@ def test_criterion_3_composition_oracle():
                 continue
             try:
                 check_compose_oracle(a, b, tol=0.0)
-            except _TooBig:
+            except WorkCapExceeded:
                 continue
             checked += 1
         while checked < 200:  # acyclic real
@@ -188,7 +151,7 @@ def test_criterion_3_composition_oracle():
                 continue
             try:
                 check_compose_oracle(a, b, tol=1e-9)
-            except _TooBig:
+            except WorkCapExceeded:
                 continue
             checked += 1
 

@@ -120,11 +120,14 @@ def test_twins_violation_blows_determinize_cap():
 @pytest.mark.parametrize("arcs", [
     [(0, 2, 2, 0.5, 0), (0, 2, 3, 0.5, 0)],                     # on input
     [(0, 0, 2, 0.5, 0), (0, 0, 3, 0.5, 0), (0, 1, 1, 0.0, 1)],  # on epsilon
+    [(0, 2, 0, 0.0, 0), (0, 2, 2, 0.5, 0), (0, 3, 0, 1.0, 0)],  # string
 ])
 def test_determinize_caps_subset_size(arcs):
     # the leftover strings of one subset double with every symbol read (or
-    # every epsilon step), so memory ran out before the cap on the number
-    # of subsets was reached
+    # every epsilon step), or grow by one symbol with every symbol read, so
+    # memory ran out before the cap on the number of subsets was reached
+    # (the string case was found with final weight 2; final weights do not
+    # change the subsets)
     m = build(T, arcs, [max(a[4] for a in arcs)])
     begin = time.perf_counter()
     with pytest.raises(CapExceededError):

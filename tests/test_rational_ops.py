@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from wfst import (ContractError, KindMismatchError, Semiring, SemiringError,
-                  accepted_pairs, closure, complement, compose, concat,
-                  connect, difference, expand, intersect, lazy_compose,
-                  project, reverse, union, weight_of)
+from wfst import (CascadeSpec, ContractError, KindMismatchError, Semiring,
+                  SemiringError, accepted_pairs, beam_decode, closure,
+                  complement, compose, concat, connect, difference, expand,
+                  intersect, lazy_compose, project, reverse, union, weight_of)
 from wfst.ops import compose as _compose
 from wfst.ops import label_index, label_indexes, merge_arcs
 
@@ -107,6 +107,12 @@ def test_overflowing_products_raise(kind, big):
             compose(m, m)
         with pytest.raises(SemiringError, match=message):
             expand(lazy_compose(m, m))
+    # a lazy cascade checks the products it reads, not only ``expand``
+    with pytest.raises(SemiringError, match=message):
+        lazy_compose(heavy_arc, heavy_arc).arcs(0)
+    if kind is T:
+        with pytest.raises(SemiringError, match=message):
+            beam_decode(CascadeSpec([heavy_arc, heavy_arc]), [1])
 
 
 def test_compose_respects_epsilon_paths():

@@ -265,10 +265,13 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     best_final = None
     for frame in range(n_frames + 1):
         stats.frames = frame
-        # epsilon-closure within the frame (Dijkstra over eps-input arcs)
+        # epsilon-closure within the frame (Dijkstra over eps-input arcs);
+        # a best path of more hops than the closure has states repeats a
+        # state, which only a negative-weight epsilon cycle makes cheaper
         heap = [(cost, q) for q, (cost, _) in frontier.items()]
         heapq.heapify(heap)
         costs = {q: c for q, (c, _) in frontier.items()}
+        hops = dict.fromkeys(costs, 0)
         while heap:
             c, q = heapq.heappop(heap)
             if c > costs.get(q, INF):
@@ -280,6 +283,10 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
                 cand = c + arc.weight
                 if cand < costs.get(arc.nextstate, INF):
                     costs[arc.nextstate] = cand
+                    hops[arc.nextstate] = hops[q] + 1
+                    if hops[arc.nextstate] > len(costs):
+                        raise ContractError("negative-weight epsilon cycle: "
+                                            "beam search cannot settle")
                     back[arc.nextstate] = (q, arc.olabel)
                     heapq.heappush(heap, (cand, arc.nextstate))
         if not costs:

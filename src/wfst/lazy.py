@@ -30,8 +30,7 @@ class _IndexTable(dict):
 
     def __init__(self, held, lru):
         super().__init__()
-        self._held = held
-        self._lru = lru
+        self._held, self._lru = held, lru
 
     def get(self, state, default=None):
         index = super().get(state, default)
@@ -68,9 +67,8 @@ class CachedMachine:
     def __init__(self, m, mode=MEMOIZE, capacity=None):
         if mode not in (MEMOIZE, LRU, REFCOUNT):
             raise ContractError(f"unknown cache discipline {mode!r}")
-        if mode == LRU:
-            if capacity is None or capacity < 1:
-                raise ContractError("LRU capacity must be >= 1")
+        if mode == LRU and (capacity is None or capacity < 1):
+            raise ContractError("LRU capacity must be >= 1")
         self.m = m
         self.mode = mode
         self.capacity = capacity

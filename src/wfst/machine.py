@@ -104,9 +104,11 @@ class Machine:
         self.finals: dict[int, float] = {}
         self._arcs: list[list[Arc]] = []
         self._frozen = False
-        # state -> ops.label_index once frozen, filled by the compositions
-        # that read this machine as their right operand; None while mutable
+        # state -> ops.label_index and state -> ops.read_set once frozen,
+        # filled by the compositions that read this machine as their right
+        # operand; None while mutable
         self.label_indexes = None
+        self.lookahead_sets = None
 
     @classmethod
     def _from_parts(cls, kind, isymbols, osymbols, arcs, finals, start=0,
@@ -129,6 +131,7 @@ class Machine:
         m._arcs = [tuple(state_arcs) for state_arcs in arcs]
         m._frozen = True
         m.label_indexes = {}
+        m.lookahead_sets = {}
         return m
 
     # -- construction ---------------------------------------------------
@@ -176,6 +179,7 @@ class Machine:
             self._arcs = [tuple(arcs) for arcs in self._arcs]
             self._frozen = True
             self.label_indexes = {}
+            self.lookahead_sets = {}
         return self
 
     def _check_mutable(self):

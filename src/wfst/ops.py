@@ -22,6 +22,8 @@ from .semiring import Semiring, require_same_kind
 FILTER_INITIAL = 0
 _A_ALONE = 1
 _B_ALONE = 2
+_END = "end"  # member of a lookahead label set: the machine can stop there
+_DEAD = -1  # a pair's id in ``LazyComposition._ids`` when it is not built
 
 
 def label_index(m, table, state):
@@ -45,17 +47,40 @@ def label_index(m, table, state):
     return index
 
 
-def label_indexes(m):
-    """The ``state -> label_index`` table a composition reads ``m`` through.
+def label_indexes(m, name="label_indexes"):
+    """The ``state -> label_index`` table (``name="lookahead_sets"``:
+    ``state -> read_set``) a composition reads ``m`` through.
 
-    A frozen ``Machine`` carries its own table, shared by every composition
-    that reads it, since its arcs never change; so does a ``CachedMachine``,
-    whose table keeps an index only while the cache keeps that state's arcs.
-    Anything else, a bare lazy view or a machine still being built, gets a
-    fresh table private to the one composition that asks.
+    A frozen ``Machine`` carries both, shared by every composition that
+    reads it, since its arcs never change; a ``CachedMachine``'s index
+    table keeps an index only while the cache keeps that state's arcs.
+    Anything else gets a fresh table private to the composition that asks.
     """
-    table = getattr(m, "label_indexes", None)
+    table = getattr(m, name, None)
     return {} if table is None else table
+
+
+def read_set(b, index_table, table, state):
+    """The input labels ``b`` reads from ``state`` after input-epsilon moves,
+    plus ``_END`` if they reach a final state; kept in ``table``, which also
+    maps each distinct set to itself, so that equal sets are one object."""
+    labels = table.get(state)
+    if labels is not None:
+        return labels
+    labels, stack, seen = set(), [state], {state}
+    while stack:
+        q = stack.pop()
+        index = label_index(b, index_table, q)
+        labels.update(index)
+        if b.final(q) != b.kind.zero:
+            labels.add(_END)
+        for arc in index.get(EPSILON, ()):
+            if arc.nextstate not in seen:
+                seen.add(arc.nextstate)
+                stack.append(arc.nextstate)
+    labels = frozenset(labels - {EPSILON})
+    table[state] = labels = table.setdefault(labels, labels)
+    return labels
 
 
 def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
@@ -117,6 +142,10 @@ class LazyComposition:
     start weight) is range-checked once (``kind.valid``), which turns an
     overflow into ``SemiringError``.
 
+    Label lookahead: a new target pair (s1, s2, f) whose next A output
+    labels miss ``read_set(b, ..., s2)`` cannot reach a final pair; it is
+    kept in ``_ids`` as ``_DEAD``, unbuilt, and arcs to it are dropped.
+
     ``_filtered=False`` disables the epsilon filter (test-only; overcounts
     redundant epsilon interleavings under non-idempotent semirings).
     """
@@ -124,8 +153,7 @@ class LazyComposition:
     start = 0
 
     def __init__(self, a, b, *, _filtered=True):
-        self.a = a
-        self.b = b
+        self.a, self.b = a, b
         self.kind = check_composable(a, b)
         self.isymbols = a.isymbols
         self.osymbols = b.osymbols
@@ -136,6 +164,8 @@ class LazyComposition:
         self._ids = {start: 0}
         self._pairs = [start]
         self._index_b = label_indexes(b)
+        self._reads = label_indexes(b, "lookahead_sets")
+        self._emits = {}  # s1 -> output labels of a.arcs(s1), None for any
         self._filtered = _filtered
 
     def final(self, state):
@@ -147,8 +177,7 @@ class LazyComposition:
 
     def arcs(self, state):
         s1, s2, f = self._pairs[state]
-        kind, ids, pairs = self.kind, self._ids, self._pairs
-        valid = kind.valid
+        kind, ids, valid = self.kind, self._ids, self.kind.valid
         result = []
         for il, ol, w, (n1, n2, nf) in merge_arcs(
                 kind, self.a.arcs(s1),
@@ -159,10 +188,25 @@ class LazyComposition:
                       n2 if n2 is not None else s2, nf)
             t = ids.get(target)
             if t is None:
-                t = ids[target] = len(pairs)
-                pairs.append(target)
-            result.append(Arc(il, ol, w, t))
+                t = ids[target] = self._register(target)
+            if t != _DEAD:
+                result.append(Arc(il, ol, w, t))
         return tuple(result)
+
+    def _register(self, target):
+        """A newly reached pair's id, or ``_DEAD``."""
+        s1, s2, _ = target
+        if s1 not in self._emits:
+            emits = {arc.olabel for arc in self.a.arcs(s1)}
+            if self.a.final(s1) != self.kind.zero:
+                emits.add(_END)
+            self._emits[s1] = None if EPSILON in emits else emits
+        emits = self._emits[s1]
+        if emits is not None and emits.isdisjoint(
+                read_set(self.b, self._index_b, self._reads, s2)):
+            return _DEAD
+        self._pairs.append(target)
+        return len(self._pairs) - 1
 
 
 def lazy_compose(a, b) -> LazyComposition:
@@ -179,9 +223,7 @@ def compose(a: Machine, b: Machine, *, _filtered=True) -> Machine:
     view = LazyComposition(a, b, _filtered=_filtered)
     final, arcs_of, pairs = view.final, view.arcs, view._pairs
     zero = view.kind.zero
-    arcs = []
-    finals = {}
-    q = 0
+    arcs, finals, q = [], {}, 0
     while q < len(pairs):
         fw = final(q)
         if fw != zero:

@@ -10,6 +10,8 @@ import itertools
 import random
 
 from wfst import Machine, Semiring, connect
+from wfst.machine import Arc
+from wfst.ops import FILTER_INITIAL, merge_arcs
 
 
 # -- quick machine construction ------------------------------------------
@@ -113,6 +115,34 @@ def bounded_pairs(m, max_in, max_out, max_arcs, cap=None):
             break
         layer = nxt
     return result
+
+
+def product_compose(a, b, filtered=True):
+    """Unpruned composition oracle: every pair state ``merge_arcs`` reaches
+    from the start pair, numbered breadth first, with no label lookahead;
+    trimmed with ``connect``."""
+    kind = a.kind
+    start = (a.start, b.start, FILTER_INITIAL)
+    ids, pairs, arcs, finals = {start: 0}, [start], [], {}
+    for q, (s1, s2, f) in enumerate(pairs):  # ``pairs`` grows as it is read
+        index = {}
+        for arc in b.arcs(s2):
+            index.setdefault(arc.ilabel, []).append(arc)
+        out = []
+        for il, ol, w, (n1, n2, nf) in merge_arcs(kind, a.arcs(s1), index, f,
+                                                   filtered):
+            target = (s1 if n1 is None else n1, s2 if n2 is None else n2, nf)
+            if target not in ids:
+                ids[target] = len(pairs)
+                pairs.append(target)
+            out.append(Arc(il, ol, w, ids[target]))
+        arcs.append(out)
+        fw = kind.times(a.final(s1), b.final(s2))
+        if fw != kind.zero:
+            finals[q] = fw
+    return connect(Machine._from_parts(
+        kind, a.isymbols, b.osymbols, arcs, finals, 0,
+        kind.times(a.start_weight, b.start_weight)))
 
 
 def strings_up_to(alphabet, max_len):

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,10 +274,50 @@ def test_beam_sweep_monotone():
 
 
 def test_beam_too_small_raises():
-    stage = build(T, [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1)],
-                  {1: 0.0})
+    # the cheap branch 0 -1-> 2 reads the second observation, then dies in
+    # non-final state 3, after its cost has pruned the live path at beam 1
+    stage = build(T, [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1),
+                      (2, 2, 2, 0.0, 3)], {1: 0.0})
     with pytest.raises(NoPathError):
         beam_decode(CascadeSpec([stage]), (1, 2), beam=1.0)
+    outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1, 2))
+    assert (outputs, cost) == ((1, 1), 5.0)
+
+
+def test_dead_end_branch_never_enters_the_beam():
+    # 0 -1-> 2 cannot read the second observation: label lookahead never
+    # builds that pair state, so it cannot prune the live path at beam 1
+    stage = build(T, [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1)],
+                  {1: 0.0})
+    outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1, 2), beam=1.0)
+    assert (outputs, cost) == ((1, 1), 5.0)
+
+
+def test_negative_epsilon_cycle_raises_within_budget():
+    # two epsilon arcs of weight -1 form a cycle after the first frame;
+    # each trip round it lowers the cost, so the closure never settles
+    stage = build(T, [(0, 1, 1, 0.0, 1), (1, 0, 0, -1.0, 2),
+                      (2, 0, 0, -1.0, 1)], {1: 0.0})
+
+    def overrun(signum, frame):
+        raise TimeoutError("beam_decode ran past its 10 s budget")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ContractError,
+                           match="negative-weight epsilon cycle"):
+            beam_decode(CascadeSpec([stage]), (1,))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_negative_epsilon_weights_without_a_cycle_decode():
+    stage = build(T, [(0, 1, 1, 1.0, 1), (1, 0, 0, -0.5, 2),
+                      (2, 0, 7, -0.25, 3)], {3: 0.0})
+    outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1,))
+    assert (outputs, cost) == ((1, 7), 0.25)
 
 
 def test_cascade_spec_validation():

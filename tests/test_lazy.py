@@ -7,9 +7,10 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Machine, Semiring,
                   accepted_pairs, cached, compose, connect, expand,
                   lazy_compose, read_text, weight_of, write_text)
 
-from wfst.ops import label_index, label_indexes
+from wfst import ops
+from wfst.ops import LazyComposition, label_index, label_indexes
 
-from helpers import acceptor, build, sample_machines
+from helpers import acceptor, build, product_compose, sample_machines
 
 T = Semiring.TROPICAL
 
@@ -32,11 +33,15 @@ def test_lazy_expansion_equals_static_compose():
 
 
 def test_untrimmed_expand_contains_dead_branches():
-    a = build(T, [(0, 1, 1, 0.0, 1), (0, 1, 2, 0.0, 2)], [1])
-    b = build(T, [(0, 1, 3, 0.0, 1), (0, 2, 4, 0.0, 2)], [1])
+    # the branch through pair (2, 2) dies one step later, in non-final
+    # states 3, so label lookahead still builds (2, 2)
+    a = build(T, [(0, 1, 1, 0.0, 1), (0, 1, 2, 0.0, 2), (2, 2, 2, 0.0, 3)],
+              [1])
+    b = build(T, [(0, 1, 3, 0.0, 1), (0, 2, 4, 0.0, 2), (2, 2, 5, 0.0, 3)],
+              [1])
     full = expand(lazy_compose(a, b), trim=False)
     trim = expand(lazy_compose(a, b), trim=True)
-    assert full.num_states >= trim.num_states
+    assert full.num_states > trim.num_states
 
 
 def test_cache_disciplines_observationally_identical():
@@ -223,3 +228,90 @@ def test_trimmed_lazy_expansion_equals_static_compose(pair):
     a, b = pair
     assert text_of(expand(lazy_compose(a, b), trim=True)) == \
         text_of(compose(a, b))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(list(KIND_WEIGHTS)), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_lookahead_matches_unpruned_product(kind, seed, filtered):
+    # trim machines with epsilon on both tapes, so most compositions are
+    # nonempty and reach pairs whose A state has epsilon-output arcs
+    a, b = sample_machines(seed, 2, kind=kind, max_states=5, max_arcs=8)
+    expected = text_of(product_compose(a, b, filtered))
+    assert text_of(compose(a, b, _filtered=filtered)) == expected
+    view = LazyComposition(a, b, _filtered=filtered)
+    assert text_of(expand(view, trim=True)) == expected
+
+
+# -- label lookahead: pair states that cannot succeed are never built --
+
+
+def lookahead_operands():
+    """A linear A (1 then 2) and a B whose branches 0 -1-> 3 and the
+    epsilon branch 1 -> 4 can read only 3 next, a dead end for A."""
+    a = acceptor(T, [(0, 1, 0.0, 1), (1, 2, 0.0, 2)], [2])
+    b = build(T, [(0, 1, 1, 0.0, 1), (0, 1, 1, 0.0, 3), (1, 2, 2, 0.0, 2),
+                  (3, 3, 3, 0.0, 2), (1, 0, 5, 0.0, 4), (4, 3, 3, 0.0, 2),
+                  (0, 0, 6, 0.0, 5), (5, 1, 1, 0.0, 1)], [2])
+    return a, b
+
+
+def test_lookahead_builds_only_pairs_that_can_succeed():
+    a, b = lookahead_operands()
+    view = lazy_compose(a, b)
+    expand(view)
+    # (0, 0) start, (1, 1) and (0, 5) read on, (2, 2) stops; (1, 3) and
+    # the epsilon move to (1, 4) are reached but never built
+    assert view._pairs == [(0, 0, 0), (1, 1, 0), (0, 5, 2), (2, 2, 0)]
+    assert len(view._ids) == 6
+    assert len(view.arcs(0)) == 2  # the arc to (1, 3) is dropped
+    assert text_of(compose(a, b)) == text_of(product_compose(a, b))
+
+
+def test_lookahead_lets_output_epsilon_moves_through():
+    # A's state 1 writes epsilon before 3; B's state 1 reads only 3, so
+    # the pair (1, 1) is built although 1 writes no label B reads
+    a = build(T, [(0, 1, 1, 0.0, 1), (1, 2, 0, 0.0, 2), (2, 3, 3, 0.0, 3)],
+              [3])
+    b = build(T, [(0, 1, 1, 0.0, 1), (1, 3, 3, 0.0, 2)], [2])
+    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+        "0 1 1 1\n1 2 2 0\n2 3 3 3\n3\n"
+
+
+def test_lookahead_sets_are_shared_and_interned_on_frozen_machine(
+        monkeypatch):
+    a, b = lookahead_operands()
+    compose(a, b)
+    table = dict(b.lookahead_sets)
+    assert table[1] == {2, 3}  # state 1 reads 2, and 3 after epsilon
+    assert table[3] is table[4]  # equal sets are one object
+    # a second composition indexes B once per pair state it expands, and
+    # never walks B to compute a label set
+    lookups = []
+
+    def counted(m, index_table, state):
+        lookups.append(state)
+        return label_index(m, index_table, state)
+
+    monkeypatch.setattr(ops, "label_index", counted)
+    view = lazy_compose(a, b)
+    expand(view)
+    assert len(lookups) == len(view._pairs)
+    assert b.lookahead_sets == table
+    assert all(b.lookahead_sets[k] is v for k, v in table.items())
+
+
+def test_lookahead_over_unfrozen_and_evicting_right_operands():
+    for a, b in pair_samples(2000, 20):
+        expected = text_of(compose(a, b))
+        unfrozen = Machine(T)
+        unfrozen.add_states(b.num_states)
+        for q, arc in b.all_arcs():
+            unfrozen.add_arc(q, *arc)
+        for q, w in b.finals.items():
+            unfrozen.set_final(q, w)
+        assert unfrozen.lookahead_sets is None
+        assert text_of(compose(a, unfrozen)) == expected
+        view = cached(b, LRU, capacity=1)
+        assert text_of(compose(a, view)) == expected
+        assert text_of(expand(lazy_compose(a, view), trim=True)) == expected

@@ -24,106 +24,61 @@ def _require_tropical(m):
         raise ContractError("decoding requires TROPICAL weights")
 
 
-def _topological_order(m):
-    """Kahn order of all states, or None when the machine has a cycle."""
-    indeg = [0] * m.num_states
-    for _, arc in m.all_arcs():
-        indeg[arc.nextstate] += 1
-    queue = deque(q for q in m.states() if indeg[q] == 0)
-    order = []
-    while queue:
-        q = queue.popleft()
-        order.append(q)
-        for arc in m.arcs(q):
-            indeg[arc.nextstate] -= 1
-            if indeg[arc.nextstate] == 0:
-                queue.append(arc.nextstate)
-    return order if len(order) == m.num_states else None
+def _distances(m, forward, algo):
+    """Least d with d[v] <= d[u] + w over every edge (u, v, w): the arcs from
+    the start weight, or reversed arcs from the final weights (Mohri 2002).
+    Acyclic input takes one pass in topological order, O(V+E); 'dijkstra'
+    runs best-first from the start, O(E log V); otherwise Bellman-Ford,
+    O(V*E), raises ContractError when pass |V| + 1 still lowers a distance.
+    """
+    _require_tropical(m)
+    if algo not in ("acyclic", "dijkstra", "bellman_ford"):
+        raise ContractError(f"unknown algorithm {algo!r}")
+    order = None if algo == "dijkstra" else m.topological_order()
+    if order is None and algo == "acyclic":
+        raise ContractError("machine has a cycle; acyclic algorithm inapplicable")
+    d = [INF] * m.num_states
+    if forward:
+        d[m.start] = m.start_weight
+        edges = [(q, arc.nextstate, arc.weight)
+                 for q in order or m.states() for arc in m.arcs(q)]
+    else:
+        for q, w in m.finals.items():
+            d[q] = w
+        edges = [(arc.nextstate, q, arc.weight)
+                 for q in reversed(order or m.states()) for arc in m.arcs(q)]
+    if algo == "dijkstra":
+        if any(w < 0 for _, _, w in edges):
+            raise ContractError("negative weight given to dijkstra")
+        heap = [(d[m.start], m.start)]
+        while heap:
+            x, u = heapq.heappop(heap)
+            if x == d[u]:  # else a stale entry
+                for arc in m.arcs(u):
+                    if x + arc.weight < d[arc.nextstate]:
+                        d[arc.nextstate] = x + arc.weight
+                        heapq.heappush(heap, (x + arc.weight, arc.nextstate))
+        return dict(enumerate(d))
+    for _ in range(m.num_states + 1):
+        changed = False
+        for u, v, w in edges:
+            if d[u] + w < d[v]:
+                d[v] = d[u] + w
+                changed = True
+        if order is not None or not changed:
+            return dict(enumerate(d))
+    raise ContractError("negative-weight cycle: shortest distances unbounded")
 
 
 def shortest_distance(m: Machine, algo: str = "dijkstra") -> dict[int, float]:
-    """Single-source shortest distances from the start state.
-
-    algo 'acyclic' relaxes in topological order (O(V+E), rejects cycles);
-    'dijkstra' is best-first (O(E log V), rejects negative weights);
-    'bellman_ford' uses a FIFO queue (O(V*E), allows negative weights).
-    """
-    _require_tropical(m)
-    d = {q: INF for q in m.states()}
-    d[m.start] = m.start_weight
-    if algo == "acyclic":
-        order = _topological_order(m)
-        if order is None:
-            raise ContractError("machine has a cycle; acyclic algorithm inapplicable")
-        for q in order:
-            if d[q] == INF:
-                continue
-            for arc in m.arcs(q):
-                cand = d[q] + arc.weight
-                if cand < d[arc.nextstate]:
-                    d[arc.nextstate] = cand
-    elif algo == "dijkstra":
-        if any(arc.weight < 0 for _, arc in m.all_arcs()):
-            raise ContractError("negative weight given to dijkstra")
-        heap = [(d[m.start], m.start)]
-        done = set()
-        while heap:
-            dist, q = heapq.heappop(heap)
-            if q in done:
-                continue
-            done.add(q)
-            for arc in m.arcs(q):
-                cand = dist + arc.weight
-                if cand < d[arc.nextstate]:
-                    d[arc.nextstate] = cand
-                    heapq.heappush(heap, (cand, arc.nextstate))
-    elif algo == "bellman_ford":
-        queue = deque([m.start])
-        queued = {m.start}
-        rounds = 0
-        limit = m.num_states * max(1, m.num_arcs) + 1
-        while queue:
-            rounds += 1
-            if rounds > limit:
-                raise ContractError("negative-weight cycle detected")
-            q = queue.popleft()
-            queued.discard(q)
-            for arc in m.arcs(q):
-                cand = d[q] + arc.weight
-                if cand < d[arc.nextstate]:
-                    d[arc.nextstate] = cand
-                    if arc.nextstate not in queued:
-                        queue.append(arc.nextstate)
-                        queued.add(arc.nextstate)
-    else:
-        raise ContractError(f"unknown algorithm {algo!r}")
-    return d
+    """Shortest distances from the start: 'acyclic' rejects cycles, 'dijkstra'
+    negative weights, 'bellman_ford' a negative cycle that the start reaches."""
+    return _distances(m, True, algo)
 
 
 def backward_distances(m: Machine) -> dict[int, float]:
-    """Shortest distance from each state to a final (final weight included).
-
-    One relaxation pass in reverse topological order settles an acyclic
-    machine, O(V+E) (Mohri 2002).  Otherwise Bellman-Ford, O(V*E): without a
-    negative-weight cycle pass |V| changes nothing, so a distance that still
-    improves in pass |V| + 1 raises ContractError.
-    """
-    _require_tropical(m)
-    d = {q: INF for q in m.states()}
-    d.update(m.finals)
-    order = _topological_order(m)
-    states = m.states() if order is None else reversed(order)
-    arcs = [(q, arc) for q in states for arc in m.arcs(q)]
-    for _ in range(m.num_states + 1):
-        changed = False
-        for q, arc in arcs:
-            cand = arc.weight + d[arc.nextstate]
-            if cand < d[q]:
-                d[q] = cand
-                changed = True
-        if order is not None or not changed:
-            return d
-    raise ContractError("negative-weight cycle: shortest distances unbounded")
+    """Shortest distance from each state to a final (final weight included)."""
+    return _distances(m, False, "bellman_ford")
 
 
 def best_path(m: Machine):

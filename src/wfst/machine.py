@@ -215,24 +215,23 @@ class Machine:
     def is_acceptor(self) -> bool:
         return all(a.ilabel == a.olabel for _, a in self.all_arcs())
 
+    def topological_order(self):
+        """Kahn order of all states; None if any cycle, even unreachable."""
+        indeg = [0] * self.num_states
+        for arcs in self._arcs:
+            for arc in arcs:
+                indeg[arc.nextstate] += 1
+        order = [q for q in self.states() if indeg[q] == 0]
+        for q in order:  # the list is the FIFO queue: it grows as we read
+            for arc in self._arcs[q]:
+                indeg[arc.nextstate] -= 1
+                if indeg[arc.nextstate] == 0:
+                    order.append(arc.nextstate)
+        return order if len(order) == self.num_states else None
+
     def is_acyclic(self) -> bool:
-        color = [0] * self.num_states  # 0 white, 1 grey, 2 black
-        stack = [(self.start, iter(self._arcs[self.start]))]
-        color[self.start] = 1
-        while stack:
-            q, it = stack[-1]
-            arc = next(it, None)
-            if arc is None:
-                color[q] = 2
-                stack.pop()
-                continue
-            t = arc.nextstate
-            if color[t] == 1:
-                return False
-            if color[t] == 0:
-                color[t] = 1
-                stack.append((t, iter(self._arcs[t])))
-        return True
+        """True iff no cycle runs through any state, reachable or not."""
+        return self.topological_order() is not None
 
     def is_deterministic(self) -> bool:
         """True iff traversal never faces a choice: no shared ilabel within
@@ -293,10 +292,10 @@ def _resolve(token, table):
     return table.find(token)
 
 
-def _state_id(token):
+def _state_id(token, limit):
     q = int(token)
-    if q < 0:
-        raise ValueError(f"negative state {q}")
+    if not 0 <= q < limit:
+        raise ValueError(f"state {q} outside 0..{limit - 1}")
     return q
 
 
@@ -306,7 +305,8 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
 
     ``acceptor`` disambiguates 4-field lines (acceptor arc with weight vs.
     transducer arc without); it defaults to true iff no output table is given.
-    Weights are checked once, by ``kind.parse``.
+    Weights are checked once, by ``kind.parse``.  A state id must be below
+    ``max(len(text), 65536)``.
     """
     if acceptor is None:
         acceptor = osymbols is None
@@ -316,6 +316,10 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
     arcs = []
     finals = {}
     start = None
+    # every id below the largest is a state, so ids are bounded by the
+    # text's length, with room for small sparse machines: a short text
+    # cannot make the state list grow without bound
+    limit = max(len(text), 1 << 16)
 
     def ensure_state(q):
         while q >= len(arcs):
@@ -328,7 +332,7 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
         parts = line.split()
         try:
             if len(parts) <= 2:  # final line
-                state = _state_id(parts[0])
+                state = _state_id(parts[0], limit)
                 weight = parse(parts[1]) if len(parts) == 2 else one
                 ensure_state(state)
                 if weight == zero:
@@ -338,7 +342,7 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
                 if start is None:
                     start = state
                 continue
-            src, dst = _state_id(parts[0]), _state_id(parts[1])
+            src, dst = _state_id(parts[0], limit), _state_id(parts[1], limit)
             if acceptor:
                 if len(parts) not in (3, 4):
                     raise ParseError("expected 'src dst sym [weight]'", lineno)

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ContractError, FsmError
+from .errors import ContractError, FsmError, ParseError
 from .machine import EPSILON, Machine, SymbolTable
 from .semiring import Semiring
 
@@ -72,22 +72,34 @@ def write_counts(ct: CountTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_int(text, lineno, least=0):
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}", lineno) from None
+    if value < least:
+        raise ParseError(f"{value} is below {least}", lineno)
+    return value
+
+
 def read_counts(text, symbols: SymbolTable | None = None) -> CountTable:
+    """Count table from ``write_counts`` text; ``ParseError`` with the line
+    number on a line without a tab, or a negative or non-integer field."""
     table = CountTable(1, symbols=symbols or SymbolTable())
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("order "):
-            table.order = int(line.split()[1])
+            table.order = _read_int(line[6:], lineno, least=1)
         elif line.startswith("total "):
-            table.total = int(line.split()[1])
+            table.total = _read_int(line[6:], lineno)
         else:
             if "\t" not in line:
-                raise ContractError(f"count line {lineno} lacks a tab: {raw!r}")
+                raise ParseError(f"count line lacks a tab: {raw!r}", lineno)
             words, count = line.rsplit("\t", 1)
             gram = tuple(table.symbols.add(w) for w in words.split())
-            table.counts[gram] = int(count)
+            table.counts[gram] = _read_int(count, lineno)
     return table
 
 
@@ -349,7 +361,7 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
     alphas = {}
     order = 1
     section = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line == "\\data\\" or line.startswith("ngram "):
             continue
@@ -361,21 +373,26 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
             order = max(order, section)
             continue
         if section is None:
-            raise ContractError(f"line outside any section: {raw!r}")
+            raise ParseError(f"line outside any section: {raw!r}", lineno)
         fields = line.split("\t") if "\t" in line else line.split()
-        logp = float(fields[0])
         words = fields[1].split() if "\t" in line else fields[1:1 + section]
         if len(words) != section:
-            raise ContractError(f"expected a {section}-gram: {raw!r}")
+            raise ParseError(f"expected a {section}-gram: {raw!r}", lineno)
+        try:
+            logp = float(fields[0])
+            prob = 10.0 ** logp
+            backoff = None
+            if "\t" in line and len(fields) > 2:
+                backoff = float(fields[2])
+            elif "\t" not in line and len(fields) > 1 + section:
+                backoff = float(fields[1 + section])
+            alpha = None if backoff is None else 10.0 ** backoff
+        except (ValueError, OverflowError):
+            raise ParseError(f"malformed line {raw!r}", lineno) from None
         gram = tuple(symbols.add(w) for w in words)
-        backoff = None
-        if "\t" in line and len(fields) > 2:
-            backoff = float(fields[2])
-        elif "\t" not in line and len(fields) > 1 + section:
-            backoff = float(fields[1 + section])
         if logp > -98.0:
-            probs.setdefault(gram[:-1], {})[gram[-1]] = 10.0 ** logp
+            probs.setdefault(gram[:-1], {})[gram[-1]] = prob
         if backoff is not None:
-            alphas[gram] = 0.0 if backoff <= -98.0 else 10.0 ** backoff
+            alphas[gram] = 0.0 if backoff <= -98.0 else alpha
     vocab = sorted(probs[()])
     return BackoffModel(order, probs, alphas, vocab, symbols)

@@ -430,6 +430,16 @@ def _string_potentials(m):
     return {q: (v if v is not bottom else ()) for q, v in p.items()}
 
 
+def _residue(p, q, arc):
+    """Output string left on ``arc`` once potentials ``p`` are hoisted."""
+    o = (arc.olabel,) if arc.olabel != EPSILON else ()
+    full = o + p[arc.nextstate]
+    if full[:len(p[q])] != p[q]:
+        raise ContractError("not a functional transducer: "
+                            f"prefix mismatch at state {q}")
+    return full[len(p[q]):]
+
+
 def push(m: Machine, mode: str) -> Machine:
     """Move weights or output strings toward the start state.
 
@@ -475,12 +485,7 @@ def push(m: Machine, mode: str) -> Machine:
         p = _string_potentials(m)
         arcs = [[] for _ in m.states()]
         for q, arc in m.all_arcs():
-            o = (arc.olabel,) if arc.olabel != EPSILON else ()
-            full = o + p[arc.nextstate]
-            if full[:len(p[q])] != p[q]:
-                raise ContractError("not a functional transducer: "
-                                    f"prefix mismatch at state {q}")
-            _emit_string(arcs, q, arc.ilabel, full[len(p[q]):], arc.weight,
+            _emit_string(arcs, q, arc.ilabel, _residue(p, q, arc), arc.weight,
                          arc.nextstate, one)
         start = m.start
         if p[m.start]:
@@ -500,7 +505,11 @@ def _encoded_dfa(m):
     """Deterministic machine as (label -> target) maps over opaque labels.
 
     Labels are (ilabel, output-residue, pushed-weight) triples after weight
-    (and, for transducers, string) pushing.
+    (and, for transducers, string) pushing.  A non-final state whose one
+    arc is an identity move (input epsilon, no residue, weight one) is
+    routed through to its target and left out, with the start too.
+    Returns the pushed machine, the maps, the final weights, the hoisted
+    start prefix and the start state.
     """
     work = m
     if work.kind is Semiring.TROPICAL:
@@ -509,22 +518,24 @@ def _encoded_dfa(m):
     if not work.is_acceptor():
         p = _string_potentials(work)
         prefix = p[work.start]
-        enc = {}
-        for q in work.states():
-            row = {}
-            for arc in work.arcs(q):
-                o = (arc.olabel,) if arc.olabel != EPSILON else ()
-                full = o + p[arc.nextstate]
-                if full[:len(p[q])] != p[q]:
-                    raise ContractError("not a functional transducer")
-                row[(arc.ilabel, full[len(p[q]):], arc.weight)] = arc.nextstate
-            enc[q] = row
+        enc = {q: {(arc.ilabel, _residue(p, q, arc), arc.weight): arc.nextstate
+                   for arc in work.arcs(q)}
+               for q in work.states()}
     else:
         enc = {q: {(arc.ilabel, (), arc.weight): arc.nextstate
                    for arc in work.arcs(q)}
                for q in work.states()}
-    finals = {q: work.final(q) for q in work.states()}
-    return work, enc, finals, prefix
+    identity = (EPSILON, (), work.kind.one)
+    hop = {q: row[identity] for q, row in enc.items()
+           if len(row) == 1 and identity in row and q not in work.finals}
+    for q, t in hop.items():
+        while t in hop:  # connected input: no cycle of identity moves
+            t = hop[t]
+        hop[q] = t
+    enc = {q: {label: hop.get(t, t) for label, t in row.items()}
+           for q, row in enc.items() if q not in hop}
+    finals = {q: work.final(q) for q in enc}
+    return work, enc, finals, prefix, hop.get(work.start, work.start)
 
 
 def _hopcroft(states, enc, finals):
@@ -592,12 +603,12 @@ def minimize(m: Machine) -> Machine:
     if not m.finals:
         return m
     kind = m.kind
-    work, enc, finals, prefix = _encoded_dfa(m)
-    index = _hopcroft(list(work.states()), enc, finals)
+    work, enc, finals, prefix, start = _encoded_dfa(m)
+    index = _hopcroft(list(enc), enc, finals)
     arcs = [[] for _ in range(len(set(index.values())))]
     out_finals = {}
     reps = {}
-    for q in work.states():
+    for q in enc:
         reps.setdefault(index[q], q)
     acceptor = work.is_acceptor()
     for cls, rep in sorted(reps.items()):
@@ -607,7 +618,7 @@ def minimize(m: Machine) -> Machine:
                          index[t], kind.one)
         if finals[rep] != kind.zero:
             out_finals[cls] = finals[rep]
-    start = index[work.start]
+    start = index[start]
     if prefix:
         chain = len(arcs)
         arcs.append([])

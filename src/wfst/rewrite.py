@@ -602,7 +602,10 @@ def parse_tree(text) -> DecisionTreeSpec:
             for alt in tail.split("|"):
                 parts = alt.split()
                 if len(parts) == 2:
-                    outs.append((float(parts[0]), parts[1]))
+                    try:
+                        outs.append((float(parts[0]), parts[1]))
+                    except ValueError:
+                        raise ParseError(f"malformed leaf weight {alt!r}") from None
                 elif len(parts) == 1:
                     outs.append((0.0, parts[0]))
                 else:

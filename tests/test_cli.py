@@ -307,6 +307,19 @@ def test_exit_2_usage_errors(tmp_path, capsys):
     assert run(decode_main, ["--cascade", str(empty), "1"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("order 2\na b\tx\n", 2),   # a count that is not an integer
+    ("order x\n", 1),           # an order likewise
+    ("order 2\na b 3\n", 2),    # no tab
+    ("order 2\na\t-1\n", 2),    # a negative count
+])
+def test_lm_build_malformed_counts_exit_2(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.counts"
+    bad.write_text(text)
+    code, _, err = run(lm_main, ["build", str(bad)], capsys)
+    assert code == 2 and err.startswith(f"error: line {line}: ")
+
+
 def test_exit_1_domain_errors(tmp_path, capsys):
     nopath = tmp_path / "nopath.fst"
     nopath.write_text("0 1 1\n2\n")  # final state unreachable

@@ -70,6 +70,27 @@ def test_acyclic_algorithm_rejects_cycles():
         shortest_distance(m, "acyclic")
 
 
+def test_bellman_ford_raises_on_a_reachable_negative_cycle():
+    # the cycle 1 -> 2 -> 1 weighs -1 and the start reaches it
+    m = acceptor(T, [(0, 1, 0.0, 1), (1, 1, -1.0, 2), (2, 1, 0.0, 1)], [2])
+    with pytest.raises(ContractError):
+        shortest_distance(m, "bellman_ford")
+
+
+def test_bellman_ford_ignores_an_unreachable_negative_cycle():
+    m = acceptor(T, [(0, 1, 1.0, 1), (2, 1, -1.0, 3), (3, 1, -1.0, 2)], [1])
+    assert shortest_distance(m, "bellman_ford") == \
+        {0: 0.0, 1: 1.0, 2: INF, 3: INF}
+    assert backward_distances(m) == {0: 1.0, 1: 0.0, 2: INF, 3: INF}
+
+
+def test_dijkstra_rejects_a_negative_weight():
+    m = acceptor(T, [(0, 1, 1.0, 1), (1, 1, -0.5, 2)], [2])
+    with pytest.raises(ContractError):
+        shortest_distance(m, "dijkstra")
+    assert shortest_distance(m, "bellman_ford") == {0: 0.0, 1: 1.0, 2: 0.5}
+
+
 def test_unknown_algorithm():
     m = acceptor(T, [(0, 1, 1.0, 1)], [1])
     with pytest.raises(ContractError):
@@ -89,11 +110,11 @@ def test_backward_distances():
 
 
 @st.composite
-def small_machines(draw, acyclic):
+def small_machines(draw, acyclic, weights=(0.0, 0.25, 0.5, 1.0, 2.5)):
     """(n, arcs, finals) over n <= 5 states; dyadic weights keep every path
     sum exact, so distances compare with ==."""
     n = draw(st.integers(1, 5))
-    weight = st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5))
+    weight = st.sampled_from(weights)
     arc = st.tuples(st.integers(0, n - 1), st.integers(1, 2), weight,
                     st.integers(0, n - 1))
     arcs = draw(st.lists(arc, max_size=8))
@@ -122,6 +143,19 @@ def test_backward_distances_match_enumeration_acyclic(machine):
 @given(small_machines(acyclic=False))
 def test_backward_distances_match_enumeration_cyclic(machine):
     check_against_enumeration(*machine)
+
+
+@settings(deadline=None)
+@given(small_machines(acyclic=True, weights=(-1.5, -0.25, 0.0, 0.5, 2.5)))
+def test_forward_distances_match_enumeration_negative_weights(machine):
+    n, arcs, _ = machine
+    m = acceptor(T, arcs, {}, num_states=n)
+    # an acyclic path has < n arcs; the brute force ends each at state q
+    best = [min(enum_paths(acceptor(T, arcs, {q: 0.0}, num_states=n),
+                           n - 1).values(), default=INF)
+            for q in range(n)]
+    for algo in ("acyclic", "bellman_ford"):
+        assert shortest_distance(m, algo) == dict(enumerate(best)), algo
 
 
 def test_negative_cycle_raises():

@@ -97,6 +97,16 @@ def test_parse_errors():
             read_text(text)
 
 
+def test_state_ids_are_bounded_by_the_text():
+    # every id below the largest is a state, so this id would ask for
+    # 10**20 of them
+    with pytest.raises(ParseError):
+        read_text("0 99999999999999999999 1\n")
+    with pytest.raises(ParseError):
+        read_text("0 65536 1\n65536\n")
+    assert read_text("0 65535 1\n65535\n").num_states == 65536
+
+
 def test_start_is_source_of_first_line():
     m = read_text("3 1 1\n1\n")
     assert m.start == 3
@@ -140,6 +150,15 @@ def test_predicates():
     assert not m2.is_deterministic()
     m3 = acceptor(T, [(0, 1, 0.0, 1)], [1])
     assert m3.is_acyclic()
+    assert m3.topological_order() == [0, 1]
+
+
+def test_unreachable_cycle_makes_a_machine_cyclic():
+    # states 2 and 3 form a cycle that the start cannot reach
+    m = acceptor(T, [(0, 1, 0.0, 1), (2, 1, 0.0, 3), (3, 1, 0.0, 2)], [1])
+    assert not m.is_acyclic()
+    assert m.topological_order() is None
+    assert connect(m).is_acyclic()
 
 
 # -- connect -------------------------------------------------------------

@@ -380,12 +380,17 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
             raise ParseError(f"expected a {section}-gram: {raw!r}", lineno)
         try:
             logp = float(fields[0])
-            prob = 10.0 ** logp
             backoff = None
             if "\t" in line and len(fields) > 2:
                 backoff = float(fields[2])
             elif "\t" not in line and len(fields) > 1 + section:
                 backoff = float(fields[1 + section])
+            # NaN fails both tests; -inf, like -99, is probability zero
+            if not logp <= 0.0:
+                raise ParseError(f"log10 probability above 0: {raw!r}", lineno)
+            if backoff is not None and not math.isfinite(backoff):
+                raise ParseError(f"log10 back-off not finite: {raw!r}", lineno)
+            prob = 10.0 ** logp
             alpha = None if backoff is None else 10.0 ** backoff
         except (ValueError, OverflowError):
             raise ParseError(f"malformed line {raw!r}", lineno) from None

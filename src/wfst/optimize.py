@@ -5,8 +5,10 @@ Determinization is the weighted powerset construction: subset elements are
 (state, leftover-output-string, leftover-weight) triples, normalized so the
 best leftover weight is the semiring one and the leftover strings share no
 common nonempty prefix.  Minimization pushes weights (and output strings)
-toward the start state and then runs Hopcroft partition refinement treating
-(input label, output residue, pushed weight) as one opaque label.
+toward the start state and then partitions the states, treating (input
+label, output residue, pushed weight) as one opaque label: acyclic input
+takes one O(V+E) signature pass in reverse topological order (Revuz 1992),
+cyclic input takes Hopcroft partition refinement.
 """
 
 from __future__ import annotations
@@ -593,8 +595,29 @@ def _hopcroft(states, enc, finals):
     return index
 
 
+def _signature_classes(order, enc, finals):
+    """Revuz's one pass over an acyclic machine; returns state -> class id.
+
+    Walking ``order`` (topological) backwards classes every target before
+    its sources, so a state's signature, its final weight and its
+    (label, target class) moves, is complete when it is reached: equal
+    signatures are exactly the states Hopcroft would merge.  States of
+    ``order`` routed through by ``_encoded_dfa`` are not in ``enc``."""
+    ids, index = {}, {}
+    for q in reversed(order):
+        row = enc.get(q)
+        if row is not None:
+            signature = frozenset((label, index[t]) for label, t in row.items())
+            index[q] = ids.setdefault((finals[q], signature), len(ids))
+    return index
+
+
 def minimize(m: Machine) -> Machine:
-    """Equivalent deterministic machine with the minimum number of states."""
+    """Equivalent deterministic machine with the minimum number of states.
+
+    After pushing, acyclic input (every lattice) is partitioned in one
+    O(V+E) signature pass (Revuz 1992); cyclic input takes Hopcroft's
+    partition refinement."""
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "
                             "(determinize first)")
@@ -604,7 +627,11 @@ def minimize(m: Machine) -> Machine:
         return m
     kind = m.kind
     work, enc, finals, prefix, start = _encoded_dfa(m)
-    index = _hopcroft(list(enc), enc, finals)
+    order = work.topological_order()
+    if order is None:
+        index = _hopcroft(list(enc), enc, finals)
+    else:
+        index = _signature_classes(order, enc, finals)
     arcs = [[] for _ in range(len(set(index.values())))]
     out_finals = {}
     reps = {}

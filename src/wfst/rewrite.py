@@ -589,42 +589,52 @@ def parse_tree(text) -> DecisionTreeSpec:
             continue
         lines.append((len(raw) - len(raw.lstrip()), stripped))
 
-    def parse_node(i, constraints):
+    def parse_leaf(content, constraints):
+        head, _, tail = content[4:].partition("->")
+        insym = head.strip()
+        if not insym or not tail.strip():
+            raise ParseError(f"malformed leaf line {content!r}")
+        outs = []
+        for alt in tail.split("|"):
+            parts = alt.split()
+            if len(parts) == 2:
+                try:
+                    outs.append((float(parts[0]), parts[1]))
+                except ValueError:
+                    raise ParseError(f"malformed leaf weight {alt!r}") from None
+            elif len(parts) == 1:
+                outs.append((0.0, parts[0]))
+            else:
+                raise ParseError(f"malformed leaf alternative {alt!r}")
+        return TreeLeaf(insym, tuple(outs), tuple(constraints))
+
+    # preorder walk with an explicit stack of the splits whose second
+    # branch is still to come, so nesting depth costs no Python recursion
+    leaves, pending = [], []
+    i, constraints = 0, []
+    while True:
         if i >= len(lines):
             raise ParseError("tree ended where a node was expected")
         indent, content = lines[i]
+        i += 1
         if content.startswith("leaf"):
-            head, _, tail = content[4:].partition("->")
-            insym = head.strip()
-            if not insym or not tail.strip():
-                raise ParseError(f"malformed leaf line {content!r}")
-            outs = []
-            for alt in tail.split("|"):
-                parts = alt.split()
-                if len(parts) == 2:
-                    try:
-                        outs.append((float(parts[0]), parts[1]))
-                    except ValueError:
-                        raise ParseError(f"malformed leaf weight {alt!r}") from None
-                elif len(parts) == 1:
-                    outs.append((0.0, parts[0]))
-                else:
-                    raise ParseError(f"malformed leaf alternative {alt!r}")
-            return [TreeLeaf(insym, tuple(outs), tuple(constraints))], i + 1
+            leaves.append(parse_leaf(content, constraints))
+            if not pending:
+                break
+            indent, content, side, rx, constraints = pending.pop()
+            if i >= len(lines) or lines[i][0] <= indent:
+                raise ParseError(f"split {content!r} lacks its second branch")
+            constraints = constraints + [(side, f"~({rx})")]
+            continue
         if not content.startswith("split"):
             raise ParseError(f"expected 'split' or 'leaf', got {content!r}")
         parts = content.split(None, 2)
         if len(parts) != 3 or parts[1] not in ("left", "right"):
             raise ParseError(f"malformed split line {content!r}")
         side, rx = parts[1], parts[2]
-        yes, j = parse_node(i + 1, constraints + [(side, rx)])
-        if j >= len(lines) or lines[j][0] <= indent:
-            raise ParseError(f"split {content!r} lacks its second branch")
-        no, k = parse_node(j, constraints + [(side, f"~({rx})")])
-        return yes + no, k
-
-    leaves, end = parse_node(0, [])
-    if end != len(lines):
+        pending.append((indent, content, side, rx, constraints))
+        constraints = constraints + [(side, rx)]
+    if i != len(lines):
         raise ParseError("trailing lines after the tree root")
     return DecisionTreeSpec(leaves, classes)
 

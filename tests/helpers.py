@@ -190,8 +190,11 @@ def random_machine(rng, kind, max_states=5, alphabet=(1, 2, 3), eps=True,
 
 
 def random_det_acceptor(rng, max_states=8, alphabet=(1, 2),
-                        weights=(0.0, 0.5, 1.0, 2.0), kind=Semiring.TROPICAL):
-    """Random trim deterministic weighted acceptor (no epsilon), or None."""
+                        weights=(0.0, 0.5, 1.0, 2.0), kind=Semiring.TROPICAL,
+                        acyclic=False):
+    """Random trim deterministic weighted acceptor (no epsilon), or None.
+
+    ``acyclic=True`` points every arc to a higher state."""
     n = rng.randint(2, max_states)
     m = Machine(kind)
     m.add_states(n)
@@ -199,7 +202,9 @@ def random_det_acceptor(rng, max_states=8, alphabet=(1, 2),
         for label in alphabet:
             if rng.random() < 0.75:
                 w = 1.0 if kind is Semiring.BOOLEAN else rng.choice(weights)
-                m.add_arc(q, label, label, w, rng.randrange(n))
+                lowest = q + 1 if acyclic else 0
+                if lowest < n:
+                    m.add_arc(q, label, label, w, rng.randrange(lowest, n))
     for q in rng.sample(range(n), rng.randint(1, max(1, n // 2))):
         m.set_final(q, kind.one if kind is Semiring.BOOLEAN
                     else rng.choice(weights))

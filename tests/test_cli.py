@@ -320,6 +320,15 @@ def test_lm_build_malformed_counts_exit_2(tmp_path, capsys, text, line):
     assert code == 2 and err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize("command", [["fsa"], ["score", "a c"]])
+def test_lm_non_probability_arpa_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.arpa"
+    bad.write_text("\\data\\\n\\1-grams:\ninf a\nnan b\n-0.5 c\n\\end\\\n")
+    code, out, err = run(lm_main, [command[0], str(bad), *command[1:]],
+                         capsys)
+    assert code == 2 and out == "" and err.startswith("error: line 3: ")
+
+
 def test_exit_1_domain_errors(tmp_path, capsys):
     nopath = tmp_path / "nopath.fst"
     nopath.write_text("0 1 1\n2\n")  # final state unreachable

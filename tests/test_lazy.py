@@ -202,41 +202,31 @@ def test_refcount_view_indexes_only_held_states():
         assert not view.label_indexes
 
 
-KIND_WEIGHTS = {Semiring.BOOLEAN: (1.0,), Semiring.TROPICAL: (0.0, 0.5, 2.5),
-                Semiring.REAL: (0.25, 0.5, 1.0)}
-
-
 @st.composite
 def machine_pairs(draw):
-    kind = draw(st.sampled_from(list(KIND_WEIGHTS)))
-    weight = st.sampled_from(KIND_WEIGHTS[kind])
-
-    def machine():
-        n = draw(st.integers(1, 4))
-        arc = st.tuples(st.integers(0, n - 1), st.integers(0, 2),
-                        st.integers(0, 2), weight, st.integers(0, n - 1))
-        arcs = draw(st.lists(arc, max_size=8))
-        finals = draw(st.dictionaries(st.integers(0, n - 1), weight,
-                                      max_size=n))
-        return build(kind, arcs, finals, num_states=n)
-    return machine(), machine()
+    """Two trim machines of one kind with epsilon on both tapes, so most
+    compositions are nonempty and reach pairs whose A state has
+    epsilon-output arcs."""
+    kind = draw(st.sampled_from(list(Semiring)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return tuple(sample_machines(seed, 2, kind=kind, max_states=5,
+                                 max_arcs=8))
 
 
 @settings(deadline=None)
 @given(machine_pairs())
 def test_trimmed_lazy_expansion_equals_static_compose(pair):
+    # both run the one pair-state kernel, so the unpruned product is the
+    # reference that catches a kernel fault
     a, b = pair
     assert text_of(expand(lazy_compose(a, b), trim=True)) == \
-        text_of(compose(a, b))
+        text_of(compose(a, b)) == text_of(product_compose(a, b))
 
 
 @settings(deadline=None)
-@given(st.sampled_from(list(KIND_WEIGHTS)), st.integers(0, 2**32 - 1),
-       st.booleans())
-def test_lookahead_matches_unpruned_product(kind, seed, filtered):
-    # trim machines with epsilon on both tapes, so most compositions are
-    # nonempty and reach pairs whose A state has epsilon-output arcs
-    a, b = sample_machines(seed, 2, kind=kind, max_states=5, max_arcs=8)
+@given(machine_pairs(), st.booleans())
+def test_lookahead_matches_unpruned_product(pair, filtered):
+    a, b = pair
     expected = text_of(product_compose(a, b, filtered))
     assert text_of(compose(a, b, _filtered=filtered)) == expected
     view = LazyComposition(a, b, _filtered=filtered)

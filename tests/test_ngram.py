@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wfst import (BackoffModel, ContractError, FsmError, Semiring,
+from wfst import (BackoffModel, ContractError, FsmError, ParseError, Semiring,
                   SymbolTable, best_path, build_lm_fsa, compose, count_ngrams,
                   good_turing, katz_model, mle, observation_machine,
                   read_arpa, write_arpa)
@@ -224,3 +224,31 @@ def test_arpa_format_shape():
     assert any(line.startswith("ngram 1=") for line in lines)
     assert "\\1-grams:" in lines and "\\2-grams:" in lines
     assert lines[-1] == "\\end\\"
+
+
+# the first gram line of each text below is its line 3
+ARPA_HEAD = "\\data\\\n\\1-grams:\n"
+
+
+@pytest.mark.parametrize("text", [
+    ARPA_HEAD + "inf a\nnan b\n-0.5 c\n\\end\\\n",  # +inf probability
+    ARPA_HEAD + "nan b\n",                            # NaN probability
+    ARPA_HEAD + "0.5 c\n",                            # probability above one
+    ARPA_HEAD + "-0.5\tc\tnan\n",                     # NaN back-off
+    ARPA_HEAD + "-0.5\tc\tinf\n",                     # infinite back-offs
+    ARPA_HEAD + "-0.5 c -inf\n",
+], ids=["found", "nan", "above_one", "nan_backoff", "inf_backoff",
+        "minus_inf_backoff"])
+def test_read_arpa_rejects_non_probabilities(text):
+    with pytest.raises(ParseError, match=r"^line 3: "):
+        read_arpa(text)
+
+
+def test_read_arpa_reads_minus_99_and_minus_inf_as_zero():
+    model = read_arpa(ARPA_HEAD + "-inf a\n-99 b -99\n-0.5 c 0.25\n"
+                      "\\2-grams:\n-inf c a\n")
+    c = model.symbols.find("c")
+    assert model.probs[()] == {c: 10 ** -0.5}
+    assert model.alphas == {(model.symbols.find("b"),): 0.0,
+                            (c,): 10 ** 0.25}
+    assert model.probs.get((c,), {}) == {}

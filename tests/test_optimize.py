@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from wfst import optimize
 from wfst import (CapExceededError, ContractError, Machine, Semiring,
                   SemiringError, accepted_pairs, backward_distances, connect,
                   determinize, equivalent, local_determinize, minimize, push,
@@ -268,8 +269,37 @@ def det_machines(seed, count, **kw):
     return out
 
 
+def with_copy(m, change=None, k=0):
+    """A new start that reads 1 into ``m`` and 2 into a copy of ``m``, so
+    every state is equivalent to its copy unless ``change`` alters the
+    copy: arc ``k`` costs 0.5 more ("weight") or writes 3 ("olabel"), or
+    final weight ``k`` is 0.5 more ("final"); ``k`` counts modulo the
+    number of arcs or finals."""
+    n = m.num_states
+    cost = 0.5 if m.kind is T else 1.0
+    arcs = [(0, 1, 1, cost, 1 + m.start), (0, 2, 2, cost, 1 + n + m.start)]
+    for base in (1, 1 + n):
+        arcs += [(base + q, a.ilabel, a.olabel, a.weight, base + a.nextstate)
+                 for q, a in m.all_arcs()]
+    finals = {base + q: w for base in (1, 1 + n) for q, w in m.finals.items()}
+    if change == "final":
+        q = 1 + n + sorted(m.finals)[k % len(m.finals)]
+        finals[q] += 0.5
+    elif change and m.num_arcs:
+        i = len(arcs) - m.num_arcs + k % m.num_arcs
+        src, il, ol, w, dst = arcs[i]
+        arcs[i] = (src, il, 3, w, dst) if change == "olabel" else \
+            (src, il, ol, w + 0.5, dst)
+    return build(m.kind, arcs, finals)
+
+
 def test_minimize_matches_nerode_count():
-    for m in det_machines(61, 40, max_states=8):
+    # cyclic input takes Hopcroft, acyclic input the signature pass; random
+    # acyclic machines seldom have equivalent states, their copies always do
+    acyclic = det_machines(62, 20, max_states=8, acyclic=True)
+    for m in det_machines(61, 40, max_states=8) + acyclic + \
+            [with_copy(m, change, k) for k, m in enumerate(acyclic)
+             for change in (None, "weight", "final")]:
         mini = minimize(m)
         expected = nerode_class_count(m, max_len=9)
         assert mini.num_states == expected, (m, mini.num_states, expected)
@@ -277,7 +307,8 @@ def test_minimize_matches_nerode_count():
 
 
 def test_minimize_matches_table_filling_boolean():
-    for m in det_machines(67, 25, max_states=7, kind=B):
+    for m in det_machines(67, 25, max_states=7, kind=B) + \
+            det_machines(68, 25, max_states=7, kind=B, acyclic=True):
         mini = minimize(m)
         count, dead_alone = table_filling_class_count(m, (1, 2))
         assert dead_alone
@@ -293,16 +324,20 @@ def test_minimize_idempotent():
 
 
 def test_minimize_scales_near_linearly():
-    # one class per state; refinement that queued every (block, label)
-    # pair was quadratic in the chain length here
+    # one class per state.  The chain takes the acyclic signature pass; the
+    # rings (the chain closed back to state 0) take Hopcroft.  Queueing
+    # every block's splitters after each split is quadratic on both rings,
+    # and queueing every label for each new block is quadratic on the ring
+    # whose n labels are all distinct
     n = 4000
-    m = acceptor(T, [(q, 1 + q % 5, 0.25 * (q % 97), q + 1)
-                     for q in range(n - 1)], [n - 1])
-    begin = time.perf_counter()
-    mini = minimize(m)
-    elapsed = time.perf_counter() - begin
-    assert mini.num_states == n
-    assert elapsed < 3.0, elapsed
+    for num_arcs, num_labels in ((n - 1, 5), (n, 5), (n, n)):
+        m = acceptor(T, [(q, 1 + q % num_labels, 0.25 * (q % 97), (q + 1) % n)
+                         for q in range(num_arcs)], [n - 1])
+        begin = time.perf_counter()
+        mini = minimize(m)
+        elapsed = time.perf_counter() - begin
+        assert mini.num_states == n, (num_arcs, num_labels)
+        assert elapsed < 3.0, (num_arcs, num_labels, elapsed)
 
 
 def test_minimize_routes_identity_moves_left_by_string_pushing():
@@ -362,6 +397,32 @@ def test_minimize_determinize_is_idempotent(m):
     once = minimize(det)
     assert breadth_first_text(minimize(determinize(once))) == \
         breadth_first_text(once)
+
+
+def partition(index):
+    """The classes of a state -> class id map, as a set of frozensets."""
+    classes = {}
+    for q, cls in index.items():
+        classes.setdefault(cls, set()).add(q)
+    return {frozenset(members) for members in classes.values()}
+
+
+@settings(deadline=None)
+@given(acyclic_machines(kinds=(T, B), acceptors=True) |
+       acyclic_machines(kinds=(T, B)), st.booleans(),
+       st.sampled_from((None, "weight", "olabel", "final")), st.integers(0, 7))
+def test_signature_pass_partitions_like_hopcroft(m, copy, change, k):
+    det = connect(determinize(m))
+    assume(det.finals and det.is_deterministic())
+    if copy:
+        # every state equivalent to its copy, or all but a few
+        assume(det.kind is T or change in (None, "olabel"))
+        det = with_copy(det, change, k)
+    work, enc, finals, _, _ = optimize._encoded_dfa(det)
+    order = work.topological_order()
+    assert order is not None
+    assert partition(optimize._signature_classes(order, enc, finals)) == \
+        partition(optimize._hopcroft(list(enc), enc, finals))
 
 
 # -- equivalence ---------------------------------------------------------

@@ -332,6 +332,21 @@ def test_parse_tree():
     assert spec.leaves[2].outputs == ((0.0, "a"),)
 
 
+@pytest.mark.parametrize("depth", [1000, 1500])
+def test_parse_tree_depth_costs_no_recursion(depth):
+    # nested splits with no leaf: a typed error, not RecursionError
+    splits = [" " * d + "split left a" for d in range(depth)]
+    with pytest.raises(ParseError, match="tree ended"):
+        parse_tree("\n".join(splits))
+    # each split's second branch is a leaf, which closes the tree
+    leaves = [" " * d + "leaf a -> b" for d in range(depth, 0, -1)]
+    spec = parse_tree("\n".join(splits + [" " * depth + "leaf a -> a"]
+                                + leaves))
+    assert len(spec.leaves) == depth + 1
+    assert spec.leaves[0].constraints == (("left", "a"),) * depth
+    assert spec.leaves[-1].constraints == (("left", "~(a)"),)
+
+
 def test_compile_tree_outputs():
     symtab = SymbolTable()
     for s in ("a", "b", "$", "v"):

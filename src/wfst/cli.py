@@ -14,7 +14,7 @@ import sys
 from . import decode as dec
 from . import ngram, ops, optimize, rewrite
 from .errors import FsmError, ParseError, SymbolError
-from .machine import Machine, SymbolTable, connect, read_text, write_text
+from .machine import SymbolTable, connect, read_text, write_text
 from .semiring import Semiring
 
 _SEMIRINGS = {"boolean": Semiring.BOOLEAN, "tropical": Semiring.TROPICAL,

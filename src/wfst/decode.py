@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractError, NoPathError
 from .machine import EPSILON, Machine, connect, observation_machine

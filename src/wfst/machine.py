@@ -459,65 +459,71 @@ def connect(m: Machine) -> Machine:
 # -- reference path oracle ----------------------------------------------
 
 
+def _path_sums(m: Machine, advance, progress, max_path_len):
+    """Weights of the accepting paths of at most ``max_path_len`` arcs,
+    summed per progress.
+
+    Paths are merged per (state, progress), one layer of arcs at a time;
+    ``advance(arc, progress)`` is the progress after ``arc``, or None where
+    the arc may not be taken.  Returns ``{progress: sum at the finals}`` and
+    whether some path goes on past the bound.  Machine weights are in the
+    carrier, so the sums use the unchecked ``plus``/``times``.
+    """
+    plus, times, finals = m.kind.plus, m.kind.times, m.finals
+    sums = {}
+    layer = {(m.start, progress): m.start_weight}
+    for depth in range(max_path_len + 1):
+        for (q, p), w in layer.items():
+            if q in finals:
+                w = times(w, finals[q])
+                sums[p] = plus(sums[p], w) if p in sums else w
+        if depth == max_path_len:
+            return sums, any(advance(arc, p) is not None
+                             for q, p in layer for arc in m.arcs(q))
+        nxt = {}
+        for (q, p), w in layer.items():
+            for arc in m.arcs(q):
+                np = advance(arc, p)
+                if np is not None:
+                    key = (arc.nextstate, np)
+                    nw = times(w, arc.weight)
+                    nxt[key] = plus(nxt[key], nw) if key in nxt else nw
+        if not nxt:
+            break
+        layer = nxt
+    return sums, False
+
+
 def weight_of(m: Machine, inp, out=ANY, max_path_len=24) -> float:
     """Exhaustive-path reference weight of an (input, output) pair.
 
     Sums (semiring combine) over every accepting path of at most
     ``max_path_len`` arcs whose non-epsilon input labels spell ``inp`` and,
     unless ``out`` is the wildcard, whose output labels spell ``out``.
+    Under REAL, a path going on past the bound raises ``DivergenceError``.
     O(b^len); test-only scale.
     """
-    kind = m.kind
     inp = tuple(inp)
-    out_seq = None if out is ANY else tuple(out)
+    out = None if out is ANY else tuple(out)
 
-    def _arc_viable(arc, i, j):
-        if arc.ilabel == EPSILON:
-            ni = i
-        elif i < len(inp) and inp[i] == arc.ilabel:
-            ni = i + 1
-        else:
-            return (None, None)
-        if out_seq is None:
-            nj = j
-        elif arc.olabel == EPSILON:
-            nj = j
-        elif j < len(out_seq) and out_seq[j] == arc.olabel:
-            nj = j + 1
-        else:
-            return (None, None)
-        return (ni, nj)
+    # progress: positions matched in inp and out (out's stays 0 under ANY)
+    def advance(arc, p):
+        i, j = p
+        if arc.ilabel != EPSILON:
+            if i == len(inp) or inp[i] != arc.ilabel:
+                return None
+            i += 1
+        if out is not None and arc.olabel != EPSILON:
+            if j == len(out) or out[j] != arc.olabel:
+                return None
+            j += 1
+        return i, j
 
-    # layered sum over paths of exactly d arcs, merged per configuration
-    total = kind.zero
-    bound_hit = False
-    layer = {(m.start, 0, 0): m.start_weight}
-    for depth in range(max_path_len + 1):
-        for (q, i, j), w in layer.items():
-            if i == len(inp) and (out_seq is None or j == len(out_seq)):
-                if q in m.finals:
-                    total = kind.combine(total, kind.extend(w, m.finals[q]))
-        if depth == max_path_len:
-            bound_hit = any(
-                _arc_viable(arc, i, j)[0] is not None
-                for (q, i, j) in layer for arc in m.arcs(q))
-            break
-        nxt = {}
-        for (q, i, j), w in layer.items():
-            for arc in m.arcs(q):
-                ni, nj = _arc_viable(arc, i, j)
-                if ni is None:
-                    continue
-                key = (arc.nextstate, ni, nj)
-                nw = kind.extend(w, arc.weight)
-                nxt[key] = kind.combine(nxt[key], nw) if key in nxt else nw
-        if not nxt:
-            break
-        layer = nxt
-    if bound_hit and kind is Semiring.REAL:
+    sums, cut = _path_sums(m, advance, (0, 0), max_path_len)
+    if cut and m.kind is Semiring.REAL:
         raise DivergenceError(
             f"path bound {max_path_len} hit under REAL; sum may diverge")
-    return total
+    return sums.get((len(inp), 0 if out is None else len(out)), m.kind.zero)
 
 
 def accepted_pairs(m: Machine, max_path_len=12):
@@ -525,28 +531,9 @@ def accepted_pairs(m: Machine, max_path_len=12):
 
     Enumeration-based companion oracle to ``weight_of``; same caveats.
     """
-    kind = m.kind
-    result = {}
-    layer = {(m.start, (), ()): m.start_weight}
-    for depth in range(max_path_len + 1):
-        for (q, inp, out), w in layer.items():
-            if q in m.finals:
-                key = (inp, out)
-                total = kind.extend(w, m.finals[q])
-                if key in result:
-                    total = kind.combine(result[key], total)
-                result[key] = total
-        if depth == max_path_len:
-            break
-        nxt = {}
-        for (q, inp, out), w in layer.items():
-            for arc in m.arcs(q):
-                ninp = inp if arc.ilabel == EPSILON else inp + (arc.ilabel,)
-                nout = out if arc.olabel == EPSILON else out + (arc.olabel,)
-                key = (arc.nextstate, ninp, nout)
-                nw = kind.extend(w, arc.weight)
-                nxt[key] = kind.combine(nxt[key], nw) if key in nxt else nw
-        if not nxt:
-            break
-        layer = nxt
-    return result
+    def advance(arc, p):
+        inp, out = p
+        return (inp if arc.ilabel == EPSILON else inp + (arc.ilabel,),
+                out if arc.olabel == EPSILON else out + (arc.olabel,))
+
+    return _path_sums(m, advance, ((), ()), max_path_len)[0]

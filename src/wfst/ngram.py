@@ -150,6 +150,7 @@ class BackoffModel:
     alphas: dict      # context tuple -> backoff weight
     vocabulary: list  # predictable labels (includes </s>)
     symbols: SymbolTable
+    floor: float = 0.0  # P(word) of a word the unigram table lacks
 
     def prob(self, word: int, context=()) -> float:
         context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
@@ -160,15 +161,11 @@ class BackoffModel:
         if table is not None and word in table:
             return table[word]
         if not context:
-            return self._floor
+            return self.floor
         shorter = context[1:]
         if table is None:
             return self._prob(word, shorter)
         return self.alphas[context] * self._prob(word, shorter)
-
-    @property
-    def _floor(self):
-        return self.probs.get("__floor__", 0.0)
 
     def sentence_logprob(self, sentence) -> float:
         """Natural-log probability of a tokenized sentence (strings)."""
@@ -204,9 +201,8 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
     leftover = 1.0 - sum(base.values())
     floor = max(leftover, 0.0) / len(vocab) if vocab else 0.0
     probs[()] = {y: base[y] + floor for y in vocab}
-    probs["__floor__"] = floor
 
-    model = BackoffModel(ct.order, probs, alphas, vocab, ct.symbols)
+    model = BackoffModel(ct.order, probs, alphas, vocab, ct.symbols, floor)
 
     for k in range(2, ct.order + 1):
         ff = frequency_of_frequencies(ct, k)
@@ -245,9 +241,9 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
     """
     eos = model.symbols.find(EOS)
     bos = model.symbols.find(BOS)
-    contexts = [h for h in model.probs if isinstance(h, tuple)]
     m = Machine(Semiring.TROPICAL, model.symbols, model.symbols)
-    ids = {h: m.add_state() for h in sorted(contexts, key=lambda h: (len(h), h))}
+    ids = {h: m.add_state()
+           for h in sorted(model.probs, key=lambda h: (len(h), h))}
 
     def target(history):
         for i in range(len(history)):
@@ -255,7 +251,7 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
                 return ids[history[i:]]
         return ids[()]
 
-    for h in contexts:
+    for h in model.probs:
         q = ids[h]
         for y, p in sorted(model.probs[h].items()):
             if p <= 0.0:
@@ -329,7 +325,7 @@ def write_arpa(model: BackoffModel) -> str:
     for y, p in sorted(model.probs[()].items()):
         grams_by_order[1].append(((y,), p))
     for h, table in model.probs.items():
-        if not isinstance(h, tuple) or not h:
+        if not h:
             continue
         for y, p in sorted(table.items()):
             grams_by_order[len(h) + 1].append((h + (y,), p))
@@ -357,7 +353,7 @@ def write_arpa(model: BackoffModel) -> str:
 def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
     """Inverse of write_arpa (up to the dump's 6-decimal rounding)."""
     symbols = symbols or SymbolTable()
-    probs = {(): {}, "__floor__": 0.0}
+    probs = {(): {}}
     alphas = {}
     order = 1
     section = None

@@ -15,7 +15,7 @@ may not move alone until the next match.
 
 from __future__ import annotations
 
-from .errors import ContractError, KindMismatchError, SemiringError, SymbolError
+from .errors import ContractError, SemiringError, SymbolError
 from .machine import EPSILON, Arc, Machine, connect
 from .semiring import Semiring, require_same_kind
 

@@ -145,7 +145,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     # weight and output prefix that cannot be emitted before the first arc
     # stay inside the start subset
     start_subset = tuple(sorted(
-        (q, prefix + s, (kind.extend(total, r) if kind is Semiring.TROPICAL else r))
+        (q, prefix + s, (times(total, r) if kind is Semiring.TROPICAL else r))
         for q, s, r in start_subset))
     ids = {start_subset: 0}
     arcs = [[]]
@@ -354,6 +354,7 @@ def local_determinize(m: Machine, k: int) -> Machine:
         raise ContractError("k must be >= 1")
     _require_divisible(m.kind)
     kind = m.kind
+    plus, times = kind.plus, kind.times
     out = Machine(kind, m.isymbols, m.osymbols)
 
     ids = {}
@@ -374,10 +375,10 @@ def local_determinize(m: Machine, k: int) -> Machine:
         arcs = []
         final = kind.zero
         for state, r in subset:
-            final = kind.combine(final, kind.extend(r, m.final(state)))
+            final = plus(final, times(r, m.final(state)))
             for arc in m.arcs(state):
                 arcs.append((arc.ilabel, arc.olabel,
-                             kind.extend(r, arc.weight), arc.nextstate))
+                             times(r, arc.weight), arc.nextstate))
         if final != kind.zero:
             out.set_final(q, final)
         if len(arcs) <= k:
@@ -390,7 +391,7 @@ def local_determinize(m: Machine, k: int) -> Machine:
         for (il, ol), members in sorted(groups.items()):
             total = kind.zero
             for _, w in members:
-                total = kind.combine(total, w)
+                total = plus(total, w)
             merged = {}
             for t, w in members:
                 r = (w - total) if kind is Semiring.TROPICAL else kind.one
@@ -571,10 +572,16 @@ def _hopcroft(states, enc, finals):
         i, label = work.popleft()
         pre = set()
         inv = inverse[label]
-        for q in partition[i]:
-            sources = inv.get(q)
-            if sources:
-                pre |= sources
+        # the preimage from the smaller side: the block, or the label's map
+        if len(partition[i]) <= len(inv):
+            for q in partition[i]:
+                sources = inv.get(q)
+                if sources:
+                    pre |= sources
+        else:
+            for t, sources in inv.items():
+                if index[t] == i:
+                    pre |= sources
         if not pre:
             continue
         touched = {}
@@ -584,9 +591,11 @@ def _hopcroft(states, enc, finals):
             block = partition[j]
             if len(hit) == len(block):
                 continue
-            rest = block - hit
-            smaller, larger = (hit, rest) if len(hit) <= len(rest) else (rest, hit)
-            partition[j] = larger
+            # split in place, at the cost of the hit part: block keeps the rest
+            block -= hit
+            smaller = hit
+            if len(hit) > len(block):
+                partition[j], smaller = hit, block
             partition.append(smaller)
             nj = len(partition) - 1
             for q in smaller:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import ContractError, ParseError
-from .machine import (ANY, EPSILON, Machine, SymbolTable, accepted_pairs,
-                      connect, observation_machine, weight_of)
+from .machine import (EPSILON, Machine, SymbolTable, accepted_pairs, connect,
+                      observation_machine)
 from .ops import closure, complement, compose, concat, intersect, reverse, union
 from .optimize import determinize
 from .semiring import Semiring, require_same_kind

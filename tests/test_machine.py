@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from wfst import (ANY, EPSILON, Machine, ParseError, Semiring, SymbolError,
-                  SymbolTable, accepted_pairs, connect, read_text, weight_of,
-                  write_text)
+from wfst import (ANY, EPSILON, DivergenceError, Machine, ParseError, Semiring,
+                  SymbolError, SymbolTable, accepted_pairs, connect, read_text,
+                  weight_of, write_text)
 
 from helpers import acceptor, build, enum_paths, sample_machines
 
@@ -209,7 +209,40 @@ def test_accepted_pairs_matches_dfs():
 
 
 def test_real_divergence_flag():
-    from wfst import DivergenceError
     m = acceptor(R, [(0, 1, 0.5, 0)], {0: 1.0})
     with pytest.raises(DivergenceError):
         weight_of(m, (1,) * 30, max_path_len=8)
+
+
+CHAIN = [(0, 1, 0.5, 1), (1, 1, 0.5, 2), (2, 1, 0.5, 3)]
+# the chain with an input-epsilon loop at its final state
+LOOPED = CHAIN + [(3, EPSILON, 0.5, 3)]
+WORD = ((1, 1, 1), (1, 1, 1))
+
+
+@pytest.mark.parametrize("kind", [T, R])
+def test_path_bound_counts_paths_of_exactly_that_many_arcs(kind):
+    three = kind.times(kind.times(0.5, 0.5), 0.5)
+    four = kind.times(three, 0.5)
+    chain, looped = acceptor(kind, CHAIN, [3]), acceptor(kind, LOOPED, [3])
+    assert accepted_pairs(chain, max_path_len=3) == {WORD: three}
+    assert accepted_pairs(chain, max_path_len=2) == {}
+    assert accepted_pairs(looped, max_path_len=3) == {WORD: three}
+    assert accepted_pairs(looped, max_path_len=4) == {
+        WORD: kind.plus(three, four)}
+    assert weight_of(chain, WORD[0], max_path_len=3) == three
+    if kind is T:
+        assert weight_of(chain, WORD[0], max_path_len=2) == T.zero
+        assert weight_of(looped, WORD[0], max_path_len=3) == three
+
+
+def test_real_raises_only_when_a_path_goes_on_past_the_bound():
+    chain, looped = acceptor(R, CHAIN, [3]), acceptor(R, LOOPED, [3])
+    assert weight_of(chain, WORD[0], max_path_len=3) == 0.125
+    with pytest.raises(DivergenceError):
+        weight_of(chain, WORD[0], max_path_len=2)
+    with pytest.raises(DivergenceError):
+        weight_of(looped, WORD[0], max_path_len=3)
+    # a loop on a label the input does not spell takes no path past the bound
+    other = acceptor(R, CHAIN + [(3, 2, 0.5, 3)], [3])
+    assert weight_of(other, WORD[0], max_path_len=3) == 0.125

@@ -328,16 +328,20 @@ def test_minimize_scales_near_linearly():
     # rings (the chain closed back to state 0) take Hopcroft.  Queueing
     # every block's splitters after each split is quadratic on both rings,
     # and queueing every label for each new block is quadratic on the ring
-    # whose n labels are all distinct
-    n = 4000
-    for num_arcs, num_labels in ((n - 1, 5), (n, 5), (n, n)):
+    # whose n labels are all distinct.  On the larger such rings, so are
+    # building a splitter's preimage from the block alone (12000 states) and
+    # copying the larger part of a block at each split (24000 states)
+    for n, num_arcs, num_labels in ((4000, 3999, 5), (4000, 4000, 5),
+                                    (4000, 4000, 4000),
+                                    (12000, 12000, 12000),
+                                    (24000, 24000, 24000)):
         m = acceptor(T, [(q, 1 + q % num_labels, 0.25 * (q % 97), (q + 1) % n)
                          for q in range(num_arcs)], [n - 1])
         begin = time.perf_counter()
         mini = minimize(m)
         elapsed = time.perf_counter() - begin
-        assert mini.num_states == n, (num_arcs, num_labels)
-        assert elapsed < 3.0, (num_arcs, num_labels, elapsed)
+        assert mini.num_states == n, (n, num_arcs, num_labels)
+        assert elapsed < 3.0, (n, num_arcs, num_labels, elapsed)
 
 
 def test_minimize_routes_identity_moves_left_by_string_pushing():

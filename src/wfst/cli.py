@@ -287,13 +287,7 @@ def _lm_run(args):
             ngram.katz_model(ct, args.k_threshold)))
     elif args.command == "fsa":
         model = ngram.read_arpa(_read(args.model))
-        m = ngram.build_lm_fsa(model)
-        _write(args.output, write_text(m))
-        syms_path = args.save_syms
-        if syms_path is None and args.output not in (None, "-"):
-            syms_path = args.output + ".syms"
-        if syms_path:
-            _write(syms_path, model.symbols.write())
+        _save_machine_with_syms(args, ngram.build_lm_fsa(model))
     else:
         model = ngram.read_arpa(_read(args.model))
         words = args.sentence.split()

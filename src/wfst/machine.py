@@ -104,11 +104,9 @@ class Machine:
         self.finals: dict[int, float] = {}
         self._arcs: list[list[Arc]] = []
         self._frozen = False
-        # state -> ops.label_index and state -> ops.read_set once frozen,
-        # filled by the compositions that read this machine as their right
-        # operand; None while mutable
-        self.label_indexes = None
-        self.lookahead_sets = None
+        # what is derived from the machine, kept once it is frozen (see
+        # _memo); None while mutable
+        self._derived = None
 
     @classmethod
     def _from_parts(cls, kind, isymbols, osymbols, arcs, finals, start=0,
@@ -130,8 +128,7 @@ class Machine:
         m.finals = finals
         m._arcs = [tuple(state_arcs) for state_arcs in arcs]
         m._frozen = True
-        m.label_indexes = {}
-        m.lookahead_sets = {}
+        m._derived = {}
         return m
 
     # -- construction ---------------------------------------------------
@@ -178,13 +175,40 @@ class Machine:
             self.ensure_state(self.start)
             self._arcs = [tuple(arcs) for arcs in self._arcs]
             self._frozen = True
-            self.label_indexes = {}
-            self.lookahead_sets = {}
+            self._derived = {}
         return self
 
     def _check_mutable(self):
         if self._frozen:
             raise ContractError("machine is frozen")
+
+    # -- derived tables -------------------------------------------------
+
+    def _memo(self, key, compute):
+        """``compute()``, kept under ``key`` once the machine is frozen: a
+        frozen machine never changes, a mutable one computes afresh."""
+        derived = self._derived
+        if derived is None:
+            return compute()
+        if key not in derived:
+            derived[key] = compute()
+        return derived[key]
+
+    def _inherit_shape(self, source):
+        """Take ``source``'s known topological order and acceptor flag, for
+        a frozen machine with ``source``'s states, labels and arc targets."""
+        for key in ("topological_order", "is_acceptor"):
+            if key in (source._derived or ()):
+                self._derived[key] = source._derived[key]
+
+    def _table(self, key):
+        return None if self._derived is None else self._memo(key, dict)
+
+    #: state -> ops.label_index and state -> ops.read_set of a frozen
+    #: machine, filled by the compositions that read it as their right
+    #: operand; None while mutable
+    label_indexes = property(lambda self: self._table("label_indexes"))
+    lookahead_sets = property(lambda self: self._table("lookahead_sets"))
 
     # -- generalized state machine interface ----------------------------
 
@@ -213,10 +237,17 @@ class Machine:
                 yield q, arc
 
     def is_acceptor(self) -> bool:
-        return all(a.ilabel == a.olabel for _, a in self.all_arcs())
+        return self._memo("is_acceptor", lambda: all(
+            a.ilabel == a.olabel for _, a in self.all_arcs()))
 
     def topological_order(self):
-        """Kahn order of all states; None if any cycle, even unreachable."""
+        """Kahn order of all states; None if any cycle, even unreachable.
+
+        A frozen machine's order is computed once and shared: do not
+        modify the list."""
+        return self._memo("topological_order", self._kahn)
+
+    def _kahn(self):
         indeg = [0] * self.num_states
         for arcs in self._arcs:
             for arc in arcs:
@@ -406,7 +437,9 @@ def connect(m: Machine) -> Machine:
     """Restrict to states both accessible and coaccessible; renumber densely.
 
     The start state becomes state 0 and the others keep their ascending
-    order; an arc whose target keeps its number is reused as it is.
+    order; an arc whose target keeps its number is reused as it is.  A
+    frozen input already numbered so is returned itself, with its derived
+    tables.
     """
     n = m.num_states
     state_arcs = [m.arcs(q) for q in range(n)]
@@ -438,6 +471,9 @@ def connect(m: Machine) -> Machine:
     if not useful[m.start]:
         # empty language: bare non-final start
         return Machine._from_parts(m.kind, m.isymbols, m.osymbols, [()], {})
+    if (m._frozen and m.start == 0 and 0 not in useful
+            and list(m.finals) == sorted(m.finals)):
+        return m  # already as trimming would number it
     keep = [q for q in range(n) if useful[q]]
     order = [m.start] + [q for q in keep if q != m.start]
     remap = {q: i for i, q in enumerate(order)}

@@ -194,9 +194,14 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
     probs = {}
     alphas = {}
 
+    # where c* = (c+1) n_{c+1} / n_c exceeds c, c passes through, as it
+    # does for a zero n_c or n_{c+1}: a discount never raises a count
+    def discount(ff, c):
+        return min(good_turing(ff, c, k_threshold), c)
+
     # unigrams: discounted, leftover mass spread as a uniform floor
     ff1 = frequency_of_frequencies(ct, 1)
-    discounted = {y: good_turing(ff1, ct.count((y,)), k_threshold) for y in vocab}
+    discounted = {y: discount(ff1, ct.count((y,))) for y in vocab}
     base = {y: discounted[y] / ct.total for y in vocab}
     leftover = 1.0 - sum(base.values())
     floor = max(leftover, 0.0) / len(vocab) if vocab else 0.0
@@ -213,8 +218,7 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
         for h in sorted(contexts):
             seen = contexts[h]
             total = sum(seen.values())
-            p_star = {y: good_turing(ff, c, k_threshold) / total
-                      for y, c in seen.items()}
+            p_star = {y: discount(ff, c) / total for y, c in seen.items()}
             num = 1.0 - sum(p_star.values())
             den = 1.0 - sum(model._prob(y, h[1:]) for y in seen)
             if den < 1e-12:

@@ -4,7 +4,10 @@ weight/string pushing, minimization, and equivalence testing.
 Determinization is the weighted powerset construction: subset elements are
 (state, leftover-output-string, leftover-weight) triples, normalized so the
 best leftover weight is the semiring one and the leftover strings share no
-common nonempty prefix.  Minimization pushes weights (and output strings)
+common nonempty prefix; an acceptor's strings stay empty (Mohri 1997), so
+only transducers do string work.  Frozen machines keep their topological
+order and acceptor flag, and weight pushing and a connect that changes
+nothing pass them on.  Minimization pushes weights (and output strings)
 toward the start state and then partitions the states, treating (input
 label, output residue, pushed weight) as one opaque label: acyclic input
 takes one O(V+E) signature pass in reverse topological order (Revuz 1992),
@@ -43,33 +46,28 @@ def _lcp(strings):
 # -- determinization ----------------------------------------------------
 
 
-def _close_epsilon(m, elements, cap):
-    """Extend subset elements along input-epsilon arcs (tropical/boolean).
+def _close_epsilon(kind, eps_arcs, best, cap):
+    """Extend a subset, ``{(state, leftover string): weight}``, in place
+    along the input-epsilon arcs ``eps_arcs`` (state -> arcs); returns it.
 
     A subset of more than ``cap`` elements raises: on a non-subsequentiable
     transducer the leftover output strings can double with every symbol, so
     a few subsets would otherwise exhaust memory long before the cap on
     their number is reached.
     """
-    kind = m.kind
     times, valid = kind.times, kind.valid
-    best = {}
-    for q, s, r in elements:
-        key = (q, s)
-        if key not in best or kind.compare(r, best[key]) < 0:
-            best[key] = r
-    queue = deque(best)
-    while queue:
+    queue = deque(best if eps_arcs else ())
+    while True:
         # every added element is queued, so this sees the final size too
         if len(best) > cap:
             raise CapExceededError(
                 f"determinization subset exceeded {cap} elements; "
                 "the input is likely not subsequentiable (try twins_test)")
+        if not queue:
+            return best
         q, s = queue.popleft()
         r = best[(q, s)]
-        for arc in m.arcs(q):
-            if arc.ilabel != EPSILON:
-                continue
+        for arc in eps_arcs.get(q, ()):
             ns = s if arc.olabel == EPSILON else s + (arc.olabel,)
             if len(ns) > _RESIDUAL_STRING_CAP:
                 raise CapExceededError("leftover output string grew without bound")
@@ -80,26 +78,23 @@ def _close_epsilon(m, elements, cap):
             if key not in best or kind.compare(nr, best[key]) < 0:
                 best[key] = nr
                 queue.append(key)
-    return [(q, s, r) for (q, s), r in best.items()]
 
 
-def _normalize(kind, elements):
-    """Factor total weight and common output prefix out of a subset."""
+def _normalize(kind, best):
+    """Factor total weight and common output prefix out of a subset
+    ``{(state, string): weight}``; its keys stay distinct."""
     plus = kind.plus
     total = kind.zero
-    for _, _, r in elements:
+    for r in best.values():
         total = plus(total, r)
-    prefix = _lcp([s for _, s, _ in elements])
-    normalized = {}
-    for q, s, r in elements:
-        if kind is Semiring.TROPICAL:
-            nr = r - total
-        else:  # boolean: weights are 1 for every live element
-            nr = kind.one
-        key = (q, s[len(prefix):])
-        if key not in normalized or kind.compare(nr, normalized[key]) < 0:
-            normalized[key] = nr
-    subset = tuple(sorted((q, s, normalized[(q, s)]) for q, s in normalized))
+    strings = [s for _, s in best]
+    prefix = _lcp(strings) if all(strings) else ()
+    k = len(prefix)
+    if kind is Semiring.TROPICAL:
+        subset = tuple(sorted((q, s[k:], r - total)
+                              for (q, s), r in best.items()))
+    else:  # boolean: weights are 1 for every live element
+        subset = tuple(sorted((q, s[k:], kind.one) for q, s in best))
     return total, prefix, subset
 
 
@@ -130,17 +125,24 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
 
     The result is deterministic on input; transducer subsets carry leftover
     output strings, materialized as epsilon-input emission chains when a
-    leftover longer than one symbol must be flushed.  Exceeding
-    ``expansion_cap`` subset states, or ``expansion_cap`` elements in one
-    subset, raises ``CapExceededError`` (suggesting ``twins_test``).
-    Every product is range-checked as it is formed; sums of carrier
-    weights under min or boolean or stay in the carrier.
+    leftover longer than one symbol must be flushed.  An acceptor's
+    leftover strings stay empty, so its arcs are emitted as they are read.
+    Exceeding ``expansion_cap`` subset states, or ``expansion_cap``
+    elements in one subset, raises ``CapExceededError`` (suggesting
+    ``twins_test``).  Every product is range-checked as it is formed; sums
+    of carrier weights under min or boolean or stay in the carrier.
     """
     _require_divisible(m.kind)
     kind = m.kind
     times, plus, valid = kind.times, kind.plus, kind.valid
     zero, one = kind.zero, kind.one
-    start_elems = _close_epsilon(m, [(m.start, (), one)], expansion_cap)
+    acceptor = m.is_acceptor()
+    eps_arcs = {}
+    for q, arc in m.all_arcs():
+        if arc.ilabel == EPSILON:
+            eps_arcs.setdefault(q, []).append(arc)
+    start_elems = _close_epsilon(kind, eps_arcs, {(m.start, ()): one},
+                                 expansion_cap)
     total, prefix, start_subset = _normalize(kind, start_elems)
     # weight and output prefix that cannot be emitted before the first arc
     # stay inside the start subset
@@ -175,22 +177,27 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 arcs.append([])
                 finals[tail] = one
                 _emit_string(arcs, q, EPSILON, s, w, tail, one)
+        # label -> {(state, leftover string): weight} after that label
         by_label = {}
         for state, s, r in subset:
             for arc in m.arcs(state):
                 if arc.ilabel == EPSILON:
                     continue
-                ns = s if arc.olabel == EPSILON else s + (arc.olabel,)
-                if len(ns) > _RESIDUAL_STRING_CAP:
-                    raise CapExceededError("leftover output string grew without bound")
+                ns = s
+                if arc.olabel != EPSILON and not acceptor:
+                    ns = s + (arc.olabel,)
+                    if len(ns) > _RESIDUAL_STRING_CAP:
+                        raise CapExceededError(
+                            "leftover output string grew without bound")
                 w = times(r, arc.weight)
                 if not valid(w):
                     raise kind.carrier_error(w)
-                by_label.setdefault(arc.ilabel, []).append(
-                    (arc.nextstate, ns, w))
+                group = by_label.setdefault(arc.ilabel, {})
+                key = (arc.nextstate, ns)
+                group[key] = plus(group[key], w) if key in group else w
         for label in sorted(by_label):
-            elems = _close_epsilon(m, by_label[label], expansion_cap)
-            total, prefix, target = _normalize(kind, elems)
+            total, prefix, target = _normalize(kind, _close_epsilon(
+                kind, eps_arcs, by_label[label], expansion_cap))
             t = ids.get(target)
             if t is None:
                 if len(ids) >= expansion_cap:
@@ -200,7 +207,10 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 t = ids[target] = len(arcs)
                 arcs.append([])
                 queue.append(target)
-            _emit_string(arcs, q, label, prefix, total, t, one)
+            if acceptor:
+                arcs[q].append(Arc(label, label, total, t))
+            else:
+                _emit_string(arcs, q, label, prefix, total, t, one)
     return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
                                m.start_weight)
 
@@ -215,14 +225,14 @@ class TwinReport:
 
 
 def _square_machine(m):
-    """Pairs of states co-reachable by a common input string.
+    """Pairs of states co-reachable by a common input string, in
+    breadth-first order, each mapped to the first such string.
 
     Epsilon is treated as an ordinary input label here; arcs carry the
     weight pair and the output label pair.
     """
     start = (m.start, m.start)
-    seen = {start}
-    order = [start]
+    reach = {start: ()}
     arcs = {start: []}
     queue = deque([start])
     while queue:
@@ -235,12 +245,12 @@ def _square_machine(m):
                 target = (a1.nextstate, a2.nextstate)
                 arcs[pair].append((a1.ilabel, a1.weight, a2.weight,
                                    a1.olabel, a2.olabel, target))
-                if target not in seen:
-                    seen.add(target)
-                    order.append(target)
-                    arcs.setdefault(target, [])
+                if target not in reach:
+                    reach[target] = reach[pair] + (
+                        (a1.ilabel,) if a1.ilabel != EPSILON else ())
+                    arcs[target] = []
                     queue.append(target)
-    return order, arcs
+    return reach, arcs
 
 
 def _sccs(nodes, edges):
@@ -302,19 +312,10 @@ def twins_test(m: Machine) -> TwinReport:
     """
     if m.kind not in (Semiring.TROPICAL, Semiring.BOOLEAN):
         raise ContractError("twins_test expects a TROPICAL or BOOLEAN machine")
-    nodes, sq_arcs = _square_machine(m)
+    reach, sq_arcs = _square_machine(m)  # access strings for witnesses
+    nodes = list(reach)
     edges = {n: [a[-1] for a in sq_arcs[n]] for n in nodes}
     comp = _sccs(nodes, edges)
-
-    # access strings for witnesses
-    reach = {nodes[0]: ()}
-    queue = deque([nodes[0]])
-    while queue:
-        u = queue.popleft()
-        for label, *_rest, v in [(a[0], a[5]) for a in sq_arcs[u]]:
-            if v not in reach:
-                reach[v] = reach[u] + ((label,) if label != EPSILON else ())
-                queue.append(v)
 
     for root in set(comp.values()):
         members = [n for n in nodes if comp[n] == root]
@@ -331,7 +332,7 @@ def twins_test(m: Machine) -> TwinReport:
                 ndw = dw + (w1 - w2)
                 nres = _append_residue(res, o1, o2)
                 if max(len(nres[0]), len(nres[1])) > _RESIDUAL_STRING_CAP:
-                    return TwinReport(False, (v, reach.get(v, ()),
+                    return TwinReport(False, (v, reach[v],
                                               "diverging cycle outputs"))
                 if v not in pot:
                     pot[v] = (ndw, nres)
@@ -340,7 +341,7 @@ def twins_test(m: Machine) -> TwinReport:
                     detail = (f"weight differential {pot[v][0]} vs {ndw}"
                               if pot[v][0] != ndw else
                               f"output residue {pot[v][1]} vs {nres}")
-                    return TwinReport(False, (v, reach.get(v, ()), detail))
+                    return TwinReport(False, (v, reach[v], detail))
     return TwinReport(True)
 
 
@@ -365,7 +366,7 @@ def local_determinize(m: Machine, k: int) -> Machine:
             queue.append(subset)
         return ids[subset]
 
-    start = ((m.start, kind.one),)
+    start = ((m.start, (), kind.one),)
     queue = deque()
     start_id = state_id(start)
     out.set_start(start_id, m.start_weight)
@@ -374,7 +375,7 @@ def local_determinize(m: Machine, k: int) -> Machine:
         q = ids[subset]
         arcs = []
         final = kind.zero
-        for state, r in subset:
+        for state, _, r in subset:
             final = plus(final, times(r, m.final(state)))
             for arc in m.arcs(state):
                 arcs.append((arc.ilabel, arc.olabel,
@@ -383,21 +384,15 @@ def local_determinize(m: Machine, k: int) -> Machine:
             out.set_final(q, final)
         if len(arcs) <= k:
             for il, ol, w, t in arcs:
-                out.add_arc(q, il, ol, w, state_id(((t, kind.one),)))
+                out.add_arc(q, il, ol, w, state_id(((t, (), kind.one),)))
             continue
+        # (ilabel, olabel) -> a subset over the targets, as determinize's
         groups = {}
         for il, ol, w, t in arcs:
-            groups.setdefault((il, ol), []).append((t, w))
-        for (il, ol), members in sorted(groups.items()):
-            total = kind.zero
-            for _, w in members:
-                total = plus(total, w)
-            merged = {}
-            for t, w in members:
-                r = (w - total) if kind is Semiring.TROPICAL else kind.one
-                if t not in merged or kind.compare(r, merged[t]) < 0:
-                    merged[t] = r
-            target = tuple(sorted(merged.items()))
+            group = groups.setdefault((il, ol), {})
+            group[t, ()] = plus(group[t, ()], w) if (t, ()) in group else w
+        for (il, ol), group in sorted(groups.items()):
+            total, _, target = _normalize(kind, group)
             out.add_arc(q, il, ol, total, state_id(target))
     return out.freeze()
 
@@ -482,8 +477,10 @@ def push(m: Machine, mode: str) -> Machine:
                 if not valid(w):
                     raise kind.carrier_error(w)
                 finals[q] = w
-        return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals,
-                                   m.start, start_weight)
+        out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals,
+                                  m.start, start_weight)
+        out._inherit_shape(m)
+        return out
     if mode == "strings":
         p = _string_potentials(m)
         arcs = [[] for _ in m.states()]
@@ -649,9 +646,10 @@ def minimize(m: Machine) -> Machine:
     acceptor = work.is_acceptor()
     for cls, rep in sorted(reps.items()):
         for (il, residue, w), t in sorted(enc[rep].items()):
-            # an acceptor's residue is empty: its output repeats the input
-            _emit_string(arcs, cls, il, (il,) if acceptor else residue, w,
-                         index[t], kind.one)
+            if acceptor:  # the residue is empty: the output repeats the input
+                arcs[cls].append(Arc(il, il, w, index[t]))
+            else:
+                _emit_string(arcs, cls, il, residue, w, index[t], kind.one)
         if finals[rep] != kind.zero:
             out_finals[cls] = finals[rep]
     start = index[start]

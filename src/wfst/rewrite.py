@@ -78,15 +78,8 @@ def _labels_machine(labels):
     return m.freeze()
 
 
-def _eps_machine():
-    m = Machine(Semiring.BOOLEAN)
-    s = m.add_state()
-    m.set_start(s)
-    m.set_final(s)
-    return m.freeze()
-
-
 def _sigma_star(labels, kind=Semiring.BOOLEAN):
+    """One final start state looping on ``labels``; ``()`` gives epsilon."""
     m = Machine(kind)
     s = m.add_state()
     m.set_start(s)
@@ -141,7 +134,7 @@ class _RegexParser:
                 break
             parts.append(self._postfix())
         if not parts:
-            return _eps_machine()
+            return _sigma_star(())
         return reduce(concat, parts)
 
     def _postfix(self):
@@ -156,7 +149,7 @@ class _RegexParser:
                 m = concat(m, closure(m))
             elif tok == ("meta", "?"):
                 self._take()
-                m = union(m, _eps_machine())
+                m = union(m, _sigma_star(()))
             else:
                 return m
 
@@ -172,7 +165,7 @@ class _RegexParser:
         if value == "(":
             if self._peek() == ("meta", ")"):
                 self._take()
-                return _eps_machine()
+                return _sigma_star(())
             m = self._alternation()
             if self._take() != ("meta", ")"):
                 raise ParseError("unbalanced '('")

@@ -5,10 +5,11 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfst import (CascadeSpec, ContractError, Lattice, NoPathError, Semiring,
-                  backward_distances, beam_decode, best_path, compose,
-                  connect, lattice_prune, minimize, observation_machine, push,
-                  rescore, shortest_distance, weight_of, write_text)
+from wfst import (CascadeSpec, ContractError, Lattice, Machine, NoPathError,
+                  Semiring, backward_distances, beam_decode, best_path,
+                  compose, connect, determinize, lattice_prune, minimize,
+                  observation_machine, push, rescore, shortest_distance,
+                  weight_of, write_text)
 from wfst.decode import DecodeStats
 
 from helpers import acceptor, build, enum_paths, sample_machines
@@ -249,6 +250,26 @@ def test_lattice_prune_keeps_start_numbering_independent():
         again = lattice_prune(Lattice(connect(lat)), theta).machine
         assert pruned.start == 0
         assert write_text(pruned) == write_text(again)
+
+
+def test_lattice_op_orders_states_at_most_three_times(monkeypatch):
+    # two arcs share a label at states 0 and 3, so determinize merges
+    lat = Lattice(acceptor(T, [(0, 1, 1.0, 1), (0, 1, 2.0, 2), (0, 2, 0.5, 3),
+                               (1, 3, 0.0, 4), (2, 3, 0.5, 4), (3, 4, 1.5, 4),
+                               (3, 4, 1.0, 5), (4, 5, 0.0, 5)], [5]))
+    kahn, calls = Machine._kahn, []
+
+    def counted(m):
+        calls.append(m)
+        return kahn(m)
+
+    monkeypatch.setattr(Machine, "_kahn", counted)
+    det = determinize(lat.machine)
+    small = minimize(det)
+    pruned = lattice_prune(Lattice(push(small, "weights")), 1.0)
+    (words, _), cost = best_path(pruned.machine)
+    assert len(calls) <= 3
+    assert (words, cost) == ((1, 3, 5), 1.0)
 
 
 def test_lattice_prune_empty():

@@ -161,7 +161,65 @@ def test_unreachable_cycle_makes_a_machine_cyclic():
     assert connect(m).is_acyclic()
 
 
+# -- derived tables ------------------------------------------------------
+
+
+def count_kahn(monkeypatch):
+    """Record every Kahn pass run from now on."""
+    calls = []
+    kahn = Machine._kahn
+
+    def counted(m):
+        calls.append(m)
+        return kahn(m)
+
+    monkeypatch.setattr(Machine, "_kahn", counted)
+    return calls
+
+
+def test_frozen_machine_orders_its_states_once(monkeypatch):
+    calls = count_kahn(monkeypatch)
+    m = acceptor(T, [(0, 1, 0.0, 1), (1, 2, 0.0, 2), (0, 2, 0.0, 2)], [2])
+    for _ in range(3):
+        assert m.topological_order() == [0, 1, 2]
+        assert m.is_acyclic()
+    assert calls == [m]
+
+
+def test_mutable_machine_derives_afresh(monkeypatch):
+    calls = count_kahn(monkeypatch)
+    m = Machine(T)
+    m.add_arc(0, 1, 1, 0.0, 1)
+    assert m.topological_order() == [0, 1] and m.is_acceptor()
+    m.add_arc(1, 1, 2, 0.0, 0)
+    assert m.topological_order() is None and not m.is_acceptor()
+    assert len(calls) == 2
+    assert m.label_indexes is None and m.lookahead_sets is None
+    m.freeze()
+    assert m.topological_order() is None
+    assert m.label_indexes == {} and m.label_indexes is m.label_indexes
+
+
 # -- connect -------------------------------------------------------------
+
+
+def test_connect_returns_a_frozen_trim_machine_numbered_from_zero():
+    for m in sample_machines(23, 40, kind=T, max_states=5, max_arcs=8):
+        assert connect(m) is m
+        copy = Machine(T)
+        copy.add_states(m.num_states)
+        for q, arc in m.all_arcs():
+            copy.add_arc(q, *arc)
+        for q, w in m.finals.items():
+            copy.set_final(q, w)
+        trimmed = connect(copy)  # a mutable machine is always rebuilt
+        assert trimmed is not copy and trimmed._frozen
+        assert write_text(trimmed) == write_text(m)
+    # finals listed out of state order are renumbered as trimming lists them
+    m = acceptor(T, [(0, 1, 0.0, 1), (0, 2, 0.0, 2)], {2: 0.0, 1: 0.5})
+    assert connect(m) is not m
+    assert list(connect(m).finals) == [1, 2]
+    assert write_text(connect(m)) == write_text(m)
 
 
 def test_connect_drops_dead_states():

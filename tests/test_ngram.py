@@ -115,10 +115,16 @@ def test_good_turing_mass_identity():
         assert total_star <= total + 1e-9
 
 
-def test_katz_degenerate_corpus_raises():
+def test_katz_discount_never_raises_a_count():
+    # bigram count 1 has the Good-Turing estimate 4/3 here, above the count
+    # itself; Katz keeps the count, so the model builds and normalizes
     ct = count_ngrams(SIX_TOKENS, 2)
-    with pytest.raises(FsmError, match="context"):
-        katz_model(ct)
+    model = katz_model(ct)
+    a, b = ids(ct, "a", "b")
+    assert model.prob(b, (a,)) == 2 / 3
+    for h in model.probs:
+        s = sum(model.prob(y, h) for y in model.vocabulary)
+        assert abs(s - 1.0) <= 1e-9, (h, s)
 
 
 def viable_model(seed, order=2):

@@ -23,7 +23,6 @@ FILTER_INITIAL = 0
 _A_ALONE = 1
 _B_ALONE = 2
 _END = "end"  # member of a lookahead label set: the machine can stop there
-_DEAD = -1  # a pair's id in ``LazyComposition._ids`` when it is not built
 
 
 def label_index(m, table, state):
@@ -84,14 +83,14 @@ def read_set(b, index_table, table, state):
 
 
 def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
-    """Composite moves from a pair state with filter state ``f``.
+    """Composite moves from a pair state with filter state ``f``, unpruned.
 
-    ``index_b`` is the B state's ``label_index``, so the work is
-    O(|arcs_a| + matches + |epsilon arcs of B|) rather than a scan of every
-    B arc.  Moves come out in A's arc order, each A arc's matches in B's
-    arc order, then the B-alone epsilon moves.  Weights are multiplied with
-    the unchecked ``kind.times``: both were validated when their arcs were
-    added.
+    The reference move generator: ``LazyComposition.arcs`` makes the same
+    moves in the same order, less those the label lookahead rules out.
+    ``index_b`` is the B state's ``label_index``.  Moves come out in A's
+    arc order, each A arc's matches in B's arc order, then the B-alone
+    epsilon moves.  Weights are multiplied with the unchecked
+    ``kind.times``: both were validated when their arcs were added.
 
     Yields (ilabel, olabel, weight, (next_a, next_b, next_f)) tuples, where
     ``next_a``/``next_b`` of ``None`` mean "that side stays put".
@@ -142,9 +141,11 @@ class LazyComposition:
     start weight) is range-checked once (``kind.valid``), which turns an
     overflow into ``SemiringError``.
 
-    Label lookahead: a new target pair (s1, s2, f) whose next A output
-    labels miss ``read_set(b, ..., s2)`` cannot reach a final pair; it is
-    kept in ``_ids`` as ``_DEAD``, unbuilt, and arcs to it are dropped.
+    Label lookahead: a target pair (s1, s2, f) whose next A output labels
+    miss ``read_set(b, ..., s2)`` cannot reach a final pair.  Each move is
+    tested before its product is formed, and a move to such a pair is
+    dropped, so the pair never receives an id.  Moves, and the pair ids
+    of the moves kept, come in ``merge_arcs`` order.
 
     ``_filtered=False`` disables the epsilon filter (test-only; overcounts
     redundant epsilon interleavings under non-idempotent semirings).
@@ -177,36 +178,71 @@ class LazyComposition:
 
     def arcs(self, state):
         s1, s2, f = self._pairs[state]
-        kind, ids, valid = self.kind, self._ids, self.kind.valid
+        arcs_a = self.a.arcs(s1)
+        index = label_index(self.b, self._index_b, s2)
+        kind, ids, pairs = self.kind, self._ids, self._pairs
+        times, valid = kind.times, kind.valid
+        emits, reads, emits_of = self._emits, self._reads, self._emits_of
+        eps_b = index.get(EPSILON, ())
+        filtered = self._filtered
+        both = not filtered or f == FILTER_INITIAL
         result = []
-        for il, ol, w, (n1, n2, nf) in merge_arcs(
-                kind, self.a.arcs(s1),
-                label_index(self.b, self._index_b, s2), f, self._filtered):
-            if not valid(w):
-                raise kind.carrier_error(w)
-            target = (n1 if n1 is not None else s1,
-                      n2 if n2 is not None else s2, nf)
-            t = ids.get(target)
-            if t is None:
-                t = ids[target] = self._register(target)
-            if t != _DEAD:
-                result.append(Arc(il, ol, w, t))
+        for arc_a in arcs_a:
+            n1 = arc_a.nextstate
+            if arc_a.olabel != EPSILON:
+                group = index.get(arc_a.olabel, ())
+            else:
+                group = eps_b if both else ()
+            if group:
+                e = emits[n1] if n1 in emits else emits_of(n1)
+                for arc_b in group:
+                    n2 = arc_b.nextstate
+                    if e is not None:
+                        r = reads.get(n2)
+                        if r is None:
+                            r = read_set(self.b, self._index_b, reads, n2)
+                        if e.isdisjoint(r):
+                            continue
+                    w = times(arc_a.weight, arc_b.weight)
+                    if not valid(w):
+                        raise kind.carrier_error(w)
+                    target = (n1, n2, FILTER_INITIAL)
+                    t = ids.setdefault(target, len(pairs))
+                    if t == len(pairs):
+                        pairs.append(target)
+                    result.append(Arc(arc_a.ilabel, arc_b.olabel, w, t))
+            if arc_a.olabel == EPSILON and (not filtered or f != _B_ALONE):
+                self._alone(result, arc_a.ilabel, EPSILON, arc_a.weight,
+                            (n1, s2, _A_ALONE))
+        if not filtered or f != _A_ALONE:
+            for arc_b in eps_b:
+                self._alone(result, EPSILON, arc_b.olabel, arc_b.weight,
+                            (s1, arc_b.nextstate, _B_ALONE))
         return tuple(result)
 
-    def _register(self, target):
-        """A newly reached pair's id, or ``_DEAD``."""
-        s1, s2, _ = target
-        if s1 not in self._emits:
-            emits = {arc.olabel for arc in self.a.arcs(s1)}
-            if self.a.final(s1) != self.kind.zero:
-                emits.add(_END)
-            self._emits[s1] = None if EPSILON in emits else emits
-        emits = self._emits[s1]
+    def _emits_of(self, s1):
+        """A's output labels on ``s1``'s arcs, plus ``_END`` if ``s1`` is
+        final; ``None`` (any label may follow) if one of them is epsilon."""
+        emits = {arc.olabel for arc in self.a.arcs(s1)}
+        if self.a.final(s1) != self.kind.zero:
+            emits.add(_END)
+        self._emits[s1] = emits = None if EPSILON in emits else emits
+        return emits
+
+    def _alone(self, result, il, ol, w, target):
+        """Append the arc of a move where one side stays put, unless the
+        lookahead rules its target out."""
+        n1, n2, _ = target
+        emits = self._emits[n1] if n1 in self._emits else self._emits_of(n1)
         if emits is not None and emits.isdisjoint(
-                read_set(self.b, self._index_b, self._reads, s2)):
-            return _DEAD
-        self._pairs.append(target)
-        return len(self._pairs) - 1
+                read_set(self.b, self._index_b, self._reads, n2)):
+            return
+        if not self.kind.valid(w):
+            raise self.kind.carrier_error(w)
+        t = self._ids.setdefault(target, len(self._pairs))
+        if t == len(self._pairs):
+            self._pairs.append(target)
+        result.append(Arc(il, ol, w, t))
 
 
 def lazy_compose(a, b) -> LazyComposition:

@@ -348,9 +348,15 @@ def twins_test(m: Machine) -> TwinReport:
 # -- local determinization ----------------------------------------------
 
 
-def local_determinize(m: Machine, k: int) -> Machine:
+def local_determinize(m: Machine, k: int,
+                      expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machine:
     """Merge same-(ilabel, olabel) arcs, but only at states with more than
-    ``k`` outgoing arcs; equivalent machine, bounded work per state."""
+    ``k`` outgoing arcs; equivalent machine, bounded work per state.
+
+    As in ``determinize``, the leftover weights of merged targets can
+    change without end on a cyclic machine without the twin property;
+    exceeding ``expansion_cap`` states raises ``CapExceededError``.
+    """
     if k < 1:
         raise ContractError("k must be >= 1")
     _require_divisible(m.kind)
@@ -362,6 +368,11 @@ def local_determinize(m: Machine, k: int) -> Machine:
 
     def state_id(subset):
         if subset not in ids:
+            if len(ids) >= expansion_cap:
+                raise CapExceededError(
+                    f"local determinization exceeded {expansion_cap} "
+                    "states; the input likely lacks the twin property "
+                    "(try twins_test)")
             ids[subset] = out.add_state()
             queue.append(subset)
         return ids[subset]

@@ -233,6 +233,18 @@ def test_lookahead_matches_unpruned_product(pair, filtered):
     assert text_of(expand(view, trim=True)) == expected
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(list(Semiring)), st.integers(0, 2**32 - 1))
+def test_nested_cascade_equals_unpruned_product(kind, seed):
+    # the outer kernel's lookahead reads the output labels of a lazy left
+    # operand, which expands inner pair states ahead of the outer search
+    a, b, c = sample_machines(seed, 3, kind=kind, max_states=5, max_arcs=8)
+    expected = text_of(product_compose(product_compose(a, b), c))
+    nested = lazy_compose(cached(lazy_compose(a, b)), c)
+    assert text_of(expand(nested, trim=True)) == expected
+    assert text_of(compose(compose(a, b), c)) == expected
+
+
 # -- label lookahead: pair states that cannot succeed are never built --
 
 
@@ -250,10 +262,10 @@ def test_lookahead_builds_only_pairs_that_can_succeed():
     a, b = lookahead_operands()
     view = lazy_compose(a, b)
     expand(view)
-    # (0, 0) start, (1, 1) and (0, 5) read on, (2, 2) stops; (1, 3) and
-    # the epsilon move to (1, 4) are reached but never built
+    # (0, 0) start, (1, 1) and (0, 5) read on, (2, 2) stops; the moves to
+    # (1, 3) and, over epsilon, to (1, 4) are dropped, so neither gets an id
     assert view._pairs == [(0, 0, 0), (1, 1, 0), (0, 5, 2), (2, 2, 0)]
-    assert len(view._ids) == 6
+    assert len(view._ids) == len(view._pairs) == 4
     assert len(view.arcs(0)) == 2  # the arc to (1, 3) is dropped
     assert text_of(compose(a, b)) == text_of(product_compose(a, b))
 

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 import time
 from collections import deque
 
@@ -185,6 +186,29 @@ def test_local_determinize_merges_fanout():
     ld = local_determinize(m, 2)
     assert len(ld.arcs(ld.start)) == 1
     assert weight_of(ld, (1,)) == 1.0
+
+
+def test_local_determinize_caps_its_states():
+    # merged targets keep leftover weights that change on every trip round
+    # the cycles (no twin property), so the subsets never repeat
+    m = build(T, [(0, 0, 0, 1.0, 0), (0, 1, 0, 0.0, 1), (0, 1, 1, 0.0, 0),
+                  (0, 1, 1, 2.0, 1), (0, 1, 3, 1.0, 0), (0, 2, 1, 0.5, 0),
+                  (0, 3, 0, 0.0, 0), (1, 0, 0, 0.5, 1), (1, 1, 2, 2.0, 0)],
+              {0: 0.5})
+
+    def overrun(signum, frame):
+        raise TimeoutError("local_determinize ran past its 10 s budget")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(10)
+    try:
+        with pytest.raises(CapExceededError, match="exceeded 50 states"):
+            local_determinize(m, 1, expansion_cap=50)
+        with pytest.raises(CapExceededError):
+            local_determinize(m, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_local_determinize_rejects_bad_k():

@@ -115,6 +115,24 @@ def test_overflowing_products_raise(kind, big):
             beam_decode(CascadeSpec([heavy_arc, heavy_arc]), [1])
 
 
+@pytest.mark.parametrize("kind, big", [(T, -1e308), (R, 1e308)])
+def test_lookahead_drops_a_move_before_forming_its_product(kind, big):
+    # the first arcs' product overflows; A's state 1 writes only 2 next,
+    # so against ``dead``, whose state 1 reads only 3, the move is dropped
+    # unformed, while ``kept`` reads 2 there and the product raises
+    one = kind.one
+    a = build(kind, [(0, 1, 1, big, 1), (1, 2, 2, one, 2)], {2: one})
+    dead = build(kind, [(0, 1, 1, big, 1), (1, 3, 3, one, 2)], {2: one})
+    kept = build(kind, [(0, 1, 1, big, 1), (1, 2, 2, one, 2)], {2: one})
+    assert not compose(a, dead).finals
+    assert lazy_compose(a, dead).arcs(0) == ()
+    message = r"^-?inf is not in the \w+ carrier$"
+    with pytest.raises(SemiringError, match=message):
+        compose(a, kept)
+    with pytest.raises(SemiringError, match=message):
+        lazy_compose(a, kept).arcs(0)
+
+
 def test_compose_respects_epsilon_paths():
     a = build(T, [(0, 1, 0, 0.5, 1)], {1: 0.0})  # 1 -> eps
     b = build(T, [(0, 2, 3, 0.25, 1)], {0: 0.0, 1: 0.0})

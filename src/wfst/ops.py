@@ -178,39 +178,28 @@ class LazyComposition:
 
     def arcs(self, state):
         s1, s2, f = self._pairs[state]
-        arcs_a = self.a.arcs(s1)
-        index = label_index(self.b, self._index_b, s2)
-        kind, ids, pairs = self.kind, self._ids, self._pairs
-        times, valid = kind.times, kind.valid
-        emits, reads, emits_of = self._emits, self._reads, self._emits_of
+        b, index_b, reads = self.b, self._index_b, self._reads
+        index = label_index(b, index_b, s2)
         eps_b = index.get(EPSILON, ())
+        times, emits_of, add = self.kind.times, self._emits_of, self._add
         filtered = self._filtered
         both = not filtered or f == FILTER_INITIAL
         result = []
-        for arc_a in arcs_a:
+        for arc_a in self.a.arcs(s1):
             n1 = arc_a.nextstate
             if arc_a.olabel != EPSILON:
                 group = index.get(arc_a.olabel, ())
             else:
                 group = eps_b if both else ()
             if group:
-                e = emits[n1] if n1 in emits else emits_of(n1)
+                emits = emits_of(n1)  # once for all of this arc's matches
                 for arc_b in group:
                     n2 = arc_b.nextstate
-                    if e is not None:
-                        r = reads.get(n2)
-                        if r is None:
-                            r = read_set(self.b, self._index_b, reads, n2)
-                        if e.isdisjoint(r):
-                            continue
-                    w = times(arc_a.weight, arc_b.weight)
-                    if not valid(w):
-                        raise kind.carrier_error(w)
-                    target = (n1, n2, FILTER_INITIAL)
-                    t = ids.setdefault(target, len(pairs))
-                    if t == len(pairs):
-                        pairs.append(target)
-                    result.append(Arc(arc_a.ilabel, arc_b.olabel, w, t))
+                    if emits is None or not emits.isdisjoint(
+                            read_set(b, index_b, reads, n2)):
+                        add(result, arc_a.ilabel, arc_b.olabel,
+                            times(arc_a.weight, arc_b.weight),
+                            (n1, n2, FILTER_INITIAL))
             if arc_a.olabel == EPSILON and (not filtered or f != _B_ALONE):
                 self._alone(result, arc_a.ilabel, EPSILON, arc_a.weight,
                             (n1, s2, _A_ALONE))
@@ -223,6 +212,8 @@ class LazyComposition:
     def _emits_of(self, s1):
         """A's output labels on ``s1``'s arcs, plus ``_END`` if ``s1`` is
         final; ``None`` (any label may follow) if one of them is epsilon."""
+        if s1 in self._emits:
+            return self._emits[s1]
         emits = {arc.olabel for arc in self.a.arcs(s1)}
         if self.a.final(s1) != self.kind.zero:
             emits.add(_END)
@@ -230,13 +221,17 @@ class LazyComposition:
         return emits
 
     def _alone(self, result, il, ol, w, target):
-        """Append the arc of a move where one side stays put, unless the
-        lookahead rules its target out."""
+        """``_add`` a move where one side stays put, unless the lookahead
+        rules its target out."""
         n1, n2, _ = target
-        emits = self._emits[n1] if n1 in self._emits else self._emits_of(n1)
-        if emits is not None and emits.isdisjoint(
+        emits = self._emits_of(n1)
+        if emits is None or not emits.isdisjoint(
                 read_set(self.b, self._index_b, self._reads, n2)):
-            return
+            self._add(result, il, ol, w, target)
+
+    def _add(self, result, il, ol, w, target):
+        """Range-check a kept move's weight, give its target pair an id if
+        it has none, and append the arc."""
         if not self.kind.valid(w):
             raise self.kind.carrier_error(w)
         t = self._ids.setdefault(target, len(self._pairs))

@@ -127,6 +127,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     output strings, materialized as epsilon-input emission chains when a
     leftover longer than one symbol must be flushed.  An acceptor's
     leftover strings stay empty, so its arcs are emitted as they are read.
+    A transducer is trimmed first: a dead state's leftover string would cut
+    the live states' common prefix short and hold their output back.
     Exceeding ``expansion_cap`` subset states, or ``expansion_cap``
     elements in one subset, raises ``CapExceededError`` (suggesting
     ``twins_test``).  Every product is range-checked as it is formed; sums
@@ -137,6 +139,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     times, plus, valid = kind.times, kind.plus, kind.valid
     zero, one = kind.zero, kind.one
     acceptor = m.is_acceptor()
+    if not acceptor:
+        m = connect(m)
     eps_arcs = {}
     for q, arc in m.all_arcs():
         if arc.ilabel == EPSILON:
@@ -348,14 +352,14 @@ def twins_test(m: Machine) -> TwinReport:
 # -- local determinization ----------------------------------------------
 
 
-def local_determinize(m: Machine, k: int,
-                      expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machine:
+def local_determinize(m: Machine, k: int) -> Machine:
     """Merge same-(ilabel, olabel) arcs, but only at states with more than
     ``k`` outgoing arcs; equivalent machine, bounded work per state.
 
     As in ``determinize``, the leftover weights of merged targets can
     change without end on a cyclic machine without the twin property;
-    exceeding ``expansion_cap`` states raises ``CapExceededError``.
+    more than ``DEFAULT_EXPANSION_CAP`` states beyond the input's own
+    raises ``CapExceededError``.
     """
     if k < 1:
         raise ContractError("k must be >= 1")
@@ -365,14 +369,16 @@ def local_determinize(m: Machine, k: int,
     out = Machine(kind, m.isymbols, m.osymbols)
 
     ids = {}
+    # at most one unmerged subset ((t, (), one),) per input state; only
+    # the merged ones can grow without end
+    cap = m.num_states + DEFAULT_EXPANSION_CAP
 
     def state_id(subset):
         if subset not in ids:
-            if len(ids) >= expansion_cap:
+            if len(ids) >= cap:
                 raise CapExceededError(
-                    f"local determinization exceeded {expansion_cap} "
-                    "states; the input likely lacks the twin property "
-                    "(try twins_test)")
+                    f"local determinization exceeded {cap} states; the "
+                    "input likely lacks the twin property (try twins_test)")
             ids[subset] = out.add_state()
             queue.append(subset)
         return ids[subset]

@@ -233,7 +233,7 @@ def test_lookahead_matches_unpruned_product(pair, filtered):
     assert text_of(expand(view, trim=True)) == expected
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=60)
 @given(st.sampled_from(list(Semiring)), st.integers(0, 2**32 - 1))
 def test_nested_cascade_equals_unpruned_product(kind, seed):
     # the outer kernel's lookahead reads the output labels of a lazy left

@@ -202,13 +202,21 @@ def test_local_determinize_caps_its_states():
     previous = signal.signal(signal.SIGALRM, overrun)
     signal.alarm(10)
     try:
-        with pytest.raises(CapExceededError, match="exceeded 50 states"):
-            local_determinize(m, 1, expansion_cap=50)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="exceeded"):
             local_determinize(m, 1)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_local_determinize_keeps_a_chain_longer_than_the_cap():
+    # nothing merges, so each input state gives one unmerged subset; the
+    # cap counts only states beyond the input's own
+    n = optimize.DEFAULT_EXPANSION_CAP + 1
+    m = acceptor(T, [(q, 1, 0.5, q + 1) for q in range(n - 1)], [n - 1])
+    ld = local_determinize(m, 1)
+    assert ld.num_states == n
+    assert weight_of(ld, (1,) * (n - 1), max_path_len=n) == 0.5 * (n - 1)
 
 
 def test_local_determinize_rejects_bad_k():
@@ -443,6 +451,8 @@ def breadth_first_text(m):
 @given(acyclic_machines(kinds=(T, B), acceptors=True) |
        acyclic_machines(kinds=(T, B)))
 @example(build(T, [(0, 3, 2, 2.0, 1), (1, 3, 2, 0.0, 2)], [2]))
+@example(build(T, [(0, 1, 0, 0.5, 3), (0, 1, 0, 0.0, 3), (0, 0, 0, 0.25, 1),
+                   (0, 1, 1, 0.0, 2)], {2: 0.5}))
 def test_minimize_determinize_is_idempotent(m):
     det = determinize(m)
     # skips a non-functional transducer, which flushes several outputs from

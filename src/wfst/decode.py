@@ -203,15 +203,19 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     ("comparable states"; epsilon-reached states keep the frame of their
     last non-epsilon consumption).  Within a frame, states whose cost
     exceeds best-in-frame + beam are pruned.  beam=inf is exact Viterbi.
-    Returns (output labels, cost, stats).
+    Returns (output labels, cost, stats).  ``observations`` may be any
+    iterable; it is read once.  A NaN or negative beam raises
+    ContractError.
     """
-    obs = observation_machine(tuple(observations),
-                              isymbols=getattr(cascade.stages[0], "isymbols", None))
-    view = obs
+    if not beam >= 0:  # also false for NaN
+        raise ContractError(f"beam must be a non-negative number, got {beam!r}")
+    observations = tuple(observations)
+    view = observation_machine(
+        observations, isymbols=getattr(cascade.stages[0], "isymbols", None))
     for stage in cascade.stages:
         view = cached(lazy_compose(view, stage))
     stats = DecodeStats()
-    n_frames = len(tuple(observations))
+    n_frames = len(observations)
 
     # frame-local relaxation including epsilon-input arcs, then advance
     frontier = {view.start: (view.start_weight, None)}  # state -> (cost, backptr)

@@ -10,7 +10,9 @@ filter so that each compatible pair of paths is counted exactly once:
 
 A real epsilon-output arc of A may pair with a real epsilon-input arc of B
 ("both move") only at filter 0; once one side moves alone, the other side
-may not move alone until the next match.
+may not move alone until the next match.  The label lookahead in
+``LazyComposition`` uses that: a B-alone move leads to a pair at filter 2,
+where A can only match, so it is tested against A's own output labels.
 """
 
 from __future__ import annotations
@@ -142,10 +144,15 @@ class LazyComposition:
     overflow into ``SemiringError``.
 
     Label lookahead: a target pair (s1, s2, f) whose next A output labels
-    miss ``read_set(b, ..., s2)`` cannot reach a final pair.  Each move is
-    tested before its product is formed, and a move to such a pair is
-    dropped, so the pair never receives an id.  Moves, and the pair ids
-    of the moves kept, come in ``merge_arcs`` order.
+    miss ``read_set(b, ..., s2)`` cannot reach a final pair.  A's next
+    labels are its output labels on ``s1``'s arcs, plus ``_END`` if ``s1``
+    is final, or any label at all if one of those arcs writes epsilon --
+    except at the target of a B-alone move while the filter is on, where
+    A may not move alone until the next match, so only its own non-epsilon
+    labels count.  Each move is tested before its product is formed, and
+    a move to such a pair is dropped, so the pair never receives an id.
+    Moves, and the pair ids of the moves kept, come in ``merge_arcs``
+    order.
 
     ``_filtered=False`` disables the epsilon filter (test-only; overcounts
     redundant epsilon interleavings under non-idempotent semirings).
@@ -166,7 +173,7 @@ class LazyComposition:
         self._pairs = [start]
         self._index_b = label_indexes(b)
         self._reads = label_indexes(b, "lookahead_sets")
-        self._emits = {}  # s1 -> output labels of a.arcs(s1), None for any
+        self._emits = {}  # s1 -> (after, direct) label sets, see _emits_of
         self._filtered = _filtered
 
     def final(self, state):
@@ -192,7 +199,7 @@ class LazyComposition:
             else:
                 group = eps_b if both else ()
             if group:
-                emits = emits_of(n1)  # once for all of this arc's matches
+                emits = emits_of(n1)[0]  # once for all of this arc's matches
                 for arc_b in group:
                     n2 = arc_b.nextstate
                     if emits is None or not emits.isdisjoint(
@@ -202,31 +209,37 @@ class LazyComposition:
                             (n1, n2, FILTER_INITIAL))
             if arc_a.olabel == EPSILON and (not filtered or f != _B_ALONE):
                 self._alone(result, arc_a.ilabel, EPSILON, arc_a.weight,
-                            (n1, s2, _A_ALONE))
-        if not filtered or f != _A_ALONE:
+                            (n1, s2, _A_ALONE), emits_of(n1)[0])
+        if eps_b and (not filtered or f != _A_ALONE):
+            # A stays at s1; with the filter on it may not move alone from
+            # the target (s1, n2, _B_ALONE), so only its own labels count
+            emits = emits_of(s1)[1 if filtered else 0]
             for arc_b in eps_b:
                 self._alone(result, EPSILON, arc_b.olabel, arc_b.weight,
-                            (s1, arc_b.nextstate, _B_ALONE))
+                            (s1, arc_b.nextstate, _B_ALONE), emits)
         return tuple(result)
 
     def _emits_of(self, s1):
         """A's output labels on ``s1``'s arcs, plus ``_END`` if ``s1`` is
-        final; ``None`` (any label may follow) if one of them is epsilon."""
-        if s1 in self._emits:
-            return self._emits[s1]
-        emits = {arc.olabel for arc in self.a.arcs(s1)}
-        if self.a.final(s1) != self.kind.zero:
-            emits.add(_END)
-        self._emits[s1] = emits = None if EPSILON in emits else emits
+        final, as a pair ``(after, direct)``: ``direct`` leaves epsilon
+        out, and ``after`` is ``None`` (any label may follow) if one of
+        the labels is epsilon, else ``direct``."""
+        emits = self._emits.get(s1)
+        if emits is None:
+            labels = {arc.olabel for arc in self.a.arcs(s1)}
+            if self.a.final(s1) != self.kind.zero:
+                labels.add(_END)
+            direct = labels - {EPSILON}
+            emits = (None if EPSILON in labels else direct, direct)
+            self._emits[s1] = emits
         return emits
 
-    def _alone(self, result, il, ol, w, target):
+    def _alone(self, result, il, ol, w, target, emits):
         """``_add`` a move where one side stays put, unless the lookahead
-        rules its target out."""
-        n1, n2, _ = target
-        emits = self._emits_of(n1)
+        finds that ``emits``, A's labels from the target, miss what B
+        reads next."""
         if emits is None or not emits.isdisjoint(
-                read_set(self.b, self._index_b, self._reads, n2)):
+                read_set(self.b, self._index_b, self._reads, target[1])):
             self._add(result, il, ol, w, target)
 
     def _add(self, result, il, ol, w, target):

@@ -292,6 +292,18 @@ def test_decode_cascade(tmp_path, capsys):
     assert code == 0 and out2 == out
 
 
+@pytest.mark.parametrize("beam", ["nan", "-1"])
+def test_decode_rejects_nan_or_negative_beam(tmp_path, capsys, beam):
+    stage = tmp_path / "s.fst"
+    stage.write_text(A_TEXT)
+    manifest = tmp_path / "cascade.txt"
+    manifest.write_text(f"{stage}\n")
+    code, out, err = run(decode_main, ["--cascade", str(manifest),
+                                       "--beam", beam, "1 2"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: beam must be a non-negative number")
+
+
 # -- exit codes ----------------------------------------------------------
 
 

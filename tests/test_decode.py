@@ -348,6 +348,52 @@ def test_dead_end_branch_never_enters_the_beam():
     assert (outputs, cost) == ((1, 1), 5.0)
 
 
+def test_dead_back_off_pair_does_not_set_the_floor():
+    # after observation 1 the lexicon is mid-word (it writes only epsilon
+    # next) and the LM's back-off arc 1 -> 0 costs -3.  Taking it alone
+    # would leave the lexicon nothing to match, so that pair is never
+    # built; had it been, its cost -3 would set frame 1's floor and prune
+    # the live pair at cost 0 under beam 1
+    lexicon = build(T, [(0, 1, 7, 0.0, 1), (1, 2, 0, 0.0, 0)], {0: 0.0})
+    lm = build(T, [(0, 7, 7, 0.0, 1), (1, 0, 0, -3.0, 0)], {0: 0.0, 1: 0.0})
+    outputs, cost, _ = beam_decode(CascadeSpec([lexicon, lm]), (1, 2),
+                                   beam=1.0)
+    assert (outputs, cost) == ((7,), -3.0)
+
+
+def test_observations_are_read_once():
+    stage = build(T, [(0, 1, 7, 0.5, 0), (0, 2, 8, 1.0, 0)], {0: 0.0})
+    expected = ((7, 8, 7), 2.0)
+    assert beam_decode(CascadeSpec([stage]), [1, 2, 1])[:2] == expected
+    assert beam_decode(CascadeSpec([stage]), iter([1, 2, 1]))[:2] == expected
+
+
+@pytest.mark.parametrize("beam", [math.nan, -1.0])
+def test_nan_or_negative_beam_raises(beam):
+    stage = build(T, [(0, 1, 7, 0.5, 0)], {0: 0.0})
+    with pytest.raises(ContractError, match="beam"):
+        beam_decode(CascadeSpec([stage]), (1,), beam=beam)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from((1, 2, 3)), max_size=4))
+def test_infinite_beam_matches_static_cascade_with_epsilons(seed, obs):
+    # both stages have epsilon on both tapes, so the outer composition
+    # makes match, both-move and alone moves over lazy inner pair states
+    s1, s2 = sample_machines(seed, 2, kind=T, max_states=5, max_arcs=8)
+    static = compose(compose(observation_machine(obs), s1), s2)
+    try:
+        _, expected = best_path(static)
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            beam_decode(CascadeSpec([s1, s2]), obs)
+        return
+    _, cost, stats = beam_decode(CascadeSpec([s1, s2]), obs)
+    assert cost == pytest.approx(expected, abs=1e-9)
+    assert stats.pruned == 0
+
+
 def test_negative_epsilon_cycle_raises_within_budget():
     # two epsilon arcs of weight -1 form a cycle after the first frame;
     # each trip round it lowers the cost, so the closure never settles

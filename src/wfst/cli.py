@@ -14,7 +14,7 @@ import sys
 from . import decode as dec
 from . import ngram, ops, optimize, rewrite
 from .errors import FsmError, ParseError, SymbolError
-from .machine import SymbolTable, connect, read_text, write_text
+from .machine import SymbolTable, _resolve, connect, read_text, write_text
 from .semiring import Semiring
 
 _SEMIRINGS = {"boolean": Semiring.BOOLEAN, "tropical": Semiring.TROPICAL,
@@ -329,8 +329,7 @@ def _decode_run(args):
     if not stages:
         raise ParseError("cascade manifest lists no machines")
     first = tables[0]
-    obs = [first.find(t) if first is not None else int(t)
-           for t in args.observations.split()]
+    obs = [_resolve(t, first) for t in args.observations.split()]
     outputs, cost, stats = dec.beam_decode(dec.CascadeSpec(stages), obs,
                                            beam=args.beam)
     out_table = tables[-1]

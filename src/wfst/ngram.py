@@ -117,6 +117,8 @@ def mle(ct: CountTable, gram, conditional=True) -> float:
     gram = tuple(gram)
     c = ct.count(gram)
     if not conditional or len(gram) == 1:
+        if ct.total < 1:
+            raise ContractError(f"token total is {ct.total}: no unigram MLE")
         return c / ct.total
     denom = ct.count(gram[:-1])
     if denom == 0:
@@ -191,6 +193,8 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
     unseen words are scored through alpha(h) * P(word | shorter context).
     """
     vocab = ct.vocabulary()
+    if ct.counts and ct.total < 1:  # as read from counts without 'total'
+        raise ContractError(f"token total is {ct.total}: no unigram estimate")
     probs = {}
     alphas = {}
 
@@ -267,10 +271,8 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
                 m.add_arc(q, y, y, -math.log(p), target(nxt))
         if h:
             alpha = model.alphas.get(h, 0.0)
-            if alpha > 0.0:
-                m.add_arc(q, EPSILON, EPSILON, -math.log(alpha), ids[h[1:]])
-            elif alpha == 0.0 and h in model.alphas:
-                pass  # all mass seen; no useful back-off arc
+            if alpha > 0.0:  # alpha 0: all mass seen, no back-off arc
+                m.add_arc(q, EPSILON, EPSILON, -math.log(alpha), target(h[1:]))
     start_ctx = ((bos,) * (model.order - 1)) if model.order > 1 else ()
     m.set_start(target(start_ctx))
     return m.freeze()
@@ -399,5 +401,7 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
             probs.setdefault(gram[:-1], {})[gram[-1]] = prob
         if backoff is not None:
             alphas[gram] = 0.0 if backoff <= -98.0 else alpha
+    # an omitted back-off is log10 alpha = 0
+    alphas.update((h, 1.0) for h in probs if h and h not in alphas)
     vocab = sorted(probs[()])
     return BackoffModel(order, probs, alphas, vocab, symbols)

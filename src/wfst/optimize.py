@@ -561,7 +561,7 @@ def _hopcroft(states, enc, finals):
     A splitter (block, label) is queued only when an arc with that label
     enters the block.  Blocks only shrink, so any other splitter would still
     have an empty preimage when popped and split nothing: skipping it keeps
-    the effective splits, their order and the class ids."""
+    the effective splits and their order."""
     by_final = {}
     for q in states:
         by_final.setdefault(finals[q], set()).add(q)
@@ -640,7 +640,10 @@ def minimize(m: Machine) -> Machine:
 
     After pushing, acyclic input (every lattice) is partitioned in one
     O(V+E) signature pass (Revuz 1992); cyclic input takes Hopcroft's
-    partition refinement."""
+    partition refinement.  Either way the output is numbered breadth-first
+    from the start (0), walking each state's arcs in (input label, output
+    residue, weight) order; output-chain states are numbered as they are
+    emitted, and a hoisted start prefix's chain comes last."""
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "
                             "(determinize first)")
@@ -655,26 +658,31 @@ def minimize(m: Machine) -> Machine:
         index = _hopcroft(list(enc), enc, finals)
     else:
         index = _signature_classes(order, enc, finals)
-    arcs = [[] for _ in range(len(set(index.values())))]
+    ids = {index[start]: 0}
+    arcs = [[]]
     out_finals = {}
-    reps = {}
-    for q in enc:
-        reps.setdefault(index[q], q)
+    queue = deque([start])
     acceptor = work.is_acceptor()
-    for cls, rep in sorted(reps.items()):
+    while queue:
+        rep = queue.popleft()
+        cls = ids[index[rep]]
         for (il, residue, w), t in sorted(enc[rep].items()):
+            nt = ids.get(index[t])
+            if nt is None:
+                nt = ids[index[t]] = len(arcs)
+                arcs.append([])
+                queue.append(t)
             if acceptor:  # the residue is empty: the output repeats the input
-                arcs[cls].append(Arc(il, il, w, index[t]))
+                arcs[cls].append(Arc(il, il, w, nt))
             else:
-                _emit_string(arcs, cls, il, residue, w, index[t], kind.one)
+                _emit_string(arcs, cls, il, residue, w, nt, kind.one)
         if finals[rep] != kind.zero:
             out_finals[cls] = finals[rep]
-    start = index[start]
+    start = 0
     if prefix:
-        chain = len(arcs)
+        start = len(arcs)
         arcs.append([])
-        _emit_string(arcs, chain, EPSILON, prefix, kind.one, start, kind.one)
-        start = chain
+        _emit_string(arcs, start, EPSILON, prefix, kind.one, 0, kind.one)
     return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, out_finals,
                                start, work.start_weight)
 
@@ -682,25 +690,9 @@ def minimize(m: Machine) -> Machine:
 # -- equivalence --------------------------------------------------------
 
 
-def _canonical(m):
-    """BFS-canonical structure of a deterministic machine."""
-    order = {m.start: 0}
-    queue = deque([m.start])
-    arcs = []
-    while queue:
-        q = queue.popleft()
-        for arc in sorted(m.arcs(q), key=lambda a: (a.ilabel, a.olabel, a.weight)):
-            if arc.nextstate not in order:
-                order[arc.nextstate] = len(order)
-                queue.append(arc.nextstate)
-            arcs.append((order[q], arc.ilabel, arc.olabel, arc.weight,
-                         order[arc.nextstate]))
-    finals = sorted((order[q], w) for q, w in m.finals.items() if q in order)
-    return (m.start_weight, tuple(arcs), tuple(finals))
-
-
 def equivalent(a: Machine, b: Machine) -> bool:
     """True iff the machines assign the same weight to every string."""
-    ca = _canonical(minimize(determinize(a)))
-    cb = _canonical(minimize(determinize(b)))
-    return ca == cb
+    ma = minimize(determinize(a))
+    mb = minimize(determinize(b))
+    return (ma.start_weight, ma.start, tuple(ma.all_arcs()), ma.finals) == \
+        (mb.start_weight, mb.start, tuple(mb.all_arcs()), mb.finals)

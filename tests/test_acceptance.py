@@ -13,13 +13,12 @@ from time import perf_counter
 import pytest
 
 from wfst import (LRU, MEMOIZE, REFCOUNT, CapExceededError, CascadeSpec,
-                  FsmError, Lattice, Machine, NoPathError, Semiring,
-                  SymbolTable, beam_decode, best_path, cached, closure,
-                  compose, concat, connect, determinize, expand, lazy_compose,
-                  minimize, observation_machine, read_text, rescore,
-                  shortest_distance, twins_test, union, weight_of, write_text)
+                  FsmError, Lattice, NoPathError, Semiring, SymbolTable,
+                  beam_decode, best_path, cached, closure, compose, concat,
+                  connect, determinize, expand, lazy_compose, minimize,
+                  observation_machine, read_text, rescore, shortest_distance,
+                  twins_test, union, weight_of, write_text)
 from wfst import ngram, ops, optimize, rewrite
-from wfst import decode as dec
 from wfst.cli import decode_main, fst_main, lm_main, rule_main
 from wfst.ngram import EOS, frequency_of_frequencies, model_path_cost
 from wfst.rewrite import Rule, apply_rewrite, compile_weighted_rule

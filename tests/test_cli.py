@@ -272,6 +272,29 @@ def test_lm_fsa_saves_syms(tmp_path, capsys):
     assert (tmp_path / "lm.fsa.syms").exists()
 
 
+# the context (a,) has probabilities but no back-off field, and the context
+# (b,) of the trigram "a b c" has no probabilities of its own
+OMITTED_BACKOFFS = ("\\data\\\n\\1-grams:\n-0.7\ta\n-0.7\tb\n-0.7\tc\n"
+                    "-0.7\t</s>\n-99\t<s>\n\\2-grams:\n-0.3\ta b\t-0.5\n"
+                    "\\3-grams:\n-0.2\ta b c\n\\end\\\n")
+
+
+def test_lm_arpa_with_omitted_backoffs(tmp_path, capsys):
+    # an omitted back-off is log10 alpha = 0, as in the ARPA format
+    arpa = tmp_path / "x.arpa"
+    arpa.write_text(OMITTED_BACKOFFS)
+    model = ngram.read_arpa(OMITTED_BACKOFFS)
+    fsa = ngram.build_lm_fsa(model)
+    code, out, _ = run(lm_main, ["fsa", str(arpa)], capsys)
+    assert code == 0 and out == golden(fsa)
+    for sent in ("a b a", "a b c", "c a b c b"):
+        code, out, _ = run(lm_main, ["score", str(arpa), sent], capsys)
+        logp = model.sentence_logprob(sent.split())
+        assert code == 0 and out == f"{logp:.6f}\n"
+        assert ngram.model_path_cost(model, fsa, sent.split()) == \
+            pytest.approx(-logp, abs=1e-9)
+
+
 # -- decode --------------------------------------------------------------
 
 
@@ -317,6 +340,14 @@ def test_exit_2_usage_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("\n")
     assert run(decode_main, ["--cascade", str(empty), "1"], capsys)[0] == 2
+    # a first stage without a symbol table reads label ids only
+    stage = tmp_path / "s.fst"
+    stage.write_text(A_TEXT)
+    manifest = tmp_path / "cascade.txt"
+    manifest.write_text(f"{stage}\n")
+    code, _, err = run(decode_main, ["--cascade", str(manifest), "1 a"],
+                       capsys)
+    assert code == 2 and err.startswith("error:") and "'a'" in err
 
 
 @pytest.mark.parametrize("text, line", [
@@ -351,3 +382,8 @@ def test_exit_1_domain_errors(tmp_path, capsys):
     code, _, _ = run(fst_main, ["determinize", str(real),
                                 "--semiring", "real"], capsys)
     assert code == 1
+    # a count file without a 'total' line reads as total 0
+    counts = tmp_path / "nototal.counts"
+    counts.write_text("order 1\n<s>\t1\na\t3\n")
+    code, out, err = run(lm_main, ["build", str(counts)], capsys)
+    assert code == 1 and out == "" and "total is 0" in err

@@ -10,7 +10,6 @@ from wfst import (CascadeSpec, ContractError, Lattice, Machine, NoPathError,
                   compose, connect, determinize, lattice_prune, minimize,
                   observation_machine, push, rescore, shortest_distance,
                   weight_of, write_text)
-from wfst.decode import DecodeStats
 
 from helpers import acceptor, build, enum_paths, sample_machines
 

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
 ``__init__.py`` exists to re-export, so it is not checked; neither are
 ``from __future__`` imports and import statements marked ``# noqa: F401``.
@@ -9,8 +9,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wfst"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wfst"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + \
+    sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):

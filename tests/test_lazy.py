@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Machine, Semiring,
-                  accepted_pairs, cached, compose, connect, expand,
-                  lazy_compose, read_text, weight_of, write_text)
+                  accepted_pairs, cached, compose, expand, lazy_compose,
+                  read_text, weight_of, write_text)
 
 from wfst import ops
 from wfst.ops import LazyComposition, label_index, label_indexes

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from wfst import (BackoffModel, ContractError, FsmError, ParseError, Semiring,
-                  SymbolTable, best_path, build_lm_fsa, compose, count_ngrams,
-                  good_turing, katz_model, mle, observation_machine,
-                  read_arpa, write_arpa)
+from wfst import (ContractError, FsmError, ParseError, best_path,
+                  build_lm_fsa, compose, count_ngrams, good_turing,
+                  katz_model, mle, observation_machine, read_arpa, write_arpa)
 from wfst.ngram import (BOS, EOS, frequency_of_frequencies, model_path_cost,
                         read_counts, write_counts)
 
@@ -77,6 +76,10 @@ def test_mle():
     assert mle(ct2, ids(ct2, "a", "a")) == 0.0
     with pytest.raises(ContractError):
         mle(ct2, ids(ct2, "c", "c", "c"))
+    # a count file without a 'total' line reads as total 0
+    ct3 = read_counts("a\t3\n")
+    with pytest.raises(ContractError, match="total is 0"):
+        mle(ct3, ids(ct3, "a"))
 
 
 def test_good_turing_hand_formula_six_token_corpus():

@@ -1,12 +1,11 @@
 import math
-import random
 
 import pytest
 
 from wfst import (CascadeSpec, ContractError, KindMismatchError, Semiring,
-                  SemiringError, accepted_pairs, beam_decode, closure,
-                  complement, compose, concat, connect, difference, expand,
-                  intersect, lazy_compose, project, reverse, union, weight_of)
+                  SemiringError, beam_decode, closure, complement, compose,
+                  concat, difference, expand, intersect, lazy_compose,
+                  project, reverse, union, weight_of)
 from wfst.ops import compose as _compose
 from wfst.ops import label_index, label_indexes, merge_arcs
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -7,7 +6,6 @@ from wfst import (ContractError, ParseError, Rule, Semiring, SymbolTable,
                   apply_rewrite, compile_regex, compile_rule, compile_tree,
                   compile_weighted_rule, intersect_samelength, marker,
                   parse_rule_file, parse_tree, weight_of)
-from wfst.rewrite import _sigma_star
 
 from helpers import random_rule_spec, scan_rewrite, strings_up_to
 
@@ -396,7 +394,6 @@ def tree_oracle(inp, leaves, symtab, phi="a"):
     """Rewrite each phi occurrence per the unique leaf whose whole-context
     constraints hold; other symbols copy."""
     from wfst.rewrite import compile_regex as crx
-    import wfst
 
     def matches(rx, s, sigma):
         t = crx(rx, symtab, None, alphabet=sigma)

@@ -40,15 +40,11 @@ def _distances(m, forward, algo):
     d = [INF] * m.num_states
     if forward:
         d[m.start] = m.start_weight
-        edges = [(q, arc.nextstate, arc.weight)
-                 for q in order or m.states() for arc in m.arcs(q)]
     else:
         for q, w in m.finals.items():
             d[q] = w
-        edges = [(arc.nextstate, q, arc.weight)
-                 for q in reversed(order or m.states()) for arc in m.arcs(q)]
     if algo == "dijkstra":
-        if any(w < 0 for _, _, w in edges):
+        if any(arc.weight < 0 for _, arc in m.all_arcs()):
             raise ContractError("negative weight given to dijkstra")
         heap = [(d[m.start], m.start)]
         while heap:
@@ -59,12 +55,28 @@ def _distances(m, forward, algo):
                         d[arc.nextstate] = x + arc.weight
                         heapq.heappush(heap, (x + arc.weight, arc.nextstate))
         return dict(enumerate(d))
+    # in place over the arcs: one pass in topological order settles every
+    # distance; on cyclic input passes repeat until nothing lowers
+    states = m.states() if order is None else order
     for _ in range(m.num_states + 1):
         changed = False
-        for u, v, w in edges:
-            if d[u] + w < d[v]:
-                d[v] = d[u] + w
-                changed = True
+        if forward:
+            for u in states:
+                x = d[u]
+                for arc in m.arcs(u):
+                    y = x + arc.weight
+                    if y < d[arc.nextstate]:
+                        d[arc.nextstate] = y
+                        changed = True
+        else:
+            for v in reversed(states):
+                x = d[v]
+                for arc in m.arcs(v):
+                    y = d[arc.nextstate] + arc.weight
+                    if y < x:
+                        x = y
+                        changed = True
+                d[v] = x
         if order is not None or not changed:
             return dict(enumerate(d))
     raise ContractError("negative-weight cycle: shortest distances unbounded")

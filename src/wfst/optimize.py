@@ -5,19 +5,20 @@ Determinization is the weighted powerset construction: subset elements are
 (state, leftover-output-string, leftover-weight) triples, normalized so the
 best leftover weight is the semiring one and the leftover strings share no
 common nonempty prefix; an acceptor's strings stay empty (Mohri 1997), so
-only transducers do string work.  Frozen machines keep their topological
-order and acceptor flag, and weight pushing and a connect that changes
-nothing pass them on.  Minimization pushes weights (and output strings)
-toward the start state and then partitions the states, treating (input
-label, output residue, pushed weight) as one opaque label: acyclic input
-takes one O(V+E) signature pass in reverse topological order (Revuz 1992),
-cyclic input takes Hopcroft partition refinement.
+only transducers do string work.  Weight pushing returns an already pushed
+frozen machine as it is; a pushed copy keeps its input's topological order
+and acceptor flag.  Minimization pushes weights (and output strings) as it
+encodes each arc, building no pushed copy, and partitions the states on
+(input label, output residue, pushed weight) as one opaque label: acyclic
+input takes one O(V+E) signature pass in reverse topological order (Revuz
+1992), cyclic input takes Hopcroft partition refinement.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 from .decode import backward_distances
 from .errors import CapExceededError, ContractError, SemiringError
@@ -80,21 +81,21 @@ def _close_epsilon(kind, eps_arcs, best, cap):
                 queue.append(key)
 
 
-def _normalize(kind, best):
+def _normalize(kind, best, acceptor):
     """Factor total weight and common output prefix out of a subset
-    ``{(state, string): weight}``; its keys stay distinct."""
-    plus = kind.plus
-    total = kind.zero
-    for r in best.values():
-        total = plus(total, r)
-    strings = [s for _, s in best]
-    prefix = _lcp(strings) if all(strings) else ()
-    k = len(prefix)
+    ``{(state, string): weight}``; its keys stay distinct.  An acceptor's
+    strings are all empty, so it has no prefix to look for."""
+    total = min(best.values()) if kind is Semiring.TROPICAL else \
+        reduce(kind.plus, best.values(), kind.zero)
+    strings = () if acceptor else [s for _, s in best]
+    prefix = _lcp(strings) if strings and all(strings) else ()
+    if prefix:
+        k = len(prefix)
+        best = {(q, s[k:]): r for (q, s), r in best.items()}
     if kind is Semiring.TROPICAL:
-        subset = tuple(sorted((q, s[k:], r - total)
-                              for (q, s), r in best.items()))
+        subset = tuple(sorted((q, s, r - total) for (q, s), r in best.items()))
     else:  # boolean: weights are 1 for every live element
-        subset = tuple(sorted((q, s[k:], kind.one) for q, s in best))
+        subset = tuple(sorted((q, s, kind.one) for q, s in best))
     return total, prefix, subset
 
 
@@ -147,7 +148,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
             eps_arcs.setdefault(q, []).append(arc)
     start_elems = _close_epsilon(kind, eps_arcs, {(m.start, ()): one},
                                  expansion_cap)
-    total, prefix, start_subset = _normalize(kind, start_elems)
+    total, prefix, start_subset = _normalize(kind, start_elems, acceptor)
     # weight and output prefix that cannot be emitted before the first arc
     # stay inside the start subset
     start_subset = tuple(sorted(
@@ -200,8 +201,11 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 key = (arc.nextstate, ns)
                 group[key] = plus(group[key], w) if key in group else w
         for label in sorted(by_label):
-            total, prefix, target = _normalize(kind, _close_epsilon(
-                kind, eps_arcs, by_label[label], expansion_cap))
+            group = by_label[label]
+            # without input-epsilon arcs, only to raise on an oversized group
+            if eps_arcs or len(group) > expansion_cap:
+                _close_epsilon(kind, eps_arcs, group, expansion_cap)
+            total, prefix, target = _normalize(kind, group, acceptor)
             t = ids.get(target)
             if t is None:
                 if len(ids) >= expansion_cap:
@@ -232,28 +236,31 @@ def _square_machine(m):
     """Pairs of states co-reachable by a common input string, in
     breadth-first order, each mapped to the first such string.
 
-    Epsilon is treated as an ordinary input label here; arcs carry the
-    weight pair and the output label pair.
+    Equal non-epsilon input labels move both sides; an input-epsilon arc
+    moves its side alone, with weight one and no output on the other.  An
+    arc carries the input it reads (``()`` on an epsilon move), the weight
+    pair, the output label pair and the target pair.
     """
+    one = m.kind.one
     start = (m.start, m.start)
-    reach = {start: ()}
-    arcs = {start: []}
+    reach, arcs = {start: ()}, {}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         q1, q2 = pair
-        for a1 in m.arcs(q1):
-            for a2 in m.arcs(q2):
-                if a1.ilabel != a2.ilabel:
-                    continue
-                target = (a1.nextstate, a2.nextstate)
-                arcs[pair].append((a1.ilabel, a1.weight, a2.weight,
-                                   a1.olabel, a2.olabel, target))
-                if target not in reach:
-                    reach[target] = reach[pair] + (
-                        (a1.ilabel,) if a1.ilabel != EPSILON else ())
-                    arcs[target] = []
-                    queue.append(target)
+        moves = [((), a.weight, one, a.olabel, EPSILON, (a.nextstate, q2))
+                 for a in m.arcs(q1) if a.ilabel == EPSILON]
+        moves += [((), one, a.weight, EPSILON, a.olabel, (q1, a.nextstate))
+                  for a in m.arcs(q2) if a.ilabel == EPSILON]
+        moves += [((a1.ilabel,), a1.weight, a2.weight, a1.olabel, a2.olabel,
+                   (a1.nextstate, a2.nextstate))
+                  for a1 in m.arcs(q1) if a1.ilabel != EPSILON
+                  for a2 in m.arcs(q2) if a2.ilabel == a1.ilabel]
+        arcs[pair] = moves
+        for move in moves:
+            if move[-1] not in reach:
+                reach[move[-1]] = reach[pair] + move[0]
+                queue.append(move[-1])
     return reach, arcs
 
 
@@ -332,7 +339,7 @@ def twins_test(m: Machine) -> TwinReport:
         while queue:
             u = queue.popleft()
             dw, res = pot[u]
-            for label, w1, w2, o1, o2, v in internal[u]:
+            for _, w1, w2, o1, o2, v in internal[u]:
                 ndw = dw + (w1 - w2)
                 nres = _append_residue(res, o1, o2)
                 if max(len(nres[0]), len(nres[1])) > _RESIDUAL_STRING_CAP:
@@ -409,7 +416,7 @@ def local_determinize(m: Machine, k: int) -> Machine:
             group = groups.setdefault((il, ol), {})
             group[t, ()] = plus(group[t, ()], w) if (t, ()) in group else w
         for (il, ol), group in sorted(groups.items()):
-            total, _, target = _normalize(kind, group)
+            total, _, target = _normalize(kind, group, True)
             out.add_arc(q, il, ol, total, state_id(target))
     return out.freeze()
 
@@ -455,28 +462,40 @@ def _residue(p, q, arc):
     return full[len(p[q]):]
 
 
+def _weight_potentials(m):
+    """Backward distances of TROPICAL ``m`` (a weight push's potentials) and
+    the pushed start weight; raises on a dead state or an invalid weight."""
+    kind = m.kind
+    d = backward_distances(m)
+    dead = [q for q in m.states() if d[q] == kind.zero]
+    if dead:
+        raise ContractError(
+            f"state(s) {dead} cannot reach a final state; connect() first")
+    start_weight = m.start_weight + d[m.start]
+    if not kind.valid(start_weight):
+        raise kind.carrier_error(start_weight)
+    return d, start_weight
+
+
 def push(m: Machine, mode: str) -> Machine:
     """Move weights or output strings toward the start state.
 
     weights-mode (TROPICAL): reweight by shortest-distance potentials so
     the best completion from every state costs zero; each reweighted weight
-    is range-checked.  strings-mode (functional transducer): hoist each
-    state's common output prefix; weights are copied as they are.
+    is range-checked.  A frozen machine whose potentials are all zero is
+    already pushed and is returned as it is.  strings-mode (functional
+    transducer): hoist each state's common output prefix; weights are
+    copied as they are.
     """
     kind = m.kind
     one = kind.one
     if mode == "weights":
         if kind is not Semiring.TROPICAL:
             raise SemiringError("weight pushing requires the TROPICAL semiring")
-        d = backward_distances(m)
-        dead = [q for q in m.states() if d[q] == kind.zero]
-        if dead:
-            raise ContractError(
-                f"state(s) {dead} cannot reach a final state; connect() first")
+        d, start_weight = _weight_potentials(m)
+        if m._frozen and not any(d.values()):
+            return m
         valid = kind.valid
-        start_weight = m.start_weight + d[m.start]
-        if not valid(start_weight):
-            raise kind.carrier_error(start_weight)
         arcs = []
         for q in m.states():
             dq = d[q]
@@ -521,38 +540,47 @@ def push(m: Machine, mode: str) -> Machine:
 def _encoded_dfa(m):
     """Deterministic machine as (label -> target) maps over opaque labels.
 
-    Labels are (ilabel, output-residue, pushed-weight) triples after weight
-    (and, for transducers, string) pushing.  A non-final state whose one
-    arc is an identity move (input epsilon, no residue, weight one) is
-    routed through to its target and left out, with the start too.
-    Returns the pushed machine, the maps, the final weights, the hoisted
-    start prefix and the start state.
+    Labels are (ilabel, output-residue, pushed-weight) triples: a TROPICAL
+    weight is pushed as it is encoded, by the potentials ``push`` would
+    use, and a transducer's output by its string potentials.  A non-final
+    state whose one arc is an identity move (input epsilon, no residue,
+    weight one) is routed through to its target and left out, with the
+    start too.  Returns the maps, the pushed final weights, the hoisted
+    start prefix, the start state and the pushed start weight.
     """
-    work = m
-    if work.kind is Semiring.TROPICAL:
-        work = push(work, "weights")
-    prefix = ()
-    if not work.is_acceptor():
-        p = _string_potentials(work)
-        prefix = p[work.start]
-        enc = {q: {(arc.ilabel, _residue(p, q, arc), arc.weight): arc.nextstate
-                   for arc in work.arcs(q)}
-               for q in work.states()}
-    else:
-        enc = {q: {(arc.ilabel, (), arc.weight): arc.nextstate
-                   for arc in work.arcs(q)}
-               for q in work.states()}
-    identity = (EPSILON, (), work.kind.one)
+    kind = m.kind
+    valid, zero = kind.valid, kind.zero
+    d, start_weight = (_weight_potentials(m) if kind is Semiring.TROPICAL
+                       else (None, m.start_weight))
+    p = None if m.is_acceptor() else _string_potentials(m)
+    prefix = p[m.start] if p else ()
+    enc = {}
+    for q in m.states():
+        row = enc[q] = {}
+        for arc in m.arcs(q):
+            t, w = arc.nextstate, arc.weight
+            if d is not None:
+                w = w + d[t] - d[q]
+                if not valid(w):
+                    raise kind.carrier_error(w)
+            row[arc.ilabel, () if p is None else _residue(p, q, arc), w] = t
+    identity = (EPSILON, (), kind.one)
     hop = {q: row[identity] for q, row in enc.items()
-           if len(row) == 1 and identity in row and q not in work.finals}
+           if len(row) == 1 and identity in row and q not in m.finals}
     for q, t in hop.items():
         while t in hop:  # connected input: no cycle of identity moves
             t = hop[t]
         hop[q] = t
-    enc = {q: {label: hop.get(t, t) for label, t in row.items()}
-           for q, row in enc.items() if q not in hop}
-    finals = {q: work.final(q) for q in enc}
-    return work, enc, finals, prefix, hop.get(work.start, work.start)
+    if hop:
+        enc = {q: {label: hop.get(t, t) for label, t in row.items()}
+               for q, row in enc.items() if q not in hop}
+    finals = dict.fromkeys(enc, zero)  # no final state is routed through
+    for q, w in m.finals.items():
+        w = w if d is None else w - d[q]
+        if w != zero and not valid(w):
+            raise kind.carrier_error(w)
+        finals[q] = w
+    return enc, finals, prefix, hop.get(m.start, m.start), start_weight
 
 
 def _hopcroft(states, enc, finals):
@@ -652,8 +680,8 @@ def minimize(m: Machine) -> Machine:
     if not m.finals:
         return m
     kind = m.kind
-    work, enc, finals, prefix, start = _encoded_dfa(m)
-    order = work.topological_order()
+    enc, finals, prefix, start, start_weight = _encoded_dfa(m)
+    order = m.topological_order()
     if order is None:
         index = _hopcroft(list(enc), enc, finals)
     else:
@@ -662,7 +690,7 @@ def minimize(m: Machine) -> Machine:
     arcs = [[]]
     out_finals = {}
     queue = deque([start])
-    acceptor = work.is_acceptor()
+    acceptor = m.is_acceptor()
     while queue:
         rep = queue.popleft()
         cls = ids[index[rep]]
@@ -684,7 +712,7 @@ def minimize(m: Machine) -> Machine:
         arcs.append([])
         _emit_string(arcs, start, EPSILON, prefix, kind.one, 0, kind.one)
     return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, out_finals,
-                               start, work.start_weight)
+                               start, start_weight)
 
 
 # -- equivalence --------------------------------------------------------

@@ -145,8 +145,18 @@ def test_backward_distances_match_enumeration_cyclic(machine):
     check_against_enumeration(*machine)
 
 
+NEGATIVE_WEIGHTS = (-1.5, -0.25, 0.0, 0.5, 2.5)
+
+
 @settings(deadline=None)
-@given(small_machines(acyclic=True, weights=(-1.5, -0.25, 0.0, 0.5, 2.5)))
+@given(small_machines(acyclic=True, weights=NEGATIVE_WEIGHTS))
+def test_backward_distances_match_enumeration_negative_weights(machine):
+    # every path of an acyclic machine is simple
+    check_against_enumeration(*machine)
+
+
+@settings(deadline=None)
+@given(small_machines(acyclic=True, weights=NEGATIVE_WEIGHTS))
 def test_forward_distances_match_enumeration_negative_weights(machine):
     n, arcs, _ = machine
     m = acceptor(T, arcs, {}, num_states=n)

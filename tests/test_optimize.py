@@ -132,6 +132,18 @@ def test_twins_violation_blows_determinize_cap():
         determinize(TWIN_VIOLATION, expansion_cap=500)
 
 
+def test_twins_violation_through_an_epsilon_move():
+    # states 0 and 1 are both reached by the empty string, 1 through an
+    # epsilon arc; their cycles on label 2 cost 2 and 0
+    m = acceptor(T, [(0, 0, 0.5, 1), (0, 0, 1.0, 1), (0, 2, 2.0, 0),
+                     (1, 1, 2.0, 1), (1, 2, 0.0, 1), (1, 3, 1.0, 2)], [1, 2])
+    report = twins_test(m)
+    assert not report.has_twin_property
+    assert report.witness[:2] == ((0, 1), ())
+    with pytest.raises(CapExceededError):
+        determinize(m, expansion_cap=500)
+
+
 @pytest.mark.parametrize("arcs", [
     [(0, 2, 2, 0.5, 0), (0, 2, 3, 0.5, 0)],                     # on input
     [(0, 0, 2, 0.5, 0), (0, 0, 3, 0.5, 0), (0, 1, 1, 0.0, 1)],  # on epsilon
@@ -251,6 +263,22 @@ def test_overflowing_weights_raise():
             determinize(m)
 
 
+def test_push_weights_passes_a_pushed_frozen_machine_through():
+    pushed = push(acceptor(T, [(0, 1, 1.0, 1), (0, 2, 0.5, 1), (1, 1, 0.25, 2)],
+                           {1: 0.5, 2: 0.0}), "weights")
+    assert push(pushed, "weights") is pushed
+    mutable = Machine(T)
+    mutable.add_states(pushed.num_states)
+    for q, arc in pushed.all_arcs():
+        mutable.add_arc(q, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
+    for q, w in pushed.finals.items():
+        mutable.set_final(q, w)
+    mutable.set_start(pushed.start, pushed.start_weight)
+    again = push(mutable, "weights")
+    assert again is not mutable
+    assert write_text(again) == write_text(pushed)
+
+
 def test_push_weights_needs_coaccessible():
     m = acceptor(T, [(0, 1, 0.0, 1), (0, 2, 0.0, 2)], [1], num_states=3)
     with pytest.raises(ContractError):
@@ -309,6 +337,17 @@ def test_push_weights_preserves_weight_of(m):
         set(enum_paths(pushed, pushed.num_states))
     for inp, out in pairs:
         assert weight_of(pushed, inp, out) == weight_of(m, inp, out)
+
+
+@settings(deadline=None)
+@given(acyclic_machines())
+def test_push_weights_is_idempotent(m):
+    m = connect(m)
+    assume(m.finals)
+    once = push(m, "weights")
+    twice = push(once, "weights")
+    assert write_text(twice) == write_text(once)
+    assert twice.start_weight == once.start_weight
 
 
 # -- minimize ------------------------------------------------------------
@@ -491,8 +530,8 @@ def test_signature_pass_partitions_like_hopcroft(m, copy, change, k):
         # every state equivalent to its copy, or all but a few
         assume(det.kind is T or change in (None, "olabel"))
         det = with_copy(det, change, k)
-    work, enc, finals, _, _ = optimize._encoded_dfa(det)
-    order = work.topological_order()
+    enc, finals, _, _, _ = optimize._encoded_dfa(det)
+    order = det.topological_order()
     assert order is not None
     assert partition(optimize._signature_classes(order, enc, finals)) == \
         partition(optimize._hopcroft(list(enc), enc, finals))

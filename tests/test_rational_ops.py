@@ -1,16 +1,18 @@
 import math
+import random
 
 import pytest
 
 from wfst import (CascadeSpec, ContractError, KindMismatchError, Semiring,
                   SemiringError, beam_decode, closure, complement, compose,
-                  concat, difference, expand, intersect, lazy_compose,
-                  project, reverse, union, weight_of)
+                  concat, difference, equivalent, expand, intersect,
+                  lazy_compose, project, reverse, twins_test, union,
+                  weight_of)
 from wfst.ops import compose as _compose
 from wfst.ops import label_index, label_indexes, merge_arcs
 
-from helpers import (acceptor, bounded_pairs, build, sample_machines,
-                     strings_up_to)
+from helpers import (acceptor, bounded_pairs, build, random_machine,
+                     sample_machines, strings_up_to)
 
 T = Semiring.TROPICAL
 B = Semiring.BOOLEAN
@@ -62,6 +64,32 @@ def test_compose_oracle_real_acyclic():
         ms = sample_machines(300 + i, 2, kind=R, max_states=4, max_arcs=6,
                              acyclic=True)
         check_compose_pair(ms[0], ms[1], tol=1e-9)
+
+
+def draw_acceptor(rng, kind):
+    m = None
+    while m is None:
+        m = random_machine(rng, kind, max_states=5, max_arcs=9, acceptor=True,
+                           alphabet=(1, 2), weights=(0.0, 0.25, 0.5, 1.0))
+    return m
+
+
+def test_composition_is_associative_up_to_equivalence():
+    # dyadic weights keep every sum exact; a TROPICAL draw counts only when
+    # both groupings have the twin property, so that equivalent's
+    # determinize terminates; cyclic results take minimize's Hopcroft path
+    rng = random.Random(41)
+    cyclic = {B: 0, T: 0}
+    for kind in (B, T) * 60:
+        a, b, c = (draw_acceptor(rng, kind) for _ in range(3))
+        left = compose(compose(a, b), c)
+        right = compose(a, compose(b, c))
+        if kind is T and not (twins_test(left).has_twin_property
+                              and twins_test(right).has_twin_property):
+            continue
+        assert equivalent(left, right)
+        cyclic[kind] += bool(left.finals) and left.topological_order() is None
+    assert cyclic[B] >= 25 and cyclic[T] >= 5, cyclic
 
 
 def test_unfiltered_composition_overcounts():

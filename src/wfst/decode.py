@@ -55,8 +55,6 @@ def _distances(m, forward, algo):
                         d[arc.nextstate] = x + arc.weight
                         heapq.heappush(heap, (x + arc.weight, arc.nextstate))
         return dict(enumerate(d))
-    # in place over the arcs: one pass in topological order settles every
-    # distance; on cyclic input passes repeat until nothing lowers
     states = m.states() if order is None else order
     for _ in range(m.num_states + 1):
         changed = False
@@ -70,13 +68,11 @@ def _distances(m, forward, algo):
                         changed = True
         else:
             for v in reversed(states):
-                x = d[v]
                 for arc in m.arcs(v):
                     y = d[arc.nextstate] + arc.weight
-                    if y < x:
-                        x = y
+                    if y < d[v]:
+                        d[v] = y
                         changed = True
-                d[v] = x
         if order is not None or not changed:
             return dict(enumerate(d))
     raise ContractError("negative-weight cycle: shortest distances unbounded")

@@ -47,6 +47,15 @@ def _lcp(strings):
 # -- determinization ----------------------------------------------------
 
 
+def _epsilon_arcs(m):
+    """Input-epsilon arcs of ``m`` by source state."""
+    eps_arcs = {}
+    for q, arc in m.all_arcs():
+        if arc.ilabel == EPSILON:
+            eps_arcs.setdefault(q, []).append(arc)
+    return eps_arcs
+
+
 def _close_epsilon(kind, eps_arcs, best, cap):
     """Extend a subset, ``{(state, leftover string): weight}``, in place
     along the input-epsilon arcs ``eps_arcs`` (state -> arcs); returns it.
@@ -54,10 +63,14 @@ def _close_epsilon(kind, eps_arcs, best, cap):
     A subset of more than ``cap`` elements raises: on a non-subsequentiable
     transducer the leftover output strings can double with every symbol, so
     a few subsets would otherwise exhaust memory long before the cap on
-    their number is reached.
+    their number is reached.  A negative-weight epsilon cycle, whose
+    closure never settles, raises ``ContractError``.
     """
+    if not eps_arcs and len(best) <= cap:
+        return best
     times, valid = kind.times, kind.valid
-    queue = deque(best if eps_arcs else ())
+    queue = deque(best)
+    hops = dict.fromkeys(best, 0)  # epsilon arcs behind each best weight
     while True:
         # every added element is queued, so this sees the final size too
         if len(best) > cap:
@@ -67,7 +80,7 @@ def _close_epsilon(kind, eps_arcs, best, cap):
         if not queue:
             return best
         q, s = queue.popleft()
-        r = best[(q, s)]
+        r, h = best[(q, s)], hops[(q, s)] + 1
         for arc in eps_arcs.get(q, ()):
             ns = s if arc.olabel == EPSILON else s + (arc.olabel,)
             if len(ns) > _RESIDUAL_STRING_CAP:
@@ -77,16 +90,18 @@ def _close_epsilon(kind, eps_arcs, best, cap):
                 raise kind.carrier_error(nr)
             key = (arc.nextstate, ns)
             if key not in best or kind.compare(nr, best[key]) < 0:
-                best[key] = nr
+                best[key], hops[key] = nr, h
+                # its path repeats an element, on a cycle that lowered it
+                if h >= len(best):
+                    raise ContractError("negative-weight input-epsilon cycle")
                 queue.append(key)
 
 
 def _normalize(kind, best, acceptor):
-    """Factor total weight and common output prefix out of a subset
+    """Factor total weight and common output prefix out of a nonempty subset
     ``{(state, string): weight}``; its keys stay distinct.  An acceptor's
     strings are all empty, so it has no prefix to look for."""
-    total = min(best.values()) if kind is Semiring.TROPICAL else \
-        reduce(kind.plus, best.values(), kind.zero)
+    total = reduce(kind.plus, best.values())
     strings = () if acceptor else [s for _, s in best]
     prefix = _lcp(strings) if strings and all(strings) else ()
     if prefix:
@@ -142,10 +157,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     acceptor = m.is_acceptor()
     if not acceptor:
         m = connect(m)
-    eps_arcs = {}
-    for q, arc in m.all_arcs():
-        if arc.ilabel == EPSILON:
-            eps_arcs.setdefault(q, []).append(arc)
+    eps_arcs = _epsilon_arcs(m)
     start_elems = _close_epsilon(kind, eps_arcs, {(m.start, ()): one},
                                  expansion_cap)
     total, prefix, start_subset = _normalize(kind, start_elems, acceptor)
@@ -201,11 +213,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 key = (arc.nextstate, ns)
                 group[key] = plus(group[key], w) if key in group else w
         for label in sorted(by_label):
-            group = by_label[label]
-            # without input-epsilon arcs, only to raise on an oversized group
-            if eps_arcs or len(group) > expansion_cap:
-                _close_epsilon(kind, eps_arcs, group, expansion_cap)
-            total, prefix, target = _normalize(kind, group, acceptor)
+            total, prefix, target = _normalize(kind, _close_epsilon(
+                kind, eps_arcs, by_label[label], expansion_cap), acceptor)
             t = ids.get(target)
             if t is None:
                 if len(ids) >= expansion_cap:
@@ -236,30 +245,38 @@ def _square_machine(m):
     """Pairs of states co-reachable by a common input string, in
     breadth-first order, each mapped to the first such string.
 
-    Equal non-epsilon input labels move both sides; an input-epsilon arc
-    moves its side alone, with weight one and no output on the other.  An
-    arc carries the input it reads (``()`` on an epsilon move), the weight
-    pair, the output label pair and the target pair.
+    Input epsilons are removed as ``determinize`` removes them: a move pairs
+    two arcs on one non-epsilon label that leave the epsilon closures of the
+    pair's states, after their shortest closure paths.  A move carries the
+    label, the weight pair, the output string pair and the target pair.
     """
-    one = m.kind.one
+    kind = m.kind
+    eps_arcs = _epsilon_arcs(m)
+    leaving = []  # per state: label -> [(weight, output string, target)]
+    for q in m.states():
+        row = {}
+        closure = _close_epsilon(kind, eps_arcs, {(q, ()): kind.one},
+                                 DEFAULT_EXPANSION_CAP)
+        for (p, s), r in closure.items():
+            for a in m.arcs(p):
+                if a.ilabel != EPSILON:
+                    o = s if a.olabel == EPSILON else s + (a.olabel,)
+                    row.setdefault(a.ilabel, []).append(
+                        (kind.times(r, a.weight), o, a.nextstate))
+        leaving.append(row)
     start = (m.start, m.start)
     reach, arcs = {start: ()}, {}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
-        q1, q2 = pair
-        moves = [((), a.weight, one, a.olabel, EPSILON, (a.nextstate, q2))
-                 for a in m.arcs(q1) if a.ilabel == EPSILON]
-        moves += [((), one, a.weight, EPSILON, a.olabel, (q1, a.nextstate))
-                  for a in m.arcs(q2) if a.ilabel == EPSILON]
-        moves += [((a1.ilabel,), a1.weight, a2.weight, a1.olabel, a2.olabel,
-                   (a1.nextstate, a2.nextstate))
-                  for a1 in m.arcs(q1) if a1.ilabel != EPSILON
-                  for a2 in m.arcs(q2) if a2.ilabel == a1.ilabel]
-        arcs[pair] = moves
-        for move in moves:
+        other = leaving[pair[1]]
+        arcs[pair] = [(label, w1, w2, o1, o2, (t1, t2))
+                      for label, row in leaving[pair[0]].items()
+                      for w1, o1, t1 in row
+                      for w2, o2, t2 in other.get(label, ())]
+        for move in arcs[pair]:
             if move[-1] not in reach:
-                reach[move[-1]] = reach[pair] + move[0]
+                reach[move[-1]] = reach[pair] + (move[0],)
                 queue.append(move[-1])
     return reach, arcs
 
@@ -304,11 +321,7 @@ def _sccs(nodes, edges):
 
 def _append_residue(res, o1, o2):
     """Track the pair of cycle outputs reduced by their common prefix."""
-    r1, r2 = res
-    if o1 != EPSILON:
-        r1 = r1 + (o1,)
-    if o2 != EPSILON:
-        r2 = r2 + (o2,)
+    r1, r2 = res[0] + o1, res[1] + o2
     k = len(_lcp([r1, r2])) if r1 and r2 else 0
     return (r1[k:], r2[k:])
 
@@ -323,7 +336,10 @@ def twins_test(m: Machine) -> TwinReport:
     """
     if m.kind not in (Semiring.TROPICAL, Semiring.BOOLEAN):
         raise ContractError("twins_test expects a TROPICAL or BOOLEAN machine")
-    reach, sq_arcs = _square_machine(m)  # access strings for witnesses
+    try:
+        reach, sq_arcs = _square_machine(m)  # access strings for witnesses
+    except CapExceededError as err:  # an input-epsilon cycle with output
+        return TwinReport(False, (None, None, str(err)))
     nodes = list(reach)
     edges = {n: [a[-1] for a in sq_arcs[n]] for n in nodes}
     comp = _sccs(nodes, edges)
@@ -463,8 +479,8 @@ def _residue(p, q, arc):
 
 
 def _weight_potentials(m):
-    """Backward distances of TROPICAL ``m`` (a weight push's potentials) and
-    the pushed start weight; raises on a dead state or an invalid weight."""
+    """Weight-push potentials of TROPICAL ``m`` (its backward distances) and
+    its pushed start and final weights; raises on a dead state or overflow."""
     kind = m.kind
     d = backward_distances(m)
     dead = [q for q in m.states() if d[q] == kind.zero]
@@ -472,9 +488,22 @@ def _weight_potentials(m):
         raise ContractError(
             f"state(s) {dead} cannot reach a final state; connect() first")
     start_weight = m.start_weight + d[m.start]
-    if not kind.valid(start_weight):
-        raise kind.carrier_error(start_weight)
-    return d, start_weight
+    finals = {q: w - d[q] for q, w in m.finals.items()}
+    for w in (start_weight, *finals.values()):
+        if not kind.valid(w):
+            raise kind.carrier_error(w)
+    return d, start_weight, finals
+
+
+def _pushed_arcs(m, d):
+    """(source, arc, weight) for each arc of ``m``, the weight reweighted by
+    potentials ``d`` (None: kept as it is) and range-checked."""
+    kind = m.kind
+    for q, arc in m.all_arcs():
+        w = arc.weight if d is None else arc.weight + d[arc.nextstate] - d[q]
+        if not kind.valid(w):
+            raise kind.carrier_error(w)
+        yield q, arc, w
 
 
 def push(m: Machine, mode: str) -> Machine:
@@ -492,27 +521,12 @@ def push(m: Machine, mode: str) -> Machine:
     if mode == "weights":
         if kind is not Semiring.TROPICAL:
             raise SemiringError("weight pushing requires the TROPICAL semiring")
-        d, start_weight = _weight_potentials(m)
+        d, start_weight, finals = _weight_potentials(m)
         if m._frozen and not any(d.values()):
             return m
-        valid = kind.valid
-        arcs = []
-        for q in m.states():
-            dq = d[q]
-            row = []
-            for arc in m.arcs(q):
-                w = arc.weight + d[arc.nextstate] - dq
-                if not valid(w):
-                    raise kind.carrier_error(w)
-                row.append(Arc(arc.ilabel, arc.olabel, w, arc.nextstate))
-            arcs.append(row)
-        finals = {}
-        for q, w in m.finals.items():
-            w -= d[q]
-            if w != kind.zero:
-                if not valid(w):
-                    raise kind.carrier_error(w)
-                finals[q] = w
+        arcs = [[] for _ in m.states()]
+        for q, arc, w in _pushed_arcs(m, d):
+            arcs[q].append(Arc(arc.ilabel, arc.olabel, w, arc.nextstate))
         out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals,
                                   m.start, start_weight)
         out._inherit_shape(m)
@@ -549,21 +563,15 @@ def _encoded_dfa(m):
     start prefix, the start state and the pushed start weight.
     """
     kind = m.kind
-    valid, zero = kind.valid, kind.zero
-    d, start_weight = (_weight_potentials(m) if kind is Semiring.TROPICAL
-                       else (None, m.start_weight))
+    d, start_weight, pushed = (
+        _weight_potentials(m) if kind is Semiring.TROPICAL
+        else (None, m.start_weight, m.finals))
     p = None if m.is_acceptor() else _string_potentials(m)
     prefix = p[m.start] if p else ()
-    enc = {}
-    for q in m.states():
-        row = enc[q] = {}
-        for arc in m.arcs(q):
-            t, w = arc.nextstate, arc.weight
-            if d is not None:
-                w = w + d[t] - d[q]
-                if not valid(w):
-                    raise kind.carrier_error(w)
-            row[arc.ilabel, () if p is None else _residue(p, q, arc), w] = t
+    enc = {q: {} for q in m.states()}
+    for q, arc, w in _pushed_arcs(m, d):
+        enc[q][arc.ilabel, () if p is None else _residue(p, q, arc), w] = \
+            arc.nextstate
     identity = (EPSILON, (), kind.one)
     hop = {q: row[identity] for q, row in enc.items()
            if len(row) == 1 and identity in row and q not in m.finals}
@@ -574,12 +582,8 @@ def _encoded_dfa(m):
     if hop:
         enc = {q: {label: hop.get(t, t) for label, t in row.items()}
                for q, row in enc.items() if q not in hop}
-    finals = dict.fromkeys(enc, zero)  # no final state is routed through
-    for q, w in m.finals.items():
-        w = w if d is None else w - d[q]
-        if w != zero and not valid(w):
-            raise kind.carrier_error(w)
-        finals[q] = w
+    finals = dict.fromkeys(enc, kind.zero)
+    finals.update(pushed)  # no final state is routed through
     return enc, finals, prefix, hop.get(m.start, m.start), start_weight
 
 

@@ -134,14 +134,44 @@ def test_twins_violation_blows_determinize_cap():
 
 def test_twins_violation_through_an_epsilon_move():
     # states 0 and 1 are both reached by the empty string, 1 through an
-    # epsilon arc; their cycles on label 2 cost 2 and 0
+    # epsilon arc, and both again by the string 2; their cycles on label 2
+    # cost 2 and 0
     m = acceptor(T, [(0, 0, 0.5, 1), (0, 0, 1.0, 1), (0, 2, 2.0, 0),
                      (1, 1, 2.0, 1), (1, 2, 0.0, 1), (1, 3, 1.0, 2)], [1, 2])
     report = twins_test(m)
     assert not report.has_twin_property
-    assert report.witness[:2] == ((0, 1), ())
+    assert report.witness[:2] == ((0, 1), (2,))
     with pytest.raises(CapExceededError):
         determinize(m, expansion_cap=500)
+
+
+def test_twins_holds_on_a_weighted_epsilon_cycle():
+    # the epsilon self-loop costs 1 on one side of a pair and nothing on
+    # the other, but the shortest epsilon path from 0 to 0 is the empty one
+    m = acceptor(T, [(0, 0, 1.0, 0), (0, 1, 0.0, 1)], [1])
+    assert twins_test(m).has_twin_property
+    d = determinize(m)
+    assert d.is_deterministic()
+    for s in strings_up_to((1,), 3):
+        assert weight_of(d, s, max_path_len=8) == \
+            weight_of(m, s, max_path_len=8)
+
+
+def test_negative_epsilon_cycle_raises():
+    # the epsilon closure of state 0 never settles
+    m = acceptor(T, [(0, 0, 0.5, 1), (1, 0, -1.0, 0), (1, 1, 0.0, 2)], [2])
+    with pytest.raises(ContractError):
+        determinize(m)
+    with pytest.raises(ContractError):
+        twins_test(m)
+
+
+def test_twins_fails_on_an_epsilon_cycle_with_output():
+    # the empty input maps to every string of 2s
+    m = build(T, [(0, 0, 2, 0.5, 0), (0, 1, 1, 0.0, 1)], [1])
+    report = twins_test(m)
+    assert not report.has_twin_property
+    assert "without bound" in report.witness[2]
 
 
 @pytest.mark.parametrize("arcs", [

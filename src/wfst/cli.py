@@ -61,11 +61,7 @@ def _load(path, args):
                      kind=_SEMIRINGS[args.semiring], acceptor=acceptor)
 
 
-def _emit(args, m):
-    _write(args.output, write_text(m))
-
-
-def _labels_text(m, labels, table):
+def _labels_text(labels, table):
     if table is None:
         return " ".join(str(x) for x in labels)
     return " ".join(table.find(x) for x in labels)
@@ -74,100 +70,82 @@ def _labels_text(m, labels, table):
 # -- fst -----------------------------------------------------------------
 
 
+def _shortest(args, m):
+    d = dec.shortest_distance(m, args.algo)
+    return "\n".join(f"{q}\t{m.kind.format(d[q])}" for q in sorted(d)
+                     if d[q] != m.kind.zero) + "\n"
+
+
+def _bestpath(args, m):
+    (inp, out), cost = dec.best_path(m)
+    return (f"{_labels_text(inp, m.isymbols)}\t"
+            f"{_labels_text(out, m.osymbols)}\t{m.kind.format(cost)}\n")
+
+
+def _equivalent(args, a, b):
+    same = optimize.equivalent(a, b)
+    print("equivalent" if same else "not equivalent")
+    return 0 if same else 1
+
+
+#: subcommand -> (machine files read, extra flags, action(args, *machines));
+#: an action returns a machine or text for --output, or, for ``equivalent``
+#: (which has no --output), the exit code after printing its verdict
+_FST_COMMANDS = {
+    "compile": (1, {}, lambda args, m: m),
+    "print": (1, {"--dot": {"action": "store_true",
+                            "help": "graphviz-style dump"}},
+              lambda args, m: _dot_text(m) if args.dot else m),
+    "compose": (2, {}, lambda args, a, b: ops.compose(a, b)),
+    "intersect": (2, {}, lambda args, a, b: ops.intersect(a, b)),
+    "union": (2, {}, lambda args, a, b: ops.union(a, b)),
+    "concat": (2, {}, lambda args, a, b: ops.concat(a, b)),
+    "closure": (1, {}, lambda args, m: ops.closure(m)),
+    "reverse": (1, {}, lambda args, m: ops.reverse(m)),
+    "project": (1, {"--side": {"choices": ["input", "output"],
+                               "default": "input"}},
+                lambda args, m: ops.project(m, args.side)),
+    "complement": (1, {}, lambda args, m: ops.complement(m)),
+    "difference": (2, {}, lambda args, a, b: ops.difference(a, b)),
+    "determinize": (1, {}, lambda args, m: optimize.determinize(m)),
+    "localdet": (1, {"--k": {"type": int, "default": 4}},
+                 lambda args, m: optimize.local_determinize(m, args.k)),
+    "push": (1, {"--mode": {"choices": ["weights", "strings"],
+                            "default": "weights"}},
+             lambda args, m: optimize.push(m, args.mode)),
+    "minimize": (1, {}, lambda args, m: optimize.minimize(m)),
+    "equivalent": (2, {}, _equivalent),
+    "connect": (1, {}, lambda args, m: connect(m)),
+    "shortest": (1, {"--algo": {"choices": ["acyclic", "dijkstra",
+                                            "bellman_ford"],
+                                "default": "dijkstra"}}, _shortest),
+    "bestpath": (1, {}, _bestpath),
+}
+
+
 def _fst_parser():
     top = argparse.ArgumentParser(prog="fst", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def unary(name, **extra):
+    for name, (arity, extra, _) in _FST_COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("machine", help="machine text file, or -")
-        _machine_flags(p)
+        if arity == 1:
+            p.add_argument("machine", help="machine text file, or -")
+        else:
+            p.add_argument("machines", nargs=2, help="two machine files")
+        _machine_flags(p, output=name != "equivalent")
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
-        return p
-
-    def binary(name, output=True):
-        p = sub.add_parser(name)
-        p.add_argument("machines", nargs=2, help="two machine files")
-        _machine_flags(p, output=output)
-        return p
-
-    unary("compile")
-    unary("print", **{"--dot": {"action": "store_true",
-                                "help": "graphviz-style dump"}})
-    binary("compose")
-    binary("intersect")
-    binary("union")
-    binary("concat")
-    unary("closure")
-    unary("reverse")
-    unary("project", **{"--side": {"choices": ["input", "output"],
-                                   "default": "input"}})
-    unary("complement")
-    binary("difference")
-    unary("determinize")
-    unary("localdet", **{"--k": {"type": int, "default": 4}})
-    unary("push", **{"--mode": {"choices": ["weights", "strings"],
-                                "default": "weights"}})
-    unary("minimize")
-    binary("equivalent", output=False)
-    unary("connect")
-    unary("shortest", **{"--algo": {"choices": ["acyclic", "dijkstra",
-                                                "bellman_ford"],
-                                    "default": "dijkstra"}})
-    unary("bestpath")
     return top
 
 
 def _fst_run(args):
-    binary_ops = {"compose": ops.compose, "intersect": ops.intersect,
-                  "union": ops.union, "concat": ops.concat,
-                  "difference": ops.difference}
-    if args.command in binary_ops:
-        a, b = (_load(p, args) for p in args.machines)
-        _emit(args, binary_ops[args.command](a, b))
-        return 0
-    if args.command == "equivalent":
-        a, b = (_load(p, args) for p in args.machines)
-        if optimize.equivalent(a, b):
-            print("equivalent")
-            return 0
-        print("not equivalent")
-        return 1
-    m = _load(args.machine, args)
-    if args.command in ("compile", "print"):
-        if args.command == "print" and args.dot:
-            _write(args.output, _dot_text(m))
-        else:
-            _emit(args, m)
-    elif args.command == "closure":
-        _emit(args, ops.closure(m))
-    elif args.command == "reverse":
-        _emit(args, ops.reverse(m))
-    elif args.command == "project":
-        _emit(args, ops.project(m, args.side))
-    elif args.command == "complement":
-        _emit(args, ops.complement(m))
-    elif args.command == "determinize":
-        _emit(args, optimize.determinize(m))
-    elif args.command == "localdet":
-        _emit(args, optimize.local_determinize(m, args.k))
-    elif args.command == "push":
-        _emit(args, optimize.push(m, args.mode))
-    elif args.command == "minimize":
-        _emit(args, optimize.minimize(m))
-    elif args.command == "connect":
-        _emit(args, connect(m))
-    elif args.command == "shortest":
-        d = dec.shortest_distance(m, args.algo)
-        lines = [f"{q}\t{m.kind.format(d[q])}" for q in sorted(d)
-                 if d[q] != m.kind.zero]
-        _write(args.output, "\n".join(lines) + "\n")
-    elif args.command == "bestpath":
-        (inp, out), cost = dec.best_path(m)
-        _write(args.output,
-               f"{_labels_text(m, inp, m.isymbols)}\t"
-               f"{_labels_text(m, out, m.osymbols)}\t{m.kind.format(cost)}\n")
+    arity, _, action = _FST_COMMANDS[args.command]
+    paths = [args.machine] if arity == 1 else args.machines
+    result = action(args, *(_load(p, args) for p in paths))
+    if isinstance(result, int):
+        return result
+    _write(args.output, result if isinstance(result, str)
+           else write_text(result))
     return 0
 
 
@@ -177,8 +155,8 @@ def _dot_text(m):
         shape = "doublecircle" if q in m.finals else "circle"
         lines.append(f'{q} [shape={shape}];')
         for arc in m.arcs(q):
-            il = _labels_text(m, [arc.ilabel], m.isymbols)
-            ol = _labels_text(m, [arc.olabel], m.osymbols)
+            il = _labels_text([arc.ilabel], m.isymbols)
+            ol = _labels_text([arc.olabel], m.osymbols)
             lines.append(f'{q} -> {arc.nextstate} '
                          f'[label="{il}:{ol}/{m.kind.format(arc.weight)}"];')
     lines.append("}")
@@ -244,7 +222,7 @@ def _rule_run(args):
     results = rewrite.apply_rewrite(m, args.input.split(), mode=args.mode)
     lines = []
     for out, weight in results:
-        text = " ".join(table.find(x) for x in out)
+        text = _labels_text(out, table)
         lines.append(text if weight == m.kind.one
                      else f"{text}\t{m.kind.format(weight)}")
     _write("-", "\n".join(lines) + ("\n" if lines else ""))
@@ -332,10 +310,8 @@ def _decode_run(args):
     obs = [_resolve(t, first) for t in args.observations.split()]
     outputs, cost, stats = dec.beam_decode(dec.CascadeSpec(stages), obs,
                                            beam=args.beam)
-    out_table = tables[-1]
-    text = (" ".join(out_table.find(x) for x in outputs)
-            if out_table is not None else " ".join(str(x) for x in outputs))
-    print(f"{text}\t{Semiring.TROPICAL.format(cost)}")
+    print(f"{_labels_text(outputs, tables[-1])}\t"
+          f"{Semiring.TROPICAL.format(cost)}")
     print(f"# expanded {stats.expanded_states} states over {stats.frames} "
           f"frames, pruned {stats.pruned}", file=sys.stderr)
     return 0
@@ -349,7 +325,7 @@ def _dispatch(parser, runner, argv):
     try:
         return runner(args)
     except (ParseError, SymbolError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+            PermissionError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FsmError as exc:

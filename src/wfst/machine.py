@@ -74,7 +74,10 @@ class SymbolTable:
             if len(parts) != 2:
                 raise ParseError(f"expected 'symbol id', got {line!r}", lineno)
             try:
-                table.add(parts[0], int(parts[1]))
+                label = int(parts[1])
+                if label < 0:
+                    raise ValueError(f"label id {label} is negative")
+                table.add(parts[0], label)
             except (ValueError, SymbolError) as exc:
                 raise ParseError(str(exc), lineno) from None
         if EPSILON_SYMBOL not in table or table.find(EPSILON_SYMBOL) != EPSILON:
@@ -282,9 +285,6 @@ class Machine:
 
     def input_labels(self):
         return sorted({a.ilabel for _, a in self.all_arcs()} - {EPSILON})
-
-    def output_labels(self):
-        return sorted({a.olabel for _, a in self.all_arcs()} - {EPSILON})
 
     def __repr__(self):
         return (f"<Machine {self.kind.value} states={self.num_states} "

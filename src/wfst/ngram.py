@@ -278,47 +278,6 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
     return m.freeze()
 
 
-def model_path_cost(model: BackoffModel, fsa: Machine, sentence) -> float:
-    """Cost of walking the acceptor along the model's own back-off route.
-
-    Mirrors the estimation recursion arc by arc; equals the negated
-    sentence log-probability when the construction is faithful.
-    """
-    eos = model.symbols.find(EOS)
-    ids = [model.symbols.find(t) if isinstance(t, str) else t for t in sentence]
-    state = fsa.start
-    cost = fsa.start_weight
-
-    def step(state, label):
-        # follow back-off epsilons until an explicit arc for label exists
-        nonlocal cost
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 100:
-                raise FsmError("back-off loop")
-            arcs = {a.ilabel: a for a in fsa.arcs(state)}
-            if label in arcs:
-                cost += arcs[label].weight
-                return arcs[label].nextstate
-            if EPSILON not in arcs:
-                raise FsmError(f"no path for label {label}")
-            cost += arcs[EPSILON].weight
-            state = arcs[EPSILON].nextstate
-
-    for w in ids:
-        state = step(state, w)
-    guard = 0
-    while fsa.final(state) == math.inf:
-        guard += 1
-        arcs = {a.ilabel: a for a in fsa.arcs(state)}
-        if EPSILON not in arcs or guard > 100:
-            raise FsmError("no final completion")
-        cost += arcs[EPSILON].weight
-        state = arcs[EPSILON].nextstate
-    return cost + fsa.final(state)
-
-
 def write_arpa(model: BackoffModel) -> str:
     """ARPA-style text dump: per-order sections of log10 P lines with
     trailing log10 back-off weights on context grams."""
@@ -328,11 +287,7 @@ def write_arpa(model: BackoffModel) -> str:
     sym = model.symbols.find
     lines = ["\\data\\"]
     grams_by_order = {k: [] for k in range(1, model.order + 1)}
-    for y, p in sorted(model.probs[()].items()):
-        grams_by_order[1].append(((y,), p))
     for h, table in model.probs.items():
-        if not h:
-            continue
         for y, p in sorted(table.items()):
             grams_by_order[len(h) + 1].append((h + (y,), p))
     # contexts that carry a back-off weight but no probability of their own
@@ -376,16 +331,14 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
             continue
         if section is None:
             raise ParseError(f"line outside any section: {raw!r}", lineno)
-        fields = line.split("\t") if "\t" in line else line.split()
-        words = fields[1].split() if "\t" in line else fields[1:1 + section]
+        fields = line.split()
+        words = fields[1:1 + section]
         if len(words) != section:
             raise ParseError(f"expected a {section}-gram: {raw!r}", lineno)
         try:
             logp = float(fields[0])
             backoff = None
-            if "\t" in line and len(fields) > 2:
-                backoff = float(fields[2])
-            elif "\t" not in line and len(fields) > 1 + section:
+            if len(fields) > 1 + section:
                 backoff = float(fields[1 + section])
             # NaN fails both tests; -inf, like -99, is probability zero
             if not logp <= 0.0:

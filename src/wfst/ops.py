@@ -147,20 +147,16 @@ class LazyComposition:
     miss ``read_set(b, ..., s2)`` cannot reach a final pair.  A's next
     labels are its output labels on ``s1``'s arcs, plus ``_END`` if ``s1``
     is final, or any label at all if one of those arcs writes epsilon --
-    except at the target of a B-alone move while the filter is on, where
-    A may not move alone until the next match, so only its own non-epsilon
-    labels count.  Each move is tested before its product is formed, and
-    a move to such a pair is dropped, so the pair never receives an id.
-    Moves, and the pair ids of the moves kept, come in ``merge_arcs``
-    order.
-
-    ``_filtered=False`` disables the epsilon filter (test-only; overcounts
-    redundant epsilon interleavings under non-idempotent semirings).
+    except at the target of a B-alone move, where A may not move alone
+    until the next match, so only its own non-epsilon labels count.  Each
+    move is tested before its product is formed, and a move to such a
+    pair is dropped, so the pair never receives an id.  Moves, and the
+    pair ids of the moves kept, come in ``merge_arcs`` order.
     """
 
     start = 0
 
-    def __init__(self, a, b, *, _filtered=True):
+    def __init__(self, a, b):
         self.a, self.b = a, b
         self.kind = check_composable(a, b)
         self.isymbols = a.isymbols
@@ -174,7 +170,6 @@ class LazyComposition:
         self._index_b = label_indexes(b)
         self._reads = label_indexes(b, "lookahead_sets")
         self._emits = {}  # s1 -> (after, direct) label sets, see _emits_of
-        self._filtered = _filtered
 
     def final(self, state):
         s1, s2, _ = self._pairs[state]
@@ -189,8 +184,7 @@ class LazyComposition:
         index = label_index(b, index_b, s2)
         eps_b = index.get(EPSILON, ())
         times, emits_of, add = self.kind.times, self._emits_of, self._add
-        filtered = self._filtered
-        both = not filtered or f == FILTER_INITIAL
+        both = f == FILTER_INITIAL
         result = []
         for arc_a in self.a.arcs(s1):
             n1 = arc_a.nextstate
@@ -207,13 +201,13 @@ class LazyComposition:
                         add(result, arc_a.ilabel, arc_b.olabel,
                             times(arc_a.weight, arc_b.weight),
                             (n1, n2, FILTER_INITIAL))
-            if arc_a.olabel == EPSILON and (not filtered or f != _B_ALONE):
+            if arc_a.olabel == EPSILON and f != _B_ALONE:
                 self._alone(result, arc_a.ilabel, EPSILON, arc_a.weight,
                             (n1, s2, _A_ALONE), emits_of(n1)[0])
-        if eps_b and (not filtered or f != _A_ALONE):
-            # A stays at s1; with the filter on it may not move alone from
-            # the target (s1, n2, _B_ALONE), so only its own labels count
-            emits = emits_of(s1)[1 if filtered else 0]
+        if eps_b and f != _A_ALONE:
+            # A stays at s1; it may not move alone from the target
+            # (s1, n2, _B_ALONE), so only its own labels count
+            emits = emits_of(s1)[1]
             for arc_b in eps_b:
                 self._alone(result, EPSILON, arc_b.olabel, arc_b.weight,
                             (s1, arc_b.nextstate, _B_ALONE), emits)
@@ -257,14 +251,13 @@ def lazy_compose(a, b) -> LazyComposition:
     return LazyComposition(a, b)
 
 
-def compose(a: Machine, b: Machine, *, _filtered=True) -> Machine:
+def compose(a: Machine, b: Machine) -> Machine:
     """Static composition: (u, w) -> sum_v A(u, v) (x) B(v, w), trimmed.
 
     Expands every pair state of ``LazyComposition`` in id order, which is
-    breadth-first order, then trims.  ``_filtered=False`` disables the
-    epsilon filter (test-only).
+    breadth-first order, then trims.
     """
-    view = LazyComposition(a, b, _filtered=_filtered)
+    view = LazyComposition(a, b)
     final, arcs_of, pairs = view.final, view.arcs, view._pairs
     zero = view.kind.zero
     arcs, finals, q = [], {}, 0
@@ -360,17 +353,18 @@ def project(a: Machine, side: str) -> Machine:
     """Acceptor over the chosen tape; path weights preserved."""
     if side not in ("input", "output"):
         raise ContractError(f"side must be 'input' or 'output', got {side!r}")
-    table = a.isymbols if side == "input" else a.osymbols
-    out = Machine(a.kind, table, table)
-    for q in a.states():
-        out.add_state()
-    out.set_start(a.start, a.start_weight)
-    for q, arc in a.all_arcs():
-        label = arc.ilabel if side == "input" else arc.olabel
-        out.add_arc(q, label, label, arc.weight, arc.nextstate)
-    for q, w in a.finals.items():
-        out.set_final(q, w)
-    return out.freeze()
+    tape = 0 if side == "input" else 1  # the label's field in an Arc
+    table = (a.isymbols, a.osymbols)[tape]
+    return _relabel(a, lambda arc: (arc[tape], arc[tape]), table, table)
+
+
+def _relabel(m, labels, isymbols, osymbols):
+    """Frozen copy of ``m`` whose arcs carry the label pairs
+    ``labels(arc)``, read through the given symbol tables."""
+    arcs = [[Arc(*labels(arc), arc.weight, arc.nextstate) for arc in m.arcs(q)]
+            for q in m.states()]
+    return Machine._from_parts(m.kind, isymbols, osymbols, arcs,
+                               dict(m.finals), m.start, m.start_weight)
 
 
 def _alphabet_of(*machines, alphabet=None):

@@ -17,13 +17,17 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import ContractError, ParseError
-from .machine import (EPSILON, Machine, SymbolTable, accepted_pairs, connect,
-                      observation_machine)
-from .ops import closure, complement, compose, concat, intersect, reverse, union
+from .machine import (EPSILON, Arc, Machine, SymbolTable, accepted_pairs,
+                      connect, observation_machine)
+from .ops import (_END, _relabel, closure, complement, compose, concat,
+                  intersect, read_set, reverse, union)
 from .optimize import determinize
 from .semiring import Semiring, require_same_kind
 
 _METACHARS = set("()|*+?[].~&")
+# '(' and '~' nest at most this deep, well inside Python's recursion limit
+# (each '(' level takes five parser frames)
+_MAX_NESTING = 100
 
 
 # -- regular expressions -------------------------------------------------
@@ -97,6 +101,7 @@ class _RegexParser:
         self.tokens = tokens
         self.sigma = sigma
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -110,6 +115,16 @@ class _RegexParser:
         m = self._alternation()
         if self.i != len(self.tokens):
             raise ParseError(f"trailing tokens at position {self.i}")
+        return m
+
+    def _nested(self, parse):
+        """``parse()`` one nesting level down, or ``ParseError`` past
+        ``_MAX_NESTING`` levels."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"pattern nests deeper than {_MAX_NESTING} levels")
+        m = parse()
+        self.depth -= 1
         return m
 
     def _alternation(self):
@@ -166,7 +181,7 @@ class _RegexParser:
             if self._peek() == ("meta", ")"):
                 self._take()
                 return _sigma_star(())
-            m = self._alternation()
+            m = self._nested(self._alternation)
             if self._take() != ("meta", ")"):
                 raise ParseError("unbalanced '('")
             return m
@@ -186,7 +201,7 @@ class _RegexParser:
         if value == ".":
             return _labels_machine(self.sigma)
         if value == "~":
-            return complement(self._atom(), alphabet=self.sigma)
+            return complement(self._nested(self._atom), alphabet=self.sigma)
         raise ParseError(f"unexpected operator {value!r}")
 
 
@@ -200,20 +215,6 @@ def compile_regex(pattern, symtab, classes=None, alphabet=None) -> Machine:
     tokens = _tokenize(pattern, symtab, classes or {})
     sigma = sorted(set(alphabet)) if alphabet is not None else symtab.labels()
     return _RegexParser(tokens, sigma).parse()
-
-
-def _accepts_empty(m):
-    seen = {m.start}
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        if m.final(q) != m.kind.zero:
-            return True
-        for arc in m.arcs(q):
-            if arc.ilabel == EPSILON and arc.nextstate not in seen:
-                seen.add(arc.nextstate)
-                queue.append(arc.nextstate)
-    return False
 
 
 # -- marker machines -----------------------------------------------------
@@ -342,17 +343,11 @@ def _parse_psi(psi):
 
 def _add_loops(m, labels):
     """Copy of a BOOLEAN acceptor with extra self-loops at every state."""
-    out = Machine(m.kind)
-    out.add_states(m.num_states)
-    out.set_start(m.start, m.start_weight)
-    for q, arc in m.all_arcs():
-        out.add_arc(q, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
-    for q in m.states():
-        for label in labels:
-            out.add_arc(q, label, label, m.kind.one, q)
-    for q, w in m.finals.items():
-        out.set_final(q, w)
-    return out.freeze()
+    one = m.kind.one
+    arcs = [[*m.arcs(q), *(Arc(label, label, one, q) for label in labels)]
+            for q in m.states()]
+    return Machine._from_parts(m.kind, None, None, arcs, dict(m.finals),
+                               m.start, m.start_weight)
 
 
 def _replace_machine(phi_m, psi_alts, sigma, rb, b1, b2):
@@ -411,7 +406,7 @@ def compile_weighted_rule(rule: Rule, symtab: SymbolTable | None = None, *,
     rho = compile_regex(rule.rho, symtab, classes, alphabet=sigma)
     alts = [(cost, compile_regex(p, symtab, classes, alphabet=sigma))
             for cost, p in psi_alts]
-    if _accepts_empty(phi):
+    if _END in read_set(phi, {}, {}, phi.start):
         raise ContractError("rule pattern must not accept the empty string")
 
     base = max(sigma, default=0) + 1
@@ -527,26 +522,11 @@ def intersect_samelength(t1: Machine, t2: Machine) -> Machine:
     code = {p: i + 1 for i, p in enumerate(pairs)}
 
     def encode(m):
-        enc = Machine(m.kind)
-        enc.add_states(m.num_states)
-        enc.set_start(m.start, m.start_weight)
-        for q, arc in m.all_arcs():
-            packed = code[(arc.ilabel, arc.olabel)]
-            enc.add_arc(q, packed, packed, arc.weight, arc.nextstate)
-        for q, w in m.finals.items():
-            enc.set_final(q, w)
-        return enc.freeze()
+        return _relabel(m, lambda arc: (code[(arc.ilabel, arc.olabel)],) * 2, None, None)
 
     meet = intersect(encode(t1), encode(t2))
-    out = Machine(t1.kind, t1.isymbols, t1.osymbols)
-    out.add_states(meet.num_states)
-    out.set_start(meet.start, meet.start_weight)
-    for q, arc in meet.all_arcs():
-        il, ol = pairs[arc.ilabel - 1]
-        out.add_arc(q, il, ol, arc.weight, arc.nextstate)
-    for q, w in meet.finals.items():
-        out.set_final(q, w)
-    return connect(out.freeze())
+    return connect(_relabel(meet, lambda arc: pairs[arc.ilabel - 1],
+                            t1.isymbols, t1.osymbols))
 
 
 @dataclass

@@ -88,12 +88,10 @@ class Semiring(enum.Enum):
 
     def compare(self, a: float, b: float) -> int:
         """Total order consistent with "better path": negative if a is better."""
-        if self is Semiring.REAL:
-            # higher probability is better
-            return (b > a) - (b < a)
-        if self is Semiring.BOOLEAN:
-            return (b > a) - (b < a)  # true (1.0) sorts before false
-        return (a > b) - (a < b)
+        if self is Semiring.TROPICAL:
+            return (a > b) - (a < b)
+        # a higher probability, and true (1.0) over false, is better
+        return (b > a) - (b < a)
 
     @property
     def idempotent(self) -> bool:

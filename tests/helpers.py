@@ -7,10 +7,11 @@ equivalence is computed from explicitly enumerated futures.
 """
 
 import itertools
+import math
 import random
 
-from wfst import Machine, Semiring, connect
-from wfst.machine import Arc
+from wfst import FsmError, Machine, Semiring, connect
+from wfst.machine import EPSILON, Arc
 from wfst.ops import FILTER_INITIAL, merge_arcs
 
 
@@ -143,6 +144,46 @@ def product_compose(a, b, filtered=True):
     return connect(Machine._from_parts(
         kind, a.isymbols, b.osymbols, arcs, finals, 0,
         kind.times(a.start_weight, b.start_weight)))
+
+
+def model_path_cost(model, fsa, sentence):
+    """Cost of walking the acceptor along the model's own back-off route.
+
+    Mirrors the estimation recursion arc by arc; equals the negated
+    sentence log-probability when the construction is faithful.
+    """
+    ids = [model.symbols.find(t) if isinstance(t, str) else t for t in sentence]
+    state = fsa.start
+    cost = fsa.start_weight
+
+    def step(state, label):
+        # follow back-off epsilons until an explicit arc for label exists
+        nonlocal cost
+        guard = 0
+        while True:
+            guard += 1
+            if guard > 100:
+                raise FsmError("back-off loop")
+            arcs = {a.ilabel: a for a in fsa.arcs(state)}
+            if label in arcs:
+                cost += arcs[label].weight
+                return arcs[label].nextstate
+            if EPSILON not in arcs:
+                raise FsmError(f"no path for label {label}")
+            cost += arcs[EPSILON].weight
+            state = arcs[EPSILON].nextstate
+
+    for w in ids:
+        state = step(state, w)
+    guard = 0
+    while fsa.final(state) == math.inf:
+        guard += 1
+        arcs = {a.ilabel: a for a in fsa.arcs(state)}
+        if EPSILON not in arcs or guard > 100:
+            raise FsmError("no final completion")
+        cost += arcs[EPSILON].weight
+        state = arcs[EPSILON].nextstate
+    return cost + fsa.final(state)
 
 
 def strings_up_to(alphabet, max_len):

@@ -20,12 +20,13 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, CapExceededError, CascadeSpec,
                   twins_test, union, weight_of, write_text)
 from wfst import ngram, ops, optimize, rewrite
 from wfst.cli import decode_main, fst_main, lm_main, rule_main
-from wfst.ngram import EOS, frequency_of_frequencies, model_path_cost
+from wfst.ngram import EOS, frequency_of_frequencies
 from wfst.rewrite import Rule, apply_rewrite, compile_weighted_rule
 
 from helpers import (WorkCapExceeded, acceptor, bounded_pairs, build,
-                     nerode_class_count, random_det_acceptor, random_machine,
-                     random_rule_spec, sample_machines, scan_rewrite)
+                     model_path_cost, nerode_class_count, product_compose,
+                     random_det_acceptor, random_machine, random_rule_spec,
+                     sample_machines, scan_rewrite)
 from test_decode import layered_distances, toy_cascade
 from test_ngram import viable_model
 from test_optimize import TWIN_VIOLATION, twin_satisfying_machines
@@ -159,7 +160,7 @@ def test_criterion_3_composition_oracle():
         a = build(R, [(0, 1, 2, 1.0, 1), (1, 3, 0, 1.0, 2)], {2: 1.0})
         b = build(R, [(0, 2, 4, 1.0, 1), (1, 0, 5, 1.0, 2)], {2: 1.0})
         filtered = weight_of(compose(a, b), (1, 3), (4, 5), max_path_len=10)
-        unfiltered = weight_of(ops.compose(a, b, _filtered=False),
+        unfiltered = weight_of(product_compose(a, b, filtered=False),
                                (1, 3), (4, 5), max_path_len=10)
         assert filtered == 1.0
         assert unfiltered == 3.0

@@ -10,6 +10,8 @@ from wfst import ngram, ops, optimize, rewrite
 from wfst import decode as dec
 from wfst.cli import decode_main, fst_main, lm_main, rule_main
 
+from helpers import model_path_cost
+
 T = Semiring.TROPICAL
 
 A_TEXT = "0 1 1 0.5\n1 2 2 0.5\n2 1\n"
@@ -291,7 +293,7 @@ def test_lm_arpa_with_omitted_backoffs(tmp_path, capsys):
         code, out, _ = run(lm_main, ["score", str(arpa), sent], capsys)
         logp = model.sentence_logprob(sent.split())
         assert code == 0 and out == f"{logp:.6f}\n"
-        assert ngram.model_path_cost(model, fsa, sent.split()) == \
+        assert model_path_cost(model, fsa, sent.split()) == \
             pytest.approx(-logp, abs=1e-9)
 
 
@@ -348,6 +350,28 @@ def test_exit_2_usage_errors(tmp_path, capsys):
     code, _, err = run(decode_main, ["--cascade", str(manifest), "1 a"],
                        capsys)
     assert code == 2 and err.startswith("error:") and "'a'" in err
+
+
+@pytest.mark.parametrize("main, argv", [
+    (fst_main, ["compile", "{}"]), (rule_main, ["compile", "{}"]),
+    (lm_main, ["count", "{}"]), (decode_main, ["--cascade", "{}", "1"]),
+], ids=["fst", "rule", "lm", "decode"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, main, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    code, out, err = run(main, [a.format(binary) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("phi", ["(" * 200 + "a" + ")" * 200, "~" * 1200 + "a"],
+                         ids=["parentheses", "complements"])
+def test_rule_compile_deep_nesting_exit_2(tmp_path, capsys, phi):
+    rules = tmp_path / "deep.rul"
+    rules.write_text(f"{phi} -> b;\n")
+    code, out, err = run(rule_main, ["compile", str(rules)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "nests deeper" in err
 
 
 @pytest.mark.parametrize("text, line", [

@@ -1,7 +1,10 @@
-"""Every name a library or test module imports is used in that module.
+"""Every name a library or test module imports is used in that module, and
+every module-level ``_private`` name of the library is referenced somewhere
+in the library or the tests.
 
-``__init__.py`` exists to re-export, so it is not checked; neither are
-``from __future__`` imports and import statements marked ``# noqa: F401``.
+``__init__.py`` exists to re-export, so its imports are not checked;
+neither are ``from __future__`` imports and import statements marked
+``# noqa: F401``.
 """
 
 import ast
@@ -47,3 +50,44 @@ def test_the_check_sees_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(tree):
+    """Module-level ``_private`` names that ``tree`` defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def referenced_names(tree):
+    """Names ``tree`` reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def test_the_check_sees_unreferenced_private_names():
+    tree = ast.parse("_a = 1\n_b = 2\n__c__ = 3\n"
+                     "def _d():\n    return _a\n"
+                     "class _E:\n    pass\n"
+                     "print(x._E)\n")
+    assert private_names(tree) - referenced_names(tree) == {"_b", "_d"}
+
+
+def test_every_private_name_is_referenced():
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    used = set().union(*map(referenced_names, trees.values()))
+    assert [f"{p.name}:{name}" for p, tree in trees.items() if p.parent == SRC
+            for name in sorted(private_names(tree) - used)] == []

@@ -224,12 +224,12 @@ def test_trimmed_lazy_expansion_equals_static_compose(pair):
 
 
 @settings(deadline=None)
-@given(machine_pairs(), st.booleans())
-def test_lookahead_matches_unpruned_product(pair, filtered):
+@given(machine_pairs())
+def test_lookahead_matches_unpruned_product(pair):
     a, b = pair
-    expected = text_of(product_compose(a, b, filtered))
-    assert text_of(compose(a, b, _filtered=filtered)) == expected
-    view = LazyComposition(a, b, _filtered=filtered)
+    expected = text_of(product_compose(a, b))
+    assert text_of(compose(a, b)) == expected
+    view = LazyComposition(a, b)
     assert text_of(expand(view, trim=True)) == expected
 
 
@@ -280,21 +280,18 @@ def test_lookahead_lets_output_epsilon_moves_through():
         "0 1 1 1\n1 2 2 0\n2 3 3 3\n3\n"
 
 
-@pytest.mark.parametrize("filtered", [True, False])
-def test_b_alone_move_is_tested_against_a_direct_labels(filtered):
+def test_b_alone_move_is_tested_against_a_direct_labels():
     # A's state 1 writes only epsilon and is not final; B's state 1 has an
     # epsilon-input arc to 2.  From (1, 2, _B_ALONE) the filter lets A only
-    # match, and it has nothing to match with, so that pair is never built;
-    # without the filter A may move alone from it, so it is built
+    # match, and it has nothing to match with, so that pair is never built
     a = build(T, [(0, 1, 1, 0.0, 1), (1, 2, 0, 0.0, 2), (2, 3, 3, 0.0, 3)],
               [3])
     b = build(T, [(0, 1, 1, 0.0, 1), (1, 0, 5, 0.0, 2), (2, 3, 3, 0.0, 3)],
               [3])
-    view = LazyComposition(a, b, _filtered=filtered)
+    view = LazyComposition(a, b)
     expand(view)
-    assert ((1, 2, ops._B_ALONE) in view._pairs) is not filtered
-    assert text_of(compose(a, b, _filtered=filtered)) == \
-        text_of(product_compose(a, b, filtered))
+    assert (1, 2, ops._B_ALONE) not in view._pairs
+    assert text_of(compose(a, b)) == text_of(product_compose(a, b))
 
 
 def test_lookahead_sets_are_shared_and_interned_on_frozen_machine(

@@ -36,6 +36,8 @@ def test_symbol_table_roundtrip():
     back = SymbolTable.read(text)
     assert back.items() == t.items()
     assert "<eps>" in text.splitlines()[0]
+    with pytest.raises(ParseError, match="line 4: label id -3 is negative"):
+        SymbolTable.read(text + "x -3\n")
 
 
 # -- text format ---------------------------------------------------------

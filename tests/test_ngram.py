@@ -6,8 +6,10 @@ import pytest
 from wfst import (ContractError, FsmError, ParseError, best_path,
                   build_lm_fsa, compose, count_ngrams, good_turing,
                   katz_model, mle, observation_machine, read_arpa, write_arpa)
-from wfst.ngram import (BOS, EOS, frequency_of_frequencies, model_path_cost,
-                        read_counts, write_counts)
+from wfst.ngram import (BOS, EOS, frequency_of_frequencies, read_counts,
+                        write_counts)
+
+from helpers import model_path_cost
 
 SIX_TOKENS = [["a", "b", "a", "b", "a", "c"]]
 

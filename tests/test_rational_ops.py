@@ -8,11 +8,10 @@ from wfst import (CascadeSpec, ContractError, KindMismatchError, Semiring,
                   concat, difference, equivalent, expand, intersect,
                   lazy_compose, project, reverse, twins_test, union,
                   weight_of)
-from wfst.ops import compose as _compose
 from wfst.ops import label_index, label_indexes, merge_arcs
 
-from helpers import (acceptor, bounded_pairs, build, random_machine,
-                     sample_machines, strings_up_to)
+from helpers import (acceptor, bounded_pairs, build, product_compose,
+                     random_machine, sample_machines, strings_up_to)
 
 T = Semiring.TROPICAL
 B = Semiring.BOOLEAN
@@ -99,7 +98,7 @@ def test_unfiltered_composition_overcounts():
     a = build(R, [(0, 1, 2, 1.0, 1), (1, 3, 0, 1.0, 2)], {2: 1.0})
     b = build(R, [(0, 2, 4, 1.0, 1), (1, 0, 5, 1.0, 2)], {2: 1.0})
     good = compose(a, b)
-    bad = _compose(a, b, _filtered=False)
+    bad = product_compose(a, b, filtered=False)
     w_good = weight_of(good, (1, 3), (4, 5), max_path_len=10)
     w_bad = weight_of(bad, (1, 3), (4, 5), max_path_len=10)
     assert w_good == 1.0

@@ -73,9 +73,12 @@ def test_regex_oracle_random():
 def test_regex_parse_errors():
     t = SymbolTable()
     t.add("a")
-    for bad in ("(a", "a)", "*", "[", "a~", "{unclosed"):
+    deep = "(" * 100 + "a" + ")" * 100  # as deep as '(' and '~' may nest
+    for bad in ("(a", "a)", "*", "[", "a~", "{unclosed", f"({deep})",
+                "~" * 101 + "a"):
         with pytest.raises(ParseError):
             compile_regex(bad, t)
+    assert regex_lang(deep, t, 2) == {(t.find("a"),)}
     # a trailing '|' is a union with the empty string, not an error
     assert regex_lang("a|", t, 2) == {(), (t.find("a"),)}
     # '{name}' coins a multi-character symbol on first use

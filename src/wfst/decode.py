@@ -84,9 +84,16 @@ def shortest_distance(m: Machine, algo: str = "dijkstra") -> dict[int, float]:
     return _distances(m, True, algo)
 
 
+def _backward(m):
+    """``backward_distances`` of ``m``, computed once per frozen machine and
+    shared: callers must not modify the dict."""
+    return m._memo("backward_distances",
+                   lambda: _distances(m, False, "bellman_ford"))
+
+
 def backward_distances(m: Machine) -> dict[int, float]:
     """Shortest distance from each state to a final (final weight included)."""
-    return _distances(m, False, "bellman_ford")
+    return dict(_backward(m))
 
 
 def best_path(m: Machine):
@@ -96,7 +103,7 @@ def best_path(m: Machine):
     the result reproducible.
     """
     _require_tropical(m)
-    d = backward_distances(m)
+    d = _backward(m)
     if d.get(m.start, INF) == INF:
         raise NoPathError("machine accepts nothing")
     # hop counts to an optimal stopping state along weight-optimal arcs
@@ -149,10 +156,14 @@ class Lattice:
 
 
 def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
-    """Keep exactly the states/arcs on some path with cost <= best + threshold."""
+    """Keep exactly the states/arcs on some path with cost <= best + threshold.
+
+    A NaN threshold raises ContractError; a negative one prunes every path."""
+    if math.isnan(threshold):
+        raise ContractError(f"threshold must be a number, got {threshold!r}")
     m = lattice.machine
     fwd = shortest_distance(m, "acyclic")
-    bwd = backward_distances(m)
+    bwd = _backward(m)
     best = min((fwd[q] + m.finals[q] for q in m.finals), default=INF)
     if best == INF:
         raise NoPathError("empty lattice")

@@ -270,7 +270,11 @@ class Machine:
     def is_deterministic(self) -> bool:
         """True iff traversal never faces a choice: no shared ilabel within
         a state, and an input-epsilon arc only as a state's sole arc (the
-        forced continuation of an output flush chain)."""
+        forced continuation of an output flush chain).  A frozen machine is
+        scanned once."""
+        return self._memo("is_deterministic", self._scan_deterministic)
+
+    def _scan_deterministic(self):
         for q in self.states():
             seen = set()
             for arc in self._arcs[q]:

@@ -300,18 +300,25 @@ def union(a: Machine, b: Machine) -> Machine:
     return out.freeze()
 
 
-def concat(a: Machine, b: Machine) -> Machine:
-    """weight(w) = (+) over splits w = uv of A(u) (x) B(v)."""
-    kind = require_same_kind(a, b)
-    out = Machine(kind, a.isymbols, b.osymbols or a.osymbols)
-    ra = _copy_into(out, a)
-    rb = _copy_into(out, b)
-    out.set_start(ra[a.start], a.start_weight)
-    for q, w in a.finals.items():
-        out.add_arc(ra[q], EPSILON, EPSILON, kind.extend(w, b.start_weight),
-                    rb[b.start])
-    for q, w in b.finals.items():
-        out.set_final(rb[q], w)
+def concat(a: Machine, b: Machine, *more: Machine) -> Machine:
+    """weight(w) = (+) over splits w = uv of A(u) (x) B(v).
+
+    Further machines are concatenated in the same single copy, numbered as
+    pairwise concatenation from the left would number them."""
+    parts = (a, b, *more)
+    kind, osymbols = a.kind, a.osymbols
+    for part in parts[1:]:
+        require_same_kind(a, part)
+        osymbols = part.osymbols or osymbols
+    out = Machine(kind, a.isymbols, osymbols)
+    remaps = [_copy_into(out, part) for part in parts]
+    out.set_start(remaps[0][a.start], a.start_weight)
+    for part, nxt, ra, rb in zip(parts, parts[1:], remaps, remaps[1:]):
+        for q, w in part.finals.items():
+            out.add_arc(ra[q], EPSILON, EPSILON,
+                        kind.extend(w, nxt.start_weight), rb[nxt.start])
+    for q, w in parts[-1].finals.items():
+        out.set_final(remaps[-1][q], w)
     return out.freeze()
 
 

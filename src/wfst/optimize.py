@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
-from .decode import backward_distances
+from .decode import INF, _backward
 from .errors import CapExceededError, ContractError, SemiringError
 from .machine import EPSILON, Arc, Machine, connect
 from .semiring import Semiring
@@ -59,6 +59,7 @@ def _epsilon_arcs(m):
 def _close_epsilon(kind, eps_arcs, best, cap):
     """Extend a subset, ``{(state, leftover string): weight}``, in place
     along the input-epsilon arcs ``eps_arcs`` (state -> arcs); returns it.
+    A product equal to the semiring zero is no path and is dropped.
 
     A subset of more than ``cap`` elements raises: on a non-subsequentiable
     transducer the leftover output strings can double with every symbol, so
@@ -68,7 +69,7 @@ def _close_epsilon(kind, eps_arcs, best, cap):
     """
     if not eps_arcs and len(best) <= cap:
         return best
-    times, valid = kind.times, kind.valid
+    times, valid, zero = kind.times, kind.valid, kind.zero
     queue = deque(best)
     hops = dict.fromkeys(best, 0)  # epsilon arcs behind each best weight
     while True:
@@ -88,6 +89,8 @@ def _close_epsilon(kind, eps_arcs, best, cap):
             nr = times(r, arc.weight)
             if not valid(nr):
                 raise kind.carrier_error(nr)
+            if nr == zero:
+                continue
             key = (arc.nextstate, ns)
             if key not in best or kind.compare(nr, best[key]) < 0:
                 best[key], hops[key] = nr, h
@@ -147,13 +150,16 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     the live states' common prefix short and hold their output back.
     Exceeding ``expansion_cap`` subset states, or ``expansion_cap``
     elements in one subset, raises ``CapExceededError`` (suggesting
-    ``twins_test``).  Every product is range-checked as it is formed; sums
-    of carrier weights under min or boolean or stay in the carrier.
+    ``twins_test``).  Every product is range-checked as it is formed, and
+    one equal to the semiring zero, no path, is dropped; sums of carrier
+    weights under min or boolean or stay in the carrier.  A one-element
+    subset reached without input-epsilon moves is its own normal form.
     """
     _require_divisible(m.kind)
     kind = m.kind
     times, plus, valid = kind.times, kind.plus, kind.valid
     zero, one = kind.zero, kind.one
+    tropical = kind is Semiring.TROPICAL
     acceptor = m.is_acceptor()
     if not acceptor:
         m = connect(m)
@@ -164,7 +170,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     # weight and output prefix that cannot be emitted before the first arc
     # stay inside the start subset
     start_subset = tuple(sorted(
-        (q, prefix + s, (times(total, r) if kind is Semiring.TROPICAL else r))
+        (q, prefix + s, (times(total, r) if tropical else r))
         for q, s, r in start_subset))
     ids = {start_subset: 0}
     arcs = [[]]
@@ -209,12 +215,20 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 w = times(r, arc.weight)
                 if not valid(w):
                     raise kind.carrier_error(w)
+                if w == zero:
+                    continue
                 group = by_label.setdefault(arc.ilabel, {})
                 key = (arc.nextstate, ns)
                 group[key] = plus(group[key], w) if key in group else w
         for label in sorted(by_label):
-            total, prefix, target = _normalize(kind, _close_epsilon(
-                kind, eps_arcs, by_label[label], expansion_cap), acceptor)
+            group = by_label[label]
+            if len(group) == 1 and not eps_arcs:
+                # normal as it is: its weight and string move onto the arc
+                ((state, prefix), total), = group.items()
+                target = ((state, (), total - total if tropical else one),)
+            else:
+                total, prefix, target = _normalize(kind, _close_epsilon(
+                    kind, eps_arcs, group, expansion_cap), acceptor)
             t = ids.get(target)
             if t is None:
                 if len(ids) >= expansion_cap:
@@ -228,8 +242,11 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 arcs[q].append(Arc(label, label, total, t))
             else:
                 _emit_string(arcs, q, label, prefix, total, t, one)
-    return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
-                               m.start_weight)
+    out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
+                              m.start_weight)
+    if acceptor:  # every arc is emitted as Arc(label, label, ...)
+        out._derived["is_acceptor"] = True
+    return out
 
 
 # -- twin property ------------------------------------------------------
@@ -482,7 +499,7 @@ def _weight_potentials(m):
     """Weight-push potentials of TROPICAL ``m`` (its backward distances) and
     its pushed start and final weights; raises on a dead state or overflow."""
     kind = m.kind
-    d = backward_distances(m)
+    d = _backward(m)
     dead = [q for q in m.states() if d[q] == kind.zero]
     if dead:
         raise ContractError(
@@ -667,6 +684,22 @@ def _signature_classes(order, enc, finals):
     return index
 
 
+def _all_live(m):
+    """True iff ``m`` is a TROPICAL acceptor each state of which reaches a
+    final at a finite cost, by its shared backward distances.  Minimizing
+    it needs no trim then: the breadth-first numbering never visits an
+    unreachable state, and one changes no reachable state's class or
+    pushed weight.  A transducer is trimmed still, since an unreachable
+    state's output strings could fail string pushing."""
+    if m.kind is not Semiring.TROPICAL or not m.is_acceptor():
+        return False
+    try:
+        d = _backward(m)
+    except ContractError:  # a negative cycle, which trimming may cut off
+        return False
+    return INF not in d.values() and -INF not in d.values()
+
+
 def minimize(m: Machine) -> Machine:
     """Equivalent deterministic machine with the minimum number of states.
 
@@ -675,12 +708,14 @@ def minimize(m: Machine) -> Machine:
     partition refinement.  Either way the output is numbered breadth-first
     from the start (0), walking each state's arcs in (input label, output
     residue, weight) order; output-chain states are numbered as they are
-    emitted, and a hoisted start prefix's chain comes last."""
+    emitted, and a hoisted start prefix's chain comes last.  The input is
+    trimmed first unless ``_all_live`` shows it needs no trim."""
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "
                             "(determinize first)")
     _require_divisible(m.kind)
-    m = connect(m)
+    if not _all_live(m):
+        m = connect(m)
     if not m.finals:
         return m
     kind = m.kind

@@ -150,7 +150,7 @@ class _RegexParser:
             parts.append(self._postfix())
         if not parts:
             return _sigma_star(())
-        return reduce(concat, parts)
+        return parts[0] if len(parts) == 1 else concat(*parts)
 
     def _postfix(self):
         m = self._atom()

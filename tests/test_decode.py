@@ -5,6 +5,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfst import decode, optimize
 from wfst import (CascadeSpec, ContractError, Lattice, Machine, NoPathError,
                   Semiring, backward_distances, beam_decode, best_path,
                   compose, connect, determinize, lattice_prune, minimize,
@@ -266,18 +267,29 @@ def test_lattice_op_orders_states_at_most_three_times(monkeypatch):
     lat = Lattice(acceptor(T, [(0, 1, 1.0, 1), (0, 1, 2.0, 2), (0, 2, 0.5, 3),
                                (1, 3, 0.0, 4), (2, 3, 0.5, 4), (3, 4, 1.5, 4),
                                (3, 4, 1.0, 5), (4, 5, 0.0, 5)], [5]))
-    kahn, calls = Machine._kahn, []
+    calls = {"kahn": 0, "distances": 0, "connect": 0}
 
-    def counted(m):
-        calls.append(m)
-        return kahn(m)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(Machine, "_kahn", counted)
+    monkeypatch.setattr(Machine, "_kahn", counted("kahn", Machine._kahn))
+    monkeypatch.setattr(decode, "_distances",
+                        counted("distances", decode._distances))
+    trim = counted("connect", connect)
+    for module in (decode, optimize):
+        monkeypatch.setattr(module, "connect", trim)
     det = determinize(lat.machine)
     small = minimize(det)
     pruned = lattice_prune(Lattice(push(small, "weights")), 1.0)
     (words, _), cost = best_path(pruned.machine)
-    assert len(calls) <= 3
+    # one distance pass each on the determinized, the minimized and the
+    # pruned machine, and the forward pass of the pruning
+    assert calls["kahn"] <= 3
+    assert calls["distances"] <= 4
+    assert calls["connect"] <= 1
     assert (words, cost) == ((1, 3, 5), 1.0)
 
 
@@ -285,6 +297,22 @@ def test_lattice_prune_empty():
     lat = diamond_lattice()
     with pytest.raises(NoPathError):
         lattice_prune(lat, -10.0)
+
+
+def test_lattice_prune_rejects_a_nan_threshold():
+    with pytest.raises(ContractError, match="threshold"):
+        lattice_prune(diamond_lattice(), math.nan)
+
+
+def test_mutating_backward_distances_leaves_best_path_alone():
+    m = diamond_lattice().machine
+    expected = best_path(m)
+    d = backward_distances(m)
+    assert d == {0: 2.0, 1: 1.0, 2: 0.5, 3: 0.0}
+    for q in d:
+        d[q] = -100.0
+    assert best_path(m) == expected
+    assert backward_distances(m) == {0: 2.0, 1: 1.0, 2: 0.5, 3: 0.0}
 
 
 def test_rescore_flips_winner():

@@ -110,6 +110,19 @@ def test_determinize_acceptors_with_and_without_epsilon(seed, kind, eps):
             weight_of(m, s, max_path_len=14), s
 
 
+@pytest.mark.parametrize("kind", [T, B])
+def test_determinize_drops_zero_weight_arcs(kind):
+    # an arc weighted with the carrier's zero is no path, after a label or
+    # after an input epsilon
+    live = [(0, 2, kind.one, 2)]
+    for dead in ([(0, 1, kind.zero, 1)],
+                 [(0, 0, kind.zero, 3), (3, 1, kind.one, 1)]):
+        m = acceptor(kind, live + dead, [1, 2], num_states=4)
+        without = acceptor(kind, live, [1, 2], num_states=4)
+        assert write_text(determinize(m)) == write_text(determinize(without))
+        assert equivalent(m, without)
+
+
 def test_determinize_rejects_real():
     m = acceptor(R, [(0, 1, 0.5, 1)], {1: 1.0})
     with pytest.raises(SemiringError):
@@ -472,6 +485,41 @@ def test_minimize_numbering_ignores_input_numbering(seed, kind, acyclic,
     m, = det_machines(seed, 1, max_states=8, kind=kind, acyclic=acyclic)
     assert write_text(minimize(shuffled(m, random.Random(shuffle)))) == \
         write_text(minimize(m))
+
+
+def with_unreachable_and_dead(m, rng, unreachable, dead):
+    """``m`` plus an unreachable copy of one of its states and a dead state
+    entered on label 3 (each on request), its states shuffled."""
+    n = m.num_states
+    arcs = [(q, a.ilabel, a.olabel, a.weight, a.nextstate)
+            for q, a in m.all_arcs()]
+    finals = dict(m.finals)
+    extra = n
+    if unreachable:
+        src = rng.randrange(n)
+        arcs += [(extra, a.ilabel, a.olabel, a.weight, a.nextstate)
+                 for a in m.arcs(src)]
+        if src in finals:
+            finals[extra] = finals[src]
+        extra += 1
+    if dead:
+        arcs.append((rng.randrange(extra), 3, 3, m.kind.one, extra))
+        extra += 1
+    return shuffled(build(m.kind, arcs, finals, start=m.start,
+                          num_states=extra, start_weight=m.start_weight), rng)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 1 << 16), st.sampled_from((T, B)), st.booleans(),
+       st.booleans(), st.booleans())
+def test_minimize_without_trim_equals_minimize_after_trim(seed, kind, acyclic,
+                                                          unreachable, dead):
+    rng = random.Random(seed)
+    det, = det_machines(seed, 1, max_states=6, kind=kind, acyclic=acyclic)
+    m = with_unreachable_and_dead(det, rng, unreachable, dead)
+    mini, trimmed = minimize(m), minimize(connect(m))
+    assert write_text(mini) == write_text(trimmed)
+    assert mini.start_weight == trimmed.start_weight
 
 
 def test_minimize_scales_near_linearly():

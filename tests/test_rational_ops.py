@@ -202,6 +202,22 @@ def test_concat_splits():
     assert weight_of(c, (1,)) == math.inf
 
 
+def test_concat_of_several_machines_equals_pairwise_concat():
+    rng = random.Random(11)
+    for kind in (T, B):
+        for count in (3, 5):
+            parts = sample_machines(rng.randrange(1 << 16), count, kind=kind,
+                                    max_states=3, max_arcs=5)
+            pairwise = parts[0]
+            for part in parts[1:]:
+                pairwise = concat(pairwise, part)
+            once = concat(*parts)
+            assert (once.start, once.start_weight, once.finals,
+                    list(once.all_arcs())) == \
+                (pairwise.start, pairwise.start_weight, pairwise.finals,
+                 list(pairwise.all_arcs()))
+
+
 def test_concat_oracle():
     for i in range(6):
         a, b = sample_machines(600 + i, 2, kind=T, max_states=3, max_arcs=5,

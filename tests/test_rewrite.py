@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from wfst import (ContractError, ParseError, Rule, Semiring, SymbolTable,
-                  apply_rewrite, compile_regex, compile_rule, compile_tree,
-                  compile_weighted_rule, intersect_samelength, marker,
-                  parse_rule_file, parse_tree, weight_of)
+from wfst import (ContractError, Machine, ParseError, Rule, Semiring,
+                  SymbolTable, apply_rewrite, compile_regex, compile_rule,
+                  compile_tree, compile_weighted_rule, intersect_samelength,
+                  marker, parse_rule_file, parse_tree, weight_of)
 
 from helpers import random_rule_spec, scan_rewrite, strings_up_to
 
@@ -85,6 +85,26 @@ def test_regex_parse_errors():
     t2 = SymbolTable()
     compile_regex("{sil}", t2)
     assert "sil" in t2
+
+
+def test_regex_concatenation_copies_each_part_once(monkeypatch):
+    # folding the parts pairwise copied the whole prefix at every step, so
+    # the arcs added grew with the square of the pattern's length
+    counts = []
+    add_arc = Machine.add_arc
+
+    def counted(self, *args):
+        counts[-1] += 1
+        return add_arc(self, *args)
+
+    monkeypatch.setattr(Machine, "add_arc", counted)
+    t = SymbolTable()
+    sizes = []
+    for n in (200, 400):
+        counts.append(0)
+        sizes.append(compile_regex("ab" * (n // 2), t).num_states)
+    assert sizes[1] <= 2 * sizes[0]
+    assert counts[1] <= 2.1 * counts[0]
 
 
 # -- marker transducers --------------------------------------------------

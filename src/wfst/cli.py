@@ -294,11 +294,10 @@ def _decode_parser():
 def _decode_run(args):
     stages = []
     tables = []
-    for raw in _read(args.cascade).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _read(args.cascade).splitlines():
         parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
         table = _load_syms(parts[1]) if len(parts) > 1 else None
         stages.append(read_text(_read(parts[0]), isymbols=table,
                                 osymbols=table, kind=Semiring.TROPICAL,

@@ -9,6 +9,7 @@ machines and returns frozen machines.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ContractError, DivergenceError, ParseError, SymbolError
@@ -34,6 +35,8 @@ class SymbolTable:
             if label is not None and label != existing:
                 raise SymbolError(f"symbol {symbol!r} already mapped to {existing}")
             return existing
+        if symbol.split() != [symbol]:
+            raise SymbolError(f"symbol {symbol!r} is empty or holds whitespace")
         if label is None:
             label = max(self._by_id) + 1
         if label in self._by_id:
@@ -67,12 +70,12 @@ class SymbolTable:
     def read(cls, text: str) -> "SymbolTable":
         table = cls()
         for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or (parts[0][0] == "#" and not (
+                    len(parts) == 2 and parts[1].isdecimal())):
+                continue  # blank, or a comment and not the entry of '#...'
             if len(parts) != 2:
-                raise ParseError(f"expected 'symbol id', got {line!r}", lineno)
+                raise ParseError(f"expected 'symbol id', got {line.strip()!r}", lineno)
             try:
                 label = int(parts[1])
                 if label < 0:
@@ -315,7 +318,8 @@ def observation_machine(labels, kind=Semiring.TROPICAL,
 # arc line:   src dst isym osym [weight]     (transducer)
 #             src dst sym [weight]           (acceptor)
 # final line: state [weight]
-# The source of the first line is the start state; '#' starts a comment.
+# The source of the first line is the start state.  A line whose first
+# non-blank character is '#' is a comment; '#' anywhere else is a symbol.
 
 
 def _resolve(token, table):
@@ -327,11 +331,15 @@ def _resolve(token, table):
     return table.find(token)
 
 
-def _state_id(token, limit):
-    q = int(token)
-    if not 0 <= q < limit:
-        raise ValueError(f"state {q} outside 0..{limit - 1}")
-    return q
+class _Tokens(dict):
+    """token -> ``convert(token)``, converted once, when first looked up."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, token):
+        value = self[token] = self.convert(token)
+        return value
 
 
 def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
@@ -340,14 +348,19 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
 
     ``acceptor`` disambiguates 4-field lines (acceptor arc with weight vs.
     transducer arc without); it defaults to true iff no output table is given.
-    Weights are checked once, by ``kind.parse``.  A state id must be below
+    Each distinct weight token is parsed, and checked, once by ``kind.parse``;
+    each distinct label token is resolved once.  A state id must be below
     ``max(len(text), 65536)``.
     """
     if acceptor is None:
         acceptor = osymbols is None
     if acceptor and osymbols is None:
         osymbols = isymbols
-    parse, one, zero = kind.parse, kind.one, kind.zero
+    ilabels = _Tokens(lambda token: _resolve(token, isymbols))
+    olabels = _Tokens(lambda token: _resolve(token, osymbols))
+    weights = _Tokens(kind.parse)
+    one, zero = kind.one, kind.zero
+    new_arc = tuple.__new__  # Arc(...) without its Python-level __new__
     arcs = []
     finals = {}
     start = None
@@ -355,58 +368,47 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
     # text's length, with room for small sparse machines: a short text
     # cannot make the state list grow without bound
     limit = max(len(text), 1 << 16)
-
-    def ensure_state(q):
-        while q >= len(arcs):
-            arcs.append([])
-
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
+        n = len(parts)
         try:
-            if len(parts) <= 2:  # final line
-                state = _state_id(parts[0], limit)
-                weight = parse(parts[1]) if len(parts) == 2 else one
-                ensure_state(state)
+            src = int(parts[0])
+            dst = int(parts[1]) if n > 2 else src
+            if not (0 <= src < limit and 0 <= dst < limit):
+                raise ValueError
+            if n <= 2:  # final line
+                weight = weights[parts[1]] if n == 2 else one
                 if weight == zero:
-                    finals.pop(state, None)
+                    finals.pop(src, None)
                 else:
-                    finals[state] = weight
-                if start is None:
-                    start = state
-                continue
-            src, dst = _state_id(parts[0], limit), _state_id(parts[1], limit)
-            if acceptor:
-                if len(parts) not in (3, 4):
+                    finals[src] = weight
+            elif acceptor:
+                if n > 4:
                     raise ParseError("expected 'src dst sym [weight]'", lineno)
-                il = ol = _resolve(parts[2], isymbols)
-                weight = parse(parts[3]) if len(parts) == 4 else one
+                il = ol = ilabels[parts[2]]
+                weight = weights[parts[3]] if n == 4 else one
             else:
-                if len(parts) not in (4, 5):
+                if n not in (4, 5):
                     raise ParseError("expected 'src dst isym osym [weight]'", lineno)
-                il = _resolve(parts[2], isymbols)
-                ol = _resolve(parts[3], osymbols)
-                weight = parse(parts[4]) if len(parts) == 5 else one
-            ensure_state(max(src, dst))
-            arcs[src].append(Arc(il, ol, weight, dst))
-            if start is None:
-                start = src
-        except (ValueError, IndexError):
+                il = ilabels[parts[2]]
+                ol = olabels[parts[3]]
+                weight = weights[parts[4]] if n == 5 else one
+        except ValueError:
             raise ParseError(f"malformed line {raw!r}", lineno) from None
         except SymbolError as exc:
             raise ParseError(str(exc), lineno) from None
-    if start is None:
-        start = 0
-    ensure_state(start)
-    return Machine._from_parts(kind, isymbols, osymbols, arcs, finals, start)
-
-
-def _label_text(label, table):
-    if table is None:
-        return str(label)
-    return table.find(label)
+        top = src if src > dst else dst
+        if top >= len(arcs):
+            arcs.extend([] for _ in range(top + 1 - len(arcs)))
+        if n > 2:
+            arcs[src].append(new_arc(Arc, (il, ol, weight, dst)))
+        if start is None:
+            start = src
+    # a text with no arc or final line is a bare non-final start state
+    return Machine._from_parts(kind, isymbols, osymbols, arcs or [[]], finals,
+                               start or 0)
 
 
 def write_text(m: Machine, acceptor=None) -> str:
@@ -414,23 +416,21 @@ def write_text(m: Machine, acceptor=None) -> str:
     if acceptor is None:
         acceptor = m.is_acceptor() and m.osymbols is None
     kind = m.kind
-    order = [m.start] + [q for q in m.states() if q != m.start]
+    ilabels = _Tokens(str if m.isymbols is None else m.isymbols.find)
+    olabels = _Tokens(str if m.osymbols is None else m.osymbols.find)
+    # weight -> its field and the space before it; one has no field
+    weights = _Tokens(lambda w: " " + kind.format(w))
+    weights[kind.one] = ""
+    by_labels = itemgetter(0, 1, 3, 2)  # ilabel, olabel, nextstate, weight
     lines = []
-    for q in order:
-        for arc in sorted(m.arcs(q), key=lambda a: (a.ilabel, a.olabel,
-                                                    a.nextstate, a.weight)):
-            fields = [str(q), str(arc.nextstate), _label_text(arc.ilabel, m.isymbols)]
-            if not acceptor:
-                fields.append(_label_text(arc.olabel, m.osymbols))
-            if arc.weight != kind.one:
-                fields.append(kind.format(arc.weight))
-            lines.append(" ".join(fields))
-        if q in m.finals:
-            w = m.finals[q]
-            if w != kind.one:
-                lines.append(f"{q} {kind.format(w)}")
+    for q in [m.start] + [q for q in m.states() if q != m.start]:
+        for il, ol, w, t in sorted(m.arcs(q), key=by_labels):
+            if acceptor:
+                lines.append(f"{q} {t} {ilabels[il]}{weights[w]}")
             else:
-                lines.append(str(q))
+                lines.append(f"{q} {t} {ilabels[il]} {olabels[ol]}{weights[w]}")
+        if q in m.finals:
+            lines.append(f"{q}{weights[m.finals[q]]}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -587,8 +587,9 @@ def _encoded_dfa(m):
     prefix = p[m.start] if p else ()
     enc = {q: {} for q in m.states()}
     for q, arc, w in _pushed_arcs(m, d):
-        enc[q][arc.ilabel, () if p is None else _residue(p, q, arc), w] = \
-            arc.nextstate
+        if w != kind.zero:  # an arc weighted zero is no path
+            enc[q][arc.ilabel, () if p is None else _residue(p, q, arc), w] = \
+                arc.nextstate
     identity = (EPSILON, (), kind.one)
     hop = {q: row[identity] for q, row in enc.items()
            if len(row) == 1 and identity in row and q not in m.finals}

@@ -202,6 +202,24 @@ def test_rule_compile_matches_library(tmp_path, capsys):
     assert out == golden(rewrite.compile_weighted_rule(rules[0], symtab))
 
 
+def test_rule_with_a_hash_symbol(tmp_path, capsys):
+    # '#' is a symbol wherever it is not the first field of a line
+    rul = tmp_path / "r.rul"
+    rul.write_text("a -> b / # _ ;\n")
+    out_fst = tmp_path / "r.fst"
+    code, _, _ = run(rule_main, ["compile", str(rul), "-o", str(out_fst)],
+                     capsys)
+    assert code == 0
+    symtab = SymbolTable()
+    m = rewrite.compile_weighted_rule(
+        rewrite.parse_rule_file("a -> b / # _ ;\n")[0], symtab)
+    assert out_fst.read_text() == golden(m)
+    code, out, _ = run(rule_main, ["apply", str(out_fst), "# a"], capsys)
+    [(labels, _)] = rewrite.apply_rewrite(m, ["#", "a"])
+    assert code == 0 and out == " ".join(map(symtab.find, labels)) + "\n"
+    assert out == "# b\n"
+
+
 def test_rule_tree(tmp_path, capsys):
     tree = tmp_path / "t.tree"
     tree.write_text(TREE_TXT)
@@ -301,7 +319,7 @@ def test_lm_arpa_with_omitted_backoffs(tmp_path, capsys):
 
 
 def test_decode_cascade(tmp_path, capsys):
-    stage = tmp_path / "s.fst"
+    stage = tmp_path / "s#1.fst"
     stage.write_text(A_TEXT)
     manifest = tmp_path / "cascade.txt"
     manifest.write_text(f"# stage list\n{stage}\n")

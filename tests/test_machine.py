@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import pytest
 
-from wfst import (ANY, EPSILON, DivergenceError, Machine, ParseError, Semiring,
-                  SymbolError, SymbolTable, accepted_pairs, connect, read_text,
-                  weight_of, write_text)
+from wfst import (ANY, EPSILON, DivergenceError, FsmError, Machine,
+                  ParseError, Semiring, SemiringError, SymbolError,
+                  SymbolTable, accepted_pairs, connect, read_text, weight_of,
+                  write_text)
 
 from helpers import acceptor, build, enum_paths, sample_machines
 
@@ -30,14 +32,28 @@ def test_symbol_table_basics():
 
 def test_symbol_table_roundtrip():
     t = SymbolTable()
-    t.add("a")
-    t.add("b")
+    for symbol in ("a", "b", "#", "#x"):
+        t.add(symbol)
     text = t.write()
     back = SymbolTable.read(text)
     assert back.items() == t.items()
     assert "<eps>" in text.splitlines()[0]
-    with pytest.raises(ParseError, match="line 4: label id -3 is negative"):
+    with pytest.raises(ParseError, match="line 6: label id -3 is negative"):
         SymbolTable.read(text + "x -3\n")
+
+
+def test_symbol_table_comments_are_whole_lines():
+    # a line whose first field starts with '#' is a comment unless it is a
+    # 'symbol id' entry
+    t = SymbolTable.read("# symbols\n<eps> 0\n  # indented\n#\t1\n"
+                         "#x 2\n# 3 4\n# comment\n")
+    assert t.items() == [(0, "<eps>"), (1, "#"), (2, "#x")]
+
+
+@pytest.mark.parametrize("symbol", ["", "a b", "x\ty", "z\n"])
+def test_symbol_table_rejects_symbols_the_formats_cannot_carry(symbol):
+    with pytest.raises(SymbolError):
+        SymbolTable().add(symbol)
 
 
 # -- text format ---------------------------------------------------------
@@ -78,24 +94,80 @@ def test_four_field_disambiguation():
     assert weight_of(mt, (1,), (2,)) == 0.0
 
 
+def symbol_table(*symbols):
+    table = SymbolTable()
+    for symbol in symbols:
+        table.add(symbol)
+    return table
+
+
 def test_write_read_roundtrip_random():
-    for m in sample_machines(17, 25, kind=T):
-        flag = m.is_acceptor()
-        text = write_text(m, acceptor=flag)
-        back = read_text(text, acceptor=flag)
-        assert write_text(back, acceptor=flag) == text
+    # every semiring, both shapes, labels 1-3 numeric or printed through a
+    # table (epsilon as '<eps>'), a table read back from its own text
+    for kind, flag, symbols in itertools.product(
+            (T, B, R), (True, False),
+            (None, ("a", "bb", "c"), ("#", "#x", "a"))):
+        table = None if symbols is None else \
+            SymbolTable.read(symbol_table(*symbols).write())
+        for m in sample_machines(37, 15, kind=kind, acceptor=flag,
+                                 weights=(0.0, 0.5, -1.25, 0.1, 1e22)):
+            m.isymbols = m.osymbols = table
+            text = write_text(m, acceptor=flag)
+            back = read_text(text, isymbols=table, osymbols=table, kind=kind,
+                             acceptor=flag)
+            assert write_text(back, acceptor=flag) == text, (kind, symbols)
+
+
+def test_hash_is_a_symbol_and_comments_are_whole_lines():
+    table = symbol_table("#", "#x")
+    text = "# a comment\n  # another\n0 1 # #x 0.5\n1 2 #x #\n2\n"
+    m = read_text(text, isymbols=table, osymbols=table, acceptor=False)
+    assert write_text(m) == "0 1 # #x 0.5\n1 2 #x #\n2\n"
+    assert weight_of(m, (1, 2), (2, 1)) == 0.5
+    # '#' after the first field is a field, not the start of a comment
+    with pytest.raises(ParseError, match="expected 'src dst sym"):
+        read_text("0 1 1 # comment\n1\n")
+
+
+PINNED_ERRORS = [
+    # text, read_text keywords, exception type, message
+    ("zero 1 1\n", {}, ParseError, "line 1: malformed line 'zero 1 1'"),
+    ("0 1 1\n1 x 1\n", {}, ParseError, "line 2: malformed line '1 x 1'"),
+    ("0 1 1\n65536\n", {}, ParseError, "line 2: malformed line '65536'"),
+    ("0 65536 1\n", {}, ParseError, "line 1: malformed line '0 65536 1'"),
+    ("0 1 1\n-1\n", {}, ParseError, "line 2: malformed line '-1'"),
+    ("0 -1 1\n", {}, ParseError, "line 1: malformed line '0 -1 1'"),
+    ("0 1 1 2 3 4\n", {"acceptor": False}, ParseError,
+     "line 1: expected 'src dst isym osym [weight]'"),
+    ("0 1 1 2 3\n", {}, ParseError, "line 1: expected 'src dst sym [weight]'"),
+    ("0 1 1\n1 2 a 0.5\n", {}, ParseError,
+     "line 2: no symbol table and non-numeric label 'a'"),
+    ("0 1 a\n1 2 zz\n", {"isymbols": symbol_table("a")}, ParseError,
+     "line 2: unknown symbol 'zz'"),
+    ("0 1 1 0.5\n1 2 1 nan\n", {}, SemiringError,
+     "nan is not in the tropical carrier"),
+    ("0 1 1\n1 nan\n", {}, SemiringError, "nan is not in the tropical carrier"),
+    ("0 1 1 0x10\n", {}, SemiringError, "bad weight literal '0x10'"),
+    ("0 1 1 0.5\n1 2 1 inf\n", {"kind": R}, SemiringError,
+     "'inf' is not in the real carrier"),
+    ("0 1 1 1\n1 2 1 1e999\n", {"kind": B}, SemiringError,
+     "inf is not in the boolean carrier"),
+]
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        read_text("zero one sym\n")
-    with pytest.raises(ParseError):
-        read_text("0 1 a 0.5\n1\n")  # no table, non-numeric label
-    with pytest.raises(ParseError):
-        read_text("0 1 1 2 3 4\n1\n", acceptor=False)
-    for text in ("0 1 1\n-1\n", "0 -1 1\n1\n"):  # state ids are >= 0
-        with pytest.raises(ParseError):
-            read_text(text)
+    for text, keywords, error, message in PINNED_ERRORS:
+        with pytest.raises(FsmError) as raised:
+            read_text(text, **keywords)
+        assert type(raised.value) is error, text
+        assert str(raised.value) == message, text
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# a comment only\n"])
+def test_empty_text_is_a_bare_start_state(text):
+    m = read_text(text)
+    assert m.num_states == 1 and m.start == 0 and not m.finals
+    assert write_text(m) == ""
 
 
 def test_state_ids_are_bounded_by_the_text():
@@ -103,8 +175,6 @@ def test_state_ids_are_bounded_by_the_text():
     # 10**20 of them
     with pytest.raises(ParseError):
         read_text("0 99999999999999999999 1\n")
-    with pytest.raises(ParseError):
-        read_text("0 65536 1\n65536\n")
     assert read_text("0 65535 1\n65535\n").num_states == 65536
 
 

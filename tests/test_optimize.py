@@ -553,6 +553,15 @@ def test_minimize_routes_identity_moves_left_by_string_pushing():
     assert equivalent(mini, m)
 
 
+@pytest.mark.parametrize("kind", [T, B])
+def test_minimize_drops_zero_weight_arcs(kind):
+    # an arc weighted with the carrier's zero is no path
+    live = [(0, 2, kind.one, 2)]
+    m = acceptor(kind, live + [(0, 1, kind.zero, 1)], [1, 2])
+    without = acceptor(kind, live, [1, 2])
+    assert write_text(minimize(m)) == write_text(minimize(without))
+
+
 def test_minimize_requires_deterministic():
     m = acceptor(T, [(0, 1, 0.0, 1), (0, 1, 0.0, 0)], [1])
     with pytest.raises(ContractError):

@@ -440,12 +440,14 @@ def write_text(m: Machine, acceptor=None) -> str:
 def connect(m: Machine) -> Machine:
     """Restrict to states both accessible and coaccessible; renumber densely.
 
-    The start state becomes state 0 and the others keep their ascending
-    order; an arc whose target keeps its number is reused as it is.  A
-    frozen input already numbered so is returned itself, with its derived
-    tables.
+    An arc weighted with the semiring zero carries no path, so it is
+    dropped and connects nothing.  The start state becomes state 0 and the
+    others keep their ascending order; an arc whose target keeps its
+    number is reused as it is.  A frozen input already numbered so, with
+    no zero-weight arc, is returned itself, with its derived tables.
     """
     n = m.num_states
+    zero = m.kind.zero
     state_arcs = [m.arcs(q) for q in range(n)]
     # forward search from the start, recording each arc backwards; every
     # state on a path from an accessible state to a final is accessible,
@@ -454,10 +456,13 @@ def connect(m: Machine) -> Machine:
     accessible = bytearray(n)
     accessible[m.start] = 1
     stack = [m.start]
+    dropped = False
     while stack:
         q = stack.pop()
-        for arc in state_arcs[q]:
-            t = arc.nextstate
+        for _, _, w, t in state_arcs[q]:
+            if w == zero:
+                dropped = True
+                continue
             back[t].append(q)
             if not accessible[t]:
                 accessible[t] = 1
@@ -475,7 +480,7 @@ def connect(m: Machine) -> Machine:
     if not useful[m.start]:
         # empty language: bare non-final start
         return Machine._from_parts(m.kind, m.isymbols, m.osymbols, [()], {})
-    if (m._frozen and m.start == 0 and 0 not in useful
+    if (m._frozen and m.start == 0 and 0 not in useful and not dropped
             and list(m.finals) == sorted(m.finals)):
         return m  # already as trimming would number it
     keep = [q for q in range(n) if useful[q]]
@@ -486,7 +491,7 @@ def connect(m: Machine) -> Machine:
         kept = []
         for arc in state_arcs[q]:
             t = remap.get(arc.nextstate)
-            if t is None:
+            if t is None or arc.weight == zero:
                 continue
             kept.append(arc if t == arc.nextstate
                         else Arc(arc.ilabel, arc.olabel, arc.weight, t))

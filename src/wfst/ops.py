@@ -11,8 +11,9 @@ filter so that each compatible pair of paths is counted exactly once:
 A real epsilon-output arc of A may pair with a real epsilon-input arc of B
 ("both move") only at filter 0; once one side moves alone, the other side
 may not move alone until the next match.  The label lookahead in
-``LazyComposition`` uses that: a B-alone move leads to a pair at filter 2,
-where A can only match, so it is tested against A's own output labels.
+``LazyComposition`` uses that: it reads A through its output-epsilon moves,
+except at the filter-2 target of a B-alone move, where A can only match,
+so only A's own output labels count.
 """
 
 from __future__ import annotations
@@ -143,13 +144,12 @@ class LazyComposition:
     start weight) is range-checked once (``kind.valid``), which turns an
     overflow into ``SemiringError``.
 
-    Label lookahead: a target pair (s1, s2, f) whose next A output labels
-    miss ``read_set(b, ..., s2)`` cannot reach a final pair.  A's next
-    labels are its output labels on ``s1``'s arcs, plus ``_END`` if ``s1``
-    is final, or any label at all if one of those arcs writes epsilon --
-    except at the target of a B-alone move, where A may not move alone
-    until the next match, so only its own non-epsilon labels count.  Each
-    move is tested before its product is formed, and a move to such a
+    Label lookahead: a target pair (s1, s2, f) cannot reach a final pair
+    unless some label A writes after output-epsilon moves from ``s1`` is
+    in ``read_set(b, ..., s2)``, ``_END`` (both sides can stop) included.
+    At the target of a B-alone move A may not move alone until the next
+    match, so only the labels on ``s1``'s own arcs count there.  Each
+    move is tested before its product is formed, and a move to a dead
     pair is dropped, so the pair never receives an id.  Moves, and the
     pair ids of the moves kept, come in ``merge_arcs`` order.
     """
@@ -169,7 +169,7 @@ class LazyComposition:
         self._pairs = [start]
         self._index_b = label_indexes(b)
         self._reads = label_indexes(b, "lookahead_sets")
-        self._emits = {}  # s1 -> (after, direct) label sets, see _emits_of
+        self._emits = {}  # s1 -> (arcs, after, direct), see _emits_of
 
     def final(self, state):
         s1, s2, _ = self._pairs[state]
@@ -183,68 +183,90 @@ class LazyComposition:
         b, index_b, reads = self.b, self._index_b, self._reads
         index = label_index(b, index_b, s2)
         eps_b = index.get(EPSILON, ())
-        times, emits_of, add = self.kind.times, self._emits_of, self._add
+        kind, ids, pairs = self.kind, self._ids, self._pairs
+        times, valid, new = kind.times, kind.valid, tuple.__new__
+        memo, emits_of, reads_of = self._emits.get, self._emits_of, reads.get
+        arcs_a, _, direct = memo(s1) or emits_of(s1)
         both = f == FILTER_INITIAL
         result = []
-        for arc_a in self.a.arcs(s1):
-            n1 = arc_a.nextstate
-            if arc_a.olabel != EPSILON:
-                group = index.get(arc_a.olabel, ())
+        for il, ol, wa, n1 in arcs_a:
+            if ol != EPSILON:
+                group = index.get(ol, ())
             else:
                 group = eps_b if both else ()
             if group:
-                emits = emits_of(n1)[0]  # once for all of this arc's matches
-                for arc_b in group:
-                    n2 = arc_b.nextstate
-                    if emits is None or not emits.isdisjoint(
-                            read_set(b, index_b, reads, n2)):
-                        add(result, arc_a.ilabel, arc_b.olabel,
-                            times(arc_a.weight, arc_b.weight),
-                            (n1, n2, FILTER_INITIAL))
-            if arc_a.olabel == EPSILON and f != _B_ALONE:
-                self._alone(result, arc_a.ilabel, EPSILON, arc_a.weight,
-                            (n1, s2, _A_ALONE), emits_of(n1)[0])
+                after = (memo(n1) or emits_of(n1))[1]
+                for _, ol_b, wb, n2 in group:
+                    if after.isdisjoint(reads_of(n2)
+                                        or read_set(b, index_b, reads, n2)):
+                        continue
+                    w = times(wa, wb)
+                    if not valid(w):
+                        raise kind.carrier_error(w)
+                    target = (n1, n2, FILTER_INITIAL)
+                    t = ids.setdefault(target, len(pairs))
+                    if t == len(pairs):
+                        pairs.append(target)
+                    result.append(new(Arc, (il, ol_b, w, t)))
+            if ol == EPSILON and f != _B_ALONE:
+                self._alone(result, il, EPSILON, wa, (n1, s2, _A_ALONE),
+                            (memo(n1) or emits_of(n1))[1])
         if eps_b and f != _A_ALONE:
             # A stays at s1; it may not move alone from the target
             # (s1, n2, _B_ALONE), so only its own labels count
-            emits = emits_of(s1)[1]
-            for arc_b in eps_b:
-                self._alone(result, EPSILON, arc_b.olabel, arc_b.weight,
-                            (s1, arc_b.nextstate, _B_ALONE), emits)
+            for _, ol_b, wb, n2 in eps_b:
+                self._alone(result, EPSILON, ol_b, wb, (s1, n2, _B_ALONE),
+                            direct)
         return tuple(result)
 
     def _emits_of(self, s1):
-        """A's output labels on ``s1``'s arcs, plus ``_END`` if ``s1`` is
-        final, as a pair ``(after, direct)``: ``direct`` leaves epsilon
-        out, and ``after`` is ``None`` (any label may follow) if one of
-        the labels is epsilon, else ``direct``."""
-        emits = self._emits.get(s1)
-        if emits is None:
-            labels = {arc.olabel for arc in self.a.arcs(s1)}
-            if self.a.final(s1) != self.kind.zero:
-                labels.add(_END)
-            direct = labels - {EPSILON}
-            emits = (None if EPSILON in labels else direct, direct)
-            self._emits[s1] = emits
+        """``(arcs, after, direct)`` for A's state ``s1``, kept for the
+        life of the view: ``arcs`` are ``s1``'s arcs, ``direct`` the
+        non-epsilon output labels on them, and ``after`` every non-epsilon
+        output label A can write after output-epsilon moves from ``s1``;
+        each set holds ``_END`` if ``s1``, or for ``after`` a state those
+        moves reach, is final."""
+        a, zero, memo = self.a, self.kind.zero, self._emits
+        arcs = tuple(a.arcs(s1))
+        direct = {arc.olabel for arc in arcs}
+        if a.final(s1) != zero:
+            direct.add(_END)
+        after = set(direct)
+        stack = [arc.nextstate for arc in arcs if arc.olabel == EPSILON]
+        seen = {s1, *stack}
+        while stack:
+            q = stack.pop()
+            known = memo.get(q)
+            if known is not None:
+                after |= known[1]  # q's walk is done: no need to repeat it
+                continue
+            if a.final(q) != zero:
+                after.add(_END)
+            for arc in a.arcs(q):
+                if arc.olabel != EPSILON:
+                    after.add(arc.olabel)
+                elif arc.nextstate not in seen:
+                    seen.add(arc.nextstate)
+                    stack.append(arc.nextstate)
+        direct.discard(EPSILON)
+        after.discard(EPSILON)
+        memo[s1] = emits = (arcs, after, direct)
         return emits
 
     def _alone(self, result, il, ol, w, target, emits):
-        """``_add`` a move where one side stays put, unless the lookahead
+        """Append a move where one side stays put, unless the lookahead
         finds that ``emits``, A's labels from the target, miss what B
-        reads next."""
-        if emits is None or not emits.isdisjoint(
-                read_set(self.b, self._index_b, self._reads, target[1])):
-            self._add(result, il, ol, w, target)
-
-    def _add(self, result, il, ol, w, target):
-        """Range-check a kept move's weight, give its target pair an id if
-        it has none, and append the arc."""
+        reads next; range-check its weight and give its target pair an id
+        if it has none."""
+        if emits.isdisjoint(self._reads.get(target[1]) or read_set(
+                self.b, self._index_b, self._reads, target[1])):
+            return
         if not self.kind.valid(w):
             raise self.kind.carrier_error(w)
         t = self._ids.setdefault(target, len(self._pairs))
         if t == len(self._pairs):
             self._pairs.append(target)
-        result.append(Arc(il, ol, w, t))
+        result.append(tuple.__new__(Arc, (il, ol, w, t)))
 
 
 def lazy_compose(a, b) -> LazyComposition:

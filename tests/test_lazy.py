@@ -240,9 +240,36 @@ def test_nested_cascade_equals_unpruned_product(kind, seed):
     # operand, which expands inner pair states ahead of the outer search
     a, b, c = sample_machines(seed, 3, kind=kind, max_states=5, max_arcs=8)
     expected = text_of(product_compose(product_compose(a, b), c))
-    nested = lazy_compose(cached(lazy_compose(a, b)), c)
-    assert text_of(expand(nested, trim=True)) == expected
+    for inner in (cached(lazy_compose(a, b)), lazy_compose(a, b),
+                  cached(lazy_compose(a, b), LRU, capacity=1)):
+        nested = lazy_compose(inner, c)
+        assert text_of(expand(nested, trim=True)) == expected
     assert text_of(compose(compose(a, b), c)) == expected
+
+
+def test_bare_lazy_left_operand_arcs_are_kept_per_state():
+    # the outer kernel keeps each A state's arcs with its lookahead sets,
+    # so a bare inner view (no cache) is asked for a state's arcs once for
+    # that state's own sets, and once more only where the output-epsilon
+    # walk of another state passes through it
+    calls, states = 0, set()
+    for seed in range(20):
+        a, b, c = sample_machines(7000 + seed, 3, kind=T, max_states=5,
+                                  max_arcs=8)
+        inner = lazy_compose(a, b)
+        inner_arcs = inner.arcs
+
+        def counted(state, inner_arcs=inner_arcs):
+            nonlocal calls
+            calls += 1
+            states.add((seed, state))
+            return inner_arcs(state)
+
+        inner.arcs = counted
+        nested = expand(lazy_compose(inner, c), trim=True)
+        assert text_of(nested) == text_of(compose(compose(a, b), c))
+    assert len(states) == 46
+    assert calls <= 73  # 99 when every outer pair asked again
 
 
 # -- label lookahead: pair states that cannot succeed are never built --
@@ -292,6 +319,45 @@ def test_b_alone_move_is_tested_against_a_direct_labels():
     expand(view)
     assert (1, 2, ops._B_ALONE) not in view._pairs
     assert text_of(compose(a, b)) == text_of(product_compose(a, b))
+
+
+def test_lookahead_reads_through_a_output_epsilon_moves():
+    # A's state 1 writes epsilon and then 3; B's state 1 reads only 4, so
+    # the match to (1, 1) is dropped and that pair never gets an id
+    a = build(T, [(0, 1, 1, 0.0, 1), (1, 2, 0, 0.0, 2), (2, 3, 3, 0.0, 3),
+                  (0, 5, 5, 0.0, 3)], [3])
+    b = build(T, [(0, 1, 1, 0.0, 1), (1, 4, 4, 0.0, 2), (0, 5, 5, 0.0, 2)],
+              [2])
+    view = LazyComposition(a, b)
+    expand(view)
+    assert view._pairs == [(0, 0, 0), (3, 2, 0)]
+    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+        "0 1 5 5\n1\n"
+
+
+def test_lookahead_finds_a_final_behind_output_epsilon_moves():
+    # A is final only after two epsilon-output arcs, and B is final where
+    # it starts: the end of the walk must count as a label both share
+    a = build(T, [(0, 1, 0, 0.5, 1), (1, 2, 0, 0.25, 2)], [2])
+    b = build(T, [], [0])
+    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+        "0 1 1 0 0.5\n1 2 2 0 0.25\n2\n"
+
+
+def test_lookahead_walk_terminates_on_an_output_epsilon_cycle():
+    # 0 and 1 write epsilon to each other; each leaves the cycle with a
+    # label of its own, and 2 writes epsilon into the cycle
+    a = build(T, [(0, 1, 0, 0.5, 1), (1, 2, 0, 0.5, 0), (1, 3, 3, 1.0, 3),
+                  (0, 4, 4, 1.0, 3), (2, 5, 0, 0.0, 1), (0, 6, 6, 0.0, 2)],
+              [3])
+    for b in (build(T, [(0, 3, 3, 0.0, 1)], [1]),
+              build(T, [(0, 4, 4, 0.0, 1)], [1]),
+              build(T, [(0, 6, 6, 0.0, 1), (1, 0, 7, 0.0, 2),
+                        (2, 3, 3, 0.0, 3)], [3]),
+              build(T, [(0, 7, 7, 0.0, 1)], [1])):
+        expected = text_of(product_compose(a, b))
+        assert text_of(compose(a, b)) == expected
+        assert text_of(expand(lazy_compose(a, b), trim=True)) == expected
 
 
 def test_lookahead_sets_are_shared_and_interned_on_frozen_machine(

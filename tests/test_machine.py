@@ -302,6 +302,16 @@ def test_connect_drops_dead_states():
     assert weight_of(t, (1,)) == weight_of(m, (1,))
 
 
+@pytest.mark.parametrize("kind", [T, B, Semiring.REAL])
+def test_connect_drops_zero_weight_arcs(kind):
+    # an arc weighted zero connects nothing, even between useful states
+    m = acceptor(kind, [(0, 1, kind.one, 1), (0, 2, kind.zero, 1)], [1])
+    t = connect(m)
+    assert t is not m
+    assert write_text(t) == write_text(acceptor(kind, [(0, 1, kind.one, 1)],
+                                                [1]))
+
+
 def test_connect_empty_language():
     m = acceptor(T, [(0, 1, 0.0, 1)], {2: 0.0}, num_states=3)
     t = connect(m)

@@ -562,6 +562,20 @@ def test_minimize_drops_zero_weight_arcs(kind):
     assert write_text(minimize(m)) == write_text(minimize(without))
 
 
+def test_a_zero_weight_arc_leaves_no_dead_state_after_connect():
+    # state 1 reaches a final only through an arc weighted zero, which is
+    # no path: connect drops it, so minimize (which trims) and push after
+    # the trim its error asks for both succeed
+    m = acceptor(T, [(0, 1, 0.0, 1), (1, 2, T.zero, 2), (0, 3, 0.0, 3)],
+                 [2, 3])
+    live = acceptor(T, [(0, 3, 0.0, 1)], [1])
+    assert write_text(connect(m)) == write_text(live)
+    assert write_text(minimize(m)) == write_text(minimize(live))
+    with pytest.raises(ContractError, match=r"\[1\] cannot reach a final"):
+        push(m, "weights")
+    assert write_text(push(connect(m), "weights")) == write_text(live)
+
+
 def test_minimize_requires_deterministic():
     m = acceptor(T, [(0, 1, 0.0, 1), (0, 1, 0.0, 0)], [1])
     with pytest.raises(ContractError):

@@ -157,8 +157,9 @@ def _dot_text(m):
         for arc in m.arcs(q):
             il = _labels_text([arc.ilabel], m.isymbols)
             ol = _labels_text([arc.olabel], m.osymbols)
-            lines.append(f'{q} -> {arc.nextstate} '
-                         f'[label="{il}:{ol}/{m.kind.format(arc.weight)}"];')
+            label = f"{il}:{ol}/{m.kind.format(arc.weight)}"
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'{q} -> {arc.nextstate} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -296,7 +296,9 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
             back[q] = bp
     stats.expanded_states = len(expanded)
     if best_final is None:
-        raise NoPathError("no surviving path; try a larger beam")
+        raise NoPathError("no surviving path; try a larger beam"
+                          if beam < INF else
+                          "the cascade accepts no path for the observations")
     # reconstruct outputs
     outputs = []
     q = best_final[1]

@@ -16,33 +16,6 @@ from .machine import Arc, Machine, connect
 from .ops import LazyComposition, lazy_compose  # noqa: F401 (re-exported)
 
 
-class _IndexTable(dict):
-    """A cache's ``state -> label_index`` table (see ``ops.label_indexes``).
-
-    It takes an entry only for a state whose arcs the cache holds, and the
-    cache drops the entry when it evicts those arcs, so a composition that
-    reads the cache as its right operand keeps no more indexes than the
-    cache keeps states.  A lookup that finds an index counts as a use of
-    the state, so an LRU cache keeps a state recent while its index is read.
-    """
-
-    __slots__ = ("_held", "_lru")
-
-    def __init__(self, held, lru):
-        super().__init__()
-        self._held, self._lru = held, lru
-
-    def get(self, state, default=None):
-        index = super().get(state, default)
-        if self._lru and index is not default:
-            self._held.move_to_end(state)
-        return index
-
-    def __setitem__(self, state, index):
-        if state in self._held:
-            super().__setitem__(state, index)
-
-
 MEMOIZE = "memoize"
 LRU = "lru"
 REFCOUNT = "refcount"
@@ -58,10 +31,9 @@ class CachedMachine:
         been released (``acquire``/``release``).
 
     ``expansions`` counts how many times the underlying machine's ``arcs``
-    was invoked; eviction never changes returned arc contents.
-    ``label_indexes`` holds the label index (``ops.label_index``) of cached
-    states that compositions read as their right operand; a state's index
-    is evicted with its arcs.
+    was invoked; eviction never changes returned arc contents.  A cache
+    bounds only its own arcs: a composition keeps what it reads from its
+    operands, a cache among them, for its own lifetime.
     """
 
     def __init__(self, m, mode=MEMOIZE, capacity=None):
@@ -80,7 +52,6 @@ class CachedMachine:
         self.expansions = 0
         self._cache = OrderedDict()
         self._refs = {}
-        self.label_indexes = _IndexTable(self._cache, mode == LRU)
 
     def final(self, state):
         return self.m.final(state)
@@ -96,7 +67,7 @@ class CachedMachine:
         count = self._refs.get(state, 0) - 1
         if count <= 0:
             self._refs.pop(state, None)
-            self._evict(state)
+            self._cache.pop(state, None)
         else:
             self._refs[state] = count
 
@@ -112,12 +83,8 @@ class CachedMachine:
         self._cache[state] = arcs
         if self.mode == LRU:
             while len(self._cache) > self.capacity:
-                self._evict(next(iter(self._cache)))
+                self._cache.popitem(last=False)
         return arcs
-
-    def _evict(self, state):
-        self._cache.pop(state, None)
-        self.label_indexes.pop(state, None)
 
 
 def cached(m, mode=MEMOIZE, capacity=None) -> CachedMachine:

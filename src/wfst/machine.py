@@ -207,15 +207,6 @@ class Machine:
             if key in (source._derived or ()):
                 self._derived[key] = source._derived[key]
 
-    def _table(self, key):
-        return None if self._derived is None else self._memo(key, dict)
-
-    #: state -> ops.label_index and state -> ops.read_set of a frozen
-    #: machine, filled by the compositions that read it as their right
-    #: operand; None while mutable
-    label_indexes = property(lambda self: self._table("label_indexes"))
-    lookahead_sets = property(lambda self: self._table("lookahead_sets"))
-
     # -- generalized state machine interface ----------------------------
 
     def arcs(self, state: int):

@@ -35,9 +35,6 @@ def label_index(m, table, state):
     epsilon-input arcs under ``EPSILON``.  It is built on first use and
     kept in ``table`` (see ``label_indexes``), so a composition indexes each
     state of its right operand once rather than on every pair-state visit.
-    The table is read with ``get`` and written with ``table[state] = ...``
-    only after ``m.arcs(state)`` has run: a caching machine's table accepts
-    an entry only for a state whose arcs the cache then holds.
     """
     index = table.get(state)
     if index is None:
@@ -53,13 +50,13 @@ def label_indexes(m, name="label_indexes"):
     """The ``state -> label_index`` table (``name="lookahead_sets"``:
     ``state -> read_set``) a composition reads ``m`` through.
 
-    A frozen ``Machine`` carries both, shared by every composition that
-    reads it, since its arcs never change; a ``CachedMachine``'s index
-    table keeps an index only while the cache keeps that state's arcs.
-    Anything else gets a fresh table private to the composition that asks.
+    A composition keeps what it reads from its operands for its own
+    lifetime; a cache bounds only its own arcs.  A frozen ``Machine``
+    keeps both tables, shared by every composition that reads it, since
+    its arcs never change; any other operand (a mutable machine, a cache,
+    a lazy view) gets a fresh table private to the composition that asks.
     """
-    table = getattr(m, name, None)
-    return {} if table is None else table
+    return m._memo(name, dict) if isinstance(m, Machine) else {}
 
 
 def read_set(b, index_table, table, state):
@@ -151,7 +148,9 @@ class LazyComposition:
     match, so only the labels on ``s1``'s own arcs count there.  Each
     move is tested before its product is formed, and a move to a dead
     pair is dropped, so the pair never receives an id.  Moves, and the
-    pair ids of the moves kept, come in ``merge_arcs`` order.
+    pair ids of the moves kept, come in ``merge_arcs`` order.  The view
+    keeps what it reads from its operands for its own lifetime, B's
+    tables through ``label_indexes``; a cache operand bounds only its arcs.
     """
 
     start = 0
@@ -170,6 +169,7 @@ class LazyComposition:
         self._index_b = label_indexes(b)
         self._reads = label_indexes(b, "lookahead_sets")
         self._emits = {}  # s1 -> (arcs, after, direct), see _emits_of
+        self._crossed = {}  # state of A -> its arcs, read by a walk only
 
     def final(self, state):
         s1, s2, _ = self._pairs[state]
@@ -225,14 +225,18 @@ class LazyComposition:
         non-epsilon output labels on them, and ``after`` every non-epsilon
         output label A can write after output-epsilon moves from ``s1``;
         each set holds ``_END`` if ``s1``, or for ``after`` a state those
-        moves reach, is final."""
+        moves reach, is final.  The walk keeps the arcs of each state it
+        crosses until that state's own entry takes them, so the view reads
+        each state of A once."""
         a, zero, memo = self.a, self.kind.zero, self._emits
-        arcs = tuple(a.arcs(s1))
+        crossed = self._crossed
+        arcs = crossed.pop(s1) if s1 in crossed else tuple(a.arcs(s1))
         direct = {arc.olabel for arc in arcs}
         if a.final(s1) != zero:
             direct.add(_END)
         after = set(direct)
-        stack = [arc.nextstate for arc in arcs if arc.olabel == EPSILON]
+        stack = [arc.nextstate for arc in arcs
+                 if arc.olabel == EPSILON and arc.nextstate != s1]
         seen = {s1, *stack}
         while stack:
             q = stack.pop()
@@ -242,7 +246,9 @@ class LazyComposition:
                 continue
             if a.final(q) != zero:
                 after.add(_END)
-            for arc in a.arcs(q):
+            if q not in crossed:
+                crossed[q] = tuple(a.arcs(q))
+            for arc in crossed[q]:
                 if arc.olabel != EPSILON:
                     after.add(arc.olabel)
                 elif arc.nextstate not in seen:

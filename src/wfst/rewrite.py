@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import ContractError, ParseError
-from .machine import (EPSILON, Arc, Machine, SymbolTable, accepted_pairs,
-                      connect, observation_machine)
+from .machine import (EPSILON, Arc, Machine, SymbolTable, _resolve,
+                      accepted_pairs, connect, observation_machine)
 from .ops import (_END, _relabel, closure, complement, compose, concat,
                   intersect, read_set, reverse, union)
 from .optimize import determinize
@@ -449,7 +449,8 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
     rejects the input (no output, not an error).
     """
     table = rule_fst.isymbols
-    labels = [table.find(t) if isinstance(t, str) else int(t) for t in inp]
+    labels = [_resolve(t, table) if isinstance(t, str) else int(t)
+              for t in inp]
     comp = compose(observation_machine(labels, rule_fst.kind, table),
                    rule_fst)
     if not comp.finals:

@@ -61,6 +61,18 @@ def test_fst_print_dot(files, capsys):
     assert '0 -> 1 [label="1:1/0.5"];' in out
 
 
+def test_fst_print_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    table = tmp_path / "m.syms"
+    table.write_text('<eps> 0\na"b 1\nc\\ 2\n')
+    fst = tmp_path / "m.fst"
+    fst.write_text('0 1 a"b c\\ 1\n1\n')
+    code, out, _ = run(fst_main, ["print", str(fst), "--dot", "--isyms",
+                                  str(table), "--osyms", str(table)],
+                       capsys)
+    assert code == 0
+    assert '0 -> 1 [label="a\\"b:c\\\\/1"];' in out
+
+
 @pytest.mark.parametrize("name,op", [
     ("compose", ops.compose), ("intersect", ops.intersect),
     ("union", ops.union), ("concat", ops.concat)])
@@ -333,6 +345,22 @@ def test_decode_cascade(tmp_path, capsys):
     code, out2, _ = run(decode_main, ["--cascade", str(manifest),
                                       "--beam", "100", "1 2"], capsys)
     assert code == 0 and out2 == out
+
+
+def test_decode_reports_no_path_without_blaming_the_default_beam(
+        tmp_path, capsys):
+    stage = tmp_path / "m.txt"
+    stage.write_text("0 1 1\n1\n")  # reads only label 1
+    manifest = tmp_path / "cascade.txt"
+    manifest.write_text(f"{stage}\n")
+    code, out, err = run(decode_main, ["--cascade", str(manifest), "2"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err == "error: the cascade accepts no path for the observations\n"
+    code, out, err = run(decode_main, ["--cascade", str(manifest),
+                                       "--beam", "5", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: no surviving path; try a larger beam\n"
 
 
 @pytest.mark.parametrize("beam", ["nan", "-1"])

@@ -370,10 +370,18 @@ def test_beam_too_small_raises():
     # non-final state 3, after its cost has pruned the live path at beam 1
     stage = build(T, [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1),
                       (2, 2, 2, 0.0, 3)], {1: 0.0})
-    with pytest.raises(NoPathError):
+    with pytest.raises(NoPathError, match="try a larger beam"):
         beam_decode(CascadeSpec([stage]), (1, 2), beam=1.0)
     outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1, 2))
     assert (outputs, cost) == ((1, 1), 5.0)
+
+
+def test_no_path_at_an_infinite_beam_is_not_blamed_on_the_beam():
+    stage = build(T, [(0, 1, 1, 0.0, 1)], {1: 0.0})
+    with pytest.raises(NoPathError) as exc:
+        beam_decode(CascadeSpec([stage]), (2,))
+    assert str(exc.value) == \
+        "the cascade accepts no path for the observations"
 
 
 def test_dead_end_branch_never_enters_the_beam():

@@ -146,7 +146,7 @@ def test_shared_index_on_frozen_machine_matches_fresh_copy():
         else:
             got = text_of(compose(a, b))
         assert got == expected, i
-    assert b.label_indexes  # filled once, then shared by every composition
+    assert label_indexes(b)  # filled once, then shared by every composition
 
 
 def test_unfrozen_machine_is_indexed_fresh_per_composition():
@@ -172,24 +172,11 @@ def test_evicting_lazy_view_as_right_operand():
         expected = text_of(compose(a, expand(lazy_compose(b1, b2))))
         view = cached(lazy_compose(b1, b2), LRU, capacity=1)
         assert text_of(compose(a, view)) == expected
-        # the view's label indexes are evicted with its arcs
-        assert len(view.label_indexes) <= view.capacity
         assert text_of(expand(lazy_compose(a, view), trim=True)) == expected
-        assert len(view.label_indexes) <= view.capacity
+        assert len(view._cache) <= view.capacity  # it bounds its own arcs
 
 
-def test_index_hit_keeps_lru_state_recent():
-    m = build(T, [(0, 1, 1, 1.0, 1), (1, 2, 2, 1.0, 2), (2, 3, 3, 1.0, 0)],
-              [2])
-    view = cached(m, LRU, capacity=2)
-    table = label_indexes(view)
-    for state in (0, 1, 0, 2):  # the third lookup is an index hit
-        label_index(view, table, state)
-    assert list(view.label_indexes) == [0, 2]  # 1 was least recent
-    assert view.expansions == 3
-
-
-def test_refcount_view_indexes_only_held_states():
+def test_refcount_view_as_right_operand():
     for a, b1, b2 in zip(*(sample_machines(seed, 10, kind=T, max_states=4,
                                            max_arcs=7)
                            for seed in (1910, 1911, 1912))):
@@ -197,9 +184,9 @@ def test_refcount_view_indexes_only_held_states():
         view = cached(lazy_compose(b1, b2), REFCOUNT)
         view.acquire(view.start)
         assert text_of(compose(a, view)) == expected
-        assert list(view.label_indexes) == [view.start]
+        assert list(view._cache) == [view.start]  # only the held state
         view.release(view.start)
-        assert not view.label_indexes
+        assert not view._cache
 
 
 @st.composite
@@ -249,9 +236,8 @@ def test_nested_cascade_equals_unpruned_product(kind, seed):
 
 def test_bare_lazy_left_operand_arcs_are_kept_per_state():
     # the outer kernel keeps each A state's arcs with its lookahead sets,
-    # so a bare inner view (no cache) is asked for a state's arcs once for
-    # that state's own sets, and once more only where the output-epsilon
-    # walk of another state passes through it
+    # and the arcs of the states its output-epsilon walks cross, so a bare
+    # inner view (no cache) is asked for each state's arcs once
     calls, states = 0, set()
     for seed in range(20):
         a, b, c = sample_machines(7000 + seed, 3, kind=T, max_states=5,
@@ -269,7 +255,33 @@ def test_bare_lazy_left_operand_arcs_are_kept_per_state():
         nested = expand(lazy_compose(inner, c), trim=True)
         assert text_of(nested) == text_of(compose(compose(a, b), c))
     assert len(states) == 46
-    assert calls <= 73  # 99 when every outer pair asked again
+    assert calls == len(states)  # 73 when walks re-read, 99 per outer pair
+
+
+def test_output_epsilon_self_loop_reads_its_state_once():
+    # A's state 0 writes epsilon on a loop to itself
+    a = cached(build(T, [(0, 1, 0, 0.5, 0), (0, 2, 2, 0.0, 1)], [1]))
+    b = build(T, [(0, 2, 3, 0.0, 1)], [1])
+    calls, cache_arcs = [], a.arcs
+    a.arcs = lambda state: calls.append(state) or cache_arcs(state)
+    got = expand(lazy_compose(a, b), trim=True)
+    assert text_of(got) == text_of(product_compose(a.m, b))
+    assert sorted(calls) == [0, 1]
+
+
+def test_only_a_frozen_machine_keeps_composition_tables():
+    frozen = build(T, [(0, 1, 1, 0.0, 1)], [1])
+    mutable = Machine(T)
+    mutable.add_arc(0, 1, 1, 0.0, 1)
+    for name in ("label_indexes", "lookahead_sets"):
+        table = label_indexes(frozen, name)
+        assert table == {} and label_indexes(frozen, name) is table
+        for m in (mutable, cached(frozen), lazy_compose(frozen, frozen)):
+            fresh = label_indexes(m, name)
+            assert fresh == {} and label_indexes(m, name) is not fresh
+    assert label_indexes(frozen) is not label_indexes(frozen, "lookahead_sets")
+    compose(frozen, frozen)
+    assert list(label_indexes(frozen)) == [0, 1]
 
 
 # -- label lookahead: pair states that cannot succeed are never built --
@@ -364,7 +376,7 @@ def test_lookahead_sets_are_shared_and_interned_on_frozen_machine(
         monkeypatch):
     a, b = lookahead_operands()
     compose(a, b)
-    table = dict(b.lookahead_sets)
+    table = dict(label_indexes(b, "lookahead_sets"))
     assert table[1] == {2, 3}  # state 1 reads 2, and 3 after epsilon
     assert table[3] is table[4]  # equal sets are one object
     # a second composition indexes B once per pair state it expands, and
@@ -379,8 +391,9 @@ def test_lookahead_sets_are_shared_and_interned_on_frozen_machine(
     view = lazy_compose(a, b)
     expand(view)
     assert len(lookups) == len(view._pairs)
-    assert b.lookahead_sets == table
-    assert all(b.lookahead_sets[k] is v for k, v in table.items())
+    shared = label_indexes(b, "lookahead_sets")
+    assert shared == table
+    assert all(shared[k] is v for k, v in table.items())
 
 
 def test_lookahead_over_unfrozen_and_evicting_right_operands():
@@ -392,8 +405,9 @@ def test_lookahead_over_unfrozen_and_evicting_right_operands():
             unfrozen.add_arc(q, *arc)
         for q, w in b.finals.items():
             unfrozen.set_final(q, w)
-        assert unfrozen.lookahead_sets is None
         assert text_of(compose(a, unfrozen)) == expected
+        assert label_indexes(unfrozen, "lookahead_sets") == {}
         view = cached(b, LRU, capacity=1)
         assert text_of(compose(a, view)) == expected
         assert text_of(expand(lazy_compose(a, view), trim=True)) == expected
+        assert len(view._cache) <= view.capacity  # it bounds its own arcs

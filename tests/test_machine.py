@@ -7,6 +7,7 @@ from wfst import (ANY, EPSILON, DivergenceError, FsmError, Machine,
                   ParseError, Semiring, SemiringError, SymbolError,
                   SymbolTable, accepted_pairs, connect, read_text, weight_of,
                   write_text)
+from wfst.ops import label_indexes
 
 from helpers import acceptor, build, enum_paths, sample_machines
 
@@ -265,10 +266,10 @@ def test_mutable_machine_derives_afresh(monkeypatch):
     m.add_arc(1, 1, 2, 0.0, 0)
     assert m.topological_order() is None and not m.is_acceptor()
     assert len(calls) == 2
-    assert m.label_indexes is None and m.lookahead_sets is None
+    assert label_indexes(m) == {} and label_indexes(m) is not label_indexes(m)
     m.freeze()
     assert m.topological_order() is None
-    assert m.label_indexes == {} and m.label_indexes is m.label_indexes
+    assert label_indexes(m) == {} and label_indexes(m) is label_indexes(m)
 
 
 # -- connect -------------------------------------------------------------

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from wfst import (ContractError, Machine, ParseError, Rule, Semiring,
-                  SymbolTable, apply_rewrite, compile_regex, compile_rule,
-                  compile_tree, compile_weighted_rule, intersect_samelength,
-                  marker, parse_rule_file, parse_tree, weight_of)
+                  SymbolError, SymbolTable, apply_rewrite, compile_regex,
+                  compile_rule, compile_tree, compile_weighted_rule,
+                  intersect_samelength, marker, parse_rule_file, parse_tree,
+                  read_text, weight_of)
 
 from helpers import random_rule_spec, scan_rewrite, strings_up_to
 
@@ -174,6 +175,14 @@ def apply_strings(fst, text, mode="all"):
     table = fst.isymbols
     out = apply_rewrite(fst, list(text), mode=mode)
     return {tuple(table.find(x) for x in labels): w for labels, w in out}
+
+
+def test_apply_rewrite_on_a_machine_without_symbol_table():
+    fst = read_text("0 1 1 2\n1\n", acceptor=False)
+    assert apply_rewrite(fst, ["1"]) == [((2,), 0.0)]
+    assert apply_rewrite(fst, [1]) == [((2,), 0.0)]
+    with pytest.raises(SymbolError):
+        apply_rewrite(fst, ["a"])
 
 
 def test_simple_rule_displayed_example():

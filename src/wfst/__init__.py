@@ -17,9 +17,9 @@ from .decode import (CascadeSpec, Lattice, backward_distances, beam_decode,
 from .ngram import (BackoffModel, CountTable, build_lm_fsa, count_ngrams,
                     good_turing, katz_model, mle, read_arpa, write_arpa)
 from .rewrite import (DecisionTreeSpec, Rule, TreeLeaf, apply_rewrite,
-                      compile_regex, compile_rule, compile_tree,
-                      compile_weighted_rule, intersect_samelength, marker,
-                      parse_rule_file, parse_tree)
+                      compile_regex, compile_tree, compile_weighted_rule,
+                      intersect_samelength, marker, parse_rule_file,
+                      parse_tree)
 from .semiring import Semiring
 
 __version__ = "0.1.0"

@@ -71,7 +71,7 @@ def _labels_text(labels, table):
 
 
 def _shortest(args, m):
-    d = dec.shortest_distance(m, args.algo)
+    d = dec.shortest_distance(m)
     return "\n".join(f"{q}\t{m.kind.format(d[q])}" for q in sorted(d)
                      if d[q] != m.kind.zero) + "\n"
 
@@ -116,9 +116,7 @@ _FST_COMMANDS = {
     "minimize": (1, {}, lambda args, m: optimize.minimize(m)),
     "equivalent": (2, {}, _equivalent),
     "connect": (1, {}, lambda args, m: connect(m)),
-    "shortest": (1, {"--algo": {"choices": ["acyclic", "dijkstra",
-                                            "bellman_ford"],
-                                "default": "dijkstra"}}, _shortest),
+    "shortest": (1, {}, _shortest),
     "bestpath": (1, {}, _bestpath),
 }
 

@@ -24,36 +24,38 @@ def _require_tropical(m):
         raise ContractError("decoding requires TROPICAL weights")
 
 
-def _distances(m, forward, algo):
+def _distances(m, forward):
     """Least d with d[v] <= d[u] + w over every edge (u, v, w): the arcs from
     the start weight, or reversed arcs from the final weights (Mohri 2002).
-    Acyclic input takes one pass in topological order, O(V+E); 'dijkstra'
-    runs best-first from the start, O(E log V); otherwise Bellman-Ford,
-    O(V*E), raises ContractError when pass |V| + 1 still lowers a distance.
+    The machine chooses the algorithm: acyclic input takes one pass in
+    topological order, O(V+E); without negative weights Dijkstra settles
+    each state once, O(E log V); otherwise Bellman-Ford, O(V*E), raises
+    ContractError when pass |V| + 1 still lowers a distance.
     """
     _require_tropical(m)
-    if algo not in ("acyclic", "dijkstra", "bellman_ford"):
-        raise ContractError(f"unknown algorithm {algo!r}")
-    order = None if algo == "dijkstra" else m.topological_order()
-    if order is None and algo == "acyclic":
-        raise ContractError("machine has a cycle; acyclic algorithm inapplicable")
     d = [INF] * m.num_states
     if forward:
         d[m.start] = m.start_weight
     else:
         for q, w in m.finals.items():
             d[q] = w
-    if algo == "dijkstra":
-        if any(arc.weight < 0 for _, arc in m.all_arcs()):
-            raise ContractError("negative weight given to dijkstra")
-        heap = [(d[m.start], m.start)]
+    order = m.topological_order()
+    if order is None and all(arc.weight >= 0 for _, arc in m.all_arcs()):
+        arcs = m.arcs
+        if not forward:  # relax each arc from its target to its source
+            preds = [[] for _ in d]
+            for q, arc in m.all_arcs():
+                preds[arc.nextstate].append(arc._replace(nextstate=q))
+            arcs = preds.__getitem__
+        heap = sorted((x, q) for q, x in enumerate(d) if x < INF)
         while heap:
             x, u = heapq.heappop(heap)
             if x == d[u]:  # else a stale entry
-                for arc in m.arcs(u):
-                    if x + arc.weight < d[arc.nextstate]:
-                        d[arc.nextstate] = x + arc.weight
-                        heapq.heappush(heap, (x + arc.weight, arc.nextstate))
+                for arc in arcs(u):
+                    y = x + arc.weight
+                    if y < d[arc.nextstate]:
+                        d[arc.nextstate] = y
+                        heapq.heappush(heap, (y, arc.nextstate))
         return dict(enumerate(d))
     states = m.states() if order is None else order
     for _ in range(m.num_states + 1):
@@ -78,17 +80,16 @@ def _distances(m, forward, algo):
     raise ContractError("negative-weight cycle: shortest distances unbounded")
 
 
-def shortest_distance(m: Machine, algo: str = "dijkstra") -> dict[int, float]:
-    """Shortest distances from the start: 'acyclic' rejects cycles, 'dijkstra'
-    negative weights, 'bellman_ford' a negative cycle that the start reaches."""
-    return _distances(m, True, algo)
+def shortest_distance(m: Machine) -> dict[int, float]:
+    """Shortest distances from the start; ContractError if the start reaches
+    a negative-weight cycle."""
+    return _distances(m, True)
 
 
 def _backward(m):
     """``backward_distances`` of ``m``, computed once per frozen machine and
     shared: callers must not modify the dict."""
-    return m._memo("backward_distances",
-                   lambda: _distances(m, False, "bellman_ford"))
+    return m._memo("backward_distances", lambda: _distances(m, False))
 
 
 def backward_distances(m: Machine) -> dict[int, float]:
@@ -162,7 +163,7 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
     if math.isnan(threshold):
         raise ContractError(f"threshold must be a number, got {threshold!r}")
     m = lattice.machine
-    fwd = shortest_distance(m, "acyclic")
+    fwd = shortest_distance(m)
     bwd = _backward(m)
     best = min((fwd[q] + m.finals[q] for q in m.finals), default=INF)
     if best == INF:

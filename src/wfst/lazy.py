@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 
 from .errors import ContractError
-from .machine import Arc, Machine, connect
+from .machine import Arc, Machine
 from .ops import LazyComposition, lazy_compose  # noqa: F401 (re-exported)
 
 
@@ -91,7 +91,7 @@ def cached(m, mode=MEMOIZE, capacity=None) -> CachedMachine:
     return CachedMachine(m, mode, capacity)
 
 
-def expand(view, trim=False) -> Machine:
+def expand(view) -> Machine:
     """Materialize a generalized state machine by breadth-first expansion.
 
     A view's weights come from outside any frozen machine (a lazy
@@ -119,7 +119,6 @@ def expand(view, trim=False) -> Machine:
                 arcs.append([])
                 queue.append(arc.nextstate)
             out.append(Arc(arc.ilabel, arc.olabel, check(arc.weight), t))
-    out = Machine._from_parts(kind, getattr(view, "isymbols", None),
-                              getattr(view, "osymbols", None), arcs, finals,
-                              0, start_weight)
-    return connect(out) if trim else out
+    return Machine._from_parts(kind, getattr(view, "isymbols", None),
+                               getattr(view, "osymbols", None), arcs, finals,
+                               0, start_weight)

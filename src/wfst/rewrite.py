@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, SymbolError
 from .machine import (EPSILON, Arc, Machine, SymbolTable, _resolve,
                       accepted_pairs, connect, observation_machine)
 from .ops import (_END, _relabel, closure, complement, compose, concat,
@@ -435,22 +435,20 @@ def compile_weighted_rule(rule: Rule, symtab: SymbolTable | None = None, *,
     return t
 
 
-def compile_rule(rule: Rule, symtab: SymbolTable | None = None, *,
-                 alphabet=None) -> Machine:
-    """Unweighted rule compilation; all rewrite paths cost zero."""
-    return compile_weighted_rule(rule, symtab, alphabet=alphabet)
-
-
 def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
     """Run a string through a compiled rule.
 
     Returns a sorted list of (output labels, weight) pairs; mode 'best'
     keeps only the optimal one.  An empty list means the rule machine
-    rejects the input (no output, not an error).
+    rejects the input (no output, not an error).  A token is a symbol
+    string or an int label; any other token raises SymbolError.
     """
     table = rule_fst.isymbols
-    labels = [_resolve(t, table) if isinstance(t, str) else int(t)
-              for t in inp]
+    labels = [_resolve(t, table) if isinstance(t, str) else t for t in inp]
+    for t in labels:
+        if not isinstance(t, int):
+            raise SymbolError(f"token {t!r} is neither a symbol nor an "
+                              "int label")
     comp = compose(observation_machine(labels, rule_fst.kind, table),
                    rule_fst)
     if not comp.finals:

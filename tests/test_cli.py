@@ -11,6 +11,7 @@ from wfst import decode as dec
 from wfst.cli import decode_main, fst_main, lm_main, rule_main
 
 from helpers import model_path_cost
+from test_decode import layered_distances
 
 T = Semiring.TROPICAL
 
@@ -139,11 +140,20 @@ def test_fst_equivalent(files, capsys):
 
 
 def test_fst_shortest(files, capsys):
-    for algo in ("dijkstra", "bellman_ford", "acyclic"):
-        code, out, _ = run(fst_main, ["shortest", files["a.fst"],
-                                      "--algo", algo], capsys)
+    # a Katz bigram model, cyclic, with a negative back-off cost
+    lm = ngram.build_lm_fsa(ngram.katz_model(ngram.count_ngrams(
+        viable_corpus(), 2)))
+    assert min(arc.weight for _, arc in lm.all_arcs()) < 0
+    syms = files["dir"] / "lm.syms"
+    syms.write_text(lm.isymbols.write())
+    lm_file = files["dir"] / "lm.fst"
+    lm_file.write_text(write_text(lm))
+    for m, argv in ((read_text(A_TEXT), [files["a.fst"]]),
+                    (lm, [str(lm_file), "--isyms", str(syms),
+                          "--osyms", str(syms)])):
+        code, out, _ = run(fst_main, ["shortest", *argv], capsys)
         assert code == 0
-        d = dec.shortest_distance(read_text(A_TEXT), algo)
+        d = layered_distances(m)
         expected = "".join(f"{q}\t{T.format(d[q])}\n" for q in sorted(d)
                            if d[q] != math.inf)
         assert out == expected

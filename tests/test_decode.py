@@ -8,19 +8,20 @@ from hypothesis import given, settings, strategies as st
 from wfst import decode, optimize
 from wfst import (CascadeSpec, ContractError, Lattice, Machine, NoPathError,
                   Semiring, backward_distances, beam_decode, best_path,
-                  compose, connect, determinize, lattice_prune, minimize,
-                  observation_machine, push, rescore, shortest_distance,
-                  weight_of, write_text)
+                  build_lm_fsa, compose, connect, determinize, lattice_prune,
+                  minimize, observation_machine, push, rescore,
+                  shortest_distance, weight_of, write_text)
 
 from helpers import acceptor, build, enum_paths, sample_machines
+from test_ngram import viable_model
 
 T = Semiring.TROPICAL
 INF = math.inf
 
 
 def layered_distances(m):
-    """Min path cost per state over walks of < num_states arcs; exact for
-    non-negative weights."""
+    """Min path cost per state over walks of < num_states arcs; exact unless
+    the start reaches a negative cycle."""
     d = {q: INF for q in m.states()}
     d[m.start] = m.start_weight
     frontier = dict(d)
@@ -51,51 +52,56 @@ def graphs(seed, count, acyclic=False):
     return out
 
 
-def test_three_algorithms_agree_on_acyclic():
-    for m in graphs(2000, 30, acyclic=True):
-        ref = layered_distances(m)
-        for algo in ("acyclic", "dijkstra", "bellman_ford"):
-            assert shortest_distance(m, algo) == ref, algo
+def reweighted(m, rng):
+    """``m`` with each arc (u, v) shifted by p[u] - p[v] for integer
+    potentials p: arcs may turn negative, but every cycle keeps its weight,
+    so none turns negative."""
+    p = [rng.randrange(3) for _ in m.states()]
+    return acceptor(T, [(q, arc.ilabel, arc.weight + p[q] - p[arc.nextstate],
+                         arc.nextstate) for q, arc in m.all_arcs()],
+                    m.finals, num_states=m.num_states)
 
 
-def test_two_algorithms_agree_on_cyclic():
-    for m in graphs(2100, 30):
-        ref = layered_distances(m)
-        for algo in ("dijkstra", "bellman_ford"):
-            assert shortest_distance(m, algo) == ref, algo
+def test_distances_match_layered_walks_on_each_input_kind():
+    # acyclic input takes the topological pass, cyclic input without
+    # negative weights Dijkstra, and cyclic input with them Bellman-Ford
+    rng = random.Random(2300)
+    kinds = {"acyclic": graphs(2000, 30, acyclic=True),
+             "cyclic": graphs(2100, 30),
+             "negative": [reweighted(m, rng) for m in graphs(2100, 30)]}
+    for kind, machines in kinds.items():
+        for m in machines:
+            assert shortest_distance(m) == layered_distances(m), kind
+    assert sum(not m.is_acyclic() and
+               min(a.weight for _, a in m.all_arcs()) < 0
+               for m in kinds["negative"]) >= 10
 
 
-def test_acyclic_algorithm_rejects_cycles():
-    m = acceptor(T, [(0, 1, 1.0, 1), (1, 2, 1.0, 0)], [1])
-    with pytest.raises(ContractError):
-        shortest_distance(m, "acyclic")
+def test_distances_take_a_negative_back_off_cost():
+    # a Katz bigram model whose back-off arc from state 3 costs about -0.49
+    _, model = viable_model(41)
+    lm = build_lm_fsa(model)
+    assert not lm.is_acyclic()
+    assert min(arc.weight for _, arc in lm.all_arcs()) < 0
+    assert shortest_distance(lm) == layered_distances(lm)
 
 
 def test_bellman_ford_raises_on_a_reachable_negative_cycle():
     # the cycle 1 -> 2 -> 1 weighs -1 and the start reaches it
     m = acceptor(T, [(0, 1, 0.0, 1), (1, 1, -1.0, 2), (2, 1, 0.0, 1)], [2])
     with pytest.raises(ContractError):
-        shortest_distance(m, "bellman_ford")
+        shortest_distance(m)
 
 
 def test_bellman_ford_ignores_an_unreachable_negative_cycle():
     m = acceptor(T, [(0, 1, 1.0, 1), (2, 1, -1.0, 3), (3, 1, -1.0, 2)], [1])
-    assert shortest_distance(m, "bellman_ford") == \
-        {0: 0.0, 1: 1.0, 2: INF, 3: INF}
+    assert shortest_distance(m) == {0: 0.0, 1: 1.0, 2: INF, 3: INF}
     assert backward_distances(m) == {0: 1.0, 1: 0.0, 2: INF, 3: INF}
 
 
-def test_dijkstra_rejects_a_negative_weight():
+def test_negative_weight():
     m = acceptor(T, [(0, 1, 1.0, 1), (1, 1, -0.5, 2)], [2])
-    with pytest.raises(ContractError):
-        shortest_distance(m, "dijkstra")
-    assert shortest_distance(m, "bellman_ford") == {0: 0.0, 1: 1.0, 2: 0.5}
-
-
-def test_unknown_algorithm():
-    m = acceptor(T, [(0, 1, 1.0, 1)], [1])
-    with pytest.raises(ContractError):
-        shortest_distance(m, "astar")
+    assert shortest_distance(m) == {0: 0.0, 1: 1.0, 2: 0.5}
 
 
 def test_requires_tropical():
@@ -161,12 +167,38 @@ def test_backward_distances_match_enumeration_negative_weights(machine):
 def test_forward_distances_match_enumeration_negative_weights(machine):
     n, arcs, _ = machine
     m = acceptor(T, arcs, {}, num_states=n)
-    # an acyclic path has < n arcs; the brute force ends each at state q
-    best = [min(enum_paths(acceptor(T, arcs, {q: 0.0}, num_states=n),
-                           n - 1).values(), default=INF)
-            for q in range(n)]
-    for algo in ("acyclic", "bellman_ford"):
-        assert shortest_distance(m, algo) == dict(enumerate(best)), algo
+    # an acyclic path has < n arcs
+    assert shortest_distance(m) == least_walks(n, arcs, {}, n - 1, True)
+
+
+def least_walks(n, arcs, finals, max_arcs, forward):
+    """Per state, the least cost of a walk of at most ``max_arcs`` arcs:
+    from state 0 to the state (forward), or from it to a final."""
+    if forward:
+        machines = [acceptor(T, arcs, {q: 0.0}, num_states=n)
+                    for q in range(n)]
+    else:
+        machines = [acceptor(T, arcs, finals, start=q, num_states=n)
+                    for q in range(n)]
+    return {q: min(enum_paths(m, max_arcs).values(), default=INF)
+            for q, m in enumerate(machines)}
+
+
+@settings(deadline=None)
+@given(small_machines(acyclic=False, weights=NEGATIVE_WEIGHTS))
+def test_distances_match_enumeration_or_raise_on_negative_cycles(machine):
+    # walks of < n arcs hold every best path unless a negative cycle lies on
+    # the searched side; then some walk of n arcs is cheaper (Bellman-Ford)
+    n, arcs, finals = machine
+    m = acceptor(T, arcs, finals, num_states=n)
+    for forward, fn in ((True, shortest_distance),
+                        (False, backward_distances)):
+        simple = least_walks(n, arcs, finals, n - 1, forward)
+        if simple == least_walks(n, arcs, finals, n, forward):
+            assert fn(m) == simple, forward
+        else:
+            with pytest.raises(ContractError):
+                fn(m)
 
 
 def test_negative_cycle_raises():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Machine, Semiring,
-                  accepted_pairs, cached, compose, expand, lazy_compose,
-                  read_text, weight_of, write_text)
+                  accepted_pairs, cached, compose, connect, expand,
+                  lazy_compose, read_text, weight_of, write_text)
 
 from wfst import ops
 from wfst.ops import LazyComposition, label_index, label_indexes
@@ -27,7 +27,7 @@ def pair_samples(seed, count):
 def test_lazy_expansion_equals_static_compose():
     for a, b in pair_samples(1000, 40):
         static = compose(a, b)
-        lazy = expand(lazy_compose(a, b), trim=True)
+        lazy = connect(expand(lazy_compose(a, b)))
         assert write_text(static, acceptor=False) == \
             write_text(lazy, acceptor=False)
 
@@ -39,8 +39,8 @@ def test_untrimmed_expand_contains_dead_branches():
               [1])
     b = build(T, [(0, 1, 3, 0.0, 1), (0, 2, 4, 0.0, 2), (2, 2, 5, 0.0, 3)],
               [1])
-    full = expand(lazy_compose(a, b), trim=False)
-    trim = expand(lazy_compose(a, b), trim=True)
+    full = expand(lazy_compose(a, b))
+    trim = connect(expand(lazy_compose(a, b)))
     assert full.num_states > trim.num_states
 
 
@@ -50,7 +50,7 @@ def test_cache_disciplines_observationally_identical():
         for view in (cached(lazy_compose(a, b), MEMOIZE),
                      cached(lazy_compose(a, b), LRU, capacity=2),
                      cached(lazy_compose(a, b), REFCOUNT)):
-            texts.append(write_text(expand(view, trim=True), acceptor=False))
+            texts.append(write_text(connect(expand(view)), acceptor=False))
         assert texts[0] == texts[1] == texts[2]
 
 
@@ -67,9 +67,9 @@ def test_lru_evicts_but_stays_correct():
     a, b = pair_samples(1300, 1)[0]
     full = cached(lazy_compose(a, b), MEMOIZE)
     tight = cached(lazy_compose(a, b), LRU, capacity=1)
-    ta = write_text(expand(full, trim=True), acceptor=False)
+    ta = write_text(connect(expand(full)), acceptor=False)
     expand(tight)
-    tb = write_text(expand(tight, trim=True), acceptor=False)
+    tb = write_text(connect(expand(tight)), acceptor=False)
     assert ta == tb
     assert tight.expansions >= full.expansions
 
@@ -119,7 +119,7 @@ def test_stacked_lazy_composition():
         c, = sample_machines(rng.randrange(10**6), 1, kind=T, max_states=3,
                              max_arcs=5)
         static = compose(compose(a, b), c)
-        lazy = expand(lazy_compose(lazy_compose(a, b), c), trim=True)
+        lazy = connect(expand(lazy_compose(lazy_compose(a, b), c)))
         for inp, _ in accepted_pairs(static, max_path_len=8):
             assert weight_of(lazy, inp, max_path_len=12) == \
                 weight_of(static, inp, max_path_len=12)
@@ -142,7 +142,7 @@ def test_shared_index_on_frozen_machine_matches_fresh_copy():
         fresh = read_text(b_text, kind=T, acceptor=False)
         expected = text_of(compose(a, fresh))
         if i % 2:
-            got = text_of(expand(lazy_compose(a, b), trim=True))
+            got = text_of(connect(expand(lazy_compose(a, b))))
         else:
             got = text_of(compose(a, b))
         assert got == expected, i
@@ -157,11 +157,11 @@ def test_unfrozen_machine_is_indexed_fresh_per_composition():
     b.set_final(1)
     before = text_of(compose(a, b))
     lazy = lazy_compose(a, b)
-    assert text_of(expand(lazy, trim=True)) == before
+    assert text_of(connect(expand(lazy))) == before
     b.add_arc(1, 2, 4, 0.25, 1)  # B gains an arc between compositions
     after = build(T, [(0, 1, 3, 1.0, 1), (1, 2, 4, 0.25, 1)], [1])
     assert text_of(compose(a, b)) == text_of(compose(a, after)) != before
-    assert text_of(expand(lazy_compose(a, b), trim=True)) == \
+    assert text_of(connect(expand(lazy_compose(a, b)))) == \
         text_of(compose(a, after))
 
 
@@ -172,7 +172,7 @@ def test_evicting_lazy_view_as_right_operand():
         expected = text_of(compose(a, expand(lazy_compose(b1, b2))))
         view = cached(lazy_compose(b1, b2), LRU, capacity=1)
         assert text_of(compose(a, view)) == expected
-        assert text_of(expand(lazy_compose(a, view), trim=True)) == expected
+        assert text_of(connect(expand(lazy_compose(a, view)))) == expected
         assert len(view._cache) <= view.capacity  # it bounds its own arcs
 
 
@@ -206,7 +206,7 @@ def test_trimmed_lazy_expansion_equals_static_compose(pair):
     # both run the one pair-state kernel, so the unpruned product is the
     # reference that catches a kernel fault
     a, b = pair
-    assert text_of(expand(lazy_compose(a, b), trim=True)) == \
+    assert text_of(connect(expand(lazy_compose(a, b)))) == \
         text_of(compose(a, b)) == text_of(product_compose(a, b))
 
 
@@ -217,7 +217,7 @@ def test_lookahead_matches_unpruned_product(pair):
     expected = text_of(product_compose(a, b))
     assert text_of(compose(a, b)) == expected
     view = LazyComposition(a, b)
-    assert text_of(expand(view, trim=True)) == expected
+    assert text_of(connect(expand(view))) == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -230,7 +230,7 @@ def test_nested_cascade_equals_unpruned_product(kind, seed):
     for inner in (cached(lazy_compose(a, b)), lazy_compose(a, b),
                   cached(lazy_compose(a, b), LRU, capacity=1)):
         nested = lazy_compose(inner, c)
-        assert text_of(expand(nested, trim=True)) == expected
+        assert text_of(connect(expand(nested))) == expected
     assert text_of(compose(compose(a, b), c)) == expected
 
 
@@ -252,7 +252,7 @@ def test_bare_lazy_left_operand_arcs_are_kept_per_state():
             return inner_arcs(state)
 
         inner.arcs = counted
-        nested = expand(lazy_compose(inner, c), trim=True)
+        nested = connect(expand(lazy_compose(inner, c)))
         assert text_of(nested) == text_of(compose(compose(a, b), c))
     assert len(states) == 46
     assert calls == len(states)  # 73 when walks re-read, 99 per outer pair
@@ -264,7 +264,7 @@ def test_output_epsilon_self_loop_reads_its_state_once():
     b = build(T, [(0, 2, 3, 0.0, 1)], [1])
     calls, cache_arcs = [], a.arcs
     a.arcs = lambda state: calls.append(state) or cache_arcs(state)
-    got = expand(lazy_compose(a, b), trim=True)
+    got = connect(expand(lazy_compose(a, b)))
     assert text_of(got) == text_of(product_compose(a.m, b))
     assert sorted(calls) == [0, 1]
 
@@ -369,7 +369,7 @@ def test_lookahead_walk_terminates_on_an_output_epsilon_cycle():
               build(T, [(0, 7, 7, 0.0, 1)], [1])):
         expected = text_of(product_compose(a, b))
         assert text_of(compose(a, b)) == expected
-        assert text_of(expand(lazy_compose(a, b), trim=True)) == expected
+        assert text_of(connect(expand(lazy_compose(a, b)))) == expected
 
 
 def test_lookahead_sets_are_shared_and_interned_on_frozen_machine(
@@ -409,5 +409,5 @@ def test_lookahead_over_unfrozen_and_evicting_right_operands():
         assert label_indexes(unfrozen, "lookahead_sets") == {}
         view = cached(b, LRU, capacity=1)
         assert text_of(compose(a, view)) == expected
-        assert text_of(expand(lazy_compose(a, view), trim=True)) == expected
+        assert text_of(connect(expand(lazy_compose(a, view)))) == expected
         assert len(view._cache) <= view.capacity  # it bounds its own arcs

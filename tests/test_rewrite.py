@@ -4,9 +4,8 @@ import pytest
 
 from wfst import (ContractError, Machine, ParseError, Rule, Semiring,
                   SymbolError, SymbolTable, apply_rewrite, compile_regex,
-                  compile_rule, compile_tree, compile_weighted_rule,
-                  intersect_samelength, marker, parse_rule_file, parse_tree,
-                  read_text, weight_of)
+                  compile_tree, compile_weighted_rule, intersect_samelength,
+                  marker, parse_rule_file, parse_tree, read_text, weight_of)
 
 from helpers import random_rule_spec, scan_rewrite, strings_up_to
 
@@ -181,12 +180,14 @@ def test_apply_rewrite_on_a_machine_without_symbol_table():
     fst = read_text("0 1 1 2\n1\n", acceptor=False)
     assert apply_rewrite(fst, ["1"]) == [((2,), 0.0)]
     assert apply_rewrite(fst, [1]) == [((2,), 0.0)]
-    with pytest.raises(SymbolError):
-        apply_rewrite(fst, ["a"])
+    # a symbol missing from the table, and tokens that are no label at all
+    for token in ("a", 1.7, 1.0, None):
+        with pytest.raises(SymbolError):
+            apply_rewrite(fst, [token])
 
 
 def test_simple_rule_displayed_example():
-    fst = compile_rule(Rule("a", "b", "c", "b"))
+    fst = compile_weighted_rule(Rule("a", "b", "c", "b"))
     assert apply_strings(fst, "cab") == {tuple("cbb"): 0.0}
     assert apply_strings(fst, "cabcab") == {tuple("cbbcbb"): 0.0}
     # no context: the rule must not fire
@@ -218,13 +219,13 @@ def test_rule_markers_absent_from_output():
 
 def test_rule_rejects_empty_pattern():
     with pytest.raises(ContractError):
-        compile_rule(Rule("a*", "b"))
+        compile_weighted_rule(Rule("a*", "b"))
 
 
 def test_obligatory_left_context_on_output_side():
     # b -> a / a _  : after rewriting, the freshly emitted 'a' licenses
     # the next 'b'
-    fst = compile_rule(Rule("b", "a", "a", ""))
+    fst = compile_weighted_rule(Rule("b", "a", "a", ""))
     assert apply_strings(fst, "abbb") == {tuple("aaaa"): 0.0}
 
 
@@ -252,7 +253,7 @@ def test_rule_oracle_random():
 def test_fibonacci_normalization():
     # abb -> baa applied to fixpoint: repeated application terminates and
     # is confluent on these inputs
-    fst = compile_rule(Rule("abb", "baa", "", ""))
+    fst = compile_weighted_rule(Rule("abb", "baa", "", ""))
     word = list("aabbabb")
     seen = set()
     for _ in range(20):
@@ -269,7 +270,7 @@ def test_fibonacci_normalization():
 
 
 def test_idempotent_when_psi_disjoint_from_phi():
-    fst = compile_rule(Rule("a", "b", "", ""))
+    fst = compile_weighted_rule(Rule("a", "b", "", ""))
     once = apply_strings(fst, "aba")
     assert once == {tuple("bbb"): 0.0}
     again = apply_strings(fst, "bbb")

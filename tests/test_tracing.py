@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import wfst
-from wfst import CascadeSpec, Rule, Semiring, compile_rule
+from wfst import CascadeSpec, Rule, Semiring, compile_weighted_rule
 
 from helpers import build
 
@@ -38,7 +38,7 @@ def bindings():
 
 def test_tracer_installs_over_the_kernel_and_restores_it():
     tracing = load_tracing()
-    rule = compile_rule(Rule("a", "b", "c", "b"))
+    rule = compile_weighted_rule(Rule("a", "b", "c", "b"))
     a = build(T, [(0, 1, 2, 0.5, 1), (1, 0, 3, 0.0, 2)], {2: 0.0})
     b = build(T, [(0, 2, 2, 0.0, 1), (1, 3, 1, 1.0, 1)], {1: 0.0})
     before, compose = bindings(), wfst.compose
@@ -49,12 +49,15 @@ def test_tracer_installs_over_the_kernel_and_restores_it():
         wfst.compose(a, b)
         assert wfst.apply_rewrite(rule, list("cab"), mode="best")
         wfst.beam_decode(CascadeSpec([a, b]), [1])
+        wfst.lattice_prune(wfst.Lattice(a), 1.0)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
     assert metrics["ops.compose.calls"] == 2  # direct, and in apply_rewrite
     assert metrics["rewrite.apply_rewrite.calls"] == 1
     assert metrics["decode.beam_decode.calls"] == 1
+    assert metrics["decode.lattice_prune.calls"] == 1
+    assert metrics["decode.shortest_distance.calls"] == 1  # in lattice_prune
     assert metrics["lazy.LazyComposition.arcs.calls"] > 0
     assert metrics["lazy.cache.misses"] > 0
     assert bindings() == before

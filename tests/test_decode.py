@@ -62,19 +62,38 @@ def reweighted(m, rng):
                     m.finals, num_states=m.num_states)
 
 
-def test_distances_match_layered_walks_on_each_input_kind():
-    # acyclic input takes the topological pass, cyclic input without
-    # negative weights Dijkstra, and cyclic input with them Bellman-Ford
+def with_unreachable_loop(m, weight):
+    """``m`` plus a state the start never reaches, carrying a self-loop of
+    ``weight``: the machine turns cyclic, and negative if ``weight`` is."""
+    n = m.num_states
+    return acceptor(T, [(q, arc.ilabel, arc.weight, arc.nextstate)
+                        for q, arc in m.all_arcs()] + [(n, 1, weight, n)],
+                    m.finals, start=m.start, num_states=n + 1,
+                    start_weight=m.start_weight)
+
+
+def test_three_algorithms_agree_on_acyclic():
+    # the topological pass on m itself; Dijkstra and Bellman-Ford once an
+    # unreachable loop makes it cyclic, without or with a negative weight
+    for m in graphs(2000, 30, acyclic=True):
+        ref = layered_distances(m)
+        assert shortest_distance(m) == ref
+        for weight in (0.0, -1.0):
+            d = shortest_distance(with_unreachable_loop(m, weight))
+            assert d == {**ref, m.num_states: INF}, weight
+
+
+def test_two_algorithms_agree_on_cyclic():
+    # cyclic input without negative weights takes Dijkstra; reweighted so
+    # arcs turn negative but no cycle does, it takes Bellman-Ford
     rng = random.Random(2300)
-    kinds = {"acyclic": graphs(2000, 30, acyclic=True),
-             "cyclic": graphs(2100, 30),
-             "negative": [reweighted(m, rng) for m in graphs(2100, 30)]}
-    for kind, machines in kinds.items():
-        for m in machines:
-            assert shortest_distance(m) == layered_distances(m), kind
+    machines = graphs(2100, 30)
+    negative = [reweighted(m, rng) for m in machines]
+    for m in machines + negative:
+        assert shortest_distance(m) == layered_distances(m)
     assert sum(not m.is_acyclic() and
                min(a.weight for _, a in m.all_arcs()) < 0
-               for m in kinds["negative"]) >= 10
+               for m in negative) >= 10
 
 
 def test_distances_take_a_negative_back_off_cost():

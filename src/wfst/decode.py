@@ -28,9 +28,8 @@ def _distances(m, forward):
     """Least d with d[v] <= d[u] + w over every edge (u, v, w): the arcs from
     the start weight, or reversed arcs from the final weights (Mohri 2002).
     The machine chooses the algorithm: acyclic input takes one pass in
-    topological order, O(V+E); without negative weights Dijkstra settles
-    each state once, O(E log V); otherwise Bellman-Ford, O(V*E), raises
-    ContractError when pass |V| + 1 still lowers a distance.
+    topological order, O(V+E); cyclic input takes Bellman-Ford, O(V*E),
+    which raises ContractError when pass |V| + 1 still lowers a distance.
     """
     _require_tropical(m)
     d = [INF] * m.num_states
@@ -40,23 +39,6 @@ def _distances(m, forward):
         for q, w in m.finals.items():
             d[q] = w
     order = m.topological_order()
-    if order is None and all(arc.weight >= 0 for _, arc in m.all_arcs()):
-        arcs = m.arcs
-        if not forward:  # relax each arc from its target to its source
-            preds = [[] for _ in d]
-            for q, arc in m.all_arcs():
-                preds[arc.nextstate].append(arc._replace(nextstate=q))
-            arcs = preds.__getitem__
-        heap = sorted((x, q) for q, x in enumerate(d) if x < INF)
-        while heap:
-            x, u = heapq.heappop(heap)
-            if x == d[u]:  # else a stale entry
-                for arc in arcs(u):
-                    y = x + arc.weight
-                    if y < d[arc.nextstate]:
-                        d[arc.nextstate] = y
-                        heapq.heappush(heap, (y, arc.nextstate))
-        return dict(enumerate(d))
     states = m.states() if order is None else order
     for _ in range(m.num_states + 1):
         changed = False

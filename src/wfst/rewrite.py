@@ -446,7 +446,7 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
     table = rule_fst.isymbols
     labels = [_resolve(t, table) if isinstance(t, str) else t for t in inp]
     for t in labels:
-        if not isinstance(t, int):
+        if type(t) is not int:  # bool is an int subclass, not a label
             raise SymbolError(f"token {t!r} is neither a symbol nor an "
                               "int label")
     comp = compose(observation_machine(labels, rule_fst.kind, table),

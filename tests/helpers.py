@@ -10,7 +10,8 @@ import itertools
 import math
 import random
 
-from wfst import FsmError, Machine, Semiring, connect
+from wfst import (FsmError, Machine, Semiring, connect, count_ngrams,
+                  katz_model)
 from wfst.machine import EPSILON, Arc
 from wfst.ops import FILTER_INITIAL, merge_arcs
 
@@ -73,6 +74,42 @@ def enum_paths(m, max_arcs):
 
     visit(m.start, (), (), m.start_weight, 0)
     return result
+
+
+def layered_distances(m):
+    """Min path cost per state over walks of < num_states arcs; exact unless
+    the start reaches a negative cycle."""
+    d = {q: math.inf for q in m.states()}
+    d[m.start] = m.start_weight
+    frontier = dict(d)
+    for _ in range(max(1, m.num_states - 1)):
+        nxt = {}
+        for q, w in frontier.items():
+            if w == math.inf:
+                continue
+            for arc in m.arcs(q):
+                cand = w + arc.weight
+                if cand < nxt.get(arc.nextstate, math.inf):
+                    nxt[arc.nextstate] = cand
+        for q, w in nxt.items():
+            if w < d[q]:
+                d[q] = w
+        frontier = nxt
+    return d
+
+
+def least_walks(n, arcs, finals, max_arcs, forward):
+    """Per state, the least cost of a walk of at most ``max_arcs`` arcs:
+    from state 0 to the state (forward), or from it to a final."""
+    t = Semiring.TROPICAL
+    if forward:
+        machines = [acceptor(t, arcs, {q: 0.0}, num_states=n)
+                    for q in range(n)]
+    else:
+        machines = [acceptor(t, arcs, finals, start=q, num_states=n)
+                    for q in range(n)]
+    return {q: min(enum_paths(m, max_arcs).values(), default=math.inf)
+            for q, m in enumerate(machines)}
 
 
 class WorkCapExceeded(Exception):
@@ -184,6 +221,21 @@ def model_path_cost(model, fsa, sentence):
         cost += arcs[EPSILON].weight
         state = arcs[EPSILON].nextstate
     return cost + fsa.final(state)
+
+
+def viable_model(seed, order=2):
+    """(counts, Katz model) of the first seeded random corpus over four
+    words whose Katz model builds."""
+    rng = random.Random(seed)
+    vocab = ["a", "b", "c", "d"]
+    while True:
+        corpus = [[rng.choice(vocab) for _ in range(rng.randint(1, 7))]
+                  for _ in range(rng.randint(6, 15))]
+        ct = count_ngrams(corpus, order)
+        try:
+            return ct, katz_model(ct)
+        except FsmError:
+            continue
 
 
 def strings_up_to(alphabet, max_len):

@@ -24,11 +24,11 @@ from wfst.ngram import EOS, frequency_of_frequencies
 from wfst.rewrite import Rule, apply_rewrite, compile_weighted_rule
 
 from helpers import (WorkCapExceeded, acceptor, bounded_pairs, build,
-                     model_path_cost, nerode_class_count, product_compose,
-                     random_det_acceptor, random_machine, random_rule_spec,
-                     sample_machines, scan_rewrite)
-from test_decode import layered_distances, toy_cascade
-from test_ngram import viable_model
+                     layered_distances, model_path_cost, nerode_class_count,
+                     product_compose, random_det_acceptor, random_machine,
+                     random_rule_spec, sample_machines, scan_rewrite,
+                     viable_model)
+from test_decode import toy_cascade
 from test_optimize import TWIN_VIOLATION, twin_satisfying_machines
 from test_rational_ops import join_oracle
 

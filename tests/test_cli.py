@@ -10,8 +10,7 @@ from wfst import ngram, ops, optimize, rewrite
 from wfst import decode as dec
 from wfst.cli import decode_main, fst_main, lm_main, rule_main
 
-from helpers import model_path_cost
-from test_decode import layered_distances
+from helpers import layered_distances, model_path_cost
 
 T = Semiring.TROPICAL
 

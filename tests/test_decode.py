@@ -12,33 +12,11 @@ from wfst import (CascadeSpec, ContractError, Lattice, Machine, NoPathError,
                   minimize, observation_machine, push, rescore,
                   shortest_distance, weight_of, write_text)
 
-from helpers import acceptor, build, enum_paths, sample_machines
-from test_ngram import viable_model
+from helpers import (acceptor, build, enum_paths, layered_distances,
+                     least_walks, sample_machines, viable_model)
 
 T = Semiring.TROPICAL
 INF = math.inf
-
-
-def layered_distances(m):
-    """Min path cost per state over walks of < num_states arcs; exact unless
-    the start reaches a negative cycle."""
-    d = {q: INF for q in m.states()}
-    d[m.start] = m.start_weight
-    frontier = dict(d)
-    for _ in range(max(1, m.num_states - 1)):
-        nxt = {}
-        for q, w in frontier.items():
-            if w == INF:
-                continue
-            for arc in m.arcs(q):
-                cand = w + arc.weight
-                if cand < nxt.get(arc.nextstate, INF):
-                    nxt[arc.nextstate] = cand
-        for q, w in nxt.items():
-            if w < d[q]:
-                d[q] = w
-        frontier = nxt
-    return d
 
 
 def graphs(seed, count, acyclic=False):
@@ -73,8 +51,8 @@ def with_unreachable_loop(m, weight):
 
 
 def test_three_algorithms_agree_on_acyclic():
-    # the topological pass on m itself; Dijkstra and Bellman-Ford once an
-    # unreachable loop makes it cyclic, without or with a negative weight
+    # the topological pass on m itself; Bellman-Ford once an unreachable
+    # loop makes it cyclic, without or with a negative weight
     for m in graphs(2000, 30, acyclic=True):
         ref = layered_distances(m)
         assert shortest_distance(m) == ref
@@ -84,8 +62,8 @@ def test_three_algorithms_agree_on_acyclic():
 
 
 def test_two_algorithms_agree_on_cyclic():
-    # cyclic input without negative weights takes Dijkstra; reweighted so
-    # arcs turn negative but no cycle does, it takes Bellman-Ford
+    # Bellman-Ford on cyclic input, without negative weights and reweighted
+    # so arcs turn negative but no cycle does
     rng = random.Random(2300)
     machines = graphs(2100, 30)
     negative = [reweighted(m, rng) for m in machines]
@@ -188,19 +166,6 @@ def test_forward_distances_match_enumeration_negative_weights(machine):
     m = acceptor(T, arcs, {}, num_states=n)
     # an acyclic path has < n arcs
     assert shortest_distance(m) == least_walks(n, arcs, {}, n - 1, True)
-
-
-def least_walks(n, arcs, finals, max_arcs, forward):
-    """Per state, the least cost of a walk of at most ``max_arcs`` arcs:
-    from state 0 to the state (forward), or from it to a final."""
-    if forward:
-        machines = [acceptor(T, arcs, {q: 0.0}, num_states=n)
-                    for q in range(n)]
-    else:
-        machines = [acceptor(T, arcs, finals, start=q, num_states=n)
-                    for q in range(n)]
-    return {q: min(enum_paths(m, max_arcs).values(), default=INF)
-            for q, m in enumerate(machines)}
 
 
 @settings(deadline=None)

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from wfst import (ContractError, FsmError, ParseError, best_path,
-                  build_lm_fsa, compose, count_ngrams, good_turing,
-                  katz_model, mle, observation_machine, read_arpa, write_arpa)
+from wfst import (ContractError, ParseError, best_path, build_lm_fsa,
+                  compose, count_ngrams, good_turing, katz_model, mle,
+                  observation_machine, read_arpa, write_arpa)
 from wfst.ngram import (BOS, EOS, frequency_of_frequencies, read_counts,
                         write_counts)
 
-from helpers import model_path_cost
+from helpers import model_path_cost, viable_model
 
 SIX_TOKENS = [["a", "b", "a", "b", "a", "c"]]
 
@@ -130,19 +130,6 @@ def test_katz_discount_never_raises_a_count():
     for h in model.probs:
         s = sum(model.prob(y, h) for y in model.vocabulary)
         assert abs(s - 1.0) <= 1e-9, (h, s)
-
-
-def viable_model(seed, order=2):
-    rng = random.Random(seed)
-    vocab = ["a", "b", "c", "d"]
-    while True:
-        corpus = [[rng.choice(vocab) for _ in range(rng.randint(1, 7))]
-                  for _ in range(rng.randint(6, 15))]
-        ct = count_ngrams(corpus, order)
-        try:
-            return ct, katz_model(ct)
-        except FsmError:
-            continue
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -181,7 +181,7 @@ def test_apply_rewrite_on_a_machine_without_symbol_table():
     assert apply_rewrite(fst, ["1"]) == [((2,), 0.0)]
     assert apply_rewrite(fst, [1]) == [((2,), 0.0)]
     # a symbol missing from the table, and tokens that are no label at all
-    for token in ("a", 1.7, 1.0, None):
+    for token in ("a", 1.7, 1.0, True, None):
         with pytest.raises(SymbolError):
             apply_rewrite(fst, [token])
 

@@ -28,6 +28,7 @@ class SymbolTable:
     def __init__(self):
         self._by_symbol = {EPSILON_SYMBOL: EPSILON}
         self._by_id = {EPSILON: EPSILON_SYMBOL}
+        self._next = EPSILON + 1  # one above the largest id so far
 
     def add(self, symbol: str, label: int | None = None) -> int:
         if symbol in self._by_symbol:
@@ -38,11 +39,13 @@ class SymbolTable:
         if symbol.split() != [symbol]:
             raise SymbolError(f"symbol {symbol!r} is empty or holds whitespace")
         if label is None:
-            label = max(self._by_id) + 1
+            label = self._next
         if label in self._by_id:
             raise SymbolError(f"id {label} already mapped to {self._by_id[label]!r}")
         self._by_symbol[symbol] = label
         self._by_id[label] = symbol
+        if label >= self._next:
+            self._next = label + 1
         return label
 
     def find(self, key):

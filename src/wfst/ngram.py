@@ -12,14 +12,27 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .errors import ContractError, FsmError, ParseError
-from .machine import EPSILON, Machine, SymbolTable
+from .errors import ContractError, FsmError, ParseError, SymbolError
+from .machine import (EPSILON, EPSILON_SYMBOL, Arc, Machine, SymbolTable,
+                      _Tokens)
 from .semiring import Semiring
 
 BOS = "<s>"
 EOS = "</s>"
 DEFAULT_K_THRESHOLD = 5
+_SECTION = re.compile(r"\\(\d+)-grams:$")
+
+
+def _labels(symbols, reserved):
+    """word -> ``symbols.add(word)``, each distinct word added once;
+    ``SymbolError`` on a word in ``reserved``."""
+    def label(word):
+        if word in reserved:
+            raise SymbolError(f"reserved symbol {word!r} used as a word")
+        return symbols.add(word)
+    return _Tokens(label)
 
 
 @dataclass
@@ -42,33 +55,40 @@ def count_ngrams(corpus, n: int, symbols: SymbolTable | None = None) -> CountTab
     """Count all k-grams (k <= n) over boundary-padded sentences.
 
     ``corpus`` is an iterable of sentences, each a sequence of token
-    strings.  Unknown tokens are added to the symbol table.
+    strings.  Unknown tokens are added to the symbol table, each once;
+    ``SymbolError`` on a token ``<s>``, ``</s>`` or ``<eps>``.  k-grams enter
+    ``counts`` in order of first appearance: sentence by sentence, k by k,
+    left to right.
     """
     if n < 1:
         raise ContractError("order must be >= 1")
     table = CountTable(n, symbols=symbols or SymbolTable())
     bos = table.symbols.add(BOS)
     eos = table.symbols.add(EOS)
+    labels = _labels(table.symbols, (BOS, EOS, EPSILON_SYMBOL))
+    lead = max(1, n - 1)
+    head = [bos] * lead
+    # <s> fills only the lead, so the k-grams not of <s> alone are those
+    # ending at or past position lead: zip the k tails that start at
+    # lead + 1 - k through lead, k = 1 .. n
+    firsts = range(lead, lead - n, -1)
+    update = table.counts.update
     for sentence in corpus:
-        ids = [table.symbols.add(tok) for tok in sentence]
-        padded = [bos] * max(1, n - 1) + ids + [eos]
-        table.total += len(ids) + 1
-        for k in range(1, n + 1):
-            for i in range(len(padded) - k + 1):
-                gram = tuple(padded[i:i + k])
-                if all(g == bos for g in gram):
-                    continue
-                table.counts[gram] += 1
+        padded = head + [labels[tok] for tok in sentence]
+        padded.append(eos)
+        table.total += len(padded) - lead
+        tails = [padded[i:] for i in range(lead + 1)]
+        update(chain.from_iterable([zip(*tails[i:]) for i in firsts]))
     return table
 
 
 def write_counts(ct: CountTable) -> str:
     """Count-table text: header lines then 'symbols<TAB>count' per k-gram."""
     lines = [f"order {ct.order}", f"total {ct.total}"]
-    sym = ct.symbols.find
-    for gram in sorted(ct.counts):
-        words = " ".join(sym(g) for g in gram)
-        lines.append(f"{words}\t{ct.counts[gram]}")
+    word = _Tokens(ct.symbols.find).__getitem__
+    counts = ct.counts
+    lines += [f"{' '.join(map(word, gram))}\t{counts[gram]}"
+              for gram in sorted(counts)]
     return "\n".join(lines) + "\n"
 
 
@@ -84,22 +104,31 @@ def _read_int(text, lineno, least=0):
 
 def read_counts(text, symbols: SymbolTable | None = None) -> CountTable:
     """Count table from ``write_counts`` text; ``ParseError`` with the line
-    number on a line without a tab, or a negative or non-integer field."""
+    number on a line without a tab, a negative or non-integer field, or
+    the word ``<eps>``."""
     table = CountTable(1, symbols=symbols or SymbolTable())
+    label = _labels(table.symbols, (EPSILON_SYMBOL,)).__getitem__
+    # count field -> its value, each distinct field read once, on the
+    # line that first holds it (the line an error names)
+    values = _Tokens(lambda field: _read_int(field, lineno))
+    counts = table.counts
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if line.startswith("order "):
             table.order = _read_int(line[6:], lineno, least=1)
         elif line.startswith("total "):
             table.total = _read_int(line[6:], lineno)
         else:
-            if "\t" not in line:
+            words, tab, count = line.rpartition("\t")
+            if not tab:
                 raise ParseError(f"count line lacks a tab: {raw!r}", lineno)
-            words, count = line.rsplit("\t", 1)
-            gram = tuple(table.symbols.add(w) for w in words.split())
-            table.counts[gram] = _read_int(count, lineno)
+            try:
+                gram = tuple(map(label, words.split()))
+            except SymbolError as exc:
+                raise ParseError(str(exc), lineno) from None
+            counts[gram] = values[count]
     return table
 
 
@@ -197,34 +226,44 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
         raise ContractError(f"token total is {ct.total}: no unigram estimate")
     probs = {}
     alphas = {}
+    # k -> context -> {word: count}, all in the order of ct.counts
+    by_order = {k: {} for k in range(1, max(ct.order, 1) + 1)}
+    for gram, c in ct.counts.items():
+        contexts = by_order.get(len(gram))
+        if contexts is not None:
+            contexts.setdefault(gram[:-1], {})[gram[-1]] = c
 
     # where c* = (c+1) n_{c+1} / n_c exceeds c, c passes through, as it
-    # does for a zero n_c or n_{c+1}: a discount never raises a count
-    def discount(ff, c):
-        return min(good_turing(ff, c, k_threshold), c)
+    # does for a zero n_c or n_{c+1}: a discount never raises a count;
+    # one table per order, each count discounted once
+    def discounts(k):
+        ff = Counter(c for seen in by_order[k].values() for c in seen.values())
+        return _Tokens(lambda c: min(good_turing(ff, c, k_threshold), c))
 
     # unigrams: discounted, leftover mass spread as a uniform floor
-    ff1 = frequency_of_frequencies(ct, 1)
-    discounted = {y: discount(ff1, ct.count((y,))) for y in vocab}
+    discount = discounts(1)
+    unigrams = by_order[1].get((), {})
+    discounted = {y: discount[unigrams[y]] for y in vocab}
     base = {y: discounted[y] / ct.total for y in vocab}
     leftover = 1.0 - sum(base.values())
     floor = max(leftover, 0.0) / len(vocab) if vocab else 0.0
     probs[()] = {y: base[y] + floor for y in vocab}
 
     model = BackoffModel(ct.order, probs, alphas, vocab, ct.symbols, floor)
+    backoff = model._prob
 
     for k in range(2, ct.order + 1):
-        ff = frequency_of_frequencies(ct, k)
-        contexts = {}
-        for gram, c in ct.counts.items():
-            if len(gram) == k:
-                contexts.setdefault(gram[:-1], {})[gram[-1]] = c
+        discount = discounts(k)
+        contexts = by_order[k]
         for h in sorted(contexts):
             seen = contexts[h]
             total = sum(seen.values())
-            p_star = {y: discount(ff, c) / total for y, c in seen.items()}
+            p_star = {y: discount[c] / total for y, c in seen.items()}
             num = 1.0 - sum(p_star.values())
-            den = 1.0 - sum(model._prob(y, h[1:]) for y in seen)
+            shorter = h[1:]
+            lower = probs.get(shorter, {})
+            den = 1.0 - sum([lower[y] if y in lower else backoff(y, shorter)
+                             for y in seen])
             if den < 1e-12:
                 # every vocabulary word is seen in this context (or backs
                 # off to nothing): no mass can be reassigned, so keep the
@@ -249,9 +288,14 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
     """
     eos = model.symbols.find(EOS)
     bos = model.symbols.find(BOS)
-    m = Machine(Semiring.TROPICAL, model.symbols, model.symbols)
-    ids = {h: m.add_state()
-           for h in sorted(model.probs, key=lambda h: (len(h), h))}
+    kind = Semiring.TROPICAL
+    contexts = sorted(model.probs, key=lambda h: (len(h), h))
+    ids = {h: q for q, h in enumerate(contexts)}
+    # probability -> its cost, checked once; -ln p of a p > 0 is never
+    # zero's +inf, so every cost is a final weight or an arc weight
+    costs = _Tokens(lambda p: kind.check(-math.log(p)))
+    new_arc = tuple.__new__  # Arc(...) without its Python-level __new__
+    keep = max(0, model.order - 1)
 
     def target(history):
         for i in range(len(history)):
@@ -259,81 +303,94 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
                 return ids[history[i:]]
         return ids[()]
 
-    for h in model.probs:
+    arcs = [None] * len(contexts)
+    finals = {}
+    for h, table in model.probs.items():
         q = ids[h]
-        for y, p in sorted(model.probs[h].items()):
+        out = arcs[q] = []
+        for y, p in sorted(table.items()):
             if p <= 0.0:
                 continue
             if y == eos:
-                m.set_final(q, -math.log(p))
-            else:
-                nxt = (h + (y,))[-(model.order - 1):] if model.order > 1 else ()
-                m.add_arc(q, y, y, -math.log(p), target(nxt))
+                finals[q] = costs[p]
+                continue
+            nxt = (h + (y,))[-keep:] if keep else ()
+            t = ids.get(nxt)
+            out.append(new_arc(Arc, (y, y, costs[p],
+                                     target(nxt) if t is None else t)))
         if h:
             alpha = model.alphas.get(h, 0.0)
             if alpha > 0.0:  # alpha 0: all mass seen, no back-off arc
-                m.add_arc(q, EPSILON, EPSILON, -math.log(alpha), target(h[1:]))
-    start_ctx = ((bos,) * (model.order - 1)) if model.order > 1 else ()
-    m.set_start(target(start_ctx))
-    return m.freeze()
+                out.append(new_arc(Arc, (EPSILON, EPSILON, costs[alpha],
+                                         target(h[1:]))))
+    return Machine._from_parts(kind, model.symbols, model.symbols, arcs,
+                               finals, target((bos,) * keep))
 
 
 def write_arpa(model: BackoffModel) -> str:
     """ARPA-style text dump: per-order sections of log10 P lines with
     trailing log10 back-off weights on context grams."""
-    def log10(x):
-        return -99.0 if x <= 0 else math.log10(x)
-
-    sym = model.symbols.find
-    lines = ["\\data\\"]
-    grams_by_order = {k: [] for k in range(1, model.order + 1)}
+    word = _Tokens(model.symbols.find)
+    # probability or weight -> its log10 field, formatted once
+    log10 = _Tokens(lambda x: f"{-99.0 if x <= 0 else math.log10(x):.6f}")
+    alphas = model.alphas
+    # k -> k-gram -> its line without the back-off field
+    grams_by_order = {k: {} for k in range(1, model.order + 1)}
     for h, table in model.probs.items():
-        for y, p in sorted(table.items()):
-            grams_by_order[len(h) + 1].append((h + (y,), p))
+        grams = grams_by_order[len(h) + 1]
+        head = "".join([word[g] + " " for g in h])
+        for y, p in table.items():
+            grams[h + (y,)] = f"{log10[p]}\t{head}{word[y]}"
     # contexts that carry a back-off weight but no probability of their own
     # (the sentence-start context) still need a line
-    emitted = {k: {g for g, _ in grams} for k, grams in grams_by_order.items()}
-    for h in model.alphas:
-        if h not in emitted.get(len(h), ()):
-            grams_by_order[len(h)].append((h, 0.0))
+    for h in alphas:
+        grams = grams_by_order[len(h)]
+        if h not in grams:
+            grams[h] = f"{log10[0.0]}\t{' '.join([word[g] for g in h])}"
+    lines = ["\\data\\"]
     for k in range(1, model.order + 1):
         lines.append(f"ngram {k}={len(grams_by_order[k])}")
     for k in range(1, model.order + 1):
         lines.append("")
         lines.append(f"\\{k}-grams:")
-        for gram, p in sorted(grams_by_order[k]):
-            words = " ".join(sym(g) for g in gram)
-            entry = f"{log10(p):.6f}\t{words}"
-            if gram in model.alphas:
-                entry += f"\t{log10(model.alphas[gram]):.6f}"
-            lines.append(entry)
+        grams = grams_by_order[k]
+        for gram in sorted(grams):
+            if gram in alphas:
+                lines.append(f"{grams[gram]}\t{log10[alphas[gram]]}")
+            else:
+                lines.append(grams[gram])
     lines += ["", "\\end\\", ""]
     return "\n".join(lines)
 
 
 def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
-    """Inverse of write_arpa (up to the dump's 6-decimal rounding)."""
+    """Inverse of write_arpa (up to the dump's 6-decimal rounding);
+    ``ParseError`` with the line number on a malformed line or the word
+    ``<eps>``."""
     symbols = symbols or SymbolTable()
+    label = _labels(symbols, (EPSILON_SYMBOL,)).__getitem__
     probs = {(): {}}
     alphas = {}
     order = 1
     section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line == "\\data\\" or line.startswith("ngram "):
-            continue
-        if line == "\\end\\":
-            break
-        hit = re.match(r"\\(\d+)-grams:$", line)
-        if hit:
-            section = int(hit.group(1))
-            order = max(order, section)
+        if line[:1] == "\\":
+            if line == "\\end\\":
+                break
+            hit = _SECTION.match(line)
+            if hit:
+                section = int(hit.group(1))
+                order = max(order, section)
+                continue
+            if line == "\\data\\":
+                continue
+        elif not line or line.startswith("ngram "):
             continue
         if section is None:
             raise ParseError(f"line outside any section: {raw!r}", lineno)
         fields = line.split()
-        words = fields[1:1 + section]
-        if len(words) != section:
+        if len(fields) <= section:
             raise ParseError(f"expected a {section}-gram: {raw!r}", lineno)
         try:
             logp = float(fields[0])
@@ -349,7 +406,10 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
             alpha = None if backoff is None else 10.0 ** backoff
         except (ValueError, OverflowError):
             raise ParseError(f"malformed line {raw!r}", lineno) from None
-        gram = tuple(symbols.add(w) for w in words)
+        try:
+            gram = tuple(map(label, fields[1:1 + section]))
+        except SymbolError as exc:
+            raise ParseError(str(exc), lineno) from None
         if logp > -98.0:
             probs.setdefault(gram[:-1], {})[gram[-1]] = prob
         if backoff is not None:

@@ -238,6 +238,35 @@ def viable_model(seed, order=2):
             continue
 
 
+def zipf_corpus(seed, sentences=300, words=40, max_len=12):
+    """Seeded sentences of Zipf-distributed words ``w00``, ``w01``, ...;
+    lengths run from 0 to ``max_len``, so some are empty or one word."""
+    rng = random.Random(seed)
+    vocab = [f"w{i:02d}" for i in range(words)]
+    weights = [1.0 / (rank + 1) for rank in range(words)]
+    return [rng.choices(vocab, weights, k=rng.randint(0, max_len))
+            for _ in range(sentences)]
+
+
+def naive_ngram_counts(corpus, n):
+    """(word k-gram -> count for k <= n, token total) over sentences padded
+    with ``max(1, n - 1)`` ``<s>`` and one ``</s>``, testing every window
+    and skipping those of ``<s>`` alone.  Keys come in order of first
+    appearance: sentence by sentence, k by k, left to right."""
+    counts = {}
+    total = 0
+    for sentence in corpus:
+        padded = ["<s>"] * max(1, n - 1) + list(sentence) + ["</s>"]
+        total += len(sentence) + 1
+        for k in range(1, n + 1):
+            for i in range(len(padded) - k + 1):
+                gram = tuple(padded[i:i + k])
+                if all(w == "<s>" for w in gram):
+                    continue
+                counts[gram] = counts.get(gram, 0) + 1
+    return counts, total
+
+
 def strings_up_to(alphabet, max_len):
     for n in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=n)

@@ -442,6 +442,15 @@ def test_lm_build_malformed_counts_exit_2(tmp_path, capsys, text, line):
     assert code == 2 and err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize("token", ["<s>", "</s>", "<eps>"])
+def test_lm_count_reserved_token_exit_2(tmp_path, capsys, token):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"a b\na {token} b\n")
+    code, out, err = run(lm_main, ["count", str(corpus)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert token in err
+
+
 @pytest.mark.parametrize("command", [["fsa"], ["score", "a c"]])
 def test_lm_non_probability_arpa_exit_2(tmp_path, capsys, command):
     bad = tmp_path / "bad.arpa"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 
 import pytest
 
@@ -49,6 +51,32 @@ def test_symbol_table_comments_are_whole_lines():
     t = SymbolTable.read("# symbols\n<eps> 0\n  # indented\n#\t1\n"
                          "#x 2\n# 3 4\n# comment\n")
     assert t.items() == [(0, "<eps>"), (1, "#"), (2, "#x")]
+
+
+def test_symbol_table_ids_follow_the_largest_id():
+    # an implicit id is one above the largest id so far, whether that id
+    # came from a read table, an explicit label or an implicit add
+    rng = random.Random(5)
+    for trial in range(20):
+        ids = rng.sample(range(1, 40), rng.randint(0, 6))
+        t = SymbolTable.read("<eps> 0\n" + "".join(
+            f"r{label} {label}\n" for label in ids))
+        for i in range(30):
+            if rng.random() < 0.3:
+                label = rng.choice([x for x in range(1, 80) if x not in t])
+                assert t.add(f"e{i}", label) == label
+            else:
+                largest = max(label for label, _ in t.items())
+                assert t.add(f"s{i}") == largest + 1, (trial, i)
+
+
+def test_symbol_table_adds_in_constant_time():
+    t = SymbolTable()
+    began = time.perf_counter()
+    for i in range(20000):
+        t.add(f"w{i}")
+    assert time.perf_counter() - began < 1.0
+    assert t.find("w19999") == 20000
 
 
 @pytest.mark.parametrize("symbol", ["", "a b", "x\ty", "z\n"])

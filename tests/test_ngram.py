@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from wfst import (ContractError, ParseError, best_path, build_lm_fsa,
-                  compose, count_ngrams, good_turing, katz_model, mle,
-                  observation_machine, read_arpa, write_arpa)
+from wfst import (ContractError, ParseError, SymbolError, best_path,
+                  build_lm_fsa, compose, count_ngrams, good_turing,
+                  katz_model, mle, observation_machine, read_arpa,
+                  write_arpa)
 from wfst.ngram import (BOS, EOS, frequency_of_frequencies, read_counts,
                         write_counts)
 
-from helpers import model_path_cost, viable_model
+from helpers import model_path_cost, naive_ngram_counts, viable_model
 
 SIX_TOKENS = [["a", "b", "a", "b", "a", "c"]]
 
@@ -57,6 +58,33 @@ def test_bigram_marginal_consistency():
             successors = sum(cc for g, cc in ct.counts.items()
                              if len(g) == 2 and g[0] == gram[0])
             assert successors == c, gram
+
+
+def test_count_ngrams_matches_a_naive_counter():
+    # same k-grams, same counts, same order of first appearance, same total
+    rng = random.Random(53)
+    lengths = (0, 0, 1, 1, 2, 3, 5, 9)
+    for trial in range(60):
+        corpus = [[rng.choice("abcde") for _ in range(rng.choice(lengths))]
+                  for _ in range(rng.randint(0, 7))]
+        for n in (1, 2, 3, 4):
+            ct = count_ngrams(corpus, n)
+            expected, total = naive_ngram_counts(corpus, n)
+            words = [(tuple(ct.symbols.find(g) for g in gram), c)
+                     for gram, c in ct.counts.items()]
+            assert words == list(expected.items()), (trial, n)
+            assert ct.total == total, (trial, n)
+
+
+@pytest.mark.parametrize("token", [BOS, EOS, "<eps>"])
+def test_count_rejects_reserved_tokens(token):
+    with pytest.raises(SymbolError, match=token):
+        count_ngrams([["a", "b"], ["a", token, "b"]], 2)
+
+
+def test_read_counts_rejects_an_epsilon_word():
+    with pytest.raises(ParseError, match=r"^line 4: .*<eps>"):
+        read_counts("order 2\ntotal 3\na\t2\na <eps>\t1\n")
 
 
 def test_counts_roundtrip():
@@ -250,3 +278,8 @@ def test_read_arpa_reads_minus_99_and_minus_inf_as_zero():
     assert model.alphas == {(model.symbols.find("b"),): 0.0,
                             (c,): 10 ** 0.25}
     assert model.probs.get((c,), {}) == {}
+
+
+def test_read_arpa_rejects_an_epsilon_word():
+    with pytest.raises(ParseError, match=r"^line 6: .*<eps>"):
+        read_arpa(ARPA_HEAD + "-0.5 a\n-0.5 b\n\\2-grams:\n-0.1 a <eps>\n")

@@ -3,7 +3,7 @@
 from .errors import (CapExceededError, ContractError, DivergenceError,
                      FsmError, KindMismatchError, NoPathError, ParseError,
                      SemiringError, SymbolError)
-from .machine import (ANY, EPSILON, EPSILON_SYMBOL, Arc, Machine, SymbolTable,
+from .machine import (ANY, EPSILON, EPSILON_SYMBOL, Machine, SymbolTable,
                       accepted_pairs, connect, observation_machine, read_text,
                       weight_of, write_text)
 from .ops import (closure, complement, compose, concat, difference, intersect,

@@ -152,12 +152,12 @@ def _dot_text(m):
     for q in m.states():
         shape = "doublecircle" if q in m.finals else "circle"
         lines.append(f'{q} [shape={shape}];')
-        for arc in m.arcs(q):
-            il = _labels_text([arc.ilabel], m.isymbols)
-            ol = _labels_text([arc.olabel], m.osymbols)
-            label = f"{il}:{ol}/{m.kind.format(arc.weight)}"
+        for ilabel, olabel, w, t in m.arcs(q):
+            il = _labels_text([ilabel], m.isymbols)
+            ol = _labels_text([olabel], m.osymbols)
+            label = f"{il}:{ol}/{m.kind.format(w)}"
             label = label.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'{q} -> {arc.nextstate} [label="{label}"];')
+            lines.append(f'{q} -> {t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -45,15 +45,15 @@ def _distances(m, forward):
         if forward:
             for u in states:
                 x = d[u]
-                for arc in m.arcs(u):
-                    y = x + arc.weight
-                    if y < d[arc.nextstate]:
-                        d[arc.nextstate] = y
+                for _, _, w, t in m.arcs(u):
+                    y = x + w
+                    if y < d[t]:
+                        d[t] = y
                         changed = True
         else:
             for v in reversed(states):
-                for arc in m.arcs(v):
-                    y = d[arc.nextstate] + arc.weight
+                for _, _, w, t in m.arcs(v):
+                    y = d[t] + w
                     if y < d[v]:
                         d[v] = y
                         changed = True
@@ -93,9 +93,9 @@ def best_path(m: Machine):
     # only, so extraction cannot orbit a zero-weight cycle
     h = {q: (0 if m.final(q) == d[q] else INF) for q in m.states()}
     optimal_preds = {q: [] for q in m.states()}
-    for q, arc in m.all_arcs():
-        if arc.weight + d[arc.nextstate] == d[q]:
-            optimal_preds[arc.nextstate].append(q)
+    for q, (_, _, w, t) in m.all_arcs():
+        if w + d[t] == d[q]:
+            optimal_preds[t].append(q)
     queue = deque(q for q in m.states() if h[q] == 0)
     while queue:
         t = queue.popleft()
@@ -108,19 +108,18 @@ def best_path(m: Machine):
     cost = m.start_weight
     while h[q] > 0:
         best = None
-        for arc in m.arcs(q):
-            if arc.weight + d[arc.nextstate] != d[q] or h[arc.nextstate] >= h[q]:
+        for il, ol, w, t in m.arcs(q):
+            if w + d[t] != d[q] or h[t] >= h[q]:
                 continue
-            key = (arc.nextstate, arc.ilabel, arc.olabel)
+            key = (t, il, ol)
             if best is None or key < best[0]:
-                best = (key, arc)
-        arc = best[1]
-        if arc.ilabel != EPSILON:
-            inp.append(arc.ilabel)
-        if arc.olabel != EPSILON:
-            out.append(arc.olabel)
-        cost += arc.weight
-        q = arc.nextstate
+                best = (key, w)
+        (q, il, ol), w = best
+        if il != EPSILON:
+            inp.append(il)
+        if ol != EPSILON:
+            out.append(ol)
+        cost += w
     cost += m.final(q)
     return (tuple(inp), tuple(out)), cost
 
@@ -160,7 +159,7 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
     finals = {}
     for q in keep:
         arcs[q] = [arc for arc in m.arcs(q)
-                   if fwd[q] + arc.weight + bwd[arc.nextstate] <= bound]
+                   if fwd[q] + arc[2] + bwd[arc[3]] <= bound]
         if q in m.finals and fwd[q] + m.finals[q] <= bound:
             finals[q] = m.finals[q]
     out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
@@ -238,18 +237,18 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
             if c > costs.get(q, INF):
                 continue
             expanded.add(q)
-            for arc in view.arcs(q):
-                if arc.ilabel != EPSILON:
+            for il, ol, w, t in view.arcs(q):
+                if il != EPSILON:
                     continue
-                cand = c + arc.weight
-                if cand < costs.get(arc.nextstate, INF):
-                    costs[arc.nextstate] = cand
-                    hops[arc.nextstate] = hops[q] + 1
-                    if hops[arc.nextstate] > len(costs):
+                cand = c + w
+                if cand < costs.get(t, INF):
+                    costs[t] = cand
+                    hops[t] = hops[q] + 1
+                    if hops[t] > len(costs):
                         raise ContractError("negative-weight epsilon cycle: "
                                             "beam search cannot settle")
-                    back[arc.nextstate] = (q, arc.olabel)
-                    heapq.heappush(heap, (cand, arc.nextstate))
+                    back[t] = (q, ol)
+                    heapq.heappush(heap, (cand, t))
         if not costs:
             break
         # beam pruning against the best comparable state
@@ -268,12 +267,12 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
         nxt = {}
         for q, c in survivors.items():
             expanded.add(q)
-            for arc in view.arcs(q):
-                if arc.ilabel == EPSILON:
+            for il, ol, w, t in view.arcs(q):
+                if il == EPSILON:
                     continue
-                cand = c + arc.weight
-                if cand < nxt.get(arc.nextstate, (INF, None))[0]:
-                    nxt[arc.nextstate] = (cand, (q, arc.olabel))
+                cand = c + w
+                if cand < nxt.get(t, (INF, None))[0]:
+                    nxt[t] = (cand, (q, ol))
         frontier = nxt
         for q, (_, bp) in nxt.items():
             back[q] = bp

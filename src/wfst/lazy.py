@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 
 from .errors import ContractError
-from .machine import Arc, Machine
+from .machine import Machine
 from .ops import LazyComposition, lazy_compose  # noqa: F401 (re-exported)
 
 
@@ -112,13 +112,13 @@ def expand(view) -> Machine:
         if fw != zero:
             finals[q] = check(fw)
         out = arcs[q]
-        for arc in view.arcs(s):
-            t = ids.get(arc.nextstate)
+        for il, ol, w, nxt in view.arcs(s):
+            t = ids.get(nxt)
             if t is None:
-                t = ids[arc.nextstate] = len(arcs)
+                t = ids[nxt] = len(arcs)
                 arcs.append([])
-                queue.append(arc.nextstate)
-            out.append(Arc(arc.ilabel, arc.olabel, check(arc.weight), t))
+                queue.append(nxt)
+            out.append((il, ol, check(w), t))
     return Machine._from_parts(kind, getattr(view, "isymbols", None),
                                getattr(view, "osymbols", None), arcs, finals,
                                0, start_weight)

@@ -5,12 +5,15 @@ integer states, one start state, a final-weight map, per-state arc lists,
 and a semiring kind.  Machines are mutable while being built and frozen
 before being shared; every algorithm in the toolkit consumes frozen
 machines and returns frozen machines.
+
+An arc is a plain ``(ilabel, olabel, weight, nextstate)`` tuple, the
+toolkit's innermost record: library loops unpack it, or index the one
+field they need, so a lazy view may return any 4-item sequence.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import ContractError, DivergenceError, ParseError, SymbolError
 from .semiring import Semiring
@@ -94,13 +97,6 @@ class SymbolTable:
         return "".join(f"{sym}\t{label}\n" for label, sym in self.items())
 
 
-class Arc(NamedTuple):
-    ilabel: int
-    olabel: int
-    weight: float
-    nextstate: int
-
-
 class Machine:
     """Weighted acceptor/transducer over one semiring."""
 
@@ -111,7 +107,8 @@ class Machine:
         self.start = 0
         self.start_weight = kind.one
         self.finals: dict[int, float] = {}
-        self._arcs: list[list[Arc]] = []
+        # per state, (ilabel, olabel, weight, nextstate) tuples
+        self._arcs: list[list[tuple]] = []
         self._frozen = False
         # what is derived from the machine, kept once it is frozen (see
         # _memo); None while mutable
@@ -123,10 +120,12 @@ class Machine:
         """Frozen machine from an algorithm's own output, as ``freeze``
         leaves it, without re-checking anything.
 
-        ``arcs`` holds one list (or tuple) of ``Arc`` per state and must
-        include ``start``; ``finals`` maps state -> weight and holds no
-        zero weight.  Every weight must already be in ``kind``'s carrier:
-        copied from a machine, or computed and checked with ``kind.valid``.
+        ``arcs`` holds one list (or tuple) of arcs per state and must
+        include ``start``; each arc is an exact ``(ilabel, olabel, weight,
+        nextstate)`` tuple, never another sequence a lazy view may return.
+        ``finals`` maps state -> weight and holds no zero weight.  Every
+        weight must already be in ``kind``'s carrier: copied from a
+        machine, or computed and checked with ``kind.valid``.
         """
         m = cls.__new__(cls)
         m.kind = kind
@@ -160,7 +159,7 @@ class Machine:
         self._check_mutable()
         self.kind.check(weight)
         self.ensure_state(max(src, nextstate))
-        self._arcs[src].append(Arc(ilabel, olabel, float(weight), nextstate))
+        self._arcs[src].append((ilabel, olabel, float(weight), nextstate))
 
     def set_final(self, state, weight=None):
         self._check_mutable()
@@ -238,7 +237,7 @@ class Machine:
 
     def is_acceptor(self) -> bool:
         return self._memo("is_acceptor", lambda: all(
-            a.ilabel == a.olabel for _, a in self.all_arcs()))
+            il == ol for arcs in self._arcs for il, ol, _, _ in arcs))
 
     def topological_order(self):
         """Kahn order of all states; None if any cycle, even unreachable.
@@ -250,14 +249,14 @@ class Machine:
     def _kahn(self):
         indeg = [0] * self.num_states
         for arcs in self._arcs:
-            for arc in arcs:
-                indeg[arc.nextstate] += 1
+            for _, _, _, t in arcs:
+                indeg[t] += 1
         order = [q for q in self.states() if indeg[q] == 0]
         for q in order:  # the list is the FIFO queue: it grows as we read
-            for arc in self._arcs[q]:
-                indeg[arc.nextstate] -= 1
-                if indeg[arc.nextstate] == 0:
-                    order.append(arc.nextstate)
+            for _, _, _, t in self._arcs[q]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    order.append(t)
         return order if len(order) == self.num_states else None
 
     def is_acyclic(self) -> bool:
@@ -274,18 +273,18 @@ class Machine:
     def _scan_deterministic(self):
         for q in self.states():
             seen = set()
-            for arc in self._arcs[q]:
-                if arc.ilabel == EPSILON:
+            for il, _, _, _ in self._arcs[q]:
+                if il == EPSILON:
                     if len(self._arcs[q]) > 1:
                         return False
                     continue
-                if arc.ilabel in seen:
+                if il in seen:
                     return False
-                seen.add(arc.ilabel)
+                seen.add(il)
         return True
 
     def input_labels(self):
-        return sorted({a.ilabel for _, a in self.all_arcs()} - {EPSILON})
+        return sorted({a[0] for _, a in self.all_arcs()} - {EPSILON})
 
     def __repr__(self):
         return (f"<Machine {self.kind.value} states={self.num_states} "
@@ -354,7 +353,6 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
     olabels = _Tokens(lambda token: _resolve(token, osymbols))
     weights = _Tokens(kind.parse)
     one, zero = kind.one, kind.zero
-    new_arc = tuple.__new__  # Arc(...) without its Python-level __new__
     arcs = []
     finals = {}
     start = None
@@ -397,7 +395,7 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
         if top >= len(arcs):
             arcs.extend([] for _ in range(top + 1 - len(arcs)))
         if n > 2:
-            arcs[src].append(new_arc(Arc, (il, ol, weight, dst)))
+            arcs[src].append((il, ol, weight, dst))
         if start is None:
             start = src
     # a text with no arc or final line is a bare non-final start state
@@ -484,11 +482,11 @@ def connect(m: Machine) -> Machine:
     for q in order:
         kept = []
         for arc in state_arcs[q]:
-            t = remap.get(arc.nextstate)
-            if t is None or arc.weight == zero:
+            il, ol, w, old = arc
+            t = remap.get(old)
+            if t is None or w == zero:
                 continue
-            kept.append(arc if t == arc.nextstate
-                        else Arc(arc.ilabel, arc.olabel, arc.weight, t))
+            kept.append(arc if t == old else (il, ol, w, t))
         arcs.append(kept)
     finals = {remap[q]: m.finals[q] for q in keep if q in m.finals}
     return Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
@@ -524,8 +522,8 @@ def _path_sums(m: Machine, advance, progress, max_path_len):
             for arc in m.arcs(q):
                 np = advance(arc, p)
                 if np is not None:
-                    key = (arc.nextstate, np)
-                    nw = times(w, arc.weight)
+                    key = (arc[3], np)
+                    nw = times(w, arc[2])
                     nxt[key] = plus(nxt[key], nw) if key in nxt else nw
         if not nxt:
             break
@@ -547,13 +545,14 @@ def weight_of(m: Machine, inp, out=ANY, max_path_len=24) -> float:
 
     # progress: positions matched in inp and out (out's stays 0 under ANY)
     def advance(arc, p):
+        il, ol, _, _ = arc
         i, j = p
-        if arc.ilabel != EPSILON:
-            if i == len(inp) or inp[i] != arc.ilabel:
+        if il != EPSILON:
+            if i == len(inp) or inp[i] != il:
                 return None
             i += 1
-        if out is not None and arc.olabel != EPSILON:
-            if j == len(out) or out[j] != arc.olabel:
+        if out is not None and ol != EPSILON:
+            if j == len(out) or out[j] != ol:
                 return None
             j += 1
         return i, j
@@ -571,8 +570,9 @@ def accepted_pairs(m: Machine, max_path_len=12):
     Enumeration-based companion oracle to ``weight_of``; same caveats.
     """
     def advance(arc, p):
+        il, ol, _, _ = arc
         inp, out = p
-        return (inp if arc.ilabel == EPSILON else inp + (arc.ilabel,),
-                out if arc.olabel == EPSILON else out + (arc.olabel,))
+        return (inp if il == EPSILON else inp + (il,),
+                out if ol == EPSILON else out + (ol,))
 
     return _path_sums(m, advance, ((), ()), max_path_len)[0]

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import ContractError, FsmError, ParseError, SymbolError
-from .machine import (EPSILON, EPSILON_SYMBOL, Arc, Machine, SymbolTable,
-                      _Tokens)
+from .machine import EPSILON, EPSILON_SYMBOL, Machine, SymbolTable, _Tokens
 from .semiring import Semiring
 
 BOS = "<s>"
@@ -46,8 +45,9 @@ class CountTable:
         return self.counts.get(tuple(gram), 0)
 
     def vocabulary(self):
-        """Unigram labels that may be predicted (everything but <s>)."""
-        bos = self.symbols.find(BOS)
+        """Unigram labels that may be predicted (everything but <s>, which
+        a table read from counts of order 1 need not know)."""
+        bos = self.symbols.find(BOS) if BOS in self.symbols else None
         return sorted(g[0] for g in self.counts if len(g) == 1 and g[0] != bos)
 
 
@@ -200,11 +200,12 @@ class BackoffModel:
 
     def sentence_logprob(self, sentence) -> float:
         """Natural-log probability of a tokenized sentence (strings)."""
-        bos = self.symbols.find(BOS)
         eos = self.symbols.find(EOS)
         ids = [self.symbols.find(t) if isinstance(t, str) else t
                for t in sentence]
-        history = [bos] * max(0, self.order - 1)
+        # a unigram model has no history, and may not know <s>
+        history = ([self.symbols.find(BOS)] * (self.order - 1)
+                   if self.order > 1 else [])
         logp = 0.0
         for w in ids + [eos]:
             p = self.prob(w, tuple(history))
@@ -224,6 +225,8 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
     vocab = ct.vocabulary()
     if ct.counts and ct.total < 1:  # as read from counts without 'total'
         raise ContractError(f"token total is {ct.total}: no unigram estimate")
+    if not vocab:  # an empty corpus, or counts without a unigram line
+        raise ContractError("the count table holds no words to estimate")
     probs = {}
     alphas = {}
     # k -> context -> {word: count}, all in the order of ct.counts
@@ -287,14 +290,12 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
     -ln alpha(context); sentence end is carried by final weights.
     """
     eos = model.symbols.find(EOS)
-    bos = model.symbols.find(BOS)
     kind = Semiring.TROPICAL
     contexts = sorted(model.probs, key=lambda h: (len(h), h))
     ids = {h: q for q, h in enumerate(contexts)}
     # probability -> its cost, checked once; -ln p of a p > 0 is never
     # zero's +inf, so every cost is a final weight or an arc weight
     costs = _Tokens(lambda p: kind.check(-math.log(p)))
-    new_arc = tuple.__new__  # Arc(...) without its Python-level __new__
     keep = max(0, model.order - 1)
 
     def target(history):
@@ -316,15 +317,15 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
                 continue
             nxt = (h + (y,))[-keep:] if keep else ()
             t = ids.get(nxt)
-            out.append(new_arc(Arc, (y, y, costs[p],
-                                     target(nxt) if t is None else t)))
+            out.append((y, y, costs[p], target(nxt) if t is None else t))
         if h:
             alpha = model.alphas.get(h, 0.0)
             if alpha > 0.0:  # alpha 0: all mass seen, no back-off arc
-                out.append(new_arc(Arc, (EPSILON, EPSILON, costs[alpha],
-                                         target(h[1:]))))
+                out.append((EPSILON, EPSILON, costs[alpha], target(h[1:])))
+    # a unigram model starts at its one context, and may not know <s>
+    start = target((model.symbols.find(BOS),) * keep) if keep else ids[()]
     return Machine._from_parts(kind, model.symbols, model.symbols, arcs,
-                               finals, target((bos,) * keep))
+                               finals, start)
 
 
 def write_arpa(model: BackoffModel) -> str:

@@ -19,7 +19,7 @@ so only A's own output labels count.
 from __future__ import annotations
 
 from .errors import ContractError, SemiringError, SymbolError
-from .machine import EPSILON, Arc, Machine, connect
+from .machine import EPSILON, Machine, connect
 from .semiring import Semiring, require_same_kind
 
 FILTER_INITIAL = 0
@@ -40,7 +40,7 @@ def label_index(m, table, state):
     if index is None:
         groups = {}
         for arc in m.arcs(state):
-            groups.setdefault(arc.ilabel, []).append(arc)
+            groups.setdefault(arc[0], []).append(arc)
         index = {label: tuple(group) for label, group in groups.items()}
         table[state] = index
     return index
@@ -73,10 +73,10 @@ def read_set(b, index_table, table, state):
         labels.update(index)
         if b.final(q) != b.kind.zero:
             labels.add(_END)
-        for arc in index.get(EPSILON, ()):
-            if arc.nextstate not in seen:
-                seen.add(arc.nextstate)
-                stack.append(arc.nextstate)
+        for _, _, _, t in index.get(EPSILON, ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
     labels = frozenset(labels - {EPSILON})
     table[state] = labels = table.setdefault(labels, labels)
     return labels
@@ -98,25 +98,19 @@ def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
     times = kind.times
     matches = index_b.get
     eps_b = matches(EPSILON, ())
-    for arc_a in arcs_a:
-        if arc_a.olabel != EPSILON:
-            for arc_b in matches(arc_a.olabel, ()):
-                yield (arc_a.ilabel, arc_b.olabel,
-                       times(arc_a.weight, arc_b.weight),
-                       (arc_a.nextstate, arc_b.nextstate, FILTER_INITIAL))
+    for il, ol, wa, n1 in arcs_a:
+        if ol != EPSILON:
+            for _, ol_b, wb, n2 in matches(ol, ()):
+                yield il, ol_b, times(wa, wb), (n1, n2, FILTER_INITIAL)
         else:
             if not filtered or f == FILTER_INITIAL:
-                for arc_b in eps_b:
-                    yield (arc_a.ilabel, arc_b.olabel,
-                           times(arc_a.weight, arc_b.weight),
-                           (arc_a.nextstate, arc_b.nextstate, FILTER_INITIAL))
+                for _, ol_b, wb, n2 in eps_b:
+                    yield il, ol_b, times(wa, wb), (n1, n2, FILTER_INITIAL)
             if not filtered or f in (FILTER_INITIAL, _A_ALONE):
-                yield (arc_a.ilabel, EPSILON, arc_a.weight,
-                       (arc_a.nextstate, None, _A_ALONE))
-    for arc_b in eps_b:
+                yield il, EPSILON, wa, (n1, None, _A_ALONE)
+    for _, ol_b, wb, n2 in eps_b:
         if not filtered or f in (FILTER_INITIAL, _B_ALONE):
-            yield (EPSILON, arc_b.olabel, arc_b.weight,
-                   (None, arc_b.nextstate, _B_ALONE))
+            yield EPSILON, ol_b, wb, (None, n2, _B_ALONE)
 
 
 def check_composable(a, b):
@@ -184,7 +178,7 @@ class LazyComposition:
         index = label_index(b, index_b, s2)
         eps_b = index.get(EPSILON, ())
         kind, ids, pairs = self.kind, self._ids, self._pairs
-        times, valid, new = kind.times, kind.valid, tuple.__new__
+        times, valid = kind.times, kind.valid
         memo, emits_of, reads_of = self._emits.get, self._emits_of, reads.get
         arcs_a, _, direct = memo(s1) or emits_of(s1)
         both = f == FILTER_INITIAL
@@ -207,7 +201,7 @@ class LazyComposition:
                     t = ids.setdefault(target, len(pairs))
                     if t == len(pairs):
                         pairs.append(target)
-                    result.append(new(Arc, (il, ol_b, w, t)))
+                    result.append((il, ol_b, w, t))
             if ol == EPSILON and f != _B_ALONE:
                 self._alone(result, il, EPSILON, wa, (n1, s2, _A_ALONE),
                             (memo(n1) or emits_of(n1))[1])
@@ -231,12 +225,11 @@ class LazyComposition:
         a, zero, memo = self.a, self.kind.zero, self._emits
         crossed = self._crossed
         arcs = crossed.pop(s1) if s1 in crossed else tuple(a.arcs(s1))
-        direct = {arc.olabel for arc in arcs}
+        direct = {arc[1] for arc in arcs}
         if a.final(s1) != zero:
             direct.add(_END)
         after = set(direct)
-        stack = [arc.nextstate for arc in arcs
-                 if arc.olabel == EPSILON and arc.nextstate != s1]
+        stack = [t for _, ol, _, t in arcs if ol == EPSILON and t != s1]
         seen = {s1, *stack}
         while stack:
             q = stack.pop()
@@ -248,12 +241,12 @@ class LazyComposition:
                 after.add(_END)
             if q not in crossed:
                 crossed[q] = tuple(a.arcs(q))
-            for arc in crossed[q]:
-                if arc.olabel != EPSILON:
-                    after.add(arc.olabel)
-                elif arc.nextstate not in seen:
-                    seen.add(arc.nextstate)
-                    stack.append(arc.nextstate)
+            for _, ol, _, t in crossed[q]:
+                if ol != EPSILON:
+                    after.add(ol)
+                elif t not in seen:
+                    seen.add(t)
+                    stack.append(t)
         direct.discard(EPSILON)
         after.discard(EPSILON)
         memo[s1] = emits = (arcs, after, direct)
@@ -272,7 +265,7 @@ class LazyComposition:
         t = self._ids.setdefault(target, len(self._pairs))
         if t == len(self._pairs):
             self._pairs.append(target)
-        result.append(tuple.__new__(Arc, (il, ol, w, t)))
+        result.append((il, ol, w, t))
 
 
 def lazy_compose(a, b) -> LazyComposition:
@@ -308,9 +301,8 @@ def intersect(a: Machine, b: Machine) -> Machine:
 
 def _copy_into(dst: Machine, src: Machine) -> dict[int, int]:
     remap = {q: dst.add_state() for q in src.states()}
-    for q, arc in src.all_arcs():
-        dst.add_arc(remap[q], arc.ilabel, arc.olabel, arc.weight,
-                    remap[arc.nextstate])
+    for q, (il, ol, w, t) in src.all_arcs():
+        dst.add_arc(remap[q], il, ol, w, remap[t])
     return remap
 
 
@@ -375,9 +367,8 @@ def reverse(a: Machine) -> Machine:
     s0 = out.add_state()
     out.set_start(s0)
     remap = {q: out.add_state() for q in a.states()}
-    for q, arc in a.all_arcs():
-        out.add_arc(remap[arc.nextstate], arc.ilabel, arc.olabel, arc.weight,
-                    remap[q])
+    for q, (il, ol, w, t) in a.all_arcs():
+        out.add_arc(remap[t], il, ol, w, remap[q])
     for q, w in a.finals.items():
         out.add_arc(s0, EPSILON, EPSILON, w, remap[q])
     out.set_final(remap[a.start], a.start_weight)
@@ -388,7 +379,7 @@ def project(a: Machine, side: str) -> Machine:
     """Acceptor over the chosen tape; path weights preserved."""
     if side not in ("input", "output"):
         raise ContractError(f"side must be 'input' or 'output', got {side!r}")
-    tape = 0 if side == "input" else 1  # the label's field in an Arc
+    tape = 0 if side == "input" else 1  # the label's field in an arc
     table = (a.isymbols, a.osymbols)[tape]
     return _relabel(a, lambda arc: (arc[tape], arc[tape]), table, table)
 
@@ -396,7 +387,7 @@ def project(a: Machine, side: str) -> Machine:
 def _relabel(m, labels, isymbols, osymbols):
     """Frozen copy of ``m`` whose arcs carry the label pairs
     ``labels(arc)``, read through the given symbol tables."""
-    arcs = [[Arc(*labels(arc), arc.weight, arc.nextstate) for arc in m.arcs(q)]
+    arcs = [[(*labels(arc), arc[2], arc[3]) for arc in m.arcs(q)]
             for q in m.states()]
     return Machine._from_parts(m.kind, isymbols, osymbols, arcs,
                                dict(m.finals), m.start, m.start_weight)
@@ -431,7 +422,7 @@ def complement(a: Machine, alphabet=None) -> Machine:
     dead = out.add_state()
     out.set_start(det.start)
     for q in det.states():
-        targets = {arc.ilabel: arc.nextstate for arc in det.arcs(q)}
+        targets = {il: t for il, _, _, t in det.arcs(q)}
         for label in sigma:
             out.add_arc(q, label, label, 1.0, targets.get(label, dead))
         if q not in det.finals:

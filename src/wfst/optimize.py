@@ -22,7 +22,7 @@ from functools import reduce
 
 from .decode import INF, _backward
 from .errors import CapExceededError, ContractError, SemiringError
-from .machine import EPSILON, Arc, Machine, connect
+from .machine import EPSILON, Machine, connect
 from .semiring import Semiring
 
 DEFAULT_EXPANSION_CAP = 10_000
@@ -51,7 +51,7 @@ def _epsilon_arcs(m):
     """Input-epsilon arcs of ``m`` by source state."""
     eps_arcs = {}
     for q, arc in m.all_arcs():
-        if arc.ilabel == EPSILON:
+        if arc[0] == EPSILON:
             eps_arcs.setdefault(q, []).append(arc)
     return eps_arcs
 
@@ -82,16 +82,16 @@ def _close_epsilon(kind, eps_arcs, best, cap):
             return best
         q, s = queue.popleft()
         r, h = best[(q, s)], hops[(q, s)] + 1
-        for arc in eps_arcs.get(q, ()):
-            ns = s if arc.olabel == EPSILON else s + (arc.olabel,)
+        for _, ol, w, t in eps_arcs.get(q, ()):
+            ns = s if ol == EPSILON else s + (ol,)
             if len(ns) > _RESIDUAL_STRING_CAP:
                 raise CapExceededError("leftover output string grew without bound")
-            nr = times(r, arc.weight)
+            nr = times(r, w)
             if not valid(nr):
                 raise kind.carrier_error(nr)
             if nr == zero:
                 continue
-            key = (arc.nextstate, ns)
+            key = (t, ns)
             if key not in best or kind.compare(nr, best[key]) < 0:
                 best[key], hops[key] = nr, h
                 # its path repeats an element, on a cycle that lowered it
@@ -118,13 +118,13 @@ def _normalize(kind, best, acceptor):
 
 
 def _emit_string(arcs, src, ilabel, symbols, weight, dst, one):
-    """Arc chain spelling ``symbols`` on the output tape.
+    """Chain of arcs spelling ``symbols`` on the output tape.
 
     ``arcs`` is the per-state arc lists of a machine under construction;
     the chain's inner states are appended to it.
     """
     if not symbols:
-        arcs[src].append(Arc(ilabel, EPSILON, weight, dst))
+        arcs[src].append((ilabel, EPSILON, weight, dst))
         return
     cur = src
     il, w = ilabel, weight
@@ -135,7 +135,7 @@ def _emit_string(arcs, src, ilabel, symbols, weight, dst, one):
         else:
             target = len(arcs)
             arcs.append([])
-        arcs[cur].append(Arc(il, sym, w, target))
+        arcs[cur].append((il, sym, w, target))
         cur, il, w = target, EPSILON, one
 
 
@@ -203,22 +203,22 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
         # label -> {(state, leftover string): weight} after that label
         by_label = {}
         for state, s, r in subset:
-            for arc in m.arcs(state):
-                if arc.ilabel == EPSILON:
+            for il, ol, wa, t in m.arcs(state):
+                if il == EPSILON:
                     continue
                 ns = s
-                if arc.olabel != EPSILON and not acceptor:
-                    ns = s + (arc.olabel,)
+                if ol != EPSILON and not acceptor:
+                    ns = s + (ol,)
                     if len(ns) > _RESIDUAL_STRING_CAP:
                         raise CapExceededError(
                             "leftover output string grew without bound")
-                w = times(r, arc.weight)
+                w = times(r, wa)
                 if not valid(w):
                     raise kind.carrier_error(w)
                 if w == zero:
                     continue
-                group = by_label.setdefault(arc.ilabel, {})
-                key = (arc.nextstate, ns)
+                group = by_label.setdefault(il, {})
+                key = (t, ns)
                 group[key] = plus(group[key], w) if key in group else w
         for label in sorted(by_label):
             group = by_label[label]
@@ -239,12 +239,12 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 arcs.append([])
                 queue.append(target)
             if acceptor:
-                arcs[q].append(Arc(label, label, total, t))
+                arcs[q].append((label, label, total, t))
             else:
                 _emit_string(arcs, q, label, prefix, total, t, one)
     out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
                               m.start_weight)
-    if acceptor:  # every arc is emitted as Arc(label, label, ...)
+    if acceptor:  # every arc is emitted as (label, label, ...)
         out._derived["is_acceptor"] = True
     return out
 
@@ -275,11 +275,10 @@ def _square_machine(m):
         closure = _close_epsilon(kind, eps_arcs, {(q, ()): kind.one},
                                  DEFAULT_EXPANSION_CAP)
         for (p, s), r in closure.items():
-            for a in m.arcs(p):
-                if a.ilabel != EPSILON:
-                    o = s if a.olabel == EPSILON else s + (a.olabel,)
-                    row.setdefault(a.ilabel, []).append(
-                        (kind.times(r, a.weight), o, a.nextstate))
+            for il, ol, w, t in m.arcs(p):
+                if il != EPSILON:
+                    o = s if ol == EPSILON else s + (ol,)
+                    row.setdefault(il, []).append((kind.times(r, w), o, t))
         leaving.append(row)
     start = (m.start, m.start)
     reach, arcs = {start: ()}, {}
@@ -434,9 +433,8 @@ def local_determinize(m: Machine, k: int) -> Machine:
         final = kind.zero
         for state, _, r in subset:
             final = plus(final, times(r, m.final(state)))
-            for arc in m.arcs(state):
-                arcs.append((arc.ilabel, arc.olabel,
-                             times(r, arc.weight), arc.nextstate))
+            for il, ol, w, t in m.arcs(state):
+                arcs.append((il, ol, times(r, w), t))
         if final != kind.zero:
             out.set_final(q, final)
         if len(arcs) <= k:
@@ -468,11 +466,11 @@ def _string_potentials(m):
             candidates = []
             if q in m.finals:
                 candidates.append(())
-            for arc in m.arcs(q):
-                nxt = p[arc.nextstate]
+            for _, ol, _, t in m.arcs(q):
+                nxt = p[t]
                 if nxt is bottom:
                     continue
-                o = (arc.olabel,) if arc.olabel != EPSILON else ()
+                o = (ol,) if ol != EPSILON else ()
                 candidates.append(o + nxt)
             if not candidates:
                 continue
@@ -487,8 +485,8 @@ def _string_potentials(m):
 
 def _residue(p, q, arc):
     """Output string left on ``arc`` once potentials ``p`` are hoisted."""
-    o = (arc.olabel,) if arc.olabel != EPSILON else ()
-    full = o + p[arc.nextstate]
+    _, ol, _, t = arc
+    full = ((ol,) if ol != EPSILON else ()) + p[t]
     if full[:len(p[q])] != p[q]:
         raise ContractError("not a functional transducer: "
                             f"prefix mismatch at state {q}")
@@ -517,7 +515,7 @@ def _pushed_arcs(m, d):
     potentials ``d`` (None: kept as it is) and range-checked."""
     kind = m.kind
     for q, arc in m.all_arcs():
-        w = arc.weight if d is None else arc.weight + d[arc.nextstate] - d[q]
+        w = arc[2] if d is None else arc[2] + d[arc[3]] - d[q]
         if not kind.valid(w):
             raise kind.carrier_error(w)
         yield q, arc, w
@@ -542,8 +540,8 @@ def push(m: Machine, mode: str) -> Machine:
         if m._frozen and not any(d.values()):
             return m
         arcs = [[] for _ in m.states()]
-        for q, arc, w in _pushed_arcs(m, d):
-            arcs[q].append(Arc(arc.ilabel, arc.olabel, w, arc.nextstate))
+        for q, (il, ol, _, t), w in _pushed_arcs(m, d):
+            arcs[q].append((il, ol, w, t))
         out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals,
                                   m.start, start_weight)
         out._inherit_shape(m)
@@ -552,8 +550,8 @@ def push(m: Machine, mode: str) -> Machine:
         p = _string_potentials(m)
         arcs = [[] for _ in m.states()]
         for q, arc in m.all_arcs():
-            _emit_string(arcs, q, arc.ilabel, _residue(p, q, arc), arc.weight,
-                         arc.nextstate, one)
+            il, _, w, t = arc
+            _emit_string(arcs, q, il, _residue(p, q, arc), w, t, one)
         start = m.start
         if p[m.start]:
             # emit the hoisted start prefix before entering the old start
@@ -588,8 +586,7 @@ def _encoded_dfa(m):
     enc = {q: {} for q in m.states()}
     for q, arc, w in _pushed_arcs(m, d):
         if w != kind.zero:  # an arc weighted zero is no path
-            enc[q][arc.ilabel, () if p is None else _residue(p, q, arc), w] = \
-                arc.nextstate
+            enc[q][arc[0], () if p is None else _residue(p, q, arc), w] = arc[3]
     identity = (EPSILON, (), kind.one)
     hop = {q: row[identity] for q, row in enc.items()
            if len(row) == 1 and identity in row and q not in m.finals}
@@ -741,7 +738,7 @@ def minimize(m: Machine) -> Machine:
                 arcs.append([])
                 queue.append(t)
             if acceptor:  # the residue is empty: the output repeats the input
-                arcs[cls].append(Arc(il, il, w, nt))
+                arcs[cls].append((il, il, w, nt))
             else:
                 _emit_string(arcs, cls, il, residue, w, nt, kind.one)
         if finals[rep] != kind.zero:

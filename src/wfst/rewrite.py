@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import ContractError, ParseError, SymbolError
-from .machine import (EPSILON, Arc, Machine, SymbolTable, _resolve,
+from .machine import (EPSILON, Machine, SymbolTable, _resolve,
                       accepted_pairs, connect, observation_machine)
 from .ops import (_END, _relabel, closure, complement, compose, concat,
                   intersect, read_set, reverse, union)
@@ -230,7 +230,7 @@ def _complete_table(alpha, sigma):
         raise ContractError("marker pattern must be an acceptor")
     if not alpha.is_deterministic():
         raise ContractError("marker pattern must be deterministic")
-    trans = [{a.ilabel: a.nextstate for a in alpha.arcs(q)} for q in alpha.states()]
+    trans = [{il: t for il, _, _, t in alpha.arcs(q)} for q in alpha.states()]
     finals = set(alpha.finals)
     if any(x not in row for row in trans for x in sigma):
         dead = len(trans)
@@ -344,7 +344,7 @@ def _parse_psi(psi):
 def _add_loops(m, labels):
     """Copy of a BOOLEAN acceptor with extra self-loops at every state."""
     one = m.kind.one
-    arcs = [[*m.arcs(q), *(Arc(label, label, one, q) for label in labels)]
+    arcs = [[*m.arcs(q), *((label, label, one, q) for label in labels)]
             for q in m.states()]
     return Machine._from_parts(m.kind, None, None, arcs, dict(m.finals),
                                m.start, m.start_weight)
@@ -364,8 +364,8 @@ def _replace_machine(phi_m, psi_alts, sigma, rb, b1, b2):
     rep.add_arc(out_s, b2, b2, 0.0, out_s)
     walk = {q: rep.add_state() for q in phi_m.states()}
     rep.add_arc(out_s, b1, b1, 0.0, walk[phi_m.start])
-    for q, arc in phi_m.all_arcs():
-        rep.add_arc(walk[q], arc.ilabel, EPSILON, 0.0, walk[arc.nextstate])
+    for q, (il, _, _, t) in phi_m.all_arcs():
+        rep.add_arc(walk[q], il, EPSILON, 0.0, walk[t])
     for q in phi_m.states():
         for sym in (rb, b1, b2):
             rep.add_arc(walk[q], sym, EPSILON, 0.0, walk[q])
@@ -373,8 +373,8 @@ def _replace_machine(phi_m, psi_alts, sigma, rb, b1, b2):
     rep.add_arc(need_close, rb, EPSILON, 0.0, out_s)
     for cost, pm in psi_alts:
         emb = {s: rep.add_state() for s in pm.states()}
-        for s, arc in pm.all_arcs():
-            rep.add_arc(emb[s], EPSILON, arc.olabel, 0.0, emb[arc.nextstate])
+        for s, (_, ol, _, t) in pm.all_arcs():
+            rep.add_arc(emb[s], EPSILON, ol, 0.0, emb[t])
         for fq in pm.finals:
             rep.add_arc(emb[fq], EPSILON, EPSILON, 0.0, need_close)
         for q in phi_m.finals:
@@ -512,19 +512,18 @@ def intersect_samelength(t1: Machine, t2: Machine) -> Machine:
     """
     require_same_kind(t1, t2)
     for m in (t1, t2):
-        for _, arc in m.all_arcs():
-            if EPSILON in (arc.ilabel, arc.olabel):
+        for _, (il, ol, _, _) in m.all_arcs():
+            if EPSILON in (il, ol):
                 raise ContractError(
                     "same-length intersection requires epsilon-free transducers")
-    pairs = sorted({(a.ilabel, a.olabel) for m in (t1, t2)
-                    for _, a in m.all_arcs()})
+    pairs = sorted({a[:2] for m in (t1, t2) for _, a in m.all_arcs()})
     code = {p: i + 1 for i, p in enumerate(pairs)}
 
     def encode(m):
-        return _relabel(m, lambda arc: (code[(arc.ilabel, arc.olabel)],) * 2, None, None)
+        return _relabel(m, lambda arc: (code[arc[:2]],) * 2, None, None)
 
     meet = intersect(encode(t1), encode(t2))
-    return connect(_relabel(meet, lambda arc: pairs[arc.ilabel - 1],
+    return connect(_relabel(meet, lambda arc: pairs[arc[0] - 1],
                             t1.isymbols, t1.osymbols))
 
 

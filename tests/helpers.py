@@ -12,7 +12,7 @@ import random
 
 from wfst import (FsmError, Machine, Semiring, connect, count_ngrams,
                   katz_model)
-from wfst.machine import EPSILON, Arc
+from wfst.machine import EPSILON
 from wfst.ops import FILTER_INITIAL, merge_arcs
 
 
@@ -66,11 +66,10 @@ def enum_paths(m, max_arcs):
                 else total
         if depth == max_arcs:
             return
-        for arc in m.arcs(q):
-            ninp = inp if arc.ilabel == 0 else inp + (arc.ilabel,)
-            nout = out if arc.olabel == 0 else out + (arc.olabel,)
-            visit(arc.nextstate, ninp, nout, kind.extend(w, arc.weight),
-                  depth + 1)
+        for il, ol, aw, t in m.arcs(q):
+            ninp = inp if il == 0 else inp + (il,)
+            nout = out if ol == 0 else out + (ol,)
+            visit(t, ninp, nout, kind.extend(w, aw), depth + 1)
 
     visit(m.start, (), (), m.start_weight, 0)
     return result
@@ -87,10 +86,10 @@ def layered_distances(m):
         for q, w in frontier.items():
             if w == math.inf:
                 continue
-            for arc in m.arcs(q):
-                cand = w + arc.weight
-                if cand < nxt.get(arc.nextstate, math.inf):
-                    nxt[arc.nextstate] = cand
+            for _, _, aw, t in m.arcs(q):
+                cand = w + aw
+                if cand < nxt.get(t, math.inf):
+                    nxt[t] = cand
         for q, w in nxt.items():
             if w < d[q]:
                 d[q] = w
@@ -138,13 +137,13 @@ def bounded_pairs(m, max_in, max_out, max_arcs, cap=None):
             break
         nxt = {}
         for (q, inp, out), w in layer.items():
-            for arc in m.arcs(q):
-                ninp = inp if arc.ilabel == 0 else inp + (arc.ilabel,)
-                nout = out if arc.olabel == 0 else out + (arc.olabel,)
+            for il, ol, aw, t in m.arcs(q):
+                ninp = inp if il == 0 else inp + (il,)
+                nout = out if ol == 0 else out + (ol,)
                 if len(ninp) > max_in or len(nout) > max_out:
                     continue
-                key = (arc.nextstate, ninp, nout)
-                nw = kind.extend(w, arc.weight)
+                key = (t, ninp, nout)
+                nw = kind.extend(w, aw)
                 nxt[key] = kind.combine(nxt[key], nw) if key in nxt else nw
         work += len(nxt)
         if cap is not None and work > cap:
@@ -165,7 +164,7 @@ def product_compose(a, b, filtered=True):
     for q, (s1, s2, f) in enumerate(pairs):  # ``pairs`` grows as it is read
         index = {}
         for arc in b.arcs(s2):
-            index.setdefault(arc.ilabel, []).append(arc)
+            index.setdefault(arc[0], []).append(arc)
         out = []
         for il, ol, w, (n1, n2, nf) in merge_arcs(kind, a.arcs(s1), index, f,
                                                    filtered):
@@ -173,7 +172,7 @@ def product_compose(a, b, filtered=True):
             if target not in ids:
                 ids[target] = len(pairs)
                 pairs.append(target)
-            out.append(Arc(il, ol, w, ids[target]))
+            out.append((il, ol, w, ids[target]))
         arcs.append(out)
         fw = kind.times(a.final(s1), b.final(s2))
         if fw != kind.zero:
@@ -201,25 +200,25 @@ def model_path_cost(model, fsa, sentence):
             guard += 1
             if guard > 100:
                 raise FsmError("back-off loop")
-            arcs = {a.ilabel: a for a in fsa.arcs(state)}
+            arcs = {a[0]: a for a in fsa.arcs(state)}
             if label in arcs:
-                cost += arcs[label].weight
-                return arcs[label].nextstate
+                cost += arcs[label][2]
+                return arcs[label][3]
             if EPSILON not in arcs:
                 raise FsmError(f"no path for label {label}")
-            cost += arcs[EPSILON].weight
-            state = arcs[EPSILON].nextstate
+            cost += arcs[EPSILON][2]
+            state = arcs[EPSILON][3]
 
     for w in ids:
         state = step(state, w)
     guard = 0
     while fsa.final(state) == math.inf:
         guard += 1
-        arcs = {a.ilabel: a for a in fsa.arcs(state)}
+        arcs = {a[0]: a for a in fsa.arcs(state)}
         if EPSILON not in arcs or guard > 100:
             raise FsmError("no final completion")
-        cost += arcs[EPSILON].weight
-        state = arcs[EPSILON].nextstate
+        cost += arcs[EPSILON][2]
+        state = arcs[EPSILON][3]
     return cost + fsa.final(state)
 
 
@@ -352,7 +351,7 @@ def futures(m, max_len, alphabet=None):
     """Per-state map string -> total weight to acceptance (deterministic
     weighted acceptors, no epsilon)."""
     sigma = sorted(alphabet or m.input_labels())
-    step = {q: {a.ilabel: (a.nextstate, a.weight) for a in m.arcs(q)}
+    step = {q: {il: (t, w) for il, _, w, t in m.arcs(q)}
             for q in m.states()}
     result = {}
     for q0 in m.states():
@@ -390,7 +389,7 @@ def table_filling_class_count(dfa, alphabet):
     """Classic pairwise-marking equivalence classes of a complete-enough
     boolean DFA (missing transitions act as a shared dead state)."""
     states = list(dfa.states()) + [-1]  # -1 = implicit dead state
-    step = {q: {a.ilabel: a.nextstate for a in dfa.arcs(q)}
+    step = {q: {il: t for il, _, _, t in dfa.arcs(q)}
             for q in dfa.states()}
     step[-1] = {}
     final = set(dfa.finals)

@@ -293,8 +293,8 @@ def test_criterion_7_rewrite_compiler():
             fst = compile_weighted_rule(Rule(phi_t, psi_t, lam_t, rho_t),
                                         symtab)
             labels = set(fst.isymbols.labels()) | {0}
-            for _, arc in fst.all_arcs():
-                assert arc.ilabel in labels and arc.olabel in labels
+            for _, (il, ol, _, _) in fst.all_arcs():
+                assert il in labels and ol in labels
             for _ in range(2):
                 inp = [rng.choice(syms) for _ in range(rng.randint(0, 10))]
                 expected = scan_rewrite(inp, phi, psi, lam, rho)

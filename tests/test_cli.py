@@ -142,7 +142,7 @@ def test_fst_shortest(files, capsys):
     # a Katz bigram model, cyclic, with a negative back-off cost
     lm = ngram.build_lm_fsa(ngram.katz_model(ngram.count_ngrams(
         viable_corpus(), 2)))
-    assert min(arc.weight for _, arc in lm.all_arcs()) < 0
+    assert min(arc[2] for _, arc in lm.all_arcs()) < 0
     syms = files["dir"] / "lm.syms"
     syms.write_text(lm.isymbols.write())
     lm_file = files["dir"] / "lm.fst"
@@ -311,6 +311,31 @@ def test_lm_fsa_saves_syms(tmp_path, capsys):
     fsa = tmp_path / "lm.fsa"
     assert run(lm_main, ["fsa", str(arpa), "-o", str(fsa)], capsys)[0] == 0
     assert (tmp_path / "lm.fsa.syms").exists()
+
+
+def test_lm_unigram_pipeline(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\nb a c\n")
+    counts, arpa = tmp_path / "c.counts", tmp_path / "c.arpa"
+    assert run(lm_main, ["count", "-n", "1", str(corpus), "-o", str(counts)],
+               capsys)[0] == 0
+    assert run(lm_main, ["build", str(counts), "-o", str(arpa)],
+               capsys)[0] == 0
+    model = ngram.read_arpa(arpa.read_text())
+    code, out, _ = run(lm_main, ["fsa", str(arpa)], capsys)
+    assert code == 0 and out == golden(ngram.build_lm_fsa(model))
+    code, out, _ = run(lm_main, ["score", str(arpa), "a c"], capsys)
+    assert code == 0
+    assert out == f"{model.sentence_logprob(['a', 'c']):.6f}\n"
+
+
+def test_lm_build_of_an_empty_corpus_exit_1(tmp_path, capsys):
+    corpus, counts = tmp_path / "empty.txt", tmp_path / "empty.counts"
+    corpus.write_text("")
+    assert run(lm_main, ["count", str(corpus), "-o", str(counts)],
+               capsys)[0] == 0
+    code, out, err = run(lm_main, ["build", str(counts)], capsys)
+    assert code == 1 and out == "" and "no words" in err
 
 
 # the context (a,) has probabilities but no back-off field, and the context

@@ -35,8 +35,8 @@ def reweighted(m, rng):
     potentials p: arcs may turn negative, but every cycle keeps its weight,
     so none turns negative."""
     p = [rng.randrange(3) for _ in m.states()]
-    return acceptor(T, [(q, arc.ilabel, arc.weight + p[q] - p[arc.nextstate],
-                         arc.nextstate) for q, arc in m.all_arcs()],
+    return acceptor(T, [(q, il, w + p[q] - p[t], t)
+                        for q, (il, _, w, t) in m.all_arcs()],
                     m.finals, num_states=m.num_states)
 
 
@@ -44,8 +44,8 @@ def with_unreachable_loop(m, weight):
     """``m`` plus a state the start never reaches, carrying a self-loop of
     ``weight``: the machine turns cyclic, and negative if ``weight`` is."""
     n = m.num_states
-    return acceptor(T, [(q, arc.ilabel, arc.weight, arc.nextstate)
-                        for q, arc in m.all_arcs()] + [(n, 1, weight, n)],
+    return acceptor(T, [(q, il, w, t) for q, (il, _, w, t) in m.all_arcs()]
+                    + [(n, 1, weight, n)],
                     m.finals, start=m.start, num_states=n + 1,
                     start_weight=m.start_weight)
 
@@ -70,7 +70,7 @@ def test_two_algorithms_agree_on_cyclic():
     for m in machines + negative:
         assert shortest_distance(m) == layered_distances(m)
     assert sum(not m.is_acyclic() and
-               min(a.weight for _, a in m.all_arcs()) < 0
+               min(a[2] for _, a in m.all_arcs()) < 0
                for m in negative) >= 10
 
 
@@ -79,7 +79,7 @@ def test_distances_take_a_negative_back_off_cost():
     _, model = viable_model(41)
     lm = build_lm_fsa(model)
     assert not lm.is_acyclic()
-    assert min(arc.weight for _, arc in lm.all_arcs()) < 0
+    assert min(arc[2] for _, arc in lm.all_arcs()) < 0
     assert shortest_distance(lm) == layered_distances(lm)
 
 

@@ -1,6 +1,7 @@
-"""Every name a library or test module imports is used in that module, and
+"""Every name a library or test module imports is used in that module,
 every module-level ``_private`` name of the library is referenced somewhere
-in the library or the tests.
+in the library or the tests, and no library module reads an arc's fields
+by name.
 
 ``__init__.py`` exists to re-export, so its imports are not checked;
 neither are ``from __future__`` imports and import statements marked
@@ -91,3 +92,28 @@ def test_every_private_name_is_referenced():
     used = set().union(*map(referenced_names, trees.values()))
     assert [f"{p.name}:{name}" for p, tree in trees.items() if p.parent == SRC
             for name in sorted(private_names(tree) - used)] == []
+
+
+ARC_FIELDS = {"ilabel", "olabel", "weight", "nextstate"}
+
+
+def arc_field_reads(source):
+    """``line:name`` of each attribute read whose name is an arc field's:
+    an arc is a plain tuple, so each such read is an ``AttributeError``
+    waiting for a branch that runs it."""
+    return [f"{node.lineno}:{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ARC_FIELDS]
+
+
+def test_the_check_sees_arc_field_reads():
+    source = ("for arc in m.arcs(q):\n"
+              "    x = arc.ilabel + arc[1]\n"
+              "    il, ol, w, t = arc\n"
+              "    y = m.start_weight + f(arc).nextstate\n")
+    assert arc_field_reads(source) == ["2:ilabel", "4:nextstate"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_arc_field_reads(path):
+    assert arc_field_reads(path.read_text()) == []

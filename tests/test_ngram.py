@@ -181,6 +181,18 @@ def test_unseen_equals_alpha_times_backoff():
                 model.alphas[h] * model.prob(y, h[1:]))
 
 
+@pytest.mark.parametrize("text", ["", "order 1\n", "order 3\ntotal 0\n"],
+                         ids=["blank", "order", "order-and-total"])
+def test_katz_rejects_counts_without_words(text):
+    with pytest.raises(ContractError, match="no words"):
+        katz_model(read_counts(text))
+
+
+def test_katz_rejects_an_empty_corpus():
+    with pytest.raises(ContractError, match="no words"):
+        katz_model(count_ngrams([], 2))
+
+
 # -- acceptor compilation ------------------------------------------------
 
 
@@ -189,9 +201,9 @@ def test_fsa_structure():
     fsa = build_lm_fsa(model)
     # at most one epsilon arc per state, word labels deterministic
     for q in fsa.states():
-        eps = [a for a in fsa.arcs(q) if a.ilabel == 0]
+        eps = [a for a in fsa.arcs(q) if a[0] == 0]
         assert len(eps) <= 1
-        words = [a.ilabel for a in fsa.arcs(q) if a.ilabel != 0]
+        words = [a[0] for a in fsa.arcs(q) if a[0] != 0]
         assert len(words) == len(set(words))
 
 
@@ -223,6 +235,21 @@ def test_best_path_never_worse_than_model_route():
         (_, _), best = best_path(compose(chain, fsa))
         route = model_path_cost(model, fsa, sent)
         assert best <= route + 1e-9
+
+
+def test_unigram_counts_build_score_and_compile():
+    # counts of order 1 hold no <s>, and a unigram model needs none
+    ct = read_counts(write_counts(count_ngrams([["a", "b"], ["b", "a", "c"]],
+                                               1)))
+    for model in (katz_model(ct), read_arpa(write_arpa(katz_model(ct)))):
+        fsa = build_lm_fsa(model)
+        assert BOS not in model.symbols and fsa.num_states == 1
+        for sent in ([], ["a"], ["b", "a", "c"], ["c", "c", "b"]):
+            chain = observation_machine(
+                [model.symbols.find(w) for w in sent], isymbols=model.symbols)
+            (_, _), cost = best_path(compose(chain, fsa))
+            assert cost == pytest.approx(-model.sentence_logprob(sent),
+                                         abs=1e-9)
 
 
 # -- serialization -------------------------------------------------------

@@ -58,12 +58,12 @@ def input_deterministic(m):
     input to several outputs."""
     for q in m.states():
         seen = set()
-        for arc in m.arcs(q):
-            if arc.ilabel == 0:
+        for il, _, _, _ in m.arcs(q):
+            if il == 0:
                 continue
-            if arc.ilabel in seen:
+            if il in seen:
                 return False
-            seen.add(arc.ilabel)
+            seen.add(il)
     return True
 
 
@@ -104,7 +104,7 @@ def test_determinize_acceptors_with_and_without_epsilon(seed, kind, eps):
                                   max_arcs=6, acceptor=True, eps=eps)
     d = determinize(m)
     assert d.is_deterministic()
-    assert all(arc.ilabel != 0 for _, arc in d.all_arcs())
+    assert all(arc[0] != 0 for _, arc in d.all_arcs())
     for s in strings_up_to((1, 2, 3), 4):
         assert weight_of(d, s, max_path_len=14) == \
             weight_of(m, s, max_path_len=14), s
@@ -312,8 +312,8 @@ def test_push_weights_passes_a_pushed_frozen_machine_through():
     assert push(pushed, "weights") is pushed
     mutable = Machine(T)
     mutable.add_states(pushed.num_states)
-    for q, arc in pushed.all_arcs():
-        mutable.add_arc(q, arc.ilabel, arc.olabel, arc.weight, arc.nextstate)
+    for q, (il, ol, w, t) in pushed.all_arcs():
+        mutable.add_arc(q, il, ol, w, t)
     for q, w in pushed.finals.items():
         mutable.set_final(q, w)
     mutable.set_start(pushed.start, pushed.start_weight)
@@ -345,7 +345,7 @@ def test_push_strings_hoists_prefix():
     p = push(m, "strings")
     same_behaviour(m, p, max_len=3)
     first = [a for a in p.arcs(p.start)]
-    assert all(a.olabel == 5 for a in first)
+    assert all(a[1] == 5 for a in first)
 
 
 def test_push_bad_mode():
@@ -416,8 +416,8 @@ def with_copy(m, change=None, k=0):
     cost = 0.5 if m.kind is T else 1.0
     arcs = [(0, 1, 1, cost, 1 + m.start), (0, 2, 2, cost, 1 + n + m.start)]
     for base in (1, 1 + n):
-        arcs += [(base + q, a.ilabel, a.olabel, a.weight, base + a.nextstate)
-                 for q, a in m.all_arcs()]
+        arcs += [(base + q, il, ol, w, base + t)
+                 for q, (il, ol, w, t) in m.all_arcs()]
     finals = {base + q: w for base in (1, 1 + n) for q, w in m.finals.items()}
     if change == "final":
         q = 1 + n + sorted(m.finals)[k % len(m.finals)]
@@ -462,8 +462,8 @@ def shuffled(m, rng):
     """``m`` with its state ids and each state's arc order permuted."""
     perm = list(m.states())
     rng.shuffle(perm)
-    arcs = [(perm[q], a.ilabel, a.olabel, a.weight, perm[a.nextstate])
-            for q, a in m.all_arcs()]
+    arcs = [(perm[q], il, ol, w, perm[t])
+            for q, (il, ol, w, t) in m.all_arcs()]
     rng.shuffle(arcs)
     return build(m.kind, arcs, {perm[q]: w for q, w in m.finals.items()},
                  start=perm[m.start], num_states=m.num_states,
@@ -491,14 +491,12 @@ def with_unreachable_and_dead(m, rng, unreachable, dead):
     """``m`` plus an unreachable copy of one of its states and a dead state
     entered on label 3 (each on request), its states shuffled."""
     n = m.num_states
-    arcs = [(q, a.ilabel, a.olabel, a.weight, a.nextstate)
-            for q, a in m.all_arcs()]
+    arcs = [(q, *a) for q, a in m.all_arcs()]
     finals = dict(m.finals)
     extra = n
     if unreachable:
         src = rng.randrange(n)
-        arcs += [(extra, a.ilabel, a.olabel, a.weight, a.nextstate)
-                 for a in m.arcs(src)]
+        arcs += [(extra, *a) for a in m.arcs(src)]
         if src in finals:
             finals[extra] = finals[src]
         extra += 1

@@ -212,9 +212,9 @@ def test_weighted_rule_displayed_example():
 def test_rule_markers_absent_from_output():
     fst = compile_weighted_rule(Rule("a", "b", "c", "b"))
     labels = set(fst.isymbols.labels())
-    for _, arc in fst.all_arcs():
-        assert arc.ilabel in labels | {0}
-        assert arc.olabel in labels | {0}
+    for _, (il, ol, _, _) in fst.all_arcs():
+        assert il in labels | {0}
+        assert ol in labels | {0}
 
 
 def test_rule_rejects_empty_pattern():

@@ -1,25 +1,34 @@
 """Golden outputs of every public machine operation.
 
 Each op runs over seeded ``sample_machines`` draws of all three semirings:
-acceptors and transducers, acyclic and cyclic.  A result is pinned by its
-``write_text`` and start weight, a typed ``FsmError`` by its ``repr``; the
-SHA-256 of those texts, joined over the draws, pins each op byte for byte.
+acceptors and transducers, acyclic and cyclic.  The boolean-only ops run
+over the boolean acceptor draws, ``marker`` over seeded deterministic
+acceptors, and the compilers over fixed patterns, seeded rules and a few
+trees.  A machine is pinned by its ``write_text`` and start weight, any
+other result by its ``repr``, and a typed ``FsmError`` by its ``repr``; the
+SHA-256 of those texts, joined over the inputs, pins each op byte for byte.
 Determinization is bounded by ``expansion_cap``, so an input that is not
 determinizable fails fast rather than being left out.
 """
 
 import hashlib
 import itertools
+import math
+import random
 
 import pytest
 
-from wfst import (FsmError, Machine, Semiring, closure, compose, concat,
-                  connect, determinize, expand, lazy_compose,
-                  local_determinize, minimize, project, push, reverse, union,
-                  write_text)
+from wfst import (CascadeSpec, FsmError, Machine, Rule, Semiring, SymbolTable,
+                  accepted_pairs, beam_decode, closure, compile_regex,
+                  compile_tree, compile_weighted_rule, complement, compose,
+                  concat, connect, determinize, difference, expand, intersect,
+                  lazy_compose, local_determinize, marker, minimize,
+                  observation_machine, parse_tree, project, push, reverse,
+                  union, write_text)
 
-from helpers import sample_machines
+from helpers import random_det_acceptor, random_rule_spec, sample_machines
 
+INF = math.inf
 CAP = 60  # determinization's subset states and subset elements
 DRAWS = 20  # machines per (semiring, acceptor, acyclic) class
 
@@ -37,6 +46,65 @@ DRAWN = _draws()
 SINGLES = [m for group in DRAWN for m in group]
 # each draw with the next of its class, so operands share a semiring
 PAIRS = [(a, b) for group in DRAWN for a, b in zip(group, group[1:])]
+TRIPLES = [(a, b, c) for group in DRAWN
+           for a, b, c in zip(group, group[1:], group[2:])]
+# the classes run in product order: semiring, then acceptor, then acyclic
+ACCEPTOR_PAIRS = [(a, b) for i, group in enumerate(DRAWN) if i % 4 < 2
+                  for a, b in zip(group, group[1:])]
+BOOLEAN_ACCEPTORS = DRAWN[0] + DRAWN[1]
+BOOLEAN_PAIRS = list(zip(BOOLEAN_ACCEPTORS, BOOLEAN_ACCEPTORS[1:]))
+
+
+def _decodes():
+    """Two-stage cascades of tropical transducers, acyclic and cyclic (each
+    draw with its successor), over two inputs the cascade accepts and one
+    fixed input, each with an exact and a narrow beam."""
+    out = []
+    for group in DRAWN[6:8]:
+        for a, b in zip(group, group[1:]):
+            heard = sorted({inp for inp, _ in accepted_pairs(compose(a, b),
+                                                             6)})[:2]
+            out += [(a, b, obs, beam) for obs in [*heard, (1, 2)]
+                    for beam in (INF, 0.5)]
+    return out
+
+
+def _det_acceptors(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = random_det_acceptor(rng, max_states=5, alphabet=(1, 2))
+        if m is not None:
+            out.append(m)
+    return out
+
+
+PATTERNS = ["a", "ab|c", "(a|b)*c", "a+b?", "[abc]d", "~(a.)", "a*&(ab)*",
+            "{sym}V+", "()", "(a|)b", ".*a.*", "~([ab]*)&.?c"]
+CLASSES = {"V": ("a", "e")}
+TREES = ["""
+split left a$
+ leaf a -> 0.5 b | 1.5 a
+ split right a
+  leaf a -> 0.5 b | 1.5 a
+  leaf a -> 0.0 a
+""", """
+split right a.*
+ leaf a -> 0.5 b | 1.5 a
+ leaf a -> 0.0 a
+""", """
+Class C = [b c]
+split left C
+ split right C
+  leaf a -> 0.25 b | 2 c
+  leaf a -> 1 c
+ leaf a -> a
+"""]
+
+
+def _rules(seed, count):
+    rng = random.Random(seed)
+    return [Rule(*random_rule_spec(rng)[4:]) for _ in range(count)]
 
 
 def untrimmed(m):
@@ -71,25 +139,81 @@ OPS = {
     "push weights": (SINGLES, lambda m: push(m, "weights")),
     "push strings": (SINGLES, lambda m: push(m, "strings")),
     "local_determinize": (SINGLES, lambda m: local_determinize(m, 1)),
+    "local_determinize k=2": (SINGLES, lambda m: local_determinize(m, 2)),
+    "local_determinize k=4": (SINGLES, lambda m: local_determinize(m, 4)),
+    "concat of three": (TRIPLES, concat),
+    "intersect": (ACCEPTOR_PAIRS, intersect),
+    "complement": (BOOLEAN_ACCEPTORS, complement),
+    "complement over 1..4": (
+        BOOLEAN_ACCEPTORS, lambda m: complement(m, alphabet=(1, 2, 3, 4))),
+    "difference": (BOOLEAN_PAIRS, difference),
+    "observation_machine": (
+        list(itertools.product(
+            [(), (1,), (2, 1, 2), (3, 3, 3, 3)], Semiring)),
+        observation_machine),
+    "marker 1": (_det_acceptors(4300, 20), lambda m: marker(
+        m, 1, insert=(5, 6), alphabet=(1, 2, 3), passthrough=(7,))),
+    "marker 2": (_det_acceptors(4301, 20), lambda m: marker(
+        m, 2, delete=(5,), alphabet=(1, 2, 3), passthrough=(7,))),
+    "marker 3": (_det_acceptors(4302, 20), lambda m: marker(
+        m, 3, delete=(5, 6), alphabet=(1, 2))),
+    "compile_regex": (PATTERNS, lambda p: compile_regex(
+        p, SymbolTable(), CLASSES)),
+    "compile_weighted_rule": (
+        _rules(4400, 40), lambda r: compile_weighted_rule(r, SymbolTable())),
+    "compile_tree": (TREES, lambda t: compile_tree(
+        parse_tree(t), SymbolTable())),
+    "beam_decode": (_decodes(), lambda a, b, obs, beam: beam_decode(
+        CascadeSpec([a, b]), obs, beam)),
 }
 
 GOLDEN = {
+    "beam_decode":
+        "1c9454d8a50ba3f2cb19fb737ab4517b7fba1d5cea88228495346dc53fd91caa",
     "closure":
         "5a6f16ce58303ebfd1511affb972dbba3290d60671fa5ce373ffc9746a08472e",
+    "compile_regex":
+        "95f51bcbf23eb002771f09fac082c07f6be013a6b035dc53918b6517cf7cb755",
+    "compile_tree":
+        "666cfa7205d5076135aa5d816fabec2895f205e5c80edf3d7fdab9361968e7ce",
+    "compile_weighted_rule":
+        "ae15a88f32cb2b637c4a1d9cf1c35c4534f096f55c58b23e5a308875205b603f",
+    "complement":
+        "25c9b79031c4437a2bbabc2fa7951837d0b0b3633b5b9225c9a03e16c5c5eaf5",
+    "complement over 1..4":
+        "a19e36be6a4ed544e6b8b3e195e5bf7391ae77d35c712967e4ff124dd2af7103",
     "compose":
         "7e581822746bcb0e43c5cd50a7e13ba6fd3e257954a33b5981700b7355ed0a97",
     "concat":
         "ead1ff88a85da1b9ea262948495e06a854b6f2509d724e0e1764bbc74d89036b",
+    "concat of three":
+        "85da5c960e7eb44be61a792635169353efad6666ada426d08becc87e8f29e6e2",
     "connect":
         "393d8c0ecc7171a9a8b7f1b8143236b19942856e6e8cb2466ced72bd09a4bccf",
     "determinize":
         "c9921080d61f4b0bbdcbc50c66bf8dc37cb560db27c3ca40777f6693cbe2b7c8",
+    "difference":
+        "98ea71221dded72f5d71f5a7e2e7363fc9fa06cb16ef27e50f8491ae95fd0b48",
+    "intersect":
+        "72d6cf8b53835eaadd24bdfee075842cbd2754d71e88065e8c8d06d8466b7e0c",
     "lazy_compose+expand":
         "26aa63abd9a70c074be3673e17c3509a89579808a26755cd60bdf0cc7d57ea54",
     "local_determinize":
         "ff68449c220bb833d36bb377c88deaab7ccca7749eb18417166fd58fd4d16a3e",
+    "local_determinize k=2":
+        "fce98e5b4b7739aaff1ad8d005078aa29061d01d06517d72b0321e211bb38d33",
+    "local_determinize k=4":
+        "c41472aa958b1aa9ed0388f3f1e5511c8b4e122683c80507e22513fdaaaf5080",
+    "marker 1":
+        "26313834d37e06289d07837a2732ec99e174e9862b6cf74a41d9e2599334f3a0",
+    "marker 2":
+        "1994af8cd36e401a5df6e1fe8fbc1f3ef44130eb1d68c5c27857386d3c17be50",
+    "marker 3":
+        "54aeabebe19759475138af8984225c181f748c628b6f32358df09f64e3bc4bf8",
     "minimize":
         "f0e1cd5de9e3f83c0d01b8c937d43ad1469271a2f22581574ead471990c304b9",
+    "observation_machine":
+        "8a092e01e557056e81e6046e28858750bc9e486cd38817936391c5f9bd3cab7d",
     "project":
         "f62b1b7e95c5cb45e1d8baf729d6d008fde925b8e3f65cf2b849bd9abd5292c2",
     "push strings":
@@ -108,11 +232,12 @@ def texts(op):
     parts = []
     for args in operands:
         try:
-            m = run(*args) if isinstance(args, tuple) else run(args)
+            out = run(*args) if isinstance(args, tuple) else run(args)
         except FsmError as exc:
             parts.append(repr(exc))
         else:
-            parts.append(f"{write_text(m)}{m.start_weight!r}")
+            parts.append(f"{write_text(out)}{out.start_weight!r}"
+                         if isinstance(out, Machine) else repr(out))
     return parts
 
 

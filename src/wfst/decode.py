@@ -9,6 +9,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import ContractError, NoPathError
 from .machine import EPSILON, Machine, connect, observation_machine
@@ -126,10 +127,9 @@ def best_path(m: Machine):
 
 @dataclass
 class Lattice:
-    """Trim acyclic tropical machine tagged with its generating stage."""
+    """Trim acyclic tropical machine."""
 
     machine: Machine
-    stage: str = ""
 
     def __post_init__(self):
         _require_tropical(self.machine)
@@ -164,7 +164,7 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
             finals[q] = m.finals[q]
     out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
                               m.start, m.start_weight)
-    return Lattice(connect(out), stage=lattice.stage)
+    return Lattice(connect(out))
 
 
 def rescore(lattice: Lattice, full: Machine):
@@ -213,8 +213,8 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     observations = tuple(observations)
     view = observation_machine(
         observations, isymbols=getattr(cascade.stages[0], "isymbols", None))
-    for stage in cascade.stages:
-        view = cached(lazy_compose(view, stage))
+    # a composition keeps what it reads: only the search's view is cached
+    view = cached(reduce(lazy_compose, cascade.stages, view))
     stats = DecodeStats()
     n_frames = len(observations)
 

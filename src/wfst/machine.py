@@ -118,14 +118,15 @@ class Machine:
     def _from_parts(cls, kind, isymbols, osymbols, arcs, finals, start=0,
                     start_weight=None):
         """Frozen machine from an algorithm's own output, as ``freeze``
-        leaves it, without re-checking anything.
+        leaves it, without re-checking anything; every library op builds
+        its output here, and the checking builder is left to callers.
 
         ``arcs`` holds one list (or tuple) of arcs per state and must
         include ``start``; each arc is an exact ``(ilabel, olabel, weight,
         nextstate)`` tuple, never another sequence a lazy view may return.
         ``finals`` maps state -> weight and holds no zero weight.  Every
-        weight must already be in ``kind``'s carrier: copied from a
-        machine, or computed and checked with ``kind.valid``.
+        weight must be in the carrier already: copied from a machine,
+        checked as it entered, or computed and checked by ``kind.valid``.
         """
         m = cls.__new__(cls)
         m.kind = kind
@@ -295,15 +296,9 @@ def observation_machine(labels, kind=Semiring.TROPICAL,
                         isymbols=None) -> Machine:
     """Linear-chain acceptor spelling one label string, such as an
     utterance to decode or a word to rewrite."""
-    m = Machine(kind, isymbols, isymbols)
-    prev = m.add_state()
-    m.set_start(prev)
-    for label in labels:
-        nxt = m.add_state()
-        m.add_arc(prev, label, label, kind.one, nxt)
-        prev = nxt
-    m.set_final(prev, kind.one)
-    return m.freeze()
+    arcs = [[(label, label, kind.one, q + 1)] for q, label in enumerate(labels)]
+    return Machine._from_parts(kind, isymbols, isymbols, arcs + [[]],
+                               {len(arcs): kind.one})
 
 
 # -- text format --------------------------------------------------------

@@ -115,9 +115,8 @@ def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
 
 def check_composable(a, b):
     kind = require_same_kind(a, b)
-    if a.osymbols is not None and b.isymbols is not None:
-        if a.osymbols is not b.isymbols and a.osymbols.items() != b.isymbols.items():
-            raise SymbolError("output symbols of A do not match input symbols of B")
+    if not _same_table(a.osymbols, b.isymbols):
+        raise SymbolError("output symbols of A do not match input symbols of B")
     return kind
 
 
@@ -299,25 +298,40 @@ def intersect(a: Machine, b: Machine) -> Machine:
     return compose(a, b)
 
 
-def _copy_into(dst: Machine, src: Machine) -> dict[int, int]:
-    remap = {q: dst.add_state() for q in src.states()}
-    for q, (il, ol, w, t) in src.all_arcs():
-        dst.add_arc(remap[q], il, ol, w, remap[t])
-    return remap
+def _shifted(m: Machine, offset: int) -> list[list[tuple]]:
+    """``m``'s arcs, one new list per state, each target moved up by
+    ``offset``: ``m`` copied behind ``offset`` other states."""
+    return [[(il, ol, w, t + offset) for il, ol, w, t in m.arcs(q)]
+            for q in m.states()]
+
+
+def _same_table(x, y):
+    return x is None or y is None or x is y or x.items() == y.items()
+
+
+def _tables(*machines):
+    """The input and the output symbol table ``machines`` share, each the
+    first that is not None; two tables of one side that differ raise."""
+    shared = []
+    for side in ("isymbols", "osymbols"):
+        tables = [getattr(m, side) for m in machines
+                  if getattr(m, side) is not None]
+        if not all(_same_table(tables[0], table) for table in tables[1:]):
+            raise SymbolError(f"the operands' {side} tables differ")
+        shared.append(tables[0] if tables else None)
+    return shared
 
 
 def union(a: Machine, b: Machine) -> Machine:
     """weight(x) = A(x) (+) B(x), via a fresh super-start."""
     kind = require_same_kind(a, b)
-    out = Machine(kind, a.isymbols or b.isymbols, a.osymbols or b.osymbols)
-    s0 = out.add_state()
-    out.set_start(s0)
+    arcs, finals = [[]], {}
     for src in (a, b):
-        remap = _copy_into(out, src)
-        out.add_arc(s0, EPSILON, EPSILON, src.start_weight, remap[src.start])
-        for q, w in src.finals.items():
-            out.set_final(remap[q], w)
-    return out.freeze()
+        offset = len(arcs)
+        arcs[0].append((EPSILON, EPSILON, src.start_weight, src.start + offset))
+        arcs += _shifted(src, offset)
+        finals.update((q + offset, w) for q, w in src.finals.items())
+    return Machine._from_parts(kind, *_tables(a, b), arcs, finals)
 
 
 def concat(a: Machine, b: Machine, *more: Machine) -> Machine:
@@ -326,20 +340,21 @@ def concat(a: Machine, b: Machine, *more: Machine) -> Machine:
     Further machines are concatenated in the same single copy, numbered as
     pairwise concatenation from the left would number them."""
     parts = (a, b, *more)
-    kind, osymbols = a.kind, a.osymbols
     for part in parts[1:]:
-        require_same_kind(a, part)
-        osymbols = part.osymbols or osymbols
-    out = Machine(kind, a.isymbols, osymbols)
-    remaps = [_copy_into(out, part) for part in parts]
-    out.set_start(remaps[0][a.start], a.start_weight)
-    for part, nxt, ra, rb in zip(parts, parts[1:], remaps, remaps[1:]):
+        kind = require_same_kind(a, part)
+    arcs, offsets = [], []
+    for part in parts:
+        offsets.append(len(arcs))
+        arcs += _shifted(part, len(arcs))
+    for part, nxt, pa, pb in zip(parts, parts[1:], offsets, offsets[1:]):
         for q, w in part.finals.items():
-            out.add_arc(ra[q], EPSILON, EPSILON,
-                        kind.extend(w, nxt.start_weight), rb[nxt.start])
-    for q, w in parts[-1].finals.items():
-        out.set_final(remaps[-1][q], w)
-    return out.freeze()
+            w = kind.times(w, nxt.start_weight)
+            if not kind.valid(w):
+                raise kind.carrier_error(w)
+            arcs[q + pa].append((EPSILON, EPSILON, w, nxt.start + pb))
+    finals = {q + offsets[-1]: w for q, w in parts[-1].finals.items()}
+    return Machine._from_parts(kind, *_tables(*parts), arcs, finals, a.start,
+                               a.start_weight)
 
 
 def closure(a: Machine) -> Machine:
@@ -350,29 +365,22 @@ def closure(a: Machine) -> Machine:
     """
     if a.kind is Semiring.REAL:
         raise SemiringError("closure is not supported over the REAL semiring")
-    out = Machine(a.kind, a.isymbols, a.osymbols)
-    s0 = out.add_state()
-    out.set_start(s0)
-    out.set_final(s0, a.kind.one)
-    remap = _copy_into(out, a)
-    out.add_arc(s0, EPSILON, EPSILON, a.start_weight, remap[a.start])
+    arcs = [[(EPSILON, EPSILON, a.start_weight, a.start + 1)], *_shifted(a, 1)]
     for q, w in a.finals.items():
-        out.add_arc(remap[q], EPSILON, EPSILON, w, s0)
-    return out.freeze()
+        arcs[q + 1].append((EPSILON, EPSILON, w, 0))
+    return Machine._from_parts(a.kind, a.isymbols, a.osymbols, arcs,
+                               {0: a.kind.one})
 
 
 def reverse(a: Machine) -> Machine:
     """weight(w) = A(reverse(w)); arcs flipped, start/finals swapped."""
-    out = Machine(a.kind, a.isymbols, a.osymbols)
-    s0 = out.add_state()
-    out.set_start(s0)
-    remap = {q: out.add_state() for q in a.states()}
+    arcs = [[(EPSILON, EPSILON, w, q + 1) for q, w in a.finals.items()]]
+    arcs += [[] for _ in a.states()]
     for q, (il, ol, w, t) in a.all_arcs():
-        out.add_arc(remap[t], il, ol, w, remap[q])
-    for q, w in a.finals.items():
-        out.add_arc(s0, EPSILON, EPSILON, w, remap[q])
-    out.set_final(remap[a.start], a.start_weight)
-    return out.freeze()
+        arcs[t + 1].append((il, ol, w, q + 1))
+    finals = {} if a.start_weight == a.kind.zero else \
+        {a.start + 1: a.start_weight}
+    return Machine._from_parts(a.kind, a.isymbols, a.osymbols, arcs, finals)
 
 
 def project(a: Machine, side: str) -> Machine:
@@ -416,21 +424,14 @@ def complement(a: Machine, alphabet=None) -> Machine:
         raise SemiringError("complement is defined for BOOLEAN acceptors only")
     sigma = _alphabet_of(a, alphabet=alphabet)
     det = determinize(a)
-    out = Machine(Semiring.BOOLEAN, a.isymbols, a.osymbols)
-    for q in det.states():
-        out.add_state()
-    dead = out.add_state()
-    out.set_start(det.start)
-    for q in det.states():
-        targets = {il: t for il, _, _, t in det.arcs(q)}
-        for label in sigma:
-            out.add_arc(q, label, label, 1.0, targets.get(label, dead))
-        if q not in det.finals:
-            out.set_final(q, 1.0)
-    for label in sigma:
-        out.add_arc(dead, label, label, 1.0, dead)
-    out.set_final(dead, 1.0)
-    return out.freeze()
+    # per state, label -> target; the dead state appended has no target
+    rows = [{il: t for il, _, _, t in det.arcs(q)} for q in det.states()]
+    dead = len(rows)
+    arcs = [[(label, label, 1.0, row.get(label, dead)) for label in sigma]
+            for row in rows + [{}]]
+    finals = {q: 1.0 for q in range(dead + 1) if q not in det.finals}
+    return Machine._from_parts(Semiring.BOOLEAN, a.isymbols, a.osymbols, arcs,
+                               finals, det.start)
 
 
 def difference(a: Machine, b: Machine, alphabet=None) -> Machine:

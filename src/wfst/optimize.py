@@ -404,10 +404,15 @@ def local_determinize(m: Machine, k: int) -> Machine:
         raise ContractError("k must be >= 1")
     _require_divisible(m.kind)
     kind = m.kind
-    plus, times = kind.plus, kind.times
-    out = Machine(kind, m.isymbols, m.osymbols)
+    plus, times, valid = kind.plus, kind.times, kind.valid
 
-    ids = {}
+    def product(r, w):
+        w = times(r, w)
+        if not valid(w):
+            raise kind.carrier_error(w)
+        return w
+
+    ids, arcs, finals = {}, [], {}
     # at most one unmerged subset ((t, (), one),) per input state; only
     # the merged ones can grow without end
     cap = m.num_states + DEFAULT_EXPANSION_CAP
@@ -418,38 +423,38 @@ def local_determinize(m: Machine, k: int) -> Machine:
                 raise CapExceededError(
                     f"local determinization exceeded {cap} states; the "
                     "input likely lacks the twin property (try twins_test)")
-            ids[subset] = out.add_state()
+            ids[subset] = len(arcs)
+            arcs.append([])
             queue.append(subset)
         return ids[subset]
 
-    start = ((m.start, (), kind.one),)
     queue = deque()
-    start_id = state_id(start)
-    out.set_start(start_id, m.start_weight)
+    state_id(((m.start, (), kind.one),))
     while queue:
         subset = queue.popleft()
         q = ids[subset]
-        arcs = []
+        moves = []
         final = kind.zero
         for state, _, r in subset:
-            final = plus(final, times(r, m.final(state)))
+            final = plus(final, product(r, m.final(state)))
             for il, ol, w, t in m.arcs(state):
-                arcs.append((il, ol, times(r, w), t))
+                moves.append((il, ol, product(r, w), t))
         if final != kind.zero:
-            out.set_final(q, final)
-        if len(arcs) <= k:
-            for il, ol, w, t in arcs:
-                out.add_arc(q, il, ol, w, state_id(((t, (), kind.one),)))
+            finals[q] = final
+        if len(moves) <= k:
+            arcs[q] += [(il, ol, w, state_id(((t, (), kind.one),)))
+                        for il, ol, w, t in moves]
             continue
         # (ilabel, olabel) -> a subset over the targets, as determinize's
         groups = {}
-        for il, ol, w, t in arcs:
+        for il, ol, w, t in moves:
             group = groups.setdefault((il, ol), {})
             group[t, ()] = plus(group[t, ()], w) if (t, ()) in group else w
         for (il, ol), group in sorted(groups.items()):
             total, _, target = _normalize(kind, group, True)
-            out.add_arc(q, il, ol, total, state_id(target))
-    return out.freeze()
+            arcs[q].append((il, ol, total, state_id(target)))
+    return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
+                               m.start_weight)
 
 
 # -- pushing ------------------------------------------------------------

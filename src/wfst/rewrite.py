@@ -73,24 +73,14 @@ def _tokenize(pattern, symtab, classes):
 
 
 def _labels_machine(labels):
-    m = Machine(Semiring.BOOLEAN)
-    s, e = m.add_state(), m.add_state()
-    for label in labels:
-        m.add_arc(s, label, label, 1.0, e)
-    m.set_start(s)
-    m.set_final(e)
-    return m.freeze()
+    return Machine._from_parts(Semiring.BOOLEAN, None, None, [
+        [(label, label, 1.0, 1) for label in labels], []], {1: 1.0})
 
 
-def _sigma_star(labels, kind=Semiring.BOOLEAN):
+def _sigma_star(labels):
     """One final start state looping on ``labels``; ``()`` gives epsilon."""
-    m = Machine(kind)
-    s = m.add_state()
-    m.set_start(s)
-    m.set_final(s)
-    for label in labels:
-        m.add_arc(s, label, label, kind.one, s)
-    return m.freeze()
+    return Machine._from_parts(Semiring.BOOLEAN, None, None, [
+        [(label, label, 1.0, 0) for label in labels]], {0: 1.0})
 
 
 class _RegexParser:
@@ -254,43 +244,27 @@ def marker(alpha: Machine, mtype: int, insert=(), delete=(), *,
     """
     sigma = sorted(set(alphabet or ()) | set(alpha.input_labels()))
     trans, finals, start = _complete_table(alpha, sigma)
-    out = Machine(Semiring.TROPICAL)
-    if mtype == 1:
-        if not insert:
-            raise ContractError("type 1 marker needs a nonempty insert set")
-        entry, leave = {}, {}
-        for q in range(len(trans)):
-            if q in finals:
-                pre, post = out.add_state(), out.add_state()
-                for sym in sorted(insert):
-                    out.add_arc(pre, EPSILON, sym, 0.0, post)
-                out.set_final(post, 0.0)
-                entry[q], leave[q] = pre, post
-            else:
-                s = out.add_state()
-                out.set_final(s, 0.0)
-                entry[q] = leave[q] = s
-        for q, row in enumerate(trans):
-            for x in sigma:
-                out.add_arc(leave[q], x, x, 0.0, entry[row[x]])
-            for sym in sorted(passthrough):
-                out.add_arc(leave[q], sym, sym, 0.0, leave[q])
-        out.set_start(entry[start])
-    elif mtype in (2, 3):
-        states = [out.add_state() for _ in trans]
-        for q, row in enumerate(trans):
-            out.set_final(states[q], 0.0)
-            for x in sigma:
-                out.add_arc(states[q], x, x, 0.0, states[row[x]])
-            if (q in finals) == (mtype == 2):
-                for sym in sorted(delete):
-                    out.add_arc(states[q], sym, EPSILON, 0.0, states[q])
-            for sym in sorted(passthrough):
-                out.add_arc(states[q], sym, sym, 0.0, states[q])
-        out.set_start(states[start])
-    else:
+    if mtype not in (1, 2, 3):
         raise ContractError(f"marker type must be 1, 2 or 3, got {mtype}")
-    return out.freeze()
+    if mtype == 1 and not insert:
+        raise ContractError("type 1 marker needs a nonempty insert set")
+    # q is entered at entry[q] and left from leave[q]; type 1 inserts between
+    arcs, entry, leave = [], [], []
+    for q in range(len(trans)):
+        entry.append(len(arcs))
+        if mtype == 1 and q in finals:
+            arcs.append([(EPSILON, sym, 0.0, len(arcs) + 1)
+                         for sym in sorted(insert)])
+        leave.append(len(arcs))
+        arcs.append([])
+    for q, row in enumerate(trans):
+        out = arcs[leave[q]]
+        out += [(x, x, 0.0, entry[row[x]]) for x in sigma]
+        if mtype > 1 and (q in finals) == (mtype == 2):
+            out += [(sym, EPSILON, 0.0, leave[q]) for sym in sorted(delete)]
+        out += [(sym, sym, 0.0, leave[q]) for sym in sorted(passthrough)]
+    return Machine._from_parts(Semiring.TROPICAL, None, None, arcs,
+                               dict.fromkeys(leave, 0.0), entry[start])
 
 
 # -- rules ---------------------------------------------------------------
@@ -336,6 +310,7 @@ def _parse_psi(psi):
                 cost = float(hit.group(1))
             except ValueError:
                 raise ParseError(f"bad weight prefix in {part!r}") from None
+            cost = Semiring.TROPICAL.check(cost)
             part = part[hit.end():]
         alts.append((cost, part))
     return alts
@@ -354,36 +329,28 @@ def _replace_machine(phi_m, psi_alts, sigma, rb, b1, b2):
     """Rewrites <1 phi > to <1 psi; copies everything else, deleting > and
     passing <2 through.  Markers embedded in a consumed phi region are
     deleted with it."""
-    rep = Machine(Semiring.TROPICAL)
-    out_s = rep.add_state()
-    rep.set_start(out_s)
-    rep.set_final(out_s, 0.0)
-    for x in sigma:
-        rep.add_arc(out_s, x, x, 0.0, out_s)
-    rep.add_arc(out_s, rb, EPSILON, 0.0, out_s)
-    rep.add_arc(out_s, b2, b2, 0.0, out_s)
-    walk = {q: rep.add_state() for q in phi_m.states()}
-    rep.add_arc(out_s, b1, b1, 0.0, walk[phi_m.start])
-    for q, (il, _, _, t) in phi_m.all_arcs():
-        rep.add_arc(walk[q], il, EPSILON, 0.0, walk[t])
-    for q in phi_m.states():
-        for sym in (rb, b1, b2):
-            rep.add_arc(walk[q], sym, EPSILON, 0.0, walk[q])
-    need_close = rep.add_state()
-    rep.add_arc(need_close, rb, EPSILON, 0.0, out_s)
+    arcs = [[*((x, x, 0.0, 0) for x in sigma), (rb, EPSILON, 0.0, 0),
+             (b2, b2, 0.0, 0), (b1, b1, 0.0, phi_m.start + 1)]]
+    # phi_m's state q walks as state q + 1
+    arcs += [
+        [*((il, EPSILON, 0.0, t + 1) for il, _, _, t in phi_m.arcs(q)),
+         *((sym, EPSILON, 0.0, q + 1) for sym in (rb, b1, b2))]
+        for q in phi_m.states()]
+    need_close = len(arcs)
+    arcs.append([(rb, EPSILON, 0.0, 0)])
     for cost, pm in psi_alts:
-        emb = {s: rep.add_state() for s in pm.states()}
-        for s, (_, ol, _, t) in pm.all_arcs():
-            rep.add_arc(emb[s], EPSILON, ol, 0.0, emb[t])
+        emb = len(arcs)  # pm's state s is embedded as state s + emb
+        arcs += [[(EPSILON, ol, 0.0, t + emb) for _, ol, _, t in pm.arcs(s)]
+                 for s in pm.states()]
         for fq in pm.finals:
-            rep.add_arc(emb[fq], EPSILON, EPSILON, 0.0, need_close)
+            arcs[fq + emb].append((EPSILON, EPSILON, 0.0, need_close))
         for q in phi_m.finals:
-            rep.add_arc(walk[q], EPSILON, EPSILON, cost, emb[pm.start])
-    return rep.freeze()
+            arcs[q + 1].append((EPSILON, EPSILON, cost, pm.start + emb))
+    return Machine._from_parts(Semiring.TROPICAL, None, None, arcs, {0: 0.0})
 
 
-def compile_weighted_rule(rule: Rule, symtab: SymbolTable | None = None, *,
-                          alphabet=None) -> Machine:
+def compile_weighted_rule(rule: Rule,
+                          symtab: SymbolTable | None = None) -> Machine:
     """Obligatory left-to-right rewriting transducer (TROPICAL).
 
     Left context is matched on the output side, right context on the input
@@ -392,15 +359,15 @@ def compile_weighted_rule(rule: Rule, symtab: SymbolTable | None = None, *,
     symtab = symtab if symtab is not None else SymbolTable()
     classes = rule.classes or {}
     psi_alts = _parse_psi(rule.psi)
-    # register every literal first so '.' and '~' see the full alphabet;
-    # declared classes contribute their members even when unreferenced,
-    # which is how a rule file widens its alphabet
+    # register every literal first so '.' and '~' see the full alphabet:
+    # every symbol in ``symtab``, with the members of each declared class
+    # even when unreferenced
     for members in classes.values():
         for sym in members:
             symtab.add(sym)
     for pat in (rule.phi, rule.lam, rule.rho, *(p for _, p in psi_alts)):
         _tokenize(pat, symtab, classes)
-    sigma = sorted(set(alphabet or ()) | set(symtab.labels()))
+    sigma = symtab.labels()
     phi = connect(compile_regex(rule.phi, symtab, classes, alphabet=sigma))
     lam = compile_regex(rule.lam, symtab, classes, alphabet=sigma)
     rho = compile_regex(rule.rho, symtab, classes, alphabet=sigma)
@@ -443,6 +410,8 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
     rejects the input (no output, not an error).  A token is a symbol
     string or an int label; any other token raises SymbolError.
     """
+    if mode not in ("all", "best"):
+        raise ContractError(f"mode must be 'all' or 'best', got {mode!r}")
     table = rule_fst.isymbols
     labels = [_resolve(t, table) if isinstance(t, str) else t for t in inp]
     for t in labels:
@@ -458,8 +427,6 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
 
         (_, out), cost = best_path(comp)
         return [(tuple(out), cost)]
-    if mode != "all":
-        raise ContractError(f"mode must be 'all' or 'best', got {mode!r}")
     if not comp.is_acyclic():
         raise ContractError("infinitely many rewritings; use mode='best'")
     pairs = accepted_pairs(comp, max_path_len=comp.num_states)
@@ -638,14 +605,12 @@ def _leaf_machine(left, right, phi, pairs, costs, sigma):
     """
     ltrans, lfinals, lstart = left
     rtrans, rfinals, rstart = right
-    m = Machine(Semiring.TROPICAL)
-    s0 = m.add_state()
-    m.set_start(s0)
-    m.set_final(s0, 0.0)
-    idx = {(ql, s): m.add_state()
+    # state 0 starts; (ql, s) is a left-DFA state and a guessed right one
+    idx = {(ql, s): 1 + ql * len(rtrans) + s
            for ql in range(len(ltrans)) for s in range(len(rtrans))}
-    for ql in range(len(ltrans)):
-        m.set_final(idx[(ql, rstart)], 0.0)
+    arcs = [[] for _ in range(1 + len(idx))]
+    finals = dict.fromkeys(
+        [0] + [idx[(ql, rstart)] for ql in range(len(ltrans))], 0.0)
     pre = {x: {} for x in sigma}
     for s_prev in range(len(rtrans)):
         for x in sigma:
@@ -660,20 +625,21 @@ def _leaf_machine(left, right, phi, pairs, costs, sigma):
                     continue
                 if in_ctx:
                     if z in costs:
-                        m.add_arc(src, x, z, costs[z], dst)
+                        arcs[src].append((x, z, costs[z], dst))
                 else:
-                    m.add_arc(src, x, z, 0.0, dst)
+                    arcs[src].append((x, z, 0.0, dst))
 
     for x in sigma:
-        emit(s0, lstart, lstart in lfinals, None, x)
+        emit(0, lstart, lstart in lfinals, None, x)
     for (ql, s), src in idx.items():
         for x in sigma:
             emit(src, ql, ql in lfinals, s, x)
-    return connect(m.freeze())
+    return connect(Machine._from_parts(Semiring.TROPICAL, None, None, arcs,
+                                       finals))
 
 
-def compile_tree(spec: DecisionTreeSpec, symtab: SymbolTable | None = None, *,
-                 alphabet=None) -> Machine:
+def compile_tree(spec: DecisionTreeSpec,
+                 symtab: SymbolTable | None = None) -> Machine:
     """Simultaneous weighted coercion rules for one input symbol.
 
     Each occurrence of the symbol is rewritten per the unique leaf whose
@@ -688,12 +654,14 @@ def compile_tree(spec: DecisionTreeSpec, symtab: SymbolTable | None = None, *,
     symtab = symtab if symtab is not None else SymbolTable()
     classes = spec.classes or {}
     phi = symtab.add(next(iter(insyms)))
+    # per leaf, output label -> its cost, each cost checked as it enters
+    costs = []
     for leaf in spec.leaves:
-        for _, out in leaf.outputs:
-            symtab.add(out)
+        costs.append({symtab.add(out): Semiring.TROPICAL.check(cost)
+                      for cost, out in leaf.outputs})
         for _, rx in leaf.constraints:
             _tokenize(rx, symtab, classes)
-    sigma = sorted(set(alphabet or ()) | set(symtab.labels()))
+    sigma = symtab.labels()
 
     lefts, rights = [], []
     for leaf in spec.leaves:
@@ -717,13 +685,9 @@ def compile_tree(spec: DecisionTreeSpec, symtab: SymbolTable | None = None, *,
                     f"leaf contexts overlap (leaves {sorted(live)})")
 
     pairs = sorted({(x, x) for x in sigma if x != phi} |
-                   {(phi, symtab.find(out))
-                    for leaf in spec.leaves for _, out in leaf.outputs})
-    machines = [
-        _leaf_machine(lefts[i], rights[i], phi, pairs,
-                      {symtab.find(out): cost for cost, out in leaf.outputs},
-                      sigma)
-        for i, leaf in enumerate(spec.leaves)]
+                   {(phi, z) for leaf_costs in costs for z in leaf_costs})
+    machines = [_leaf_machine(left, right, phi, pairs, leaf_costs, sigma)
+                for left, right, leaf_costs in zip(lefts, rights, costs)]
     result = reduce(intersect_samelength, machines)
     result.isymbols = symtab
     result.osymbols = symtab

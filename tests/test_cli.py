@@ -454,6 +454,18 @@ def test_rule_compile_deep_nesting_exit_2(tmp_path, capsys, phi):
     assert "nests deeper" in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("compile", "a -> <nan>b;\n"), ("compile", "a -> <-inf>b | c;\n"),
+    ("tree", "split right a\n leaf a -> nan b\n leaf a -> a\n")])
+def test_rule_cost_outside_the_carrier_exit_1(tmp_path, capsys, command,
+                                              text):
+    bad = tmp_path / "bad.rul"
+    bad.write_text(text)
+    code, out, err = run(rule_main, [command, str(bad)], capsys)
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert "carrier" in err
+
+
 @pytest.mark.parametrize("text, line", [
     ("order 2\na b\tx\n", 2),   # a count that is not an integer
     ("order x\n", 1),           # an order likewise

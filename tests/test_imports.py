@@ -1,7 +1,7 @@
 """Every name a library or test module imports is used in that module,
 every module-level ``_private`` name of the library is referenced somewhere
-in the library or the tests, and no library module reads an arc's fields
-by name.
+in the library or the tests, no library module reads an arc's fields by
+name, and only ``machine.py`` uses the checking builder.
 
 ``__init__.py`` exists to re-export, so its imports are not checked;
 neither are ``from __future__`` imports and import statements marked
@@ -117,3 +117,41 @@ def test_the_check_sees_arc_field_reads():
                          ids=lambda p: p.name)
 def test_no_arc_field_reads(path):
     assert arc_field_reads(path.read_text()) == []
+
+
+BUILDER = {"Machine", "add_state", "add_states", "add_arc", "set_final",
+           "set_start", "freeze"}
+
+
+def builder_calls(source):
+    """``line:name`` of each call of ``Machine(...)`` or of a builder method:
+    every library op builds its output with ``Machine._from_parts``, so the
+    checking builder, kept for callers, is used only where it is defined."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in BUILDER:
+                calls.append((node.lineno, node.col_offset, name))
+    return [f"{line}:{name}" for line, _, name in sorted(calls)]
+
+
+def test_the_check_sees_builder_calls():
+    source = ("m = Machine(kind)\n"
+              "q = m.add_state(); m.set_start(q)\n"
+              "m.add_arc(q, 1, 1, 0.0, q)\n"
+              "out = Machine._from_parts(kind, None, None, [[]], {})\n"
+              "add_states = m.freeze().add_states\n"
+              "x = machine.Machine(kind)\n")
+    assert builder_calls(source) == ["1:Machine", "2:add_state",
+                                     "2:set_start", "3:add_arc", "5:freeze",
+                                     "6:Machine"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "machine.py"],
+    ids=lambda p: p.name)
+def test_only_machine_py_uses_the_builder(path):
+    assert builder_calls(path.read_text()) == []

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from wfst import (CascadeSpec, ContractError, KindMismatchError, Semiring,
-                  SemiringError, beam_decode, closure, complement, compose,
-                  concat, difference, equivalent, expand, intersect,
-                  lazy_compose, project, reverse, twins_test, union,
-                  weight_of)
+                  SemiringError, SymbolError, SymbolTable, beam_decode,
+                  closure, complement, compose, concat, difference,
+                  equivalent, expand, intersect, lazy_compose, project,
+                  read_text, reverse, twins_test, union, weight_of,
+                  write_text)
 from wfst.ops import label_index, label_indexes, merge_arcs
 
 from helpers import (acceptor, bounded_pairs, build, product_compose,
@@ -216,6 +217,26 @@ def test_concat_of_several_machines_equals_pairwise_concat():
                     list(once.all_arcs())) == \
                 (pairwise.start, pairwise.start_weight, pairwise.finals,
                  list(pairwise.all_arcs()))
+
+
+def test_union_and_concat_refuse_operands_of_different_symbol_tables():
+    t1, t2 = SymbolTable(), SymbolTable()
+    for table, symbols in ((t1, "ab"), (t2, "ba")):
+        for sym in symbols:
+            table.add(sym)
+    a = read_text("0 1 a\n1\n", isymbols=t1)
+    b = read_text("0 1 b\n1\n", isymbols=t2)
+    for op in (union, concat, compose):
+        with pytest.raises(SymbolError):
+            op(a, b)
+    # a table equal item for item, such as one file read twice, matches;
+    # so does no table at all, as on a regex machine
+    c = read_text("0 1 b\n1\n", isymbols=SymbolTable.read(t1.write()))
+    bare = read_text("0 1 1\n1\n")
+    assert write_text(union(a, c)) == (
+        "0 1 <eps> <eps>\n0 3 <eps> <eps>\n1 2 a a\n2\n3 4 b b\n4\n")
+    assert write_text(concat(bare, a, c)) == (
+        "0 1 a a\n1 2 <eps> <eps>\n2 3 a a\n3 4 <eps> <eps>\n4 5 b b\n5\n")
 
 
 def test_concat_oracle():

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from wfst import (ContractError, Machine, ParseError, Rule, Semiring,
-                  SymbolError, SymbolTable, apply_rewrite, compile_regex,
-                  compile_tree, compile_weighted_rule, intersect_samelength,
-                  marker, parse_rule_file, parse_tree, read_text, weight_of)
+                  SemiringError, SymbolError, SymbolTable, apply_rewrite,
+                  compile_regex, compile_tree, compile_weighted_rule,
+                  intersect_samelength, marker, parse_rule_file, parse_tree,
+                  read_text, weight_of)
+from wfst import ops
 
 from helpers import random_rule_spec, scan_rewrite, strings_up_to
 
@@ -89,22 +91,23 @@ def test_regex_parse_errors():
 
 def test_regex_concatenation_copies_each_part_once(monkeypatch):
     # folding the parts pairwise copied the whole prefix at every step, so
-    # the arcs added grew with the square of the pattern's length
+    # the arcs copied grew with the square of the pattern's length
     counts = []
-    add_arc = Machine.add_arc
+    shifted = ops._shifted
 
-    def counted(self, *args):
-        counts[-1] += 1
-        return add_arc(self, *args)
+    def counted(m, offset):
+        arcs = shifted(m, offset)
+        counts[-1] += sum(map(len, arcs))
+        return arcs
 
-    monkeypatch.setattr(Machine, "add_arc", counted)
+    monkeypatch.setattr(ops, "_shifted", counted)
     t = SymbolTable()
     sizes = []
     for n in (200, 400):
         counts.append(0)
         sizes.append(compile_regex("ab" * (n // 2), t).num_states)
     assert sizes[1] <= 2 * sizes[0]
-    assert counts[1] <= 2.1 * counts[0]
+    assert 0 < counts[1] <= 2.1 * counts[0]
 
 
 # -- marker transducers --------------------------------------------------
@@ -184,6 +187,15 @@ def test_apply_rewrite_on_a_machine_without_symbol_table():
     for token in ("a", 1.7, 1.0, True, None):
         with pytest.raises(SymbolError):
             apply_rewrite(fst, [token])
+
+
+def test_apply_rewrite_checks_mode_first():
+    fst = compile_weighted_rule(Rule("a", "b"))
+    # 99 is no symbol of the rule, so the rule rejects it, and no output
+    # is returned; a bad mode is still reported, as for an accepted input
+    for inp in ([99], ["a"]):
+        with pytest.raises(ContractError, match="mode"):
+            apply_rewrite(fst, inp, mode="typo")
 
 
 def test_simple_rule_displayed_example():
@@ -292,6 +304,28 @@ def test_parse_rule_file():
     assert rules[0].phi == "s" and rules[0].rho == "($|#){V}"
     assert rules[0].classes["V"] == ("a", "e", "i", "o", "u")
     assert rules[1].lam == "" and rules[1].rho == ""
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a machine was built")
+
+
+@pytest.mark.parametrize("cost", ["nan", "-inf"])
+def test_psi_cost_outside_the_carrier_raises_before_any_machine(
+        monkeypatch, cost):
+    rule = Rule("a", f"<{cost}>b|c")
+    monkeypatch.setattr(Machine, "_from_parts", refuse_to_build)
+    with pytest.raises(SemiringError):
+        compile_weighted_rule(rule)
+
+
+@pytest.mark.parametrize("cost", ["nan", "-inf"])
+def test_leaf_cost_outside_the_carrier_raises_before_any_machine(
+        monkeypatch, cost):
+    spec = parse_tree(f"split right a\n leaf a -> {cost} b\n leaf a -> a\n")
+    monkeypatch.setattr(Machine, "_from_parts", refuse_to_build)
+    with pytest.raises(SemiringError):
+        compile_tree(spec)
 
 
 def test_parse_rule_file_errors():

@@ -10,10 +10,21 @@ filter so that each compatible pair of paths is counted exactly once:
 
 A real epsilon-output arc of A may pair with a real epsilon-input arc of B
 ("both move") only at filter 0; once one side moves alone, the other side
-may not move alone until the next match.  The label lookahead in
-``LazyComposition`` uses that: it reads A through its output-epsilon moves,
-except at the filter-2 target of a B-alone move, where A can only match,
-so only A's own output labels count.
+may not move alone until the next match.  So filter 1 blocks only moves of
+B's epsilon-input arcs and filter 2 only moves of A's epsilon-output arcs,
+and the target of a lone move keeps that filter only where it blocks
+something: an A-alone target whose B state reads no epsilon, and a B-alone
+target whose A state writes none, take filter 0, which allows the same
+moves there (the filter state is normalized, as in Allauzen, Riley &
+Schalkwyk 2009).  Output contract: this maps each pair state of the
+construction that keeps every filter state onto one pair state with the
+same future, so ``compose`` returns the same weighted relation with no
+more states than that construction, often fewer.
+
+The label lookahead in ``LazyComposition`` reads A through its
+output-epsilon moves, except at the target of a B-alone move, where A can
+only match (at filter 2) or writes no epsilon (at filter 0), so only A's
+own output labels count.
 """
 
 from __future__ import annotations
@@ -93,27 +104,41 @@ def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
     ``kind.times``: both were validated when their arcs were added.
 
     Yields (ilabel, olabel, weight, (next_a, next_b, next_f)) tuples, where
-    ``next_a``/``next_b`` of ``None`` mean "that side stays put".
+    ``next_a``/``next_b`` of ``None`` mean "that side stays put", and
+    ``next_f`` is normalized as the module docstring describes: an A-alone
+    move takes filter 0 when ``index_b`` has no epsilon, a B-alone move
+    when ``arcs_a`` write no epsilon.
     """
     times = kind.times
     matches = index_b.get
     eps_b = matches(EPSILON, ())
+    a_alone = _A_ALONE if eps_b else FILTER_INITIAL
+    b_alone = FILTER_INITIAL  # until A shows an output-epsilon arc
     for il, ol, wa, n1 in arcs_a:
         if ol != EPSILON:
             for _, ol_b, wb, n2 in matches(ol, ()):
                 yield il, ol_b, times(wa, wb), (n1, n2, FILTER_INITIAL)
         else:
+            b_alone = _B_ALONE
             if not filtered or f == FILTER_INITIAL:
                 for _, ol_b, wb, n2 in eps_b:
                     yield il, ol_b, times(wa, wb), (n1, n2, FILTER_INITIAL)
             if not filtered or f in (FILTER_INITIAL, _A_ALONE):
-                yield il, EPSILON, wa, (n1, None, _A_ALONE)
+                yield il, EPSILON, wa, (n1, None, a_alone)
     for _, ol_b, wb, n2 in eps_b:
         if not filtered or f in (FILTER_INITIAL, _B_ALONE):
-            yield EPSILON, ol_b, wb, (None, n2, _B_ALONE)
+            yield EPSILON, ol_b, wb, (None, n2, b_alone)
+
+
+def _require_states(*machines):
+    """Raise ``ContractError`` on a ``Machine`` with no state, which has no
+    start to build from (``Machine(kind)`` before any ``add_state``)."""
+    if any(isinstance(m, Machine) and not m.num_states for m in machines):
+        raise ContractError("an operand machine has no state")
 
 
 def check_composable(a, b):
+    _require_states(a, b)
     kind = require_same_kind(a, b)
     if not _same_table(a.osymbols, b.isymbols):
         raise SymbolError("output symbols of A do not match input symbols of B")
@@ -127,7 +152,8 @@ class LazyComposition:
     lazy cascades read it on demand.  Pair states (s1, s2, filter) receive
     stable integer ids, in the order moves first reach them, for the
     lifetime of the view; the start pair is state 0.  The filter state is
-    part of the state identity; dropping it is a known correctness bug.
+    part of the state identity wherever it blocks a move (see the module
+    docstring); dropping it there is a known correctness bug.
 
     The operands' weights are in the carrier already, so products are
     taken with the unchecked ``kind.times``; each product (arc, final and
@@ -161,7 +187,7 @@ class LazyComposition:
         self._pairs = [start]
         self._index_b = label_indexes(b)
         self._reads = label_indexes(b, "lookahead_sets")
-        self._emits = {}  # s1 -> (arcs, after, direct), see _emits_of
+        self._emits = {}  # s1 -> (arcs, after, direct, writes_eps)
         self._crossed = {}  # state of A -> its arcs, read by a walk only
 
     def final(self, state):
@@ -179,8 +205,9 @@ class LazyComposition:
         kind, ids, pairs = self.kind, self._ids, self._pairs
         times, valid = kind.times, kind.valid
         memo, emits_of, reads_of = self._emits.get, self._emits_of, reads.get
-        arcs_a, _, direct = memo(s1) or emits_of(s1)
+        arcs_a, _, direct, writes_eps = memo(s1) or emits_of(s1)
         both = f == FILTER_INITIAL
+        a_alone = _A_ALONE if eps_b else FILTER_INITIAL
         result = []
         for il, ol, wa, n1 in arcs_a:
             if ol != EPSILON:
@@ -202,23 +229,25 @@ class LazyComposition:
                         pairs.append(target)
                     result.append((il, ol_b, w, t))
             if ol == EPSILON and f != _B_ALONE:
-                self._alone(result, il, EPSILON, wa, (n1, s2, _A_ALONE),
+                self._alone(result, il, EPSILON, wa, (n1, s2, a_alone),
                             (memo(n1) or emits_of(n1))[1])
-        if eps_b and f != _A_ALONE:
-            # A stays at s1; it may not move alone from the target
-            # (s1, n2, _B_ALONE), so only its own labels count
+        if eps_b and direct and f != _A_ALONE:
+            # A stays at s1 and may only match from the target, so only
+            # its own labels count; an empty ``direct`` drops every move
+            b_alone = _B_ALONE if writes_eps else FILTER_INITIAL
             for _, ol_b, wb, n2 in eps_b:
-                self._alone(result, EPSILON, ol_b, wb, (s1, n2, _B_ALONE),
+                self._alone(result, EPSILON, ol_b, wb, (s1, n2, b_alone),
                             direct)
         return tuple(result)
 
     def _emits_of(self, s1):
-        """``(arcs, after, direct)`` for A's state ``s1``, kept for the
-        life of the view: ``arcs`` are ``s1``'s arcs, ``direct`` the
-        non-epsilon output labels on them, and ``after`` every non-epsilon
-        output label A can write after output-epsilon moves from ``s1``;
-        each set holds ``_END`` if ``s1``, or for ``after`` a state those
-        moves reach, is final.  The walk keeps the arcs of each state it
+        """``(arcs, after, direct, writes_eps)`` for A's state ``s1``, kept
+        for the life of the view: ``arcs`` are ``s1``'s arcs, ``direct``
+        the non-epsilon output labels on them, ``after`` every non-epsilon
+        output label A can write after output-epsilon moves from ``s1``,
+        and ``writes_eps`` whether an arc of ``s1`` writes epsilon; each
+        set holds ``_END`` if ``s1``, or for ``after`` a state those moves
+        reach, is final.  The walk keeps the arcs of each state it
         crosses until that state's own entry takes them, so the view reads
         each state of A once."""
         a, zero, memo = self.a, self.kind.zero, self._emits
@@ -246,9 +275,10 @@ class LazyComposition:
                 elif t not in seen:
                     seen.add(t)
                     stack.append(t)
+        writes_eps = EPSILON in direct
         direct.discard(EPSILON)
         after.discard(EPSILON)
-        memo[s1] = emits = (arcs, after, direct)
+        memo[s1] = emits = (arcs, after, direct, writes_eps)
         return emits
 
     def _alone(self, result, il, ol, w, target, emits):
@@ -324,6 +354,7 @@ def _tables(*machines):
 
 def union(a: Machine, b: Machine) -> Machine:
     """weight(x) = A(x) (+) B(x), via a fresh super-start."""
+    _require_states(a, b)
     kind = require_same_kind(a, b)
     arcs, finals = [[]], {}
     for src in (a, b):
@@ -340,6 +371,7 @@ def concat(a: Machine, b: Machine, *more: Machine) -> Machine:
     Further machines are concatenated in the same single copy, numbered as
     pairwise concatenation from the left would number them."""
     parts = (a, b, *more)
+    _require_states(*parts)
     for part in parts[1:]:
         kind = require_same_kind(a, part)
     arcs, offsets = [], []
@@ -363,6 +395,7 @@ def closure(a: Machine) -> Machine:
     REAL is rejected: the sum over unboundedly many repetitions need not
     converge.
     """
+    _require_states(a)
     if a.kind is Semiring.REAL:
         raise SemiringError("closure is not supported over the REAL semiring")
     arcs = [[(EPSILON, EPSILON, a.start_weight, a.start + 1)], *_shifted(a, 1)]
@@ -374,6 +407,7 @@ def closure(a: Machine) -> Machine:
 
 def reverse(a: Machine) -> Machine:
     """weight(w) = A(reverse(w)); arcs flipped, start/finals swapped."""
+    _require_states(a)
     arcs = [[(EPSILON, EPSILON, w, q + 1) for q, w in a.finals.items()]]
     arcs += [[] for _ in a.states()]
     for q, (il, ol, w, t) in a.all_arcs():
@@ -387,6 +421,7 @@ def project(a: Machine, side: str) -> Machine:
     """Acceptor over the chosen tape; path weights preserved."""
     if side not in ("input", "output"):
         raise ContractError(f"side must be 'input' or 'output', got {side!r}")
+    _require_states(a)
     tape = 0 if side == "input" else 1  # the label's field in an arc
     table = (a.isymbols, a.osymbols)[tape]
     return _relabel(a, lambda arc: (arc[tape], arc[tape]), table, table)
@@ -420,6 +455,7 @@ def complement(a: Machine, alphabet=None) -> Machine:
     """
     from .optimize import determinize
 
+    _require_states(a)
     if a.kind is not Semiring.BOOLEAN or not a.is_acceptor():
         raise SemiringError("complement is defined for BOOLEAN acceptors only")
     sigma = _alphabet_of(a, alphabet=alphabet)

@@ -395,7 +395,8 @@ def local_determinize(m: Machine, k: int) -> Machine:
     """Merge same-(ilabel, olabel) arcs, but only at states with more than
     ``k`` outgoing arcs; equivalent machine, bounded work per state.
 
-    As in ``determinize``, the leftover weights of merged targets can
+    As in ``determinize``, a product equal to the semiring zero, no path,
+    is dropped, and the leftover weights of merged targets can
     change without end on a cyclic machine without the twin property;
     more than ``DEFAULT_EXPANSION_CAP`` states beyond the input's own
     raises ``CapExceededError``.
@@ -438,7 +439,9 @@ def local_determinize(m: Machine, k: int) -> Machine:
         for state, _, r in subset:
             final = plus(final, product(r, m.final(state)))
             for il, ol, w, t in m.arcs(state):
-                moves.append((il, ol, product(r, w), t))
+                w = product(r, w)
+                if w != kind.zero:
+                    moves.append((il, ol, w, t))
         if final != kind.zero:
             finals[q] = final
         if len(moves) <= k:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,9 +9,11 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Machine, Semiring,
                   lazy_compose, read_text, weight_of, write_text)
 
 from wfst import ops
+from wfst.machine import EPSILON
 from wfst.ops import LazyComposition, label_index, label_indexes
 
-from helpers import acceptor, build, product_compose, sample_machines
+from helpers import (acceptor, bounded_pairs, build, product_compose,
+                     sample_machines)
 
 T = Semiring.TROPICAL
 
@@ -220,18 +223,66 @@ def test_lookahead_matches_unpruned_product(pair):
     assert text_of(connect(expand(view))) == expected
 
 
+def assert_filter_states_normal(view):
+    """Filter 1 only where B's state reads epsilon, filter 2 only where A's
+    state writes epsilon: elsewhere filter 0 allows the same moves."""
+    for s1, s2, f in view._pairs:
+        if f == ops._A_ALONE:
+            assert any(arc[0] == EPSILON for arc in view.b.arcs(s2))
+        elif f == ops._B_ALONE:
+            assert any(arc[1] == EPSILON for arc in view.a.arcs(s1))
+
+
+@settings(deadline=None)
+@given(machine_pairs())
+def test_a_pair_keeps_a_filter_state_only_where_it_blocks_a_move(pair):
+    a, b = pair
+    inner = lazy_compose(a, b)
+    outer = lazy_compose(inner, b)  # A is a view: its arcs are pair moves
+    expand(outer)
+    expand(inner)
+    assert_filter_states_normal(inner)
+    assert_filter_states_normal(outer)
+
+
+def test_b_alone_twin_takes_filter_0():
+    # A's state 0 writes no epsilon, so B's epsilon loop at its state 0
+    # leads from the start pair back to it rather than to a twin
+    # (0, 0, 2) with the same moves
+    a = build(T, [(0, 1, 1, 0.0, 1)], [1])
+    b = build(T, [(0, 0, 5, 0.5, 0), (0, 1, 1, 0.0, 1)], [1])
+    view = lazy_compose(a, b)
+    expand(view)
+    assert view._pairs == [(0, 0, 0), (1, 1, 0)]
+    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+        "0 0 0 5 0.5\n0 1 1 1\n1\n"
+    assert weight_of(compose(a, b), (1,), (5, 5, 1)) == 1.0
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(list(Semiring)), st.integers(0, 2**32 - 1))
 def test_nested_cascade_equals_unpruned_product(kind, seed):
     # the outer kernel's lookahead reads the output labels of a lazy left
-    # operand, which expands inner pair states ahead of the outer search
+    # operand, which expands inner pair states ahead of the outer search.
+    # The inner view keeps arcs into pairs that cannot finish, which the
+    # trimmed inner ``compose`` drops; an epsilon-output arc among them
+    # keeps an outer filter state, so each outer result is checked against
+    # the product over the inner operand it reads, and the two against
+    # each other by their relation
     a, b, c = sample_machines(seed, 3, kind=kind, max_states=5, max_arcs=8)
-    expected = text_of(product_compose(product_compose(a, b), c))
+    expected = text_of(product_compose(expand(lazy_compose(a, b)), c))
     for inner in (cached(lazy_compose(a, b)), lazy_compose(a, b),
                   cached(lazy_compose(a, b), LRU, capacity=1)):
-        nested = lazy_compose(inner, c)
-        assert text_of(connect(expand(nested))) == expected
-    assert text_of(compose(compose(a, b), c)) == expected
+        nested = connect(expand(lazy_compose(inner, c)))
+        assert text_of(nested) == expected
+    trimmed = compose(compose(a, b), c)
+    assert text_of(trimmed) == \
+        text_of(product_compose(product_compose(a, b), c))
+    assert trimmed.num_states <= nested.num_states
+    relation = bounded_pairs(nested, 3, 3, 10)
+    assert relation.keys() == bounded_pairs(trimmed, 3, 3, 10).keys()
+    for key, w in bounded_pairs(trimmed, 3, 3, 10).items():
+        assert math.isclose(relation[key], w, rel_tol=1e-9), key
 
 
 def test_bare_lazy_left_operand_arcs_are_kept_per_state():
@@ -254,8 +305,8 @@ def test_bare_lazy_left_operand_arcs_are_kept_per_state():
         inner.arcs = counted
         nested = connect(expand(lazy_compose(inner, c)))
         assert text_of(nested) == text_of(compose(compose(a, b), c))
-    assert len(states) == 46
-    assert calls == len(states)  # 73 when walks re-read, 99 per outer pair
+    assert len(states) == 38
+    assert calls == len(states)  # 53 when walks re-read the states they cross
 
 
 def test_output_epsilon_self_loop_reads_its_state_once():
@@ -302,8 +353,10 @@ def test_lookahead_builds_only_pairs_that_can_succeed():
     view = lazy_compose(a, b)
     expand(view)
     # (0, 0) start, (1, 1) and (0, 5) read on, (2, 2) stops; the moves to
-    # (1, 3) and, over epsilon, to (1, 4) are dropped, so neither gets an id
-    assert view._pairs == [(0, 0, 0), (1, 1, 0), (0, 5, 2), (2, 2, 0)]
+    # (1, 3) and, over epsilon, to (1, 4) are dropped, so neither gets an id.
+    # A's state 0 writes no epsilon, so the B-alone target (0, 5) takes
+    # filter 0
+    assert view._pairs == [(0, 0, 0), (1, 1, 0), (0, 5, 0), (2, 2, 0)]
     assert len(view._ids) == len(view._pairs) == 4
     assert len(view.arcs(0)) == 2  # the arc to (1, 3) is dropped
     assert text_of(compose(a, b)) == text_of(product_compose(a, b))

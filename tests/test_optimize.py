@@ -241,6 +241,19 @@ def test_local_determinize_merges_fanout():
     assert weight_of(ld, (1,)) == 1.0
 
 
+def test_local_determinize_drops_zero_weight_products():
+    # two same-label arcs weighted inf, the tropical zero: their total is
+    # inf too, and factoring it out of either would give inf - inf = nan
+    inf = float("inf")
+    for second in (inf, 0.5):
+        m = acceptor(T, [(0, 1, inf, 1), (0, 1, second, 2), (1, 2, 0.0, 3),
+                         (2, 2, 0.0, 3)], [3])
+        ld = local_determinize(m, 1)
+        for s in strings_up_to((1, 2), 3):
+            assert weight_of(ld, s) == weight_of(m, s)
+        assert bool(ld.finals) == (second != inf)
+
+
 def test_local_determinize_caps_its_states():
     # merged targets keep leftover weights that change on every trip round
     # the cycles (no twin property), so the subsets never repeat

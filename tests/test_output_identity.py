@@ -169,7 +169,7 @@ OPS = {
 
 GOLDEN = {
     "beam_decode":
-        "1c9454d8a50ba3f2cb19fb737ab4517b7fba1d5cea88228495346dc53fd91caa",
+        "af5250d89f03e5c03af7dc7ad847a5f7b49d5fc0ccfd821fc8fb5fe4594b4166",
     "closure":
         "5a6f16ce58303ebfd1511affb972dbba3290d60671fa5ce373ffc9746a08472e",
     "compile_regex":
@@ -177,13 +177,13 @@ GOLDEN = {
     "compile_tree":
         "666cfa7205d5076135aa5d816fabec2895f205e5c80edf3d7fdab9361968e7ce",
     "compile_weighted_rule":
-        "ae15a88f32cb2b637c4a1d9cf1c35c4534f096f55c58b23e5a308875205b603f",
+        "84497eb88b583e53c2d728dd05e09fed19217f38bbbfedb9a66ea9dedb967839",
     "complement":
         "25c9b79031c4437a2bbabc2fa7951837d0b0b3633b5b9225c9a03e16c5c5eaf5",
     "complement over 1..4":
         "a19e36be6a4ed544e6b8b3e195e5bf7391ae77d35c712967e4ff124dd2af7103",
     "compose":
-        "7e581822746bcb0e43c5cd50a7e13ba6fd3e257954a33b5981700b7355ed0a97",
+        "24266f36fdd3282aba39862969c332f9f54626c3a950e0d821c253dbfe5e4cd6",
     "concat":
         "ead1ff88a85da1b9ea262948495e06a854b6f2509d724e0e1764bbc74d89036b",
     "concat of three":
@@ -193,11 +193,11 @@ GOLDEN = {
     "determinize":
         "c9921080d61f4b0bbdcbc50c66bf8dc37cb560db27c3ca40777f6693cbe2b7c8",
     "difference":
-        "98ea71221dded72f5d71f5a7e2e7363fc9fa06cb16ef27e50f8491ae95fd0b48",
+        "d9fd4c4f189191f78ab00128e62bf853f5269fef32aeed0fda285f5a6e2c46e5",
     "intersect":
-        "72d6cf8b53835eaadd24bdfee075842cbd2754d71e88065e8c8d06d8466b7e0c",
+        "d63d218113e6a2cedecabca58373264e7d2004be74c670f41b04b921dac52e0a",
     "lazy_compose+expand":
-        "26aa63abd9a70c074be3673e17c3509a89579808a26755cd60bdf0cc7d57ea54",
+        "ba1c792ec00cb0663671e3d3b6d57cbe097a8b3f4e47910a37613f890de31f77",
     "local_determinize":
         "ff68449c220bb833d36bb377c88deaab7ccca7749eb18417166fd58fd4d16a3e",
     "local_determinize k=2":

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from wfst import (CascadeSpec, ContractError, KindMismatchError, Semiring,
-                  SemiringError, SymbolError, SymbolTable, beam_decode,
-                  closure, complement, compose, concat, difference,
-                  equivalent, expand, intersect, lazy_compose, project,
-                  read_text, reverse, twins_test, union, weight_of,
+from wfst import (CascadeSpec, ContractError, KindMismatchError, Machine,
+                  Semiring, SemiringError, SymbolError, SymbolTable,
+                  beam_decode, closure, complement, compose, concat,
+                  difference, equivalent, expand, intersect, lazy_compose,
+                  project, read_text, reverse, twins_test, union, weight_of,
                   write_text)
 from wfst.ops import label_index, label_indexes, merge_arcs
 
@@ -37,12 +37,13 @@ def join_oracle(kind, pairs_a, pairs_b):
     return out
 
 
-def check_compose_pair(a, b, tol=0.0, max_len=4, mid=6, max_arcs=14):
+def check_compose_pair(a, b, tol=0.0, max_len=4, mid=6, max_arcs=14,
+                       c_arcs=18):
     c = compose(a, b)
     pa = bounded_pairs(a, max_len, mid, max_arcs)
     pb = bounded_pairs(b, mid, max_len, max_arcs)
     expected = join_oracle(a.kind, pa, pb)
-    got = bounded_pairs(c, max_len, max_len, max_arcs + 4)
+    got = bounded_pairs(c, max_len, max_len, c_arcs)
     for key, w in expected.items():
         gw = got.get(key, a.kind.zero)
         if tol:
@@ -64,6 +65,36 @@ def test_compose_oracle_real_acyclic():
         ms = sample_machines(300 + i, 2, kind=R, max_states=4, max_arcs=6,
                              acyclic=True)
         check_compose_pair(ms[0], ms[1], tol=1e-9)
+
+
+def epsilon_acyclic(m, tape):
+    """Whether the arcs of ``m`` with epsilon on ``tape`` (0 input, 1
+    output) form no cycle."""
+    arcs = [(q, *arc) for q, arc in m.all_arcs() if arc[tape] == 0]
+    return build(m.kind, arcs, {}, num_states=m.num_states) \
+        .topological_order() is not None
+
+
+@pytest.mark.parametrize("kind", [T, B, R])
+def test_compose_oracle_cyclic_with_epsilon_on_both_tapes(kind):
+    # cyclic pairs where A writes epsilon and B reads epsilon, so the lone
+    # moves of both sides meet and filter states are merged.  Every cycle
+    # of A reads input and every cycle of B writes output, so strings of
+    # at most 3 symbols bound A's paths and B's to 16 arcs each (4 states)
+    # and the truncated sums are exact; under REAL a pair of paths counted
+    # twice changes the weight
+    rng, checked = random.Random({T: 500, B: 600, R: 700}[kind]), 0
+    while checked < 20:
+        a, b = sample_machines(rng.randrange(2**32), 2, kind=kind,
+                               max_states=4, max_arcs=7)
+        if (any(arc[1] == 0 for _, arc in a.all_arcs())
+                and any(arc[0] == 0 for _, arc in b.all_arcs())
+                and (a.topological_order() is None
+                     or b.topological_order() is None)
+                and epsilon_acyclic(a, 0) and epsilon_acyclic(b, 1)):
+            check_compose_pair(a, b, tol=1e-9 if kind is R else 0.0,
+                               max_len=3, mid=16, max_arcs=16, c_arcs=32)
+            checked += 1
 
 
 def draw_acceptor(rng, kind):
@@ -165,6 +196,20 @@ def test_compose_respects_epsilon_paths():
     b = build(T, [(0, 2, 3, 0.25, 1)], {0: 0.0, 1: 0.0})
     c = compose(a, b)
     assert weight_of(c, (1,), ()) == 0.5
+
+
+@pytest.mark.parametrize("op", [
+    lambda e, m: compose(e, m), lambda e, m: compose(m, e),
+    lambda e, m: lazy_compose(e, m), lambda e, m: union(e, m),
+    lambda e, m: union(m, e), lambda e, m: concat(m, e),
+    lambda e, m: concat(m, m, e), lambda e, m: closure(e),
+    lambda e, m: reverse(e), lambda e, m: project(e, "input"),
+    lambda e, m: intersect(e, m), lambda e, m: complement(e)])
+def test_a_stateless_operand_is_rejected(op):
+    # ``Machine(kind)`` before any ``add_state`` has no start state
+    m = build(T, [(0, 1, 1, 0.0, 1)], [1])
+    with pytest.raises(ContractError, match="no state"):
+        op(Machine(T), m)
 
 
 def test_kind_mismatch():

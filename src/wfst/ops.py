@@ -19,7 +19,11 @@ moves there (the filter state is normalized, as in Allauzen, Riley &
 Schalkwyk 2009).  Output contract: this maps each pair state of the
 construction that keeps every filter state onto one pair state with the
 same future, so ``compose`` returns the same weighted relation with no
-more states than that construction, often fewer.
+more states than that construction, often fewer.  Which pairs merge reads
+A's arcs as they are, so an untrimmed A (a lazy view in a cascade) whose
+epsilon-output arc leads only to a pair that cannot finish keeps that
+B-alone target at filter 2, where the trimmed A merges it: the relation is
+the same, the trimmed operand gives no more states.
 
 The label lookahead in ``LazyComposition`` reads A through its
 output-epsilon moves, except at the target of a B-alone move, where A can

@@ -14,6 +14,7 @@ from wfst.ops import LazyComposition, label_index, label_indexes
 
 from helpers import (acceptor, bounded_pairs, build, product_compose,
                      sample_machines)
+from test_rational_ops import join_oracle
 
 T = Semiring.TROPICAL
 
@@ -259,18 +260,19 @@ def test_b_alone_twin_takes_filter_0():
     assert weight_of(compose(a, b), (1,), (5, 5, 1)) == 1.0
 
 
+def epsilon_outputs(m):
+    return sum(arc[1] == EPSILON for _, arc in m.all_arcs())
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(list(Semiring)), st.integers(0, 2**32 - 1))
 def test_nested_cascade_equals_unpruned_product(kind, seed):
     # the outer kernel's lookahead reads the output labels of a lazy left
-    # operand, which expands inner pair states ahead of the outer search.
-    # The inner view keeps arcs into pairs that cannot finish, which the
-    # trimmed inner ``compose`` drops; an epsilon-output arc among them
-    # keeps an outer filter state, so each outer result is checked against
-    # the product over the inner operand it reads, and the two against
-    # each other by their relation
+    # operand, which expands inner pair states ahead of the outer search
     a, b, c = sample_machines(seed, 3, kind=kind, max_states=5, max_arcs=8)
-    expected = text_of(product_compose(expand(lazy_compose(a, b)), c))
+    full = expand(lazy_compose(a, b))
+    expected = text_of(compose(full, c))
+    assert text_of(product_compose(full, c)) == expected
     for inner in (cached(lazy_compose(a, b)), lazy_compose(a, b),
                   cached(lazy_compose(a, b), LRU, capacity=1)):
         nested = connect(expand(lazy_compose(inner, c)))
@@ -278,11 +280,51 @@ def test_nested_cascade_equals_unpruned_product(kind, seed):
     trimmed = compose(compose(a, b), c)
     assert text_of(trimmed) == \
         text_of(product_compose(product_compose(a, b), c))
+    if epsilon_outputs(connect(full)) == epsilon_outputs(full):
+        # trimming the inner view drops no epsilon-output arc, so every
+        # outer pair state takes the same filter state
+        assert text_of(nested) == text_of(trimmed)
     assert trimmed.num_states <= nested.num_states
     relation = bounded_pairs(nested, 3, 3, 10)
     assert relation.keys() == bounded_pairs(trimmed, 3, 3, 10).keys()
     for key, w in bounded_pairs(trimmed, 3, 3, 10).items():
         assert math.isclose(relation[key], w, rel_tol=1e-9), key
+
+
+@pytest.mark.parametrize("kind", list(Semiring))
+def test_nested_cascade_matches_join_oracle(kind):
+    # acyclic operands of at most 4 states have paths of at most 3 arcs,
+    # so the bounded relations below are exact, and the nested relation is
+    # checked by an oracle that shares no code with either kernel
+    for seed in range(40):
+        a, b, c = sample_machines(3000 + 3 * seed, 3, kind=kind,
+                                  max_states=4, max_arcs=8, acyclic=True)
+        nested = connect(expand(lazy_compose(lazy_compose(a, b), c)))
+        pa, pb, pc = (bounded_pairs(m, 3, 3, 3) for m in (a, b, c))
+        expected = join_oracle(kind, join_oracle(kind, pa, pb), pc)
+        got = bounded_pairs(nested, 3, 3, 9)
+        assert got.keys() == expected.keys()
+        for key, w in expected.items():
+            assert math.isclose(got[key], w, rel_tol=1e-9), key
+
+
+def test_lazy_cascade_keeps_a_twin_over_a_dead_inner_arc():
+    # the inner view's arc 0 -2:eps-> 2 leads to the pair (2, 2), which
+    # the lookahead keeps but which cannot finish; so the inner state 0
+    # writes epsilon, and C's epsilon loop leads to a filter-2 twin of the
+    # start.  The trimmed inner compose drops that arc, and the twin merges
+    a = build(T, [(0, 1, 1, 0.0, 1), (0, 2, 2, 0.0, 2), (2, 4, 3, 0.0, 3)],
+              [1])
+    b = build(T, [(0, 1, 1, 0.0, 1), (0, 2, 0, 0.0, 2), (2, 3, 3, 0.0, 3)],
+              [1, 3])
+    c = build(T, [(0, 0, 7, 0.5, 0), (0, 1, 1, 0.0, 1)], [1])
+    assert text_of(expand(lazy_compose(a, b))) == "0 1 1 1\n0 2 2 0\n1\n"
+    nested = connect(expand(lazy_compose(lazy_compose(a, b), c)))
+    trimmed = compose(compose(a, b), c)
+    assert text_of(nested) == \
+        "0 2 0 7 0.5\n0 1 1 1\n1\n2 2 0 7 0.5\n2 1 1 1\n"
+    assert text_of(trimmed) == "0 0 0 7 0.5\n0 1 1 1\n1\n"
+    assert bounded_pairs(nested, 1, 3, 8) == bounded_pairs(trimmed, 1, 3, 8)
 
 
 def test_bare_lazy_left_operand_arcs_are_kept_per_state():
@@ -306,7 +348,7 @@ def test_bare_lazy_left_operand_arcs_are_kept_per_state():
         nested = connect(expand(lazy_compose(inner, c)))
         assert text_of(nested) == text_of(compose(compose(a, b), c))
     assert len(states) == 38
-    assert calls == len(states)  # 53 when walks re-read the states they cross
+    assert calls == len(states)
 
 
 def test_output_epsilon_self_loop_reads_its_state_once():

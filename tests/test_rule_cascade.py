@@ -32,11 +32,8 @@ CASCADE_SHA256 = \
 RESULTS_SHA256 = \
     "d0d6408dd1d6e5b0967296535045bf4101c431e7d4cea39c3518b16e7918e80c"
 
-# pair states each step builds, at most, and the states it keeps.  A
-# kernel that keeps a pair's filter state when it allows the same moves as
-# filter 0 builds 63, 212, 400 and 532 and keeps 48, 131, 197 and 325; a
-# lookahead that also stops at A's output-epsilon moves builds 80, 298,
-# 658 and 877
+# per composition step of the cascade: the pair states it builds, at
+# most, and the states its trimmed output keeps
 MAX_PAIRS = (52, 179, 376, 459)
 KEPT = (39, 109, 178, 278)
 

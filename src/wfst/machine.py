@@ -104,7 +104,7 @@ class Machine:
         self.kind = kind
         self.isymbols = isymbols
         self.osymbols = osymbols
-        self.start = 0
+        self._start = 0
         self.start_weight = kind.one
         self.finals: dict[int, float] = {}
         # per state, (ilabel, olabel, weight, nextstate) tuples
@@ -132,7 +132,7 @@ class Machine:
         m.kind = kind
         m.isymbols = isymbols
         m.osymbols = osymbols
-        m.start = start
+        m._start = start
         m.start_weight = kind.one if start_weight is None else start_weight
         m.finals = finals
         m._arcs = [tuple(state_arcs) for state_arcs in arcs]
@@ -175,13 +175,13 @@ class Machine:
     def set_start(self, state, weight=None):
         self._check_mutable()
         self.ensure_state(state)
-        self.start = state
+        self._start = state
         if weight is not None:
             self.start_weight = self.kind.check(weight)
 
     def freeze(self):
         if not self._frozen:
-            self.ensure_state(self.start)
+            self.ensure_state(self._start)
             self._arcs = [tuple(arcs) for arcs in self._arcs]
             self._frozen = True
             self._derived = {}
@@ -211,6 +211,15 @@ class Machine:
                 self._derived[key] = source._derived[key]
 
     # -- generalized state machine interface ----------------------------
+
+    @property
+    def start(self) -> int:
+        """The start state.  ``Machine(kind)`` before any ``add_state`` has
+        none: reading it raises ``ContractError``, so every op, which reads
+        its operands' start, rejects such a machine."""
+        if not self._arcs:
+            raise ContractError("machine has no state")
+        return self._start
 
     def arcs(self, state: int):
         return self._arcs[state]
@@ -410,7 +419,8 @@ def write_text(m: Machine, acceptor=None) -> str:
     weights[kind.one] = ""
     by_labels = itemgetter(0, 1, 3, 2)  # ilabel, olabel, nextstate, weight
     lines = []
-    for q in [m.start] + [q for q in m.states() if q != m.start]:
+    start = m.start
+    for q in [start] + [q for q in m.states() if q != start]:
         for il, ol, w, t in sorted(m.arcs(q), key=by_labels):
             if acceptor:
                 lines.append(f"{q} {t} {ilabels[il]}{weights[w]}")
@@ -434,6 +444,7 @@ def connect(m: Machine) -> Machine:
     no zero-weight arc, is returned itself, with its derived tables.
     """
     n = m.num_states
+    start = m.start
     zero = m.kind.zero
     state_arcs = [m.arcs(q) for q in range(n)]
     # forward search from the start, recording each arc backwards; every
@@ -441,8 +452,8 @@ def connect(m: Machine) -> Machine:
     # so the backward search needs no other arcs
     back = [[] for _ in range(n)]
     accessible = bytearray(n)
-    accessible[m.start] = 1
-    stack = [m.start]
+    accessible[start] = 1
+    stack = [start]
     dropped = False
     while stack:
         q = stack.pop()
@@ -464,14 +475,14 @@ def connect(m: Machine) -> Machine:
                 useful[q] = 1
                 stack.append(q)
 
-    if not useful[m.start]:
+    if not useful[start]:
         # empty language: bare non-final start
         return Machine._from_parts(m.kind, m.isymbols, m.osymbols, [()], {})
-    if (m._frozen and m.start == 0 and 0 not in useful and not dropped
+    if (m._frozen and start == 0 and 0 not in useful and not dropped
             and list(m.finals) == sorted(m.finals)):
         return m  # already as trimming would number it
     keep = [q for q in range(n) if useful[q]]
-    order = [m.start] + [q for q in keep if q != m.start]
+    order = [start] + [q for q in keep if q != start]
     remap = {q: i for i, q in enumerate(order)}
     arcs = []
     for q in order:

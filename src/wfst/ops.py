@@ -134,15 +134,7 @@ def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
             yield EPSILON, ol_b, wb, (None, n2, b_alone)
 
 
-def _require_states(*machines):
-    """Raise ``ContractError`` on a ``Machine`` with no state, which has no
-    start to build from (``Machine(kind)`` before any ``add_state``)."""
-    if any(isinstance(m, Machine) and not m.num_states for m in machines):
-        raise ContractError("an operand machine has no state")
-
-
 def check_composable(a, b):
-    _require_states(a, b)
     kind = require_same_kind(a, b)
     if not _same_table(a.osymbols, b.isymbols):
         raise SymbolError("output symbols of A do not match input symbols of B")
@@ -358,7 +350,6 @@ def _tables(*machines):
 
 def union(a: Machine, b: Machine) -> Machine:
     """weight(x) = A(x) (+) B(x), via a fresh super-start."""
-    _require_states(a, b)
     kind = require_same_kind(a, b)
     arcs, finals = [[]], {}
     for src in (a, b):
@@ -375,7 +366,6 @@ def concat(a: Machine, b: Machine, *more: Machine) -> Machine:
     Further machines are concatenated in the same single copy, numbered as
     pairwise concatenation from the left would number them."""
     parts = (a, b, *more)
-    _require_states(*parts)
     for part in parts[1:]:
         kind = require_same_kind(a, part)
     arcs, offsets = [], []
@@ -399,7 +389,6 @@ def closure(a: Machine) -> Machine:
     REAL is rejected: the sum over unboundedly many repetitions need not
     converge.
     """
-    _require_states(a)
     if a.kind is Semiring.REAL:
         raise SemiringError("closure is not supported over the REAL semiring")
     arcs = [[(EPSILON, EPSILON, a.start_weight, a.start + 1)], *_shifted(a, 1)]
@@ -411,7 +400,6 @@ def closure(a: Machine) -> Machine:
 
 def reverse(a: Machine) -> Machine:
     """weight(w) = A(reverse(w)); arcs flipped, start/finals swapped."""
-    _require_states(a)
     arcs = [[(EPSILON, EPSILON, w, q + 1) for q, w in a.finals.items()]]
     arcs += [[] for _ in a.states()]
     for q, (il, ol, w, t) in a.all_arcs():
@@ -425,7 +413,6 @@ def project(a: Machine, side: str) -> Machine:
     """Acceptor over the chosen tape; path weights preserved."""
     if side not in ("input", "output"):
         raise ContractError(f"side must be 'input' or 'output', got {side!r}")
-    _require_states(a)
     tape = 0 if side == "input" else 1  # the label's field in an arc
     table = (a.isymbols, a.osymbols)[tape]
     return _relabel(a, lambda arc: (arc[tape], arc[tape]), table, table)
@@ -459,7 +446,6 @@ def complement(a: Machine, alphabet=None) -> Machine:
     """
     from .optimize import determinize
 
-    _require_states(a)
     if a.kind is not Semiring.BOOLEAN or not a.is_acceptor():
         raise SemiringError("complement is defined for BOOLEAN acceptors only")
     sigma = _alphabet_of(a, alphabet=alphabet)

@@ -715,12 +715,13 @@ def minimize(m: Machine) -> Machine:
     from the start (0), walking each state's arcs in (input label, output
     residue, weight) order; output-chain states are numbered as they are
     emitted, and a hoisted start prefix's chain comes last.  The input is
-    trimmed first unless ``_all_live`` shows it needs no trim."""
+    trimmed first unless it has a final and ``_all_live`` shows it needs
+    no trim."""
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "
                             "(determinize first)")
     _require_divisible(m.kind)
-    if not _all_live(m):
+    if not m.finals or not _all_live(m):
         m = connect(m)
     if not m.finals:
         return m

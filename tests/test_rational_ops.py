@@ -3,12 +3,15 @@ import random
 
 import pytest
 
-from wfst import (CascadeSpec, ContractError, KindMismatchError, Machine,
-                  Semiring, SemiringError, SymbolError, SymbolTable,
-                  beam_decode, closure, complement, compose, concat,
-                  difference, equivalent, expand, intersect, lazy_compose,
-                  project, read_text, reverse, twins_test, union, weight_of,
-                  write_text)
+from wfst import (CascadeSpec, ContractError, KindMismatchError, Lattice,
+                  Machine, Semiring, SemiringError, SymbolError, SymbolTable,
+                  accepted_pairs, beam_decode, best_path, cached, closure,
+                  complement, compose, concat, connect, determinize,
+                  difference, equivalent, expand, intersect,
+                  intersect_samelength, lattice_prune, lazy_compose,
+                  local_determinize, marker, minimize, project, push,
+                  read_text, rescore, reverse, shortest_distance, twins_test,
+                  union, weight_of, write_text)
 from wfst.ops import label_index, label_indexes, merge_arcs
 
 from helpers import (acceptor, bounded_pairs, build, product_compose,
@@ -204,7 +207,23 @@ def test_compose_respects_epsilon_paths():
     lambda e, m: union(m, e), lambda e, m: concat(m, e),
     lambda e, m: concat(m, m, e), lambda e, m: closure(e),
     lambda e, m: reverse(e), lambda e, m: project(e, "input"),
-    lambda e, m: intersect(e, m), lambda e, m: complement(e)])
+    # complement checks its operand's kind first, so its case is boolean
+    lambda e, m: intersect(e, m), lambda e, m: complement(Machine(B)),
+    # every other module reads the start through ``Machine.start`` too
+    lambda e, m: connect(e), lambda e, m: write_text(e),
+    lambda e, m: weight_of(e, (1,)), lambda e, m: accepted_pairs(e),
+    lambda e, m: determinize(e), lambda e, m: local_determinize(e, 1),
+    lambda e, m: twins_test(e), lambda e, m: equivalent(e, m),
+    lambda e, m: equivalent(m, e), lambda e, m: cached(e),
+    lambda e, m: expand(e), lambda e, m: shortest_distance(e),
+    lambda e, m: lattice_prune(Lattice(e), 1.0),
+    lambda e, m: marker(e, 1, insert=(2,)), lambda e, m: push(e, "weights"),
+    lambda e, m: push(e, "strings"), lambda e, m: minimize(e),
+    lambda e, m: best_path(e), lambda e, m: rescore(Lattice(e), m),
+    lambda e, m: rescore(Lattice(m), e),
+    lambda e, m: beam_decode(CascadeSpec([e]), (1,)),
+    lambda e, m: intersect_samelength(e, m),
+    lambda e, m: intersect_samelength(m, e)])
 def test_a_stateless_operand_is_rejected(op):
     # ``Machine(kind)`` before any ``add_state`` has no start state
     m = build(T, [(0, 1, 1, 0.0, 1)], [1])

@@ -9,6 +9,12 @@ other result by its ``repr``, and a typed ``FsmError`` by its ``repr``; the
 SHA-256 of those texts, joined over the inputs, pins each op byte for byte.
 Determinization is bounded by ``expansion_cap``, so an input that is not
 determinizable fails fast rather than being left out.
+
+The ``lm count|build|fsa`` pipeline is pinned the same way: two seeded
+Zipf corpora (``helpers.zipf_corpus``), each at orders 2 and 3, run
+through ``lm_main`` into files, and one SHA-256 per stage, joined over the
+four runs, pins the count file, the ARPA file, and the LM machine text
+with its ``.syms``.
 """
 
 import hashlib
@@ -26,7 +32,10 @@ from wfst import (CascadeSpec, FsmError, Machine, Rule, Semiring, SymbolTable,
                   observation_machine, parse_tree, project, push, reverse,
                   union, write_text)
 
-from helpers import random_det_acceptor, random_rule_spec, sample_machines
+from wfst.cli import lm_main
+
+from helpers import (random_det_acceptor, random_rule_spec, sample_machines,
+                     zipf_corpus)
 
 INF = math.inf
 CAP = 60  # determinization's subset states and subset elements
@@ -245,3 +254,42 @@ def texts(op):
 def test_op_outputs_are_pinned(op):
     digest = hashlib.sha256("\0".join(texts(op)).encode()).hexdigest()
     assert digest == GOLDEN[op]
+
+
+LM_SEEDS = (1, 2)
+LM_ORDERS = (2, 3)
+LM_GOLDEN = {
+    "count":
+        "305848d4c98393243c53fd65d3348c74665d565ffec07d453acc34df08c5656b",
+    "build":
+        "c04a4940a4c18845b01a6716c589e679e9df381e5540ccf2a8b4e9f126af71d1",
+    "fsa":
+        "3ea238c04bd71bb051bff6da8e5fcbbd2dd4e595275990f8c7d3b4cde8584d8f",
+}
+
+
+def lm_pipeline_bytes(tmp_path):
+    parts = {stage: [] for stage in LM_GOLDEN}
+    for seed in LM_SEEDS:
+        corpus = tmp_path / f"corpus{seed}.txt"
+        corpus.write_text("".join(" ".join(s) + "\n"
+                                  for s in zipf_corpus(seed)))
+        for order in LM_ORDERS:
+            out = tmp_path / f"{seed}-{order}"
+            counts, arpa, fsa = (out.with_suffix(s)
+                                 for s in (".counts", ".arpa", ".fst"))
+            assert lm_main(["count", "-n", str(order), str(corpus),
+                            "-o", str(counts)]) == 0
+            assert lm_main(["build", str(counts), "-o", str(arpa)]) == 0
+            assert lm_main(["fsa", str(arpa), "-o", str(fsa)]) == 0
+            syms = fsa.with_name(fsa.name + ".syms")
+            parts["count"].append(counts.read_bytes())
+            parts["build"].append(arpa.read_bytes())
+            parts["fsa"].append(fsa.read_bytes() + b"\0" + syms.read_bytes())
+    return parts
+
+
+def test_lm_pipeline_outputs_are_pinned(tmp_path):
+    parts = lm_pipeline_bytes(tmp_path)
+    assert {stage: hashlib.sha256(b"\0".join(p)).hexdigest()
+            for stage, p in parts.items()} == LM_GOLDEN

@@ -162,8 +162,9 @@ def determinized(draw):
 
 def equivalent_pair(draw):
     # equivalent has no cap of its own: it runs only on operands that
-    # determinize within 200 subsets.  Its slow failures on the others are
-    # determinize's (ROADMAP item 5), and would stall the sweep.
+    # determinize within 200 subsets.  On the others it fails slowly, as
+    # determinize does on input without the twin property, and would stall
+    # the sweep.
     a, b = pair(draw)
     for m in (a, b):
         determinize(m, 200)

@@ -54,11 +54,11 @@ RULE_FST = write_text(compile_weighted_rule(Rule("a", "<1>b|c", "", "c"),
 
 @pytest.fixture(autouse=True)
 def capped_determinize_and_empty_stdin(monkeypatch):
-    """The CLI determinizes under the default cap of 10,000 subsets.  The
-    subsets of a cyclic transducer that is not determinizable carry output
-    strings that grow with each new subset, so reaching that cap can take
-    minutes and gigabytes (ROADMAP item 5): a 7-line machine took 10 s and
-    1 GB to reach 3,200 subsets.  The sweep caps determinization at 200.
+    """The CLI determinizes under the default cap of 10,000 subsets.  On a
+    cyclic transducer that is not determinizable the subsets grow as they
+    are built, so reaching that cap can take minutes and gigabytes: a
+    7-line machine took 10 s and 1 GB to reach 3,200 subsets on a 2-CPU
+    VM.  The sweep caps determinization at 200.
 
     A mutated path may read '-', standard input, which is empty here."""
     monkeypatch.setattr("sys.stdin", io.StringIO())

@@ -69,6 +69,8 @@ def capped_determinize_and_empty_stdin(monkeypatch):
 
 
 def mutate(rng, text):
+    """``text`` after up to three edits: a line dropped or repeated, or a
+    token of ``POOL`` inserted or written over a character."""
     for _ in range(rng.randint(0, 3)):
         lines = text.splitlines(keepends=True)
         edit = rng.randrange(4)

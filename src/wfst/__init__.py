@@ -8,8 +8,8 @@ from .machine import (ANY, EPSILON, EPSILON_SYMBOL, Machine, SymbolTable,
                       weight_of, write_text)
 from .ops import (closure, complement, compose, concat, difference, intersect,
                   project, reverse, union)
-from .optimize import (determinize, equivalent, local_determinize, minimize,
-                       push, twins_test)
+from .optimize import (compact, determinize, equivalent, local_determinize,
+                       minimize, push, twins_test)
 from .lazy import (LRU, MEMOIZE, REFCOUNT, CachedMachine, LazyComposition,
                    cached, expand, lazy_compose)
 from .decode import (CascadeSpec, Lattice, backward_distances, beam_decode,

@@ -204,8 +204,7 @@ def _rule_run(args):
         m = machines[0]
         for nxt in machines[1:]:
             m = ops.compose(m, nxt)
-            m.isymbols = m.osymbols = symtab
-        _save_machine_with_syms(args, m)
+        _save_machine_with_syms(args, optimize.compact(m))
         return 0
     if args.command == "tree":
         spec = rewrite.parse_tree(_read(args.treefile))

@@ -188,15 +188,24 @@ class BackoffModel:
         return self._prob(word, context)
 
     def _prob(self, word, context):
-        table = self.probs.get(context)
-        if table is not None and word in table:
-            return table[word]
-        if not context:
-            return self.floor
-        shorter = context[1:]
-        if table is None:
-            return self._prob(word, shorter)
-        return self.alphas[context] * self._prob(word, shorter)
+        """Backs off in a loop, so no context length exhausts the stack;
+        the alpha of each context passed that has a table applies innermost
+        first, alpha_1 * (alpha_2 * (... * p)), as a recursion would."""
+        alphas = []
+        while True:
+            table = self.probs.get(context)
+            if table is not None and word in table:
+                p = table[word]
+                break
+            if not context:
+                p = self.floor
+                break
+            if table is not None:
+                alphas.append(self.alphas[context])
+            context = context[1:]
+        for alpha in reversed(alphas):
+            p = alpha * p
+        return p
 
     def sentence_logprob(self, sentence) -> float:
         """Natural-log probability of a tokenized sentence (strings)."""

@@ -1,5 +1,5 @@
 """Weighted determinization, the twin-property test, local determinization,
-weight/string pushing, minimization, and equivalence testing.
+weight/string pushing, minimization, compaction, and equivalence testing.
 
 Determinization is the weighted powerset construction: subset elements are
 (state, leftover-output-string, leftover-weight) triples, normalized so the
@@ -11,7 +11,9 @@ and acceptor flag.  Minimization pushes weights (and output strings) as it
 encodes each arc, building no pushed copy, and partitions the states on
 (input label, output residue, pushed weight) as one opaque label: acyclic
 input takes one O(V+E) signature pass in reverse topological order (Revuz
-1992), cyclic input takes Hopcroft partition refinement.
+1992), cyclic input takes Hopcroft partition refinement.  Compaction runs
+both on a machine read as an acceptor over its arcs' (input, output,
+weight) triples, so it changes no weight.
 """
 
 from __future__ import annotations
@@ -759,6 +761,61 @@ def minimize(m: Machine) -> Machine:
         _emit_string(arcs, start, EPSILON, prefix, kind.one, 0, kind.one)
     return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, out_finals,
                                start, start_weight)
+
+
+# -- compaction ---------------------------------------------------------
+
+
+def compact(m: Machine) -> Machine:
+    """The same weighted relation on no more states: ``connect(m)``
+    determinized and minimized as an acceptor whose labels are its arcs'
+    ``(ilabel, olabel, weight)`` triples.
+
+    ``(epsilon, epsilon, one)`` stays epsilon, and a final weight other
+    than one becomes an arc into one new final state, so every encoded
+    weight is one and minimization pushes nothing.  Weights are copied,
+    never computed: every path keeps its exact float sum.  Merging paths
+    that spell one triple string is exact only under an idempotent sum,
+    so REAL raises ``SemiringError``.  Past a cap of the trimmed input's
+    state count on determinization, ``connect(m)`` is returned: ``m``
+    itself when ``connect`` passes it through.
+    """
+    _require_divisible(m.kind)
+    m = connect(m)
+    kind = m.kind
+    one = kind.one
+    identity = (EPSILON, EPSILON, one)
+    triples = sorted(({arc[:3] for _, arc in m.all_arcs()}
+                      | {(EPSILON, EPSILON, w) for w in m.finals.values()})
+                     - {identity})
+    code = {label: c for c, label in enumerate(triples, 1)}
+    code[identity] = EPSILON
+    arcs = []
+    for q in m.states():
+        row = []
+        for il, ol, w, t in m.arcs(q):
+            c = code[il, ol, w]
+            row.append((c, c, one, t))
+        arcs.append(row)
+    tail = len(arcs)  # the one new final state
+    arcs.append([])
+    finals = {tail: one}
+    for q, w in m.finals.items():
+        if w == one:
+            finals[q] = one
+        else:
+            c = code[EPSILON, EPSILON, w]
+            arcs[q].append((c, c, one, tail))
+    encoded = Machine._from_parts(kind, None, None, arcs, finals, m.start)
+    try:
+        dfa = minimize(determinize(encoded, expansion_cap=m.num_states))
+    except CapExceededError:
+        return m
+    labels = [identity, *triples]
+    out = [[(*labels[c], t) for c, _, _, t in dfa.arcs(q)]
+           for q in dfa.states()]
+    return Machine._from_parts(kind, m.isymbols, m.osymbols, out,
+                               dict(dfa.finals), dfa.start, m.start_weight)
 
 
 # -- equivalence --------------------------------------------------------

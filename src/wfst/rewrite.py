@@ -21,7 +21,7 @@ from .machine import (EPSILON, Machine, SymbolTable, _resolve,
                       accepted_pairs, connect, observation_machine)
 from .ops import (_END, _relabel, closure, complement, compose, concat,
                   intersect, read_set, reverse, union)
-from .optimize import determinize
+from .optimize import compact, determinize
 from .semiring import Semiring, require_same_kind
 
 _METACHARS = set("()|*+?[].~&")
@@ -396,7 +396,7 @@ def compile_weighted_rule(rule: Rule,
     l1 = marker(alpha_l, 2, delete=(b1,), alphabet=sigma, passthrough=(b2,))
     l2 = marker(alpha_l, 3, delete=(b2,), alphabet=sigma)
 
-    t = compose(compose(compose(compose(r, f), rep), l1), l2)
+    t = compact(compose(compose(compose(compose(r, f), rep), l1), l2))
     t.isymbols = symtab
     t.osymbols = symtab
     return t

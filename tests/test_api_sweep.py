@@ -28,7 +28,7 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, CachedMachine, CascadeSpec,
                   FsmError, Lattice, LazyComposition, Machine, Rule, Semiring,
                   SymbolTable, accepted_pairs, apply_rewrite,
                   backward_distances, beam_decode, best_path, build_lm_fsa,
-                  cached, closure, compile_regex, compile_tree,
+                  cached, closure, compact, compile_regex, compile_tree,
                   compile_weighted_rule, complement, compose, concat, connect,
                   count_ngrams, determinize, difference, equivalent, expand,
                   good_turing, intersect, intersect_samelength, katz_model,
@@ -187,6 +187,7 @@ SWEEP = {
     "build_lm_fsa": lambda draw: build_lm_fsa(model(draw)),
     "cached": lambda draw: expand(cached(view(draw), *cache_discipline(draw))),
     "closure": lambda draw: closure(machine(draw)),
+    "compact": lambda draw: compact(machine(draw)),
     "compile_regex": lambda draw: compile_regex(
         mutated(draw, draw(st.sampled_from(PATTERNS))), SymbolTable(),
         {"C": ("b", "c")}),

@@ -361,6 +361,17 @@ def test_lm_arpa_with_omitted_backoffs(tmp_path, capsys):
             pytest.approx(-logp, abs=1e-9)
 
 
+def test_lm_score_backs_off_through_a_thousand_gram_context(tmp_path,
+                                                            capsys):
+    # the empty 1000-gram section sets the order: each word backs off
+    # through 999 contexts, one loop step each, to its unigram
+    arpa = tmp_path / "deep.arpa"
+    arpa.write_text("\\data\\\n\\1-grams:\n-0.5 a\n-0.5 </s>\n-99 <s>\n"
+                    "\\1000-grams:\n\\end\\\n")
+    code, out, err = run(lm_main, ["score", str(arpa), "a a"], capsys)
+    assert (code, out, err) == (0, f"{3 * math.log(10 ** -0.5):.6f}\n", "")
+
+
 # -- decode --------------------------------------------------------------
 
 

@@ -181,6 +181,26 @@ def test_unseen_equals_alpha_times_backoff():
                 model.alphas[h] * model.prob(y, h[1:]))
 
 
+def recursive_backoff(model, word, context):
+    """The back-off recursion, alpha(h) * P(word | h[1:]) for a context h
+    with a table that lacks the word."""
+    table = model.probs.get(context)
+    if table is not None and word in table:
+        return table[word]
+    if not context:
+        return model.floor
+    lower = recursive_backoff(model, word, context[1:])
+    return lower if table is None else model.alphas[context] * lower
+
+
+def test_backoff_keeps_the_recursion_float_association():
+    for seed in (61, 67, 71):
+        _, model = viable_model(seed, 4)
+        for h in model.probs:
+            for y in model.vocabulary:
+                assert model.prob(y, h) == recursive_backoff(model, y, h)
+
+
 @pytest.mark.parametrize("text", ["", "order 1\n", "order 3\ntotal 0\n"],
                          ids=["blank", "order", "order-and-total"])
 def test_katz_rejects_counts_without_words(text):

@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from wfst import optimize
 from wfst import (CapExceededError, ContractError, Machine, Semiring,
-                  SemiringError, backward_distances, connect, determinize,
-                  equivalent, local_determinize, minimize, push, twins_test,
-                  weight_of, write_text)
+                  SemiringError, accepted_pairs, backward_distances, compact,
+                  connect, determinize, equivalent, local_determinize,
+                  minimize, push, twins_test, union, weight_of, write_text)
 
 from helpers import (acceptor, bounded_pairs, build, enum_paths,
                      nerode_class_count, random_det_acceptor, sample_machines,
@@ -650,6 +650,51 @@ def test_signature_pass_partitions_like_hopcroft(m, copy, change, k):
     assert order is not None
     assert partition(optimize._signature_classes(order, enc, finals)) == \
         partition(optimize._hopcroft(list(enc), enc, finals))
+
+
+# -- compaction ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [T, B])
+@pytest.mark.parametrize("is_acceptor", [True, False])
+def test_compact_keeps_every_pair_and_weight_exactly(kind, is_acceptor):
+    for m in sample_machines(91, 40, kind=kind, acceptor=is_acceptor,
+                             acyclic=True, max_states=6, max_arcs=10):
+        c = compact(m)
+        assert c.num_states <= m.num_states
+        assert c.start_weight == m.start_weight
+        assert accepted_pairs(c) == accepted_pairs(m)
+        # every path twice: the copies spell the same triples and merge
+        doubled = union(m, m)
+        c = compact(doubled)
+        assert c.num_states < doubled.num_states
+        assert accepted_pairs(c) == accepted_pairs(m)
+
+
+# (a|b)* a (a|b)^4: its subset construction needs 2^5 states
+NFA_A_FIFTH_FROM_END = acceptor(
+    B, [(0, 1, 1.0, 0), (0, 2, 1.0, 0), (0, 1, 1.0, 1),
+        *((q, label, 1.0, q + 1) for q in range(1, 5) for label in (1, 2))],
+    [5])
+
+
+def test_compact_returns_its_input_past_the_cap():
+    assert compact(NFA_A_FIFTH_FROM_END) is NFA_A_FIFTH_FROM_END
+
+
+def test_compact_merges_parallel_paths_with_equal_triples():
+    # two paths spelling 1:2/0.5 then 3:3/1.0, and a final weight of 2.0
+    m = build(T, [(0, 1, 2, 0.5, 1), (0, 1, 2, 0.5, 2),
+                  (1, 3, 3, 1.0, 3), (2, 3, 3, 1.0, 3)], {3: 2.0})
+    c = compact(m)
+    assert c.num_states == 4  # three on the path, one after the final arc
+    assert accepted_pairs(c) == accepted_pairs(m) == {((1, 3), (2, 3)): 3.5}
+
+
+def test_compact_rejects_real():
+    m = acceptor(R, [(0, 1, 0.5, 1)], {1: 1.0})
+    with pytest.raises(SemiringError):
+        compact(m)
 
 
 # -- equivalence ---------------------------------------------------------

@@ -25,7 +25,7 @@ import random
 import pytest
 
 from wfst import (CascadeSpec, FsmError, Machine, Rule, Semiring, SymbolTable,
-                  accepted_pairs, beam_decode, closure, compile_regex,
+                  accepted_pairs, beam_decode, closure, compact, compile_regex,
                   compile_tree, compile_weighted_rule, complement, compose,
                   concat, connect, determinize, difference, expand, intersect,
                   lazy_compose, local_determinize, marker, minimize,
@@ -139,6 +139,7 @@ OPS = {
     "union": (PAIRS, union),
     "concat": (PAIRS, concat),
     "closure": (SINGLES, closure),
+    "compact": (SINGLES, compact),
     "reverse": (SINGLES, reverse),
     "project": (SINGLES, lambda m: project(m, "output")),
     "connect": (SINGLES, lambda m: connect(untrimmed(m))),
@@ -181,12 +182,14 @@ GOLDEN = {
         "af5250d89f03e5c03af7dc7ad847a5f7b49d5fc0ccfd821fc8fb5fe4594b4166",
     "closure":
         "5a6f16ce58303ebfd1511affb972dbba3290d60671fa5ce373ffc9746a08472e",
+    "compact":
+        "4c7d481af01d957c294540741adc3253616a69347eaaa2be251b58376374b89e",
     "compile_regex":
         "95f51bcbf23eb002771f09fac082c07f6be013a6b035dc53918b6517cf7cb755",
     "compile_tree":
         "666cfa7205d5076135aa5d816fabec2895f205e5c80edf3d7fdab9361968e7ce",
     "compile_weighted_rule":
-        "84497eb88b583e53c2d728dd05e09fed19217f38bbbfedb9a66ea9dedb967839",
+        "dbbe81d7f5724da3d22955918087908cecc70ac492368c81cdfd0c2593a7408f",
     "complement":
         "25c9b79031c4437a2bbabc2fa7951837d0b0b3633b5b9225c9a03e16c5c5eaf5",
     "complement over 1..4":

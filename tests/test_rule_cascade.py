@@ -1,5 +1,5 @@
 """Golden rule cascade: a grammar whose rules delete and insert symbols,
-compiled and composed the way ``rule compile`` composes it.
+compiled, composed and compacted the way ``rule compile`` builds it.
 
 A deletion writes epsilon on A's output tape of every later cascade step,
 so these pins cover the composition lookahead where A must be read
@@ -10,8 +10,8 @@ states each cascade step builds before trimming.
 
 import hashlib
 
-from wfst import (SymbolTable, apply_rewrite, compile_weighted_rule, compose,
-                  expand, parse_rule_file, write_text)
+from wfst import (SymbolTable, apply_rewrite, compact, compile_weighted_rule,
+                  compose, expand, parse_rule_file, write_text)
 from wfst.ops import LazyComposition
 
 GRAMMAR = """\
@@ -28,14 +28,14 @@ WORDS = ("bac", "cacb", "beca", "adida", "bacedic", "cidbac", "ebebe",
          "daeid")
 
 CASCADE_SHA256 = \
-    "eee16fb381dc8c3382d5e28135dfc01ff506f16cf79a182f912b517df9ad3a9f"
+    "26f8cc49967d181c1f273efe4acc0fcd218d59e6679e15270ed39eac03be39bb"
 RESULTS_SHA256 = \
     "d0d6408dd1d6e5b0967296535045bf4101c431e7d4cea39c3518b16e7918e80c"
 
 # per composition step of the cascade: the pair states it builds, at
 # most, and the states its trimmed output keeps
-MAX_PAIRS = (52, 179, 376, 459)
-KEPT = (39, 109, 178, 278)
+MAX_PAIRS = (8, 17, 38, 51)
+KEPT = (8, 16, 29, 47)
 
 
 def compile_cascade():
@@ -48,9 +48,8 @@ def compile_cascade():
         expand(view)
         built.append(len(view._pairs))
         m = compose(m, nxt)
-        m.isymbols = m.osymbols = symtab
         kept.append(m.num_states)
-    return m, built, kept
+    return compact(m), built, kept
 
 
 def sha256(text):

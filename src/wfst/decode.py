@@ -13,8 +13,7 @@ from functools import reduce
 
 from .errors import ContractError, NoPathError
 from .machine import EPSILON, Machine, connect, observation_machine
-from .lazy import cached, lazy_compose
-from .ops import compose
+from .ops import compose, lazy_compose
 from .semiring import Semiring
 
 INF = math.inf
@@ -164,7 +163,12 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
             finals[q] = m.finals[q]
     out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
                               m.start, m.start_weight)
-    return Lattice(connect(out))
+    out._inherit_shape(m)
+    kept = connect(out)
+    if not any(bwd.values()):
+        # a kept state keeps its zero-weight continuation: adding 0.0 is exact
+        kept._derived["backward_distances"] = dict.fromkeys(kept.states(), 0.0)
+    return Lattice(kept)
 
 
 def rescore(lattice: Lattice, full: Machine):
@@ -204,79 +208,77 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     ("comparable states"; epsilon-reached states keep the frame of their
     last non-epsilon consumption).  Within a frame, states whose cost
     exceeds best-in-frame + beam are pruned.  beam=inf is exact Viterbi.
-    Returns (output labels, cost, stats).  ``observations`` may be any
-    iterable; it is read once.  A NaN or negative beam raises
-    ContractError.
+    Each state's arcs are read once, when the search first reaches it,
+    and nothing is cached.  Returns (output labels, cost, stats).
+    ``observations`` may be any iterable; it is read once.  A NaN or
+    negative beam raises ContractError.
     """
     if not beam >= 0:  # also false for NaN
         raise ContractError(f"beam must be a non-negative number, got {beam!r}")
     observations = tuple(observations)
     view = observation_machine(
         observations, isymbols=getattr(cascade.stages[0], "isymbols", None))
-    # a composition keeps what it reads: only the search's view is cached
-    view = cached(reduce(lazy_compose, cascade.stages, view))
-    stats = DecodeStats()
+    view = reduce(lazy_compose, cascade.stages, view)
     n_frames = len(observations)
+    # state -> (epsilon-input arcs, other arcs); a state belongs to one
+    # frame, so the closure and the advance share the one read
+    split = {}
 
-    # frame-local relaxation including epsilon-input arcs, then advance
-    frontier = {view.start: (view.start_weight, None)}  # state -> (cost, backptr)
+    def read(q):
+        arcs = view.arcs(q)
+        entry = ((), arcs)
+        for arc in arcs:
+            if arc[0] == EPSILON:  # few states have one: split only those
+                entry = ([a for a in arcs if a[0] == EPSILON],
+                         [a for a in arcs if a[0] != EPSILON])
+                break
+        split[q] = entry
+        return entry
+
+    costs = {view.start: view.start_weight}
     back = {view.start: (None, None)}
-    expanded = set()
     best_final = None
+    pruned = 0
     for frame in range(n_frames + 1):
-        stats.frames = frame
-        # epsilon-closure within the frame (Dijkstra over eps-input arcs);
+        if not costs:
+            break
+        # epsilon-closure: Dijkstra over the states with epsilon-input arcs;
         # a best path of more hops than the closure has states repeats a
         # state, which only a negative-weight epsilon cycle makes cheaper
-        heap = [(cost, q) for q, (cost, _) in frontier.items()]
+        heap = [(c, q, 0) for q, c in costs.items() if read(q)[0]]
         heapq.heapify(heap)
-        costs = {q: c for q, (c, _) in frontier.items()}
-        hops = dict.fromkeys(costs, 0)
         while heap:
-            c, q = heapq.heappop(heap)
-            if c > costs.get(q, INF):
+            c, q, hops = heapq.heappop(heap)
+            if c > costs[q]:
                 continue
-            expanded.add(q)
-            for il, ol, w, t in view.arcs(q):
-                if il != EPSILON:
-                    continue
+            hops += 1
+            for _, ol, w, t in split[q][0]:
                 cand = c + w
                 if cand < costs.get(t, INF):
                     costs[t] = cand
-                    hops[t] = hops[q] + 1
-                    if hops[t] > len(costs):
+                    if hops > len(costs):
                         raise ContractError("negative-weight epsilon cycle: "
                                             "beam search cannot settle")
                     back[t] = (q, ol)
-                    heapq.heappush(heap, (cand, t))
-        if not costs:
-            break
+                    if (split.get(t) or read(t))[0]:
+                        heapq.heappush(heap, (cand, t, hops))
         # beam pruning against the best comparable state
-        floor = min(costs.values())
-        survivors = {q: c for q, c in costs.items() if c <= floor + beam}
-        stats.pruned += len(costs) - len(survivors)
-        if frame == n_frames:
-            for q, c in survivors.items():
-                fw = view.final(q)
-                if fw == INF:
-                    continue
-                total = c + fw
-                if best_final is None or total < best_final[0]:
-                    best_final = (total, q)
-            break
+        limit = min(costs.values()) + beam
         nxt = {}
-        for q, c in survivors.items():
-            expanded.add(q)
-            for il, ol, w, t in view.arcs(q):
-                if il == EPSILON:
-                    continue
-                cand = c + w
-                if cand < nxt.get(t, (INF, None))[0]:
-                    nxt[t] = (cand, (q, ol))
-        frontier = nxt
-        for q, (_, bp) in nxt.items():
-            back[q] = bp
-    stats.expanded_states = len(expanded)
+        for q, c in costs.items():
+            if c > limit:
+                pruned += 1
+            elif frame == n_frames:
+                fw = view.final(q)
+                if fw != INF and (best_final is None or c + fw < best_final[0]):
+                    best_final = (c + fw, q)
+            else:
+                for _, ol, w, t in split[q][1]:
+                    cand = c + w
+                    if cand < nxt.get(t, INF):
+                        nxt[t] = cand
+                        back[t] = (q, ol)
+        costs = nxt
     if best_final is None:
         raise NoPathError("no surviving path; try a larger beam"
                           if beam < INF else
@@ -284,10 +286,10 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     # reconstruct outputs
     outputs = []
     q = best_final[1]
-    while back.get(q, (None, None))[0] is not None:
-        prev, olabel = back[q]
-        if olabel != EPSILON and olabel is not None:
+    while back[q][0] is not None:  # the start's entry ends the walk
+        q, olabel = back[q]
+        if olabel != EPSILON:
             outputs.append(olabel)
-        q = prev
     outputs.reverse()
-    return tuple(outputs), best_final[0], stats
+    return (tuple(outputs), best_final[0],
+            DecodeStats(len(split), frame, pruned))

@@ -204,10 +204,11 @@ class Machine:
         return derived[key]
 
     def _inherit_shape(self, source):
-        """Take ``source``'s known topological order and acceptor flag, for
-        a frozen machine with ``source``'s states, labels and arc targets."""
+        """Take ``source``'s known topological order and a set acceptor
+        flag, which hold for a frozen machine with ``source``'s states and
+        some of its arcs, labels and targets unchanged."""
         for key in ("topological_order", "is_acceptor"):
-            if key in (source._derived or ()):
+            if (source._derived or {}).get(key):  # not None, nor False
                 self._derived[key] = source._derived[key]
 
     # -- generalized state machine interface ----------------------------
@@ -252,8 +253,9 @@ class Machine:
     def topological_order(self):
         """Kahn order of all states; None if any cycle, even unreachable.
 
-        A frozen machine's order is computed once and shared: do not
-        modify the list."""
+        A frozen machine's order is computed once, or taken from the op
+        that built it (which may give another valid order), and shared: do
+        not modify the list."""
         return self._memo("topological_order", self._kahn)
 
     def _kahn(self):
@@ -441,7 +443,8 @@ def connect(m: Machine) -> Machine:
     dropped and connects nothing.  The start state becomes state 0 and the
     others keep their ascending order; an arc whose target keeps its
     number is reused as it is.  A frozen input already numbered so, with
-    no zero-weight arc, is returned itself, with its derived tables.
+    no zero-weight arc, is returned itself, with its derived tables;
+    otherwise a known topological order is carried through the renumbering.
     """
     n = m.num_states
     start = m.start
@@ -495,8 +498,13 @@ def connect(m: Machine) -> Machine:
             kept.append(arc if t == old else (il, ol, w, t))
         arcs.append(kept)
     finals = {remap[q]: m.finals[q] for q in keep if q in m.finals}
-    return Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
-                               0, m.start_weight)
+    out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
+                              0, m.start_weight)
+    order = (m._derived or {}).get("topological_order")
+    if order is not None:  # a known order stays one on a subgraph
+        out._derived["topological_order"] = [remap[q] for q in order
+                                             if q in remap]
+    return out
 
 
 # -- reference path oracle ----------------------------------------------

@@ -391,7 +391,6 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
             hit = _SECTION.match(line)
             if hit:
                 section = int(hit.group(1))
-                order = max(order, section)
                 continue
             if line == "\\data\\":
                 continue
@@ -420,6 +419,7 @@ def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
             gram = tuple(map(label, fields[1:1 + section]))
         except SymbolError as exc:
             raise ParseError(str(exc), lineno) from None
+        order = max(order, section)  # an empty section sets no order
         if logp > -98.0:
             probs.setdefault(gram[:-1], {})[gram[-1]] = prob
         if backoff is not None:

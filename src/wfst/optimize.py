@@ -759,8 +759,17 @@ def minimize(m: Machine) -> Machine:
         start = len(arcs)
         arcs.append([])
         _emit_string(arcs, start, EPSILON, prefix, kind.one, 0, kind.one)
-    return Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, out_finals,
-                               start, start_weight)
+    out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, out_finals,
+                              start, start_weight)
+    if order is not None and len(arcs) == len(ids):
+        # each state is a Revuz class, made after its arcs' targets'; and a
+        # pushed fl(w + d[t]) - d[q] is >= 0, and 0 on the arc or final that
+        # set d[q], so the output's potentials are all zero
+        derived = out._derived
+        derived["topological_order"] = [ids[c] for c in sorted(ids)][::-1]
+        if kind is Semiring.TROPICAL:
+            derived["backward_distances"] = dict.fromkeys(out.states(), 0.0)
+    return out
 
 
 # -- compaction ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -363,13 +364,28 @@ def test_lm_arpa_with_omitted_backoffs(tmp_path, capsys):
 
 def test_lm_score_backs_off_through_a_thousand_gram_context(tmp_path,
                                                             capsys):
-    # the empty 1000-gram section sets the order: each word backs off
+    # the one 1000-gram, b^1000, sets the order: each word backs off
     # through 999 contexts, one loop step each, to its unigram
     arpa = tmp_path / "deep.arpa"
     arpa.write_text("\\data\\\n\\1-grams:\n-0.5 a\n-0.5 </s>\n-99 <s>\n"
-                    "\\1000-grams:\n\\end\\\n")
+                    "\\1000-grams:\n-0.1" + " b" * 1000 + "\n\\end\\\n")
     code, out, err = run(lm_main, ["score", str(arpa), "a a"], capsys)
     assert (code, out, err) == (0, f"{3 * math.log(10 ** -0.5):.6f}\n", "")
+    assert ngram.read_arpa(arpa.read_text()).order == 1000
+
+
+def test_lm_empty_section_sets_no_order(tmp_path, capsys):
+    # an empty 20000-gram section once made the order 20000, and ``lm
+    # fsa`` took time quadratic in it
+    unigrams = "\\data\\\n\\1-grams:\n-0.5 a\n-0.5 </s>\n-99 <s>\n"
+    plain, deep = tmp_path / "plain.arpa", tmp_path / "deep.arpa"
+    plain.write_text(unigrams + "\\end\\\n")
+    deep.write_text(unigrams + "\\20000-grams:\n\\end\\\n")
+    expected = run(lm_main, ["fsa", str(plain)], capsys)
+    start = time.perf_counter()
+    assert run(lm_main, ["fsa", str(deep)], capsys) == expected
+    assert time.perf_counter() - start < 0.5
+    assert expected[0] == 0
 
 
 # -- decode --------------------------------------------------------------

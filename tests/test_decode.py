@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfst import decode, optimize
-from wfst import (CascadeSpec, ContractError, Lattice, Machine, NoPathError,
-                  Semiring, backward_distances, beam_decode, best_path,
-                  build_lm_fsa, compose, connect, determinize, lattice_prune,
-                  minimize, observation_machine, push, rescore,
-                  shortest_distance, weight_of, write_text)
+from wfst import (CascadeSpec, ContractError, Lattice, LazyComposition,
+                  Machine, NoPathError, Semiring, backward_distances,
+                  beam_decode, best_path, build_lm_fsa, compose, connect,
+                  determinize, lattice_prune, minimize, observation_machine,
+                  push, rescore, shortest_distance, weight_of, write_text)
 
 from helpers import (acceptor, build, enum_paths, layered_distances,
                      least_walks, sample_machines, viable_model)
@@ -480,6 +480,40 @@ def test_negative_epsilon_weights_without_a_cycle_decode():
                       (2, 0, 7, -0.25, 3)], {3: 0.0})
     outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1,))
     assert (outputs, cost) == ((1, 7), 0.25)
+
+
+@pytest.mark.parametrize("beam, pruned", [(INF, 0), (1.0, 1)])
+def test_search_reads_each_state_once(monkeypatch, beam, pruned):
+    # channel, lexicon and a bigram LM whose back-off epsilon arc costs
+    # -0.5.  Word 7 is phones 1 2, word 8 is phone 1, word 9 is phone 2.
+    # Frame 0 holds the start; frame 1 holds "7" half read (3.0), "8" at
+    # LM state 1 (1.5) and, by the back-off, "8" at LM state 0 (1.0);
+    # frame 2 holds one state, reached at 4.0 through the bigram 8 9 and
+    # at 2.5 through the back-off then the unigram 9, or at 3.0 by ending
+    # word 7, which beam 1 prunes in frame 1.  Five states in all.
+    channel = build(T, [(0, 1, 1, 0.0, 0), (0, 2, 2, 0.0, 0)], {0: 0.0})
+    lexicon = build(T, [(0, 1, 7, 0.0, 1), (1, 2, 0, 0.0, 0),
+                        (0, 1, 8, 0.5, 0), (0, 2, 9, 0.5, 0)], {0: 0.0})
+    lm = build(T, [(0, 7, 7, 3.0, 0), (0, 8, 8, 1.0, 1), (0, 9, 9, 1.0, 0),
+                   (1, 9, 9, 2.0, 0), (1, 0, 0, -0.5, 0)],
+               {0: 0.0, 1: 0.5})
+    reads = {}
+    arcs = LazyComposition.arcs
+
+    def counted(view, state):
+        reads.setdefault(view, []).append(state)
+        return arcs(view, state)
+
+    monkeypatch.setattr(LazyComposition, "arcs", counted)
+    outputs, cost, stats = beam_decode(CascadeSpec([channel, lexicon, lm]),
+                                       (1, 2), beam=beam)
+    assert (outputs, cost) == ((8, 9), 2.5)
+    assert (stats.expanded_states, stats.frames, stats.pruned) == \
+        (5, 2, pruned)
+    outer = [v for v in reads if all(w.a is not v for w in reads)]
+    assert len(outer) == 1 and len(reads[outer[0]]) == 5
+    for states in reads.values():
+        assert len(states) == len(set(states))
 
 
 def test_cascade_spec_validation():

@@ -4,16 +4,21 @@ determinize -> minimize -> push -> lattice_prune -> best_path over seeded
 slotted word DAGs: 16 slots of 8 states (one start, one final), 3 arcs from
 every state into the next slot, words 1..30, weights on a 0.25 grid.  The
 SHA-256 of each stage's ``write_text`` output and start weight, joined
-over the lattices, pins every stage byte for byte.
+over the lattices, pins every stage byte for byte.  The tables a stage
+records for the next (topological order, backward distances) are checked
+against what the next stage would compute.
 """
 
 import hashlib
 import random
 
-from wfst import (Lattice, Semiring, best_path, determinize, lattice_prune,
-                  minimize, push, write_text)
+import pytest
 
-from helpers import acceptor
+from wfst import decode
+from wfst import (FsmError, Lattice, Machine, Semiring, best_path, connect,
+                  determinize, lattice_prune, minimize, push, write_text)
+
+from helpers import acceptor, sample_machines
 
 SLOTS, WIDTH, FANOUT, VOCAB = 16, 8, 3, 30
 PRUNE = 3.0
@@ -67,3 +72,107 @@ def digest(parts):
 def test_lattice_pipeline_outputs_are_pinned():
     texts = pipeline_texts()
     assert {stage: digest(parts) for stage, parts in texts.items()} == GOLDEN
+
+
+# -- tables the pipeline hands on ------------------------------------------
+
+
+def check_recorded(m):
+    """Check what an op recorded on ``m``: a topological order must order
+    every state before its arcs' targets, and backward distances must equal
+    ``_distances`` on a fresh copy that knows nothing.  Returns how many
+    recorded tables it checked."""
+    checked = 0
+    order = m._derived.get("topological_order")
+    if order is not None:
+        assert sorted(order) == list(m.states())
+        place = {q: i for i, q in enumerate(order)}
+        assert all(place[q] < place[t] for q, (_, _, _, t) in m.all_arcs())
+        checked += 1
+    if "backward_distances" in m._derived:
+        fresh = Machine._from_parts(m.kind, m.isymbols, m.osymbols,
+                                    [m.arcs(q) for q in m.states()],
+                                    dict(m.finals), m.start, m.start_weight)
+        assert m._derived["backward_distances"] == \
+            decode._distances(fresh, False)
+        checked += 1
+    return checked
+
+
+def with_dead_state(m):
+    """``m`` plus a state no path reaches, its order known: ``connect``
+    must renumber it and carry the order through."""
+    arcs = [m.arcs(q) for q in m.states()] + [((1, 1, 0.0, m.start),)]
+    out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs,
+                              dict(m.finals), m.start, m.start_weight)
+    out.topological_order()
+    return out
+
+
+def pipeline_machines(m, threshold):
+    """Every machine the lattice pipeline builds from ``m``, as far as it
+    gets: determinize, minimize, push, connect on the pushed machine with
+    a dead state added, and lattice_prune on acyclic input, of the pushed
+    machine and of the determinized one, whose potentials need not be
+    zero."""
+    out = []
+    try:
+        out.append(determinize(m, expansion_cap=200))
+        out.append(minimize(out[-1]))
+        pushed = push(out[-1], "weights")
+        out += [pushed, connect(with_dead_state(pushed))]
+        if pushed.is_acyclic():
+            out += [lattice_prune(Lattice(lattice), threshold).machine
+                    for lattice in (pushed, out[0])]
+    except FsmError:  # a draw determinize, push or pruning cannot take
+        pass
+    return out
+
+
+@pytest.mark.parametrize("acyclic", [True, False])
+@pytest.mark.parametrize("is_acceptor", [True, False])
+def test_recorded_tables_hold_on_drawn_machines(acyclic, is_acceptor):
+    checked = 0
+    for seed in range(4):
+        for m in sample_machines(40 + seed, 50, kind=Semiring.TROPICAL,
+                                 acyclic=acyclic, acceptor=is_acceptor,
+                                 eps_in=False,
+                                 weights=(-1.0, 0.0, 0.5, 2.0)):
+            for out in pipeline_machines(m, 1.0):
+                checked += check_recorded(out)
+    assert checked > 0
+
+
+def test_recorded_tables_hold_on_lattices():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        for out in pipeline_machines(slotted_dag(rng), PRUNE):
+            checked += check_recorded(out)
+    # an order and distances on the determinized (computed once), the
+    # minimized, the pushed (the minimized itself) and its pruned lattice,
+    # and an order on the connected one and on the pruned determinized one
+    assert checked == 400 * 10
+
+
+def test_pushing_pruning_and_best_path_reuse_minimize_tables(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Machine, "_kahn", counted("kahn", Machine._kahn))
+    monkeypatch.setattr(decode, "_distances",
+                        counted("distances", decode._distances))
+    rng = random.Random(5)
+    for _ in range(20):
+        small = minimize(determinize(slotted_dag(rng)))
+        calls.clear()
+        pushed = push(small, "weights")
+        pruned = lattice_prune(Lattice(pushed), PRUNE)
+        best_path(pruned.machine)
+        assert pushed is small
+        assert calls == ["distances"]  # the pruning's forward pass

@@ -49,6 +49,9 @@ def test_tracer_installs_over_the_kernel_and_restores_it():
         wfst.compose(a, b)
         assert wfst.apply_rewrite(rule, list("cab"), mode="best")
         wfst.beam_decode(CascadeSpec([a, b]), [1])
+        # beam_decode caches nothing, so the tracer's cache wrapper is
+        # exercised here
+        wfst.expand(wfst.cached(wfst.lazy_compose(a, b)))
         wfst.lattice_prune(wfst.Lattice(a), 1.0)
     finally:
         tracer.uninstall()

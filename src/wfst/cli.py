@@ -200,6 +200,8 @@ def _rule_run(args):
         if not rules:
             raise ParseError("rule file contains no rules")
         symtab = SymbolTable()
+        for r in rules:  # every rule of the file shares one alphabet
+            rewrite.register_symbols(r, symtab)
         machines = [rewrite.compile_weighted_rule(r, symtab) for r in rules]
         m = machines[0]
         for nxt in machines[1:]:

@@ -105,7 +105,8 @@ def _read_int(text, lineno, least=0):
 def read_counts(text, symbols: SymbolTable | None = None) -> CountTable:
     """Count table from ``write_counts`` text; ``ParseError`` with the line
     number on a line without a tab, a negative or non-integer field, or
-    the word ``<eps>``."""
+    the word ``<eps>``.  A declared order above the longest gram read is
+    lowered to that gram's length."""
     table = CountTable(1, symbols=symbols or SymbolTable())
     label = _labels(table.symbols, (EPSILON_SYMBOL,)).__getitem__
     # count field -> its value, each distinct field read once, on the
@@ -129,6 +130,7 @@ def read_counts(text, symbols: SymbolTable | None = None) -> CountTable:
             except SymbolError as exc:
                 raise ParseError(str(exc), lineno) from None
             counts[gram] = values[count]
+    table.order = max(1, min(table.order, max(map(len, counts), default=1)))
     return table
 
 

@@ -427,9 +427,7 @@ def _relabel(m, labels, isymbols, osymbols):
                                dict(m.finals), m.start, m.start_weight)
 
 
-def _alphabet_of(*machines, alphabet=None):
-    if alphabet is not None:
-        return sorted(set(alphabet))
+def _alphabet_of(*machines):
     labels = set()
     for m in machines:
         labels.update(m.input_labels())
@@ -438,31 +436,43 @@ def _alphabet_of(*machines, alphabet=None):
     return sorted(labels)
 
 
+def _complete_table(dfa, sigma):
+    """(transitions, finals, start) of the deterministic acceptor ``dfa``
+    with a total transition function over ``sigma``: a dead state is
+    appended when some transition is missing."""
+    if not dfa.is_acceptor() or not dfa.is_deterministic():
+        raise ContractError("a complete table needs a deterministic acceptor")
+    trans = [{il: t for il, _, _, t in dfa.arcs(q)} for q in dfa.states()]
+    if any(x not in row for row in trans for x in sigma):
+        dead = len(trans)
+        trans.append({})
+        for row in trans:
+            for x in sigma:
+                row.setdefault(x, dead)
+    return trans, set(dfa.finals), dfa.start
+
+
 def complement(a: Machine, alphabet=None) -> Machine:
     """Boolean acceptor for Sigma* minus L(A).
 
     ``alphabet`` defaults to A's symbol table if attached, else the labels
-    occurring in A.
+    occurring in A.  A dead state is added only when a transition over
+    Sigma is missing.
     """
     from .optimize import determinize
 
     if a.kind is not Semiring.BOOLEAN or not a.is_acceptor():
         raise SemiringError("complement is defined for BOOLEAN acceptors only")
-    sigma = _alphabet_of(a, alphabet=alphabet)
-    det = determinize(a)
-    # per state, label -> target; the dead state appended has no target
-    rows = [{il: t for il, _, _, t in det.arcs(q)} for q in det.states()]
-    dead = len(rows)
-    arcs = [[(label, label, 1.0, row.get(label, dead)) for label in sigma]
-            for row in rows + [{}]]
-    finals = {q: 1.0 for q in range(dead + 1) if q not in det.finals}
-    return Machine._from_parts(Semiring.BOOLEAN, a.isymbols, a.osymbols, arcs,
-                               finals, det.start)
+    sigma = _alphabet_of(a) if alphabet is None else sorted(set(alphabet))
+    trans, finals, start = _complete_table(determinize(a), sigma)
+    arcs = [[(x, x, 1.0, row[x]) for x in sigma] for row in trans]
+    return Machine._from_parts(
+        Semiring.BOOLEAN, a.isymbols, a.osymbols, arcs,
+        {q: 1.0 for q in range(len(trans)) if q not in finals}, start)
 
 
-def difference(a: Machine, b: Machine, alphabet=None) -> Machine:
+def difference(a: Machine, b: Machine) -> Machine:
     """L(A) minus L(B) for boolean acceptors."""
     if a.kind is not Semiring.BOOLEAN or b.kind is not Semiring.BOOLEAN:
         raise SemiringError("difference is defined for BOOLEAN acceptors only")
-    sigma = _alphabet_of(a, b, alphabet=alphabet)
-    return connect(intersect(a, complement(b, alphabet=sigma)))
+    return connect(intersect(a, complement(b, alphabet=_alphabet_of(a, b))))

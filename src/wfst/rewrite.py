@@ -19,8 +19,8 @@ from functools import reduce
 from .errors import ContractError, ParseError, SymbolError
 from .machine import (EPSILON, Machine, SymbolTable, _resolve,
                       accepted_pairs, connect, observation_machine)
-from .ops import (_END, _relabel, closure, complement, compose, concat,
-                  intersect, read_set, reverse, union)
+from .ops import (_END, _complete_table, _relabel, closure, complement,
+                  compose, concat, intersect, read_set, reverse, union)
 from .optimize import compact, determinize
 from .semiring import Semiring, require_same_kind
 
@@ -195,40 +195,17 @@ class _RegexParser:
         raise ParseError(f"unexpected operator {value!r}")
 
 
-def compile_regex(pattern, symtab, classes=None, alphabet=None) -> Machine:
+def compile_regex(pattern, symtab, classes=None) -> Machine:
     """BOOLEAN acceptor of the pattern's language.
 
-    Literals are added to ``symtab`` on first use.  ``alphabet`` (labels)
-    is the universe for '.' and '~'; it defaults to the table's labels
-    after the pattern's own literals are registered.
+    Literals are added to ``symtab`` on first use; '.' and '~' range over
+    the table's labels once the pattern's own literals are registered.
     """
     tokens = _tokenize(pattern, symtab, classes or {})
-    sigma = sorted(set(alphabet)) if alphabet is not None else symtab.labels()
-    return _RegexParser(tokens, sigma).parse()
+    return _RegexParser(tokens, symtab.labels()).parse()
 
 
 # -- marker machines -----------------------------------------------------
-
-
-def _complete_table(alpha, sigma):
-    """(transitions, finals, start) with a total transition function.
-
-    ``alpha`` must be a deterministic acceptor; a dead state is appended
-    when some transition is missing.
-    """
-    if not alpha.is_acceptor():
-        raise ContractError("marker pattern must be an acceptor")
-    if not alpha.is_deterministic():
-        raise ContractError("marker pattern must be deterministic")
-    trans = [{il: t for il, _, _, t in alpha.arcs(q)} for q in alpha.states()]
-    finals = set(alpha.finals)
-    if any(x not in row for row in trans for x in sigma):
-        dead = len(trans)
-        trans.append({})
-        for row in trans:
-            for x in sigma:
-                row.setdefault(x, dead)
-    return trans, finals, alpha.start
 
 
 def marker(alpha: Machine, mtype: int, insert=(), delete=(), *,
@@ -349,30 +326,36 @@ def _replace_machine(phi_m, psi_alts, sigma, rb, b1, b2):
     return Machine._from_parts(Semiring.TROPICAL, None, None, arcs, {0: 0.0})
 
 
+def register_symbols(rule: Rule, symtab: SymbolTable) -> None:
+    """Add to ``symtab`` each declared class's members, unreferenced ones
+    too, then each pattern's literals.  Rules that share a table (one
+    alphabet) are all registered before the first of them compiles."""
+    classes = rule.classes or {}
+    for members in classes.values():
+        for sym in members:
+            symtab.add(sym)
+    for pat in (rule.phi, rule.lam, rule.rho,
+                *(p for _, p in _parse_psi(rule.psi))):
+        _tokenize(pat, symtab, classes)
+
+
 def compile_weighted_rule(rule: Rule,
                           symtab: SymbolTable | None = None) -> Machine:
     """Obligatory left-to-right rewriting transducer (TROPICAL).
 
     Left context is matched on the output side, right context on the input
-    side; each rewrite site accumulates its psi alternative's cost.
+    side; each rewrite site accumulates its psi alternative's cost.  The
+    alphabet is ``symtab``'s labels after ``register_symbols(rule)``.
     """
     symtab = symtab if symtab is not None else SymbolTable()
     classes = rule.classes or {}
-    psi_alts = _parse_psi(rule.psi)
-    # register every literal first so '.' and '~' see the full alphabet:
-    # every symbol in ``symtab``, with the members of each declared class
-    # even when unreferenced
-    for members in classes.values():
-        for sym in members:
-            symtab.add(sym)
-    for pat in (rule.phi, rule.lam, rule.rho, *(p for _, p in psi_alts)):
-        _tokenize(pat, symtab, classes)
+    register_symbols(rule, symtab)
     sigma = symtab.labels()
-    phi = connect(compile_regex(rule.phi, symtab, classes, alphabet=sigma))
-    lam = compile_regex(rule.lam, symtab, classes, alphabet=sigma)
-    rho = compile_regex(rule.rho, symtab, classes, alphabet=sigma)
-    alts = [(cost, compile_regex(p, symtab, classes, alphabet=sigma))
-            for cost, p in psi_alts]
+    phi = connect(compile_regex(rule.phi, symtab, classes))
+    lam = compile_regex(rule.lam, symtab, classes)
+    rho = compile_regex(rule.rho, symtab, classes)
+    alts = [(cost, compile_regex(p, symtab, classes))
+            for cost, p in _parse_psi(rule.psi)]
     if _END in read_set(phi, {}, {}, phi.start):
         raise ContractError("rule pattern must not accept the empty string")
 
@@ -667,7 +650,7 @@ def compile_tree(spec: DecisionTreeSpec,
     for leaf in spec.leaves:
         sides = {"left": [], "right": []}
         for side, rx in leaf.constraints:
-            sides[side].append(compile_regex(rx, symtab, classes, alphabet=sigma))
+            sides[side].append(compile_regex(rx, symtab, classes))
         lmach = reduce(intersect, sides["left"]) if sides["left"] \
             else _sigma_star(sigma)
         rmach = reduce(intersect, sides["right"]) if sides["right"] \

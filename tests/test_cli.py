@@ -224,6 +224,21 @@ def test_rule_compile_matches_library(tmp_path, capsys):
     assert out == golden(rewrite.compile_weighted_rule(rules[0], symtab))
 
 
+@pytest.mark.parametrize("text", ["a -> b;\nc -> d;\n",
+                                  "c -> d;\na -> b;\n"])
+def test_rule_compile_one_alphabet_for_the_file(tmp_path, capsys, text):
+    # every rule must pass the symbols that the file's other rules name,
+    # whichever comes first
+    rul = tmp_path / "r.rul"
+    rul.write_text(text)
+    out_fst = tmp_path / "r.fst"
+    assert run(rule_main, ["compile", str(rul), "-o", str(out_fst)],
+               capsys)[0] == 0
+    for word, rewritten in (("c a", "d b\n"), ("c", "d\n"), ("a", "b\n")):
+        assert run(rule_main, ["apply", str(out_fst), word],
+                   capsys) == (0, rewritten, "")
+
+
 def test_rule_with_a_hash_symbol(tmp_path, capsys):
     # '#' is a symbol wherever it is not the first field of a line
     rul = tmp_path / "r.rul"
@@ -384,6 +399,20 @@ def test_lm_empty_section_sets_no_order(tmp_path, capsys):
     expected = run(lm_main, ["fsa", str(plain)], capsys)
     start = time.perf_counter()
     assert run(lm_main, ["fsa", str(deep)], capsys) == expected
+    assert time.perf_counter() - start < 0.5
+    assert expected[0] == 0
+
+
+def test_lm_build_lowers_the_declared_order(tmp_path, capsys):
+    # no context is longer than the longest gram, so a larger declared
+    # order adds nothing to the model, not even empty sections
+    counts = ngram.write_counts(ngram.count_ngrams(viable_corpus(), 2))
+    plain, deep = tmp_path / "plain.counts", tmp_path / "deep.counts"
+    plain.write_text(counts)
+    deep.write_text(counts.replace("order 2\n", "order 100000\n", 1))
+    expected = run(lm_main, ["build", str(plain)], capsys)
+    start = time.perf_counter()
+    assert run(lm_main, ["build", str(deep)], capsys) == expected
     assert time.perf_counter() - start < 0.5
     assert expected[0] == 0
 

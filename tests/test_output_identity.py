@@ -191,7 +191,7 @@ GOLDEN = {
     "compile_weighted_rule":
         "dbbe81d7f5724da3d22955918087908cecc70ac492368c81cdfd0c2593a7408f",
     "complement":
-        "25c9b79031c4437a2bbabc2fa7951837d0b0b3633b5b9225c9a03e16c5c5eaf5",
+        "ac592287ea0aa9f57aa47d4e415a16f5276341e77faeccd7b7528bbda688674d",
     "complement over 1..4":
         "a19e36be6a4ed544e6b8b3e195e5bf7391ae77d35c712967e4ff124dd2af7103",
     "compose":

@@ -375,7 +375,7 @@ def test_difference_oracle():
     for i in range(6):
         a, b = sample_machines(900 + i, 2, kind=B, max_states=4, max_arcs=6,
                                acceptor=True, eps=False, alphabet=(1, 2))
-        d = difference(a, b, alphabet=(1, 2))
+        d = difference(a, b)
         assert lang(d, (1, 2), 3) == lang(a, (1, 2), 3) - lang(b, (1, 2), 3)
 
 

@@ -17,10 +17,9 @@ B = Semiring.BOOLEAN
 # -- regular expressions -------------------------------------------------
 
 
-def regex_lang(pattern, symtab, max_len, classes=None, alphabet=None):
-    m = compile_regex(pattern, symtab, classes, alphabet=alphabet)
-    sigma = sorted(alphabet or symtab.labels())
-    return {s for s in strings_up_to(sigma, max_len)
+def regex_lang(pattern, symtab, max_len, classes=None):
+    m = compile_regex(pattern, symtab, classes)
+    return {s for s in strings_up_to(symtab.labels(), max_len)
             if weight_of(m, s, max_path_len=3 * max_len + 6) != 0.0}
 
 
@@ -462,11 +461,10 @@ def tree_oracle(inp, leaves, symtab, phi="a"):
     constraints hold; other symbols copy."""
     from wfst.rewrite import compile_regex as crx
 
-    def matches(rx, s, sigma):
-        t = crx(rx, symtab, None, alphabet=sigma)
+    def matches(rx, s):
+        t = crx(rx, symtab)
         return weight_of(t, s, max_path_len=4 * (len(s) + 2)) != 0.0
 
-    sigma = sorted(symtab.labels())
     outs = {(): 0.0}
     results = {}
 
@@ -487,7 +485,7 @@ def tree_oracle(inp, leaves, symtab, phi="a"):
             ok = True
             for side, rx in leaf.constraints:
                 s = left if side == "left" else right
-                if not matches(rx, s, sigma):
+                if not matches(rx, s):
                     ok = False
                     break
             if ok:

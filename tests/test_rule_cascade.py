@@ -13,6 +13,7 @@ import hashlib
 from wfst import (SymbolTable, apply_rewrite, compact, compile_weighted_rule,
                   compose, expand, parse_rule_file, write_text)
 from wfst.ops import LazyComposition
+from wfst.rewrite import register_symbols
 
 GRAMMAR = """\
 Class V = [a e i];
@@ -40,8 +41,10 @@ KEPT = (8, 16, 29, 47)
 
 def compile_cascade():
     symtab = SymbolTable()
-    machines = [compile_weighted_rule(r, symtab)
-                for r in parse_rule_file(GRAMMAR)]
+    rules = parse_rule_file(GRAMMAR)
+    for r in rules:  # one alphabet for the whole grammar, as `rule compile`
+        register_symbols(r, symtab)
+    machines = [compile_weighted_rule(r, symtab) for r in rules]
     m, built, kept = machines[0], [], []
     for nxt in machines[1:]:
         view = LazyComposition(m, nxt)

@@ -89,8 +89,6 @@ class SymbolTable:
                 table.add(parts[0], label)
             except (ValueError, SymbolError) as exc:
                 raise ParseError(str(exc), lineno) from None
-        if EPSILON_SYMBOL not in table or table.find(EPSILON_SYMBOL) != EPSILON:
-            raise ParseError(f"symbol table must contain '{EPSILON_SYMBOL} 0'")
         return table
 
     def write(self) -> str:

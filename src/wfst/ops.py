@@ -475,4 +475,4 @@ def difference(a: Machine, b: Machine) -> Machine:
     """L(A) minus L(B) for boolean acceptors."""
     if a.kind is not Semiring.BOOLEAN or b.kind is not Semiring.BOOLEAN:
         raise SemiringError("difference is defined for BOOLEAN acceptors only")
-    return connect(intersect(a, complement(b, alphabet=_alphabet_of(a, b))))
+    return intersect(a, complement(b, alphabet=_alphabet_of(a, b)))

@@ -466,40 +466,37 @@ def local_determinize(m: Machine, k: int) -> Machine:
 
 
 def _string_potentials(m):
-    """Per-state longest common prefix of all output strings to a final."""
-    bottom = object()
-    p = {q: bottom for q in m.states()}
+    """Per-state longest common prefix of all output strings to a final;
+    raises on a dead state, as ``_weight_potentials`` does."""
+    p = dict.fromkeys(m.states())  # None: no final reached yet
     changed = True
     while changed:
         changed = False
         for q in m.states():
-            candidates = []
-            if q in m.finals:
-                candidates.append(())
+            candidates = [()] if q in m.finals else []
             for _, ol, _, t in m.arcs(q):
                 nxt = p[t]
-                if nxt is bottom:
+                if nxt is None:
                     continue
                 o = (ol,) if ol != EPSILON else ()
                 candidates.append(o + nxt)
             if not candidates:
                 continue
             new = _lcp(candidates)
-            if p[q] is bottom or new != p[q]:
-                if p[q] is not bottom and len(new) > len(p[q]):
-                    continue  # values only shrink
+            if new != p[q]:
                 p[q] = new
                 changed = True
-    return {q: (v if v is not bottom else ()) for q, v in p.items()}
+    dead = [q for q, v in p.items() if v is None]
+    if dead:
+        raise ContractError(
+            f"state(s) {dead} cannot reach a final state; connect() first")
+    return p
 
 
 def _residue(p, q, arc):
     """Output string left on ``arc`` once potentials ``p`` are hoisted."""
     _, ol, _, t = arc
     full = ((ol,) if ol != EPSILON else ()) + p[t]
-    if full[:len(p[q])] != p[q]:
-        raise ContractError("not a functional transducer: "
-                            f"prefix mismatch at state {q}")
     return full[len(p[q]):]
 
 

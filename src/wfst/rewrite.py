@@ -28,6 +28,8 @@ _METACHARS = set("()|*+?[].~&")
 # '(' and '~' nest at most this deep, well inside Python's recursion limit
 # (each '(' level takes five parser frames)
 _MAX_NESTING = 100
+# a rule file's class statement, or a tree file's class line with its ';'
+_CLASS = re.compile(r"Class\s+(\w+)\s*=\s*\[(.*)\]\s*;?\s*$", re.S)
 
 
 # -- regular expressions -------------------------------------------------
@@ -208,18 +210,18 @@ def compile_regex(pattern, symtab, classes=None) -> Machine:
 # -- marker machines -----------------------------------------------------
 
 
-def marker(alpha: Machine, mtype: int, insert=(), delete=(), *,
-           alphabet=None, passthrough=()) -> Machine:
-    """Marker transducer over the deterministic pattern acceptor ``alpha``.
+def marker(alpha: Machine, mtype: int, insert=(), delete=()) -> Machine:
+    """Marker transducer over the deterministic pattern acceptor ``alpha``,
+    completed over its own input labels.
 
     type 1 inserts one symbol of ``insert`` (a nondeterministic choice)
     after every input prefix accepted by alpha; type 2 deletes symbols of
     ``delete`` occurring after accepted prefixes and rejects them
     elsewhere; type 3 deletes them after non-accepted prefixes and rejects
-    them after accepted ones.  ``passthrough`` symbols are copied anywhere.
-    The result is a TROPICAL transducer accepting every base string.
+    them after accepted ones.  The result is a TROPICAL transducer
+    accepting every string over alpha's labels.
     """
-    sigma = sorted(set(alphabet or ()) | set(alpha.input_labels()))
+    sigma = alpha.input_labels()
     trans, finals, start = _complete_table(alpha, sigma)
     if mtype not in (1, 2, 3):
         raise ContractError(f"marker type must be 1, 2 or 3, got {mtype}")
@@ -239,7 +241,6 @@ def marker(alpha: Machine, mtype: int, insert=(), delete=(), *,
         out += [(x, x, 0.0, entry[row[x]]) for x in sigma]
         if mtype > 1 and (q in finals) == (mtype == 2):
             out += [(sym, EPSILON, 0.0, leave[q]) for sym in sorted(delete)]
-        out += [(sym, sym, 0.0, leave[q]) for sym in sorted(passthrough)]
     return Machine._from_parts(Semiring.TROPICAL, None, None, arcs,
                                dict.fromkeys(leave, 0.0), entry[start])
 
@@ -361,23 +362,23 @@ def compile_weighted_rule(rule: Rule,
 
     base = max(sigma, default=0) + 1
     rb, b1, b2 = base, base + 1, base + 2  # >, <1, <2
-    sigma_rb = sigma + [rb]
 
     alpha_r = determinize(concat(_sigma_star(sigma), reverse(rho)))
-    r = reverse(marker(alpha_r, 1, insert=(rb,), alphabet=sigma))
+    r = reverse(marker(alpha_r, 1, insert=(rb,)))
 
     # phi lifted to tolerate > anywhere inside the match
     lifted = _add_loops(phi, [rb])
-    alpha_f = determinize(concat(concat(_sigma_star(sigma_rb),
+    alpha_f = determinize(concat(concat(_sigma_star(sigma + [rb]),
                                         _labels_machine([rb])),
                                  reverse(lifted)))
-    f = reverse(marker(alpha_f, 1, insert=(b1, b2), alphabet=sigma_rb))
+    f = reverse(marker(alpha_f, 1, insert=(b1, b2)))
 
     rep = _replace_machine(phi, alts, sigma, rb, b1, b2)
 
     alpha_l = determinize(concat(_sigma_star(sigma), lam))
-    l1 = marker(alpha_l, 2, delete=(b1,), alphabet=sigma, passthrough=(b2,))
-    l2 = marker(alpha_l, 3, delete=(b2,), alphabet=sigma)
+    # type 2 enters and leaves a state at one place: <2 loops copy <2 anywhere
+    l1 = marker(_add_loops(alpha_l, [b2]), 2, delete=(b1,))
+    l2 = marker(alpha_l, 3, delete=(b2,))
 
     t = compact(compose(compose(compose(compose(r, f), rep), l1), l2))
     t.isymbols = symtab
@@ -431,7 +432,7 @@ def parse_rule_file(text):
         stmt = stmt.strip()
         if not stmt:
             continue
-        decl = re.match(r"Class\s+(\w+)\s*=\s*\[(.*)\]\s*$", stmt, re.S)
+        decl = _CLASS.match(stmt)
         if decl:
             classes[decl.group(1)] = tuple(decl.group(2).split())
             continue
@@ -473,8 +474,8 @@ def intersect_samelength(t1: Machine, t2: Machine) -> Machine:
         return _relabel(m, lambda arc: (code[arc[:2]],) * 2, None, None)
 
     meet = intersect(encode(t1), encode(t2))
-    return connect(_relabel(meet, lambda arc: pairs[arc[0] - 1],
-                            t1.isymbols, t1.osymbols))
+    return _relabel(meet, lambda arc: pairs[arc[0] - 1],
+                    t1.isymbols, t1.osymbols)
 
 
 @dataclass
@@ -504,7 +505,7 @@ def parse_tree(text) -> DecisionTreeSpec:
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         stripped = raw.strip()
-        decl = re.match(r"Class\s+(\w+)\s*=\s*\[(.*)\]\s*;?\s*$", stripped)
+        decl = _CLASS.match(stripped)
         if decl:
             classes[decl.group(1)] = tuple(decl.group(2).split())
             continue
@@ -627,7 +628,8 @@ def compile_tree(spec: DecisionTreeSpec,
 
     Each occurrence of the symbol is rewritten per the unique leaf whose
     full left/right context matches; the result is the same-length
-    intersection of the per-leaf transducers.
+    intersection of the per-leaf transducers, over all of ``symtab``'s
+    labels once every declared class's members are registered too.
     """
     if not spec.leaves:
         raise ContractError("tree has no leaves")
@@ -644,6 +646,9 @@ def compile_tree(spec: DecisionTreeSpec,
                       for cost, out in leaf.outputs})
         for _, rx in leaf.constraints:
             _tokenize(rx, symtab, classes)
+    for members in classes.values():
+        for sym in members:
+            symtab.add(sym)
     sigma = symtab.labels()
 
     lefts, rights = [], []

@@ -219,9 +219,7 @@ SWEEP = {
     "marker": lambda draw: marker(
         machine(draw), draw(st.integers(0, 4)),
         draw(st.sampled_from(((), (5,), (5, 6)))),
-        draw(st.sampled_from(((), (5,)))),
-        alphabet=draw(st.sampled_from((None, (1, 2), (0,)))),
-        passthrough=draw(st.sampled_from(((), (7,))))),
+        draw(st.sampled_from(((), (5,))))),
     "minimize": lambda draw: minimize(
         determinized(draw) if draw(st.booleans()) else machine(draw)),
     "mle": lambda draw: mle(counts(draw), draw(LABELS), draw(st.booleans())),

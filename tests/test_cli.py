@@ -265,6 +265,29 @@ def test_rule_tree(tmp_path, capsys):
     assert out == golden(rewrite.compile_tree(rewrite.parse_tree(TREE_TXT)))
 
 
+def test_rule_tree_passes_a_declared_symbol_no_split_names(tmp_path,
+                                                           capsys):
+    tree = tmp_path / "t.tree"
+    tree.write_text("Class U = [u o]\n" + TREE_TXT)
+    out_fst = tmp_path / "t.fst"
+    assert run(rule_main, ["tree", str(tree), "-o", str(out_fst)],
+               capsys)[0] == 0
+    assert run(rule_main, ["apply", str(out_fst), "a u"],
+               capsys) == (0, "a u\n", "")
+
+
+def test_rule_compile_without_a_rule_exit_2(tmp_path, capsys):
+    rul = tmp_path / "classes.rul"
+    rul.write_text("Class V = [a e];\n# no rule follows\n")
+    code, out, err = run(rule_main, ["compile", str(rul)], capsys)
+    assert code == 2 and out == "" and "contains no rules" in err
+
+
+def test_rule_apply_without_a_symbol_table_exit_2(capsys):
+    code, out, err = run(rule_main, ["apply", "-", "a"], capsys)
+    assert code == 2 and out == "" and "needs a symbol table" in err
+
+
 # -- lm ------------------------------------------------------------------
 
 

@@ -315,6 +315,12 @@ def test_lattice_prune_empty():
         lattice_prune(lat, -10.0)
 
 
+def test_lattice_prune_of_a_lattice_with_no_final():
+    lat = Lattice(acceptor(T, [(0, 1, 0.0, 1)], {}))
+    with pytest.raises(NoPathError, match="empty lattice"):
+        lattice_prune(lat, 1.0)
+
+
 def test_lattice_prune_rejects_a_nan_threshold():
     with pytest.raises(ContractError, match="threshold"):
         lattice_prune(diamond_lattice(), math.nan)
@@ -341,6 +347,12 @@ def test_rescore_flips_winner():
                     {2: 0.0, 4: 0.0})
     out2, cost = rescore(lat, full)
     assert out2 == (2, 3)
+
+
+def test_rescore_without_a_common_path():
+    full = acceptor(T, [(0, 9, 0.0, 1)], {1: 0.0})
+    with pytest.raises(NoPathError, match="empty composition"):
+        rescore(diamond_lattice(), full)
 
 
 # -- beam search ---------------------------------------------------------

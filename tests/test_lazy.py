@@ -102,11 +102,30 @@ def test_refcount_retention():
     assert view.expansions == n + 1
 
 
+def test_refcount_keeps_a_state_until_its_last_release():
+    a, b = pair_samples(1500, 1)[0]
+    view = cached(lazy_compose(a, b), REFCOUNT)
+    s = view.start
+    view.acquire(s)
+    view.acquire(s)
+    view.arcs(s)
+    n = view.expansions
+    view.release(s)
+    view.arcs(s)
+    assert view.expansions == n
+    view.release(s)
+    view.arcs(s)
+    assert view.expansions == n + 1
+
+
 def test_refcount_api_guard():
     a, b = pair_samples(1600, 1)[0]
     view = cached(lazy_compose(a, b), MEMOIZE)
     with pytest.raises(ContractError):
         view.acquire(view.start)
+    lru = cached(lazy_compose(a, b), LRU, capacity=2)
+    with pytest.raises(ContractError, match="REFCOUNT caches only"):
+        lru.release(lru.start)
 
 
 def test_unknown_discipline():

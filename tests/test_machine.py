@@ -45,6 +45,22 @@ def test_symbol_table_roundtrip():
         SymbolTable.read(text + "x -3\n")
 
 
+def test_symbol_table_keeps_a_symbol_at_its_id():
+    t = SymbolTable()
+    a = t.add("a")
+    assert t.add("a", a) == a
+    with pytest.raises(SymbolError, match="'a' already mapped to 1"):
+        t.add("a", 2)
+
+
+def test_symbol_table_read_keeps_epsilon_at_zero():
+    # '<eps> 0' is implied; mapping '<eps>' or id 0 elsewhere is an error
+    assert SymbolTable.read("a 1\n").items() == [(0, "<eps>"), (1, "a")]
+    for text in ("<eps> 1\n", "a 0\n"):
+        with pytest.raises(ParseError, match="line 1: .*already mapped"):
+            SymbolTable.read(text)
+
+
 def test_symbol_table_comments_are_whole_lines():
     # a line whose first field starts with '#' is a comment unless it is a
     # 'symbol id' entry
@@ -216,6 +232,17 @@ def test_final_line_weight():
     m = read_text("0 1 1\n1 2.5\n")
     assert m.final(1) == 2.5
     assert m.final(0) == math.inf
+
+
+def test_a_zero_final_weight_removes_finality():
+    for text in ("0 1 1\n1 inf\n", "0 1 1\n1 2.5\n1 inf\n"):
+        assert read_text(text).finals == {}
+    for kind in Semiring:
+        m = Machine(kind)
+        m.add_states(2)
+        m.set_final(1)
+        m.set_final(1, kind.zero)
+        assert m.finals == {}
 
 
 # -- machine mutation and freeze -----------------------------------------

@@ -364,6 +364,17 @@ def test_push_strings_hoists_prefix():
     assert all(a[1] == 5 for a in first)
 
 
+@pytest.mark.parametrize("arcs", [
+    [(0, 1, 5, 0.0, 1), (0, 2, 6, 0.0, 2)],  # the dead arc disagrees
+    [(0, 1, 5, 0.0, 1), (1, 2, 6, 0.0, 2)],  # it agrees with the live one
+], ids=["disagreeing", "agreeing"])
+def test_push_strings_needs_coaccessible(arcs):
+    m = build(T, arcs, [1], num_states=3)
+    with pytest.raises(ContractError, match=r"state\(s\) \[2\] cannot reach"):
+        push(m, "strings")
+    same_behaviour(m, push(connect(m), "strings"), max_len=3)
+
+
 def test_push_bad_mode():
     m = acceptor(T, [(0, 1, 0.0, 1)], [1])
     with pytest.raises(ContractError):

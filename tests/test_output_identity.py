@@ -161,12 +161,11 @@ OPS = {
         list(itertools.product(
             [(), (1,), (2, 1, 2), (3, 3, 3, 3)], Semiring)),
         observation_machine),
-    "marker 1": (_det_acceptors(4300, 20), lambda m: marker(
-        m, 1, insert=(5, 6), alphabet=(1, 2, 3), passthrough=(7,))),
-    "marker 2": (_det_acceptors(4301, 20), lambda m: marker(
-        m, 2, delete=(5,), alphabet=(1, 2, 3), passthrough=(7,))),
-    "marker 3": (_det_acceptors(4302, 20), lambda m: marker(
-        m, 3, delete=(5, 6), alphabet=(1, 2))),
+    "marker 1": (_det_acceptors(4300, 20),
+                 lambda m: marker(m, 1, insert=(5, 6))),
+    "marker 2": (_det_acceptors(4301, 20), lambda m: marker(m, 2, delete=(5,))),
+    "marker 3": (_det_acceptors(4302, 20),
+                 lambda m: marker(m, 3, delete=(5, 6))),
     "compile_regex": (PATTERNS, lambda p: compile_regex(
         p, SymbolTable(), CLASSES)),
     "compile_weighted_rule": (
@@ -217,11 +216,11 @@ GOLDEN = {
     "local_determinize k=4":
         "c41472aa958b1aa9ed0388f3f1e5511c8b4e122683c80507e22513fdaaaf5080",
     "marker 1":
-        "26313834d37e06289d07837a2732ec99e174e9862b6cf74a41d9e2599334f3a0",
+        "d23df771f3650ec6b8d9b79741e43a77b8abb6b78a4978985260ce4605fb2f2f",
     "marker 2":
-        "1994af8cd36e401a5df6e1fe8fbc1f3ef44130eb1d68c5c27857386d3c17be50",
+        "f9c71c724fce4d7ab1616517f29e5f33a8ef12d842fd6b059ca5d87912255ad7",
     "marker 3":
-        "54aeabebe19759475138af8984225c181f748c628b6f32358df09f64e3bc4bf8",
+        "2c82439701aa23c338969de11f3e84ffb88a06a5eb224f78cdd3327fd78c2b4a",
     "minimize":
         "f0e1cd5de9e3f83c0d01b8c937d43ad1469271a2f22581574ead471990c304b9",
     "observation_machine":

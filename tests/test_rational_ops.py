@@ -379,6 +379,18 @@ def test_difference_oracle():
         assert lang(d, (1, 2), 3) == lang(a, (1, 2), 3) - lang(b, (1, 2), 3)
 
 
+def test_complement_ranges_over_the_symbol_table():
+    t = SymbolTable()
+    a, b, c = t.add("a"), t.add("b"), t.add("c")
+    m = read_text("0 1 a\n1\n", isymbols=t, kind=B)
+    every = set(strings_up_to((a, b, c), 2))
+    assert lang(complement(m), (a, b, c), 2) == every - {(a,)}
+    # without the table, Sigma is the machine's own labels
+    m.isymbols = None
+    assert lang(complement(m), (a, b, c), 2) == \
+        set(strings_up_to((a,), 2)) - {(a,)}
+
+
 def test_complement_requires_boolean():
     m = acceptor(T, [(0, 1, 0.0, 1)], [1])
     with pytest.raises(SemiringError):

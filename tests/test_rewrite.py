@@ -49,6 +49,14 @@ def test_regex_dot_and_class():
     assert regex_lang("{V}b", t, 2, classes=classes) == {(a, b)}
 
 
+def test_regex_character_class_takes_classes_but_no_operators():
+    t = SymbolTable()
+    lang = regex_lang("[{C}d]", t, 1, classes={"C": ("b", "c")})
+    assert lang == {(t.find(s),) for s in "bcd"}
+    with pytest.raises(ParseError, match=r"operator '\|' inside character"):
+        compile_regex("[a|b]", t)
+
+
 def test_regex_complement_and_intersection():
     t = SymbolTable()
     a, b = t.add("a"), t.add("b")
@@ -133,7 +141,7 @@ def marker_fixture():
 def test_marker_type1_inserts_after_matches():
     alpha, a, b = marker_fixture()
     mk = 9
-    m = marker(alpha, 1, insert=(mk,), alphabet=(a, b))
+    m = marker(alpha, 1, insert=(mk,))
     assert outputs_of(m, (a, a, b)) == {(a, a, b, mk)}
     assert outputs_of(m, (a, b, a, b)) == {(a, b, mk, a, b, mk)}
     assert outputs_of(m, (b, a)) == {(b, a)}
@@ -142,7 +150,7 @@ def test_marker_type1_inserts_after_matches():
 def test_marker_type2_checks_and_deletes():
     alpha, a, b = marker_fixture()
     mk = 9
-    m = marker(alpha, 2, delete=(mk,), alphabet=(a, b))
+    m = marker(alpha, 2, delete=(mk,))
     # marker after a match is consumed; elsewhere the input is rejected
     assert outputs_of(m, (a, b, mk)) == {(a, b)}
     assert outputs_of(m, (a, mk, b)) == set()
@@ -152,14 +160,14 @@ def test_marker_type2_checks_and_deletes():
 def test_marker_type3_complements_type2():
     alpha, a, b = marker_fixture()
     mk = 9
-    m = marker(alpha, 3, delete=(mk,), alphabet=(a, b))
+    m = marker(alpha, 3, delete=(mk,))
     assert outputs_of(m, (a, mk, b)) == {(a, b)}
     assert outputs_of(m, (a, b, mk)) == set()
 
 
 def test_marker_choice_set():
     alpha, a, b = marker_fixture()
-    m = marker(alpha, 1, insert=(8, 9), alphabet=(a, b))
+    m = marker(alpha, 1, insert=(8, 9))
     assert outputs_of(m, (a, b)) == {(a, b, 8), (a, b, 9)}
 
 
@@ -195,6 +203,13 @@ def test_apply_rewrite_checks_mode_first():
     for inp in ([99], ["a"]):
         with pytest.raises(ContractError, match="mode"):
             apply_rewrite(fst, inp, mode="typo")
+
+
+def test_apply_rewrite_all_refuses_infinitely_many_rewritings():
+    fst = compile_weighted_rule(Rule("a", "b*"))
+    with pytest.raises(ContractError, match="infinitely many"):
+        apply_rewrite(fst, ["a"], mode="all")
+    assert apply_rewrite(fst, ["a"], mode="best") == [((), 0.0)]
 
 
 def test_simple_rule_displayed_example():
@@ -444,6 +459,15 @@ split right a.*
     non_exhaustive.leaves = non_exhaustive.leaves[:1]
     with pytest.raises(ContractError, match="exhaustive"):
         compile_tree(non_exhaustive, symtab)
+
+
+def test_compile_tree_registers_every_declared_symbol():
+    t = SymbolTable()
+    spec = parse_tree("Class U = [u o]\nsplit right a.*\n leaf a -> 0.5 b\n"
+                      " leaf a -> a\n")
+    fst = compile_tree(spec, t)
+    assert [t.find(s) for s in ("a", "b", "u", "o")] == [1, 2, 3, 4]
+    assert apply_rewrite(fst, ["u", "a", "o"]) == [((3, 1, 4), 0.0)]
 
 
 def test_tree_single_symbol_check():

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ContractError, NoPathError
-from .machine import EPSILON, Machine, connect, observation_machine
-from .ops import compose, lazy_compose
+from .machine import EPSILON, Machine, connect
+from .machine import observation_machine  # noqa: F401 (re-exported)
+from .ops import (_END, compose, label_index, label_indexes, lazy_compose,
+                  read_set)
 from .semiring import Semiring
 
 INF = math.inf
@@ -201,24 +203,85 @@ class DecodeStats:
     pruned: int = 0
 
 
+class _ObservationMatcher:
+    """``lazy_compose(observation_machine(obs), x)`` read through ``x``'s
+    label index (same moves in order, weights, lookahead and range checks).
+    Pair (observation i, state q) is state ``q * (len(obs) + 1) + i``.  It
+    moves on ``x``'s arcs on ``obs[i]`` whose target reads ``obs[i + 1]``
+    (or ends), then on epsilon arcs whose target reads ``obs[i]``."""
+
+    def __init__(self, obs, x):
+        if EPSILON in obs:
+            raise ContractError("an observation may not be epsilon (0)")
+        self.x, self.kind, width = x, x.kind, len(obs) + 1
+        self.isymbols, self.osymbols = x.isymbols, x.osymbols
+        self._next = (*obs, _END, _END)  # pair i reads [i]; none reads _END
+        self._width, self.start = width, x.start * width
+        self.start_weight = self._valid(x.kind.times(x.kind.one,
+                                                     x.start_weight))
+        self._index = label_indexes(x)
+        self._reads = label_indexes(x, "lookahead_sets")
+
+    def _valid(self, w):
+        if not self.kind.valid(w):
+            raise self.kind.carrier_error(w)
+        return w
+
+    def final(self, state):
+        q, i = divmod(state, self._width)
+        if i < self._width - 1:
+            return self.kind.zero  # zero times a weight in the carrier
+        return self._valid(self.kind.times(self.kind.one, self.x.final(q)))
+
+    def arcs(self, state):
+        q, i = divmod(state, self._width)
+        x, table, reads, width = self.x, self._index, self._reads, self._width
+        index, reads_of, kind = label_index(x, table, q), reads.get, self.kind
+        times, one, valid = kind.times, kind.one, kind.valid
+        here, after, result = self._next[i], self._next[i + 1], []
+        # a match on obs[i] steps to pair i + 1; an epsilon move stays
+        for label, ahead, step in ((here, after, 1), (EPSILON, here, 0)):
+            for _, ol, w, t in index.get(label, ()):
+                if ahead in (reads_of(t) or read_set(x, table, reads, t)):
+                    w = times(one, w) if step else w
+                    if not valid(w):
+                        raise kind.carrier_error(w)
+                    result.append((label, ol, w, t * width + i + step))
+        return tuple(result)
+
+
+def _composed(stages):
+    """The static composition of ``stages``; of frozen machines, composed
+    once and kept in the first one's derived tables, keyed by the others."""
+    if len(stages) > 1 and all(isinstance(m, Machine) and m._frozen
+                               for m in stages):
+        return stages[0]._memo(("composed", *stages[1:]),
+                               lambda: reduce(compose, stages))
+    return reduce(compose, stages)
+
+
 def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     """Frame-synchronous Viterbi beam search over the lazy cascade.
+
+    A matcher reads the observations through the stages before the last,
+    composed statically (once, if frozen); only the last is composed lazily.
 
     States are grouped by the number of observation symbols consumed
     ("comparable states"; epsilon-reached states keep the frame of their
     last non-epsilon consumption).  Within a frame, states whose cost
     exceeds best-in-frame + beam are pruned.  beam=inf is exact Viterbi.
-    Each state's arcs are read once, when the search first reaches it,
-    and nothing is cached.  Returns (output labels, cost, stats).
-    ``observations`` may be any iterable; it is read once.  A NaN or
-    negative beam raises ContractError.
+    Each state's arcs are read once, when the search first reaches it.
+    Returns (output labels, cost, stats).  ``observations`` may be any
+    iterable; it is read once.  A NaN or negative beam, or an epsilon
+    observation, raises ContractError.
     """
     if not beam >= 0:  # also false for NaN
         raise ContractError(f"beam must be a non-negative number, got {beam!r}")
     observations = tuple(observations)
-    view = observation_machine(
-        observations, isymbols=getattr(cascade.stages[0], "isymbols", None))
-    view = reduce(lazy_compose, cascade.stages, view)
+    stages = cascade.stages
+    view = _ObservationMatcher(observations, _composed(stages[:-1] or stages))
+    if len(stages) > 1:
+        view = lazy_compose(view, stages[-1])
     n_frames = len(observations)
     # state -> (epsilon-input arcs, other arcs); a state belongs to one
     # frame, so the closure and the advance share the one read

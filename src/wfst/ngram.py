@@ -285,11 +285,12 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
                 probs[h] = {y: c / total for y, c in seen.items()}
                 alphas[h] = 0.0
                 continue
-            if num < 0.0:
+            # num below zero is rounding (no count rises): alpha 0
+            if num < -1e-12:
                 raise FsmError(f"back-off degenerate for context {h}: "
                                f"discounted mass exceeds one ({num})")
             probs[h] = p_star
-            alphas[h] = num / den
+            alphas[h] = max(num, 0.0) / den
     return model
 
 

@@ -237,13 +237,14 @@ def viable_model(seed, order=2):
             continue
 
 
-def zipf_corpus(seed, sentences=300, words=40, max_len=12):
+def zipf_corpus(seed, sentences=300, words=40, max_len=12, min_len=0):
     """Seeded sentences of Zipf-distributed words ``w00``, ``w01``, ...;
-    lengths run from 0 to ``max_len``, so some are empty or one word."""
+    lengths run from ``min_len`` to ``max_len``, by default 0 to 12, so
+    some are empty or one word."""
     rng = random.Random(seed)
     vocab = [f"w{i:02d}" for i in range(words)]
     weights = [1.0 / (rank + 1) for rank in range(words)]
-    return [rng.choices(vocab, weights, k=rng.randint(0, max_len))
+    return [rng.choices(vocab, weights, k=rng.randint(min_len, max_len))
             for _ in range(sentences)]
 
 

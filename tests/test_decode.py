@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from wfst import decode, optimize
 from wfst import (CascadeSpec, ContractError, Lattice, LazyComposition,
                   Machine, NoPathError, Semiring, backward_distances,
-                  beam_decode, best_path, build_lm_fsa, compose, connect,
-                  determinize, lattice_prune, minimize, observation_machine,
-                  push, rescore, shortest_distance, weight_of, write_text)
+                  beam_decode, best_path, build_lm_fsa, cached, compose,
+                  connect, determinize, expand, lattice_prune, lazy_compose,
+                  minimize, observation_machine, push, rescore,
+                  shortest_distance, weight_of, write_text)
 
 from helpers import (acceptor, build, enum_paths, layered_distances,
                      least_walks, sample_machines, viable_model)
@@ -522,10 +523,68 @@ def test_search_reads_each_state_once(monkeypatch, beam, pruned):
     assert (outputs, cost) == ((8, 9), 2.5)
     assert (stats.expanded_states, stats.frames, stats.pruned) == \
         (5, 2, pruned)
-    outer = [v for v in reads if all(w.a is not v for w in reads)]
+    # the prefix channel . lexicon is composed statically, through the
+    # same kernel; the search reads the one view whose right side is the LM
+    outer = [v for v in reads if v.b is lm]
     assert len(outer) == 1 and len(reads[outer[0]]) == 5
     for states in reads.values():
         assert len(states) == len(set(states))
+
+
+def pinned(view):
+    m = expand(view)
+    return f"{write_text(m)}{m.start_weight!r}"
+
+
+def test_observation_matcher_equals_the_lazy_composition():
+    # frozen machines, caches and lazy compositions, all with epsilon on
+    # both tapes, read through the matcher and through the composition of
+    # the observation chain; the sweep meets empty, accepted and rejected
+    # observation strings
+    met = {"empty": 0, "accepted": 0, "rejected": 0}
+    for seed in range(40):
+        a, b = sample_machines(5100 + seed, 2, kind=T, max_states=5,
+                               max_arcs=8, alphabet=(1, 2))
+        for x in (a, cached(a), lazy_compose(a, b)):
+            for obs in [(), (1,), (2,), (1, 2), (2, 1, 1), (2, 2, 2)]:
+                expected = pinned(lazy_compose(observation_machine(obs), x))
+                assert pinned(decode._ObservationMatcher(obs, x)) == expected
+                accepted = bool(connect(expand(
+                    lazy_compose(observation_machine(obs), x))).finals)
+                met["empty" if not obs else
+                    "accepted" if accepted else "rejected"] += 1
+    assert all(met.values()), met
+
+
+def test_epsilon_observation_raises():
+    stage = build(T, [(0, 1, 7, 0.5, 0), (0, 0, 8, 1.0, 0)], {0: 0.0})
+    with pytest.raises(ContractError, match="epsilon"):
+        beam_decode(CascadeSpec([stage]), (1, 0))
+
+
+def test_prefix_is_composed_once_for_frozen_stages(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(decode, "compose", counted)
+    channel = build(T, [(0, 1, 1, 0.0, 0), (0, 2, 1, 1.0, 0)], {0: 0.0})
+    lexicon = build(T, [(0, 1, 7, 0.0, 0)], {0: 0.0})
+    lm = build(T, [(0, 7, 7, 0.5, 0)], {0: 0.0})
+    for obs in [(1,), (2, 1)]:
+        beam_decode(CascadeSpec([channel, lexicon, lm]), obs)
+    assert calls == [(channel, lexicon)]
+    # a mutable first stage may change between calls: composed every time
+    mutable = Machine(T)
+    mutable.add_state()
+    mutable.set_final(0)
+    mutable.add_arc(0, 1, 1, 0.0, 0)
+    for obs in [(1,), (1, 1)]:
+        assert beam_decode(CascadeSpec([mutable, lexicon, lm]), obs)[:2] == \
+            ((7,) * len(obs), 0.5 * len(obs))
+    assert len(calls) == 3
 
 
 def test_cascade_spec_validation():

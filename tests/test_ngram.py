@@ -10,7 +10,8 @@ from wfst import (ContractError, ParseError, SymbolError, best_path,
 from wfst.ngram import (BOS, EOS, frequency_of_frequencies, read_counts,
                         write_counts)
 
-from helpers import model_path_cost, naive_ngram_counts, viable_model
+from helpers import (model_path_cost, naive_ngram_counts, viable_model,
+                     zipf_corpus)
 
 SIX_TOKENS = [["a", "b", "a", "b", "a", "c"]]
 
@@ -158,6 +159,21 @@ def test_katz_discount_never_raises_a_count():
     for h in model.probs:
         s = sum(model.prob(y, h) for y in model.vocabulary)
         assert abs(s - 1.0) <= 1e-9, (h, s)
+
+
+def test_katz_reads_rounding_noise_as_no_leftover_mass():
+    # a discount never raises a count, yet here the discounted estimates
+    # of some contexts sum to one plus a few ulps (1 - sum is about -4e-16):
+    # the model keeps them, with alpha 0, and still scores and compiles
+    corpus = zipf_corpus(0, sentences=3000, words=60, min_len=2, max_len=9)
+    model = katz_model(count_ngrams(corpus, 3))
+    noisy = [h for h, table in model.probs.items()
+             if h and sum(table.values()) > 1.0]
+    assert noisy and all(model.alphas[h] == 0.0 for h in noisy)
+    logp = model.sentence_logprob(corpus[0])
+    assert math.isfinite(logp)
+    assert model_path_cost(model, build_lm_fsa(model), corpus[0]) == \
+        pytest.approx(-logp)
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -25,19 +25,20 @@ import random
 import pytest
 
 from wfst import (CascadeSpec, FsmError, Machine, Rule, Semiring, SymbolTable,
-                  accepted_pairs, beam_decode, closure, compact, compile_regex,
-                  compile_tree, compile_weighted_rule, complement, compose,
-                  concat, connect, determinize, difference, expand, intersect,
-                  lazy_compose, local_determinize, marker, minimize,
-                  observation_machine, parse_tree, project, push, reverse,
-                  union, write_text)
+                  accepted_pairs, beam_decode, build_lm_fsa, closure, compact,
+                  compile_regex, compile_tree, compile_weighted_rule,
+                  complement, compose, concat, connect, determinize,
+                  difference, expand, intersect, lazy_compose,
+                  local_determinize, marker, minimize, observation_machine,
+                  parse_tree, project, push, reverse, union, write_text)
 
 from wfst.cli import lm_main
 
-from helpers import (random_det_acceptor, random_rule_spec, sample_machines,
-                     zipf_corpus)
+from helpers import (build, random_det_acceptor, random_rule_spec,
+                     sample_machines, viable_model, zipf_corpus)
 
 INF = math.inf
+T = Semiring.TROPICAL
 CAP = 60  # determinization's subset states and subset elements
 DRAWS = 20  # machines per (semiring, acceptor, acyclic) class
 
@@ -75,6 +76,51 @@ def _decodes():
                                                              6)})[:2]
             out += [(a, b, obs, beam) for obs in [*heard, (1, 2)]
                     for beam in (INF, 0.5)]
+    return out
+
+
+PHONES = (10, 11, 12, 13)
+
+
+def _speech_decodes():
+    """Three-stage cascades in the paper's shape: a one-state channel that
+    hears each phone as itself at no cost or as one or two other phones at
+    a cost, a lexicon that spells each word in one to three phones (words
+    may sound alike) and writes the word on its first phone, and a Katz
+    back-off LM of order 2 or 3, with epsilon back-off arcs.  Each cascade
+    decodes a clean spelling of a word string, the same spelling with one
+    phone misheard, and the empty string, each with an exact and a narrow
+    beam."""
+    out = []
+    for seed in range(8):
+        rng = random.Random(4500 + seed)
+        _, model = viable_model(4500 + seed, order=2 + seed % 2)
+        lm = build_lm_fsa(model)
+        words = [w for w in model.vocabulary if w != model.symbols.find("</s>")]
+        prons = {w: [rng.choice(PHONES) for _ in range(rng.randint(1, 3))]
+                 for w in words}
+        heard = {p: rng.sample([q for q in PHONES if q != p], rng.randint(1, 2))
+                 for p in PHONES}
+        channel = build(T, [(0, q, p, w, 0) for p in PHONES
+                            for q, w in [(p, 0.0)] + [
+                                (q, rng.choice((1.0, 2.5))) for q in heard[p]]],
+                        {0: 0.0})
+        arcs, n = [], 1  # a word's inner states are new; its end is state 0
+        for w, phones in prons.items():
+            prev = 0
+            for i, phone in enumerate(phones):
+                nxt = 0 if i == len(phones) - 1 else n
+                n += nxt != 0
+                arcs.append((prev, phone, w if i == 0 else 0, 0.0, nxt))
+                prev = nxt
+        lexicon = build(T, arcs, {0: 0.0})
+        clean = [p for w in rng.choices(words, k=rng.randint(1, 4))
+                 for p in prons[w]]
+        noisy = list(clean)
+        i = rng.randrange(len(noisy))
+        noisy[i] = heard[noisy[i]][0]
+        out += [(channel, lexicon, lm, tuple(obs), beam)
+                for obs in (clean, noisy, ()) for beam in (INF, 1.0)]
     return out
 
 
@@ -174,11 +220,16 @@ OPS = {
         parse_tree(t), SymbolTable())),
     "beam_decode": (_decodes(), lambda a, b, obs, beam: beam_decode(
         CascadeSpec([a, b]), obs, beam)),
+    "beam_decode of three stages": (
+        _speech_decodes(), lambda a, b, c, obs, beam: beam_decode(
+            CascadeSpec([a, b, c]), obs, beam)),
 }
 
 GOLDEN = {
     "beam_decode":
         "af5250d89f03e5c03af7dc7ad847a5f7b49d5fc0ccfd821fc8fb5fe4594b4166",
+    "beam_decode of three stages":
+        "cbfa79b6b5b9a492d7a155de4361bb0e9c108751123a5871254f003d5df6a5f8",
     "closure":
         "5a6f16ce58303ebfd1511affb972dbba3290d60671fa5ce373ffc9746a08472e",
     "compact":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ContractError, NoPathError
-from .machine import EPSILON, Machine, connect
+from .machine import EPSILON, Machine, View, connect
 from .machine import observation_machine  # noqa: F401 (re-exported)
 from .ops import (_END, compose, label_index, label_indexes, lazy_compose,
                   read_set)
@@ -22,8 +22,11 @@ INF = math.inf
 
 
 def _require_tropical(m):
+    """Refuse ``m`` unless it is TROPICAL, then return its start: reading it
+    refuses a machine that is not frozen."""
     if m.kind is not Semiring.TROPICAL:
         raise ContractError("decoding requires TROPICAL weights")
+    return m.start
 
 
 def _distances(m, forward):
@@ -33,10 +36,10 @@ def _distances(m, forward):
     topological order, O(V+E); cyclic input takes Bellman-Ford, O(V*E),
     which raises ContractError when pass |V| + 1 still lowers a distance.
     """
-    _require_tropical(m)
+    start = _require_tropical(m)
     d = [INF] * m.num_states
     if forward:
-        d[m.start] = m.start_weight
+        d[start] = m.start_weight
     else:
         for q, w in m.finals.items():
             d[q] = w
@@ -185,7 +188,7 @@ def rescore(lattice: Lattice, full: Machine):
 
 @dataclass
 class CascadeSpec:
-    """Ordered recognition cascade; stage 0 consumes the observations."""
+    """Ordered cascade of frozen machines; stage 0 reads the observations."""
 
     stages: list
 
@@ -193,6 +196,8 @@ class CascadeSpec:
         if not self.stages:
             raise ContractError("cascade needs at least one stage")
         for m in self.stages:
+            if not isinstance(m, Machine):
+                raise ContractError("a cascade stage must be a frozen Machine")
             _require_tropical(m)
 
 
@@ -203,7 +208,7 @@ class DecodeStats:
     pruned: int = 0
 
 
-class _ObservationMatcher:
+class _ObservationMatcher(View):
     """``lazy_compose(observation_machine(obs), x)`` read through ``x``'s
     label index (same moves in order, weights, lookahead and range checks).
     Pair (observation i, state q) is state ``q * (len(obs) + 1) + i``.  It
@@ -251,20 +256,17 @@ class _ObservationMatcher:
 
 
 def _composed(stages):
-    """The static composition of ``stages``; of frozen machines, composed
+    """The static composition of ``stages`` (of one stage, that stage), made
     once and kept in the first one's derived tables, keyed by the others."""
-    if len(stages) > 1 and all(isinstance(m, Machine) and m._frozen
-                               for m in stages):
-        return stages[0]._memo(("composed", *stages[1:]),
-                               lambda: reduce(compose, stages))
-    return reduce(compose, stages)
+    return stages[0]._memo(("composed", *stages[1:]),
+                           lambda: reduce(compose, stages))
 
 
 def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     """Frame-synchronous Viterbi beam search over the lazy cascade.
 
     A matcher reads the observations through the stages before the last,
-    composed statically (once, if frozen); only the last is composed lazily.
+    composed statically once; only the last is composed lazily.
 
     States are grouped by the number of observation symbols consumed
     ("comparable states"; epsilon-reached states keep the frame of their

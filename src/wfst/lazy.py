@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 
 from .errors import ContractError
-from .machine import Machine
+from .machine import Machine, View
 from .ops import LazyComposition, lazy_compose  # noqa: F401 (re-exported)
 
 
@@ -21,7 +21,7 @@ LRU = "lru"
 REFCOUNT = "refcount"
 
 
-class CachedMachine:
+class CachedMachine(View):
     """Caching wrapper around a generalized state machine.
 
     Disciplines:

@@ -206,18 +206,17 @@ class Machine:
         flag, which hold for a frozen machine with ``source``'s states and
         some of its arcs, labels and targets unchanged."""
         for key in ("topological_order", "is_acceptor"):
-            if (source._derived or {}).get(key):  # not None, nor False
+            if source._derived.get(key):  # not None, nor False
                 self._derived[key] = source._derived[key]
 
     # -- generalized state machine interface ----------------------------
 
     @property
     def start(self) -> int:
-        """The start state.  ``Machine(kind)`` before any ``add_state`` has
-        none: reading it raises ``ContractError``, so every op, which reads
-        its operands' start, rejects such a machine."""
-        if not self._arcs:
-            raise ContractError("machine has no state")
+        """The start state.  Every op reads its operands' start, so each
+        takes only frozen machines (``freeze`` adds the start state)."""
+        if not self._frozen:
+            raise ContractError("machine is not frozen (it may have no state)")
         return self._start
 
     def arcs(self, state: int):
@@ -299,6 +298,18 @@ class Machine:
     def __repr__(self):
         return (f"<Machine {self.kind.value} states={self.num_states} "
                 f"arcs={self.num_arcs} finals={len(self.finals)}>")
+
+
+class View:
+    """Base of the library's lazy views.  Only ``compose``, ``lazy_compose``,
+    ``cached``, ``expand`` and the decoder read a view: each Machine-only
+    name that another op reads first raises ``ContractError`` on one."""
+
+    def _machine_only(self):
+        raise ContractError(f"{type(self).__name__} is a view: expand() it")
+
+    num_states = states = finals = all_arcs = is_acceptor = is_acyclic = \
+        is_deterministic = input_labels = _memo = property(_machine_only)
 
 
 def observation_machine(labels, kind=Semiring.TROPICAL,
@@ -440,8 +451,8 @@ def connect(m: Machine) -> Machine:
     An arc weighted with the semiring zero carries no path, so it is
     dropped and connects nothing.  The start state becomes state 0 and the
     others keep their ascending order; an arc whose target keeps its
-    number is reused as it is.  A frozen input already numbered so, with
-    no zero-weight arc, is returned itself, with its derived tables;
+    number is reused as it is.  An input already numbered so, with no
+    zero-weight arc, is returned itself, with its derived tables;
     otherwise a known topological order is carried through the renumbering.
     """
     n = m.num_states
@@ -479,7 +490,7 @@ def connect(m: Machine) -> Machine:
     if not useful[start]:
         # empty language: bare non-final start
         return Machine._from_parts(m.kind, m.isymbols, m.osymbols, [()], {})
-    if (m._frozen and start == 0 and 0 not in useful and not dropped
+    if (start == 0 and 0 not in useful and not dropped
             and list(m.finals) == sorted(m.finals)):
         return m  # already as trimming would number it
     keep = [q for q in range(n) if useful[q]]
@@ -498,7 +509,7 @@ def connect(m: Machine) -> Machine:
     finals = {remap[q]: m.finals[q] for q in keep if q in m.finals}
     out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
                               0, m.start_weight)
-    order = (m._derived or {}).get("topological_order")
+    order = m._derived.get("topological_order")
     if order is not None:  # a known order stays one on a subgraph
         out._derived["topological_order"] = [remap[q] for q in order
                                              if q in remap]

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import ContractError, FsmError, ParseError, SymbolError
+from .errors import ContractError, ParseError, SymbolError
 from .machine import EPSILON, EPSILON_SYMBOL, Machine, SymbolTable, _Tokens
 from .semiring import Semiring
 
@@ -285,10 +285,7 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
                 probs[h] = {y: c / total for y, c in seen.items()}
                 alphas[h] = 0.0
                 continue
-            # num below zero is rounding (no count rises): alpha 0
-            if num < -1e-12:
-                raise FsmError(f"back-off degenerate for context {h}: "
-                               f"discounted mass exceeds one ({num})")
+            # num below zero is rounding (each discount <= its count)
             probs[h] = p_star
             alphas[h] = max(num, 0.0) / den
     return model

@@ -34,7 +34,7 @@ own output labels count.
 from __future__ import annotations
 
 from .errors import ContractError, SemiringError, SymbolError
-from .machine import EPSILON, Machine, connect
+from .machine import EPSILON, Machine, View, connect
 from .semiring import Semiring, require_same_kind
 
 FILTER_INITIAL = 0
@@ -66,10 +66,10 @@ def label_indexes(m, name="label_indexes"):
     ``state -> read_set``) a composition reads ``m`` through.
 
     A composition keeps what it reads from its operands for its own
-    lifetime; a cache bounds only its own arcs.  A frozen ``Machine``
-    keeps both tables, shared by every composition that reads it, since
-    its arcs never change; any other operand (a mutable machine, a cache,
-    a lazy view) gets a fresh table private to the composition that asks.
+    lifetime; a cache bounds only its own arcs.  A ``Machine`` keeps both
+    tables, shared by every composition that reads it, since its arcs
+    never change; a view (a cache, a lazy composition) gets a fresh table
+    private to the composition that asks.
     """
     return m._memo(name, dict) if isinstance(m, Machine) else {}
 
@@ -141,7 +141,7 @@ def check_composable(a, b):
     return kind
 
 
-class LazyComposition:
+class LazyComposition(View):
     """Deferred composition of two generalized state machines.
 
     The one pair-state kernel: ``compose`` expands it state by state, and

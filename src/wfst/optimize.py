@@ -6,7 +6,7 @@ Determinization is the weighted powerset construction: subset elements are
 best leftover weight is the semiring one and the leftover strings share no
 common nonempty prefix; an acceptor's strings stay empty (Mohri 1997), so
 only transducers do string work.  Weight pushing returns an already pushed
-frozen machine as it is; a pushed copy keeps its input's topological order
+machine as it is; a pushed copy keeps its input's topological order
 and acceptor flag.  Minimization pushes weights (and output strings) as it
 encodes each arc, building no pushed copy, and partitions the states on
 (input label, output residue, pushed weight) as one opaque label: acyclic
@@ -533,8 +533,8 @@ def push(m: Machine, mode: str) -> Machine:
 
     weights-mode (TROPICAL): reweight by shortest-distance potentials so
     the best completion from every state costs zero; each reweighted weight
-    is range-checked.  A frozen machine whose potentials are all zero is
-    already pushed and is returned as it is.  strings-mode (functional
+    is range-checked.  A machine whose potentials are all zero is already
+    pushed and is returned as it is.  strings-mode (functional
     transducer): hoist each state's common output prefix; weights are
     copied as they are.
     """
@@ -544,7 +544,7 @@ def push(m: Machine, mode: str) -> Machine:
         if kind is not Semiring.TROPICAL:
             raise SemiringError("weight pushing requires the TROPICAL semiring")
         d, start_weight, finals = _weight_potentials(m)
-        if m._frozen and not any(d.values()):
+        if not any(d.values()):
             return m
         arcs = [[] for _ in m.states()]
         for q, (il, ol, _, t), w in _pushed_arcs(m, d):

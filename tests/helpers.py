@@ -48,6 +48,19 @@ def acceptor(kind, arcs, finals, **kw):
     return build(kind, [(s, l, l, w, d) for s, l, w, d in arcs], finals, **kw)
 
 
+def unfrozen(m):
+    """A mutable copy of ``m``, built with the checking builder: a machine
+    that no op takes."""
+    out = Machine(m.kind, m.isymbols, m.osymbols)
+    out.add_states(m.num_states)
+    for q, (il, ol, w, t) in m.all_arcs():
+        out.add_arc(q, il, ol, w, t)
+    for q, w in m.finals.items():
+        out.set_final(q, w)
+    out.set_start(m.start, m.start_weight)
+    return out
+
+
 # -- independent path enumeration ----------------------------------------
 
 

@@ -4,8 +4,9 @@
 One sweep entry per public function and validating constructor draws its
 operands with ``hypothesis``:
 
-* machines: ``sample_machines`` draws of all three semirings, a machine
-  with no state (``Machine(kind)``), and unfrozen copies of draws;
+* machines: ``sample_machines`` draws of all three semirings and, one
+  time in five, a machine with no state (``Machine(kind)``) or an
+  unfrozen copy of a draw;
 * views, for the callables that take a generalized state machine:
   ``lazy_compose`` of two draws and ``cached`` draws;
 * edge values: ``k`` in ``K``, ``beam`` in ``BEAMS``, thresholds in
@@ -14,6 +15,10 @@ operands with ``hypothesis``:
 Time is bounded by caps, not by filtering inputs: path bounds stay small,
 and ``determinize`` runs under ``expansion_cap``.  A returned view is
 expanded, so its lazy work is swept too.
+
+A second sweep holds each function to the operand contract: one that
+takes a ``Machine`` raises ``ContractError`` on a lazy view or an unfrozen
+machine, and the view readers take views.
 """
 
 import inspect
@@ -25,8 +30,8 @@ from hypothesis import given, settings, strategies as st
 
 import wfst
 from wfst import (LRU, MEMOIZE, REFCOUNT, CachedMachine, CascadeSpec,
-                  FsmError, Lattice, LazyComposition, Machine, Rule, Semiring,
-                  SymbolTable, accepted_pairs, apply_rewrite,
+                  ContractError, FsmError, Lattice, LazyComposition, Machine,
+                  Rule, Semiring, SymbolTable, accepted_pairs, apply_rewrite,
                   backward_distances, beam_decode, best_path, build_lm_fsa,
                   cached, closure, compact, compile_regex, compile_tree,
                   compile_weighted_rule, complement, compose, concat, connect,
@@ -38,7 +43,7 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, CachedMachine, CascadeSpec,
                   reverse, shortest_distance, twins_test, union, weight_of,
                   write_arpa, write_text)
 
-from helpers import random_rule_spec, sample_machines
+from helpers import acceptor, random_rule_spec, sample_machines, unfrozen
 
 INF = math.inf
 K = (-1, 0, 1, 10**9)
@@ -53,18 +58,6 @@ WORDS = ("a", "b", "c", "<s>", "</s>", "<eps>")
 # -- operands -------------------------------------------------------------
 
 
-def unfrozen(m):
-    """A mutable copy of ``m``, built with the checking builder."""
-    out = Machine(m.kind, m.isymbols, m.osymbols)
-    out.add_states(m.num_states)
-    for q, (il, ol, w, t) in m.all_arcs():
-        out.add_arc(q, il, ol, w, t)
-    for q, w in m.finals.items():
-        out.set_final(q, w)
-    out.set_start(m.start, m.start_weight)
-    return out
-
-
 def drawn(draw, kind):
     seed = draw(st.integers(0, 2**32 - 1))
     return sample_machines(seed, 1, kind=kind, acceptor=draw(st.booleans()),
@@ -73,9 +66,11 @@ def drawn(draw, kind):
 
 
 def machine(draw, kind=None):
-    """A draw, a machine with no state, or an unfrozen copy of a draw."""
+    """A draw, or one time in five a machine with no state or an unfrozen
+    copy of a draw, which every op refuses at its first read of the start
+    (the operand contract sweep below holds each op to that)."""
     kind = kind or draw(st.sampled_from(list(Semiring)))
-    shape = draw(st.sampled_from(("drawn", "stateless", "unfrozen")))
+    shape = draw(st.sampled_from(("drawn",) * 8 + ("stateless", "unfrozen")))
     if shape == "stateless":
         return Machine(kind)
     m = drawn(draw, kind)
@@ -290,3 +285,122 @@ def test_a_call_returns_or_raises_a_typed_error(name, data):
         return
     if isinstance(out, Machine):
         assert out._frozen
+
+
+# -- the operand contract -------------------------------------------------
+#
+# Every op takes frozen machines: a lazy view passed where a ``Machine`` is
+# expected, or a machine that is not frozen, raises ``ContractError``.
+# Only the view readers take views.
+
+T, B = Semiring.TROPICAL, Semiring.BOOLEAN
+# shape -> (the operand made of a frozen machine, the error it raises)
+SHAPES = {
+    "lazy_compose": (lambda a: lazy_compose(a, a), "view|frozen Machine"),
+    "cached": (cached, "view|frozen Machine"),
+    "unfrozen": (unfrozen, "not frozen")}
+
+# (function, semiring, a call that passes operand ``e`` where a frozen
+# machine is expected, beside the frozen machine ``m``)
+TAKES_MACHINES = [
+    ("accepted_pairs", T, lambda e, m: accepted_pairs(e)),
+    ("backward_distances", T, lambda e, m: backward_distances(e)),
+    ("beam_decode", T, lambda e, m: beam_decode(CascadeSpec([m, e]), [1])),
+    ("best_path", T, lambda e, m: best_path(e)),
+    ("closure", T, lambda e, m: closure(e)),
+    ("compact", T, lambda e, m: compact(e)),
+    ("complement", B, lambda e, m: complement(e)),
+    ("concat", T, lambda e, m: concat(e, m)),
+    ("concat", T, lambda e, m: concat(m, e)),
+    ("connect", T, lambda e, m: connect(e)),
+    ("determinize", T, lambda e, m: determinize(e)),
+    ("difference", B, lambda e, m: difference(e, m)),
+    ("difference", B, lambda e, m: difference(m, e)),
+    ("equivalent", T, lambda e, m: equivalent(e, m)),
+    ("equivalent", T, lambda e, m: equivalent(m, e)),
+    ("intersect", T, lambda e, m: intersect(e, m)),
+    ("intersect", T, lambda e, m: intersect(m, e)),
+    ("intersect_samelength", T, lambda e, m: intersect_samelength(e, m)),
+    ("intersect_samelength", T, lambda e, m: intersect_samelength(m, e)),
+    ("lattice_prune", T, lambda e, m: lattice_prune(Lattice(e), 1.0)),
+    ("local_determinize", T, lambda e, m: local_determinize(e, 1)),
+    ("marker", T, lambda e, m: marker(e, 1, insert=(2,))),
+    ("minimize", T, lambda e, m: minimize(e)),
+    ("project", T, lambda e, m: project(e, "input")),
+    ("push", T, lambda e, m: push(e, "weights")),
+    ("push", T, lambda e, m: push(e, "strings")),
+    ("rescore", T, lambda e, m: rescore(Lattice(e), m)),
+    ("reverse", T, lambda e, m: reverse(e)),
+    ("shortest_distance", T, lambda e, m: shortest_distance(e)),
+    ("twins_test", T, lambda e, m: twins_test(e)),
+    ("union", T, lambda e, m: union(e, m)),
+    ("union", T, lambda e, m: union(m, e)),
+    ("weight_of", T, lambda e, m: weight_of(e, (1,))),
+    ("write_text", T, lambda e, m: write_text(e)),
+    ("CascadeSpec", T, lambda e, m: CascadeSpec([e])),
+    ("Lattice", T, lambda e, m: Lattice(e)),
+]
+
+# the view readers, and the calls that only compose the machine they take:
+# (function, a call that passes the generalized state machine ``v``)
+READS_VIEWS = [
+    ("compose", lambda v, m: compose(v, m)),
+    ("compose", lambda v, m: compose(m, v)),
+    ("lazy_compose", lambda v, m: expand(lazy_compose(v, m))),
+    ("lazy_compose", lambda v, m: expand(lazy_compose(m, v))),
+    ("LazyComposition", lambda v, m: expand(LazyComposition(m, v))),
+    ("cached", lambda v, m: expand(cached(v))),
+    ("CachedMachine", lambda v, m: expand(CachedMachine(v, LRU, 1))),
+    ("expand", lambda v, m: expand(v)),
+    ("apply_rewrite", lambda v, m: apply_rewrite(v, [1])),
+    ("rescore", lambda v, m: rescore(Lattice(m), v)),
+]
+
+TAKES_NO_MACHINE = {
+    "build_lm_fsa", "compile_regex", "compile_tree", "compile_weighted_rule",
+    "count_ngrams", "good_turing", "katz_model", "mle", "observation_machine",
+    "parse_rule_file", "parse_tree", "read_arpa", "read_text", "write_arpa"}
+
+
+def ids(table):
+    """Each entry's function name, numbered where it has more than one."""
+    names = [entry[0] for entry in table]
+    return [f"{name}-{names[:i].count(name)}" if names.count(name) > 1
+            else name for i, name in enumerate(names)]
+
+
+def one_arc(kind):
+    """A valid operand of every call above: one arc, label 1, to a final."""
+    return acceptor(kind, [(0, 1, kind.one, 1)], [1])
+
+
+def test_every_swept_function_has_its_operand_contract_tested():
+    tested = {name for name, _, _ in TAKES_MACHINES} | {
+        name for name, _ in READS_VIEWS}
+    assert sorted(set(SWEEP) - tested - TAKES_NO_MACHINE) == []
+    assert not tested & TAKES_NO_MACHINE
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("name, kind, call", TAKES_MACHINES,
+                         ids=ids(TAKES_MACHINES))
+def test_an_op_rejects_a_view_or_an_unfrozen_machine(name, kind, call,
+                                                     shape):
+    a = one_arc(kind)
+    make, message = SHAPES[shape]
+    with pytest.raises(ContractError, match=message):
+        call(make(a), a)
+
+
+@pytest.mark.parametrize("name, call", READS_VIEWS, ids=ids(READS_VIEWS))
+def test_the_view_readers_take_views_and_no_unfrozen_machine(name, call):
+    def result(out):
+        return accepted_pairs(out) if isinstance(out, Machine) else out
+
+    a = one_arc(T)
+    expected = result(call(a, a))
+    # a composed with itself has a's relation, so both views read as a
+    for view in (lazy_compose(a, a), cached(a)):
+        assert result(call(view, a)) == expected
+    with pytest.raises(ContractError, match="not frozen"):
+        call(unfrozen(a), a)

@@ -1,12 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from wfst import (ContractError, ParseError, SymbolError, best_path,
-                  build_lm_fsa, compose, count_ngrams, good_turing,
-                  katz_model, mle, observation_machine, read_arpa,
-                  write_arpa)
+from wfst import (ContractError, CountTable, ParseError, SymbolError,
+                  SymbolTable, best_path, build_lm_fsa, compose, count_ngrams,
+                  good_turing, katz_model, mle, observation_machine,
+                  read_arpa, write_arpa)
 from wfst.ngram import (BOS, EOS, frequency_of_frequencies, read_counts,
                         write_counts)
 
@@ -174,6 +175,22 @@ def test_katz_reads_rounding_noise_as_no_leftover_mass():
     assert math.isfinite(logp)
     assert model_path_cost(model, build_lm_fsa(model), corpus[0]) == \
         pytest.approx(-logp)
+
+
+def test_katz_reads_the_rounding_of_a_large_context_as_no_leftover_mass():
+    # context x precedes 40,000 words, each 6 times (above the threshold,
+    # so undiscounted), and never z: its estimates sum to one, and the
+    # -1.0e-12 that floating point leaves of 1 - sum is rounding alone
+    symbols = SymbolTable()
+    x, z = symbols.add("x"), symbols.add("z")
+    counts = Counter({(x,): 6 * 40_000, (z,): 6})
+    for i in range(40_000):
+        w = symbols.add(f"w{i}")
+        counts[(w,)] = counts[(x, w)] = 6
+    total = sum(c for gram, c in counts.items() if len(gram) == 1)
+    model = katz_model(CountTable(2, counts, total, symbols))
+    assert model.alphas[(x,)] == 0.0
+    assert model.prob(w, (x,)) == 1 / 40_000
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -15,7 +15,8 @@ from wfst import (CascadeSpec, ContractError, KindMismatchError, Lattice,
 from wfst.ops import label_index, label_indexes, merge_arcs
 
 from helpers import (acceptor, bounded_pairs, build, product_compose,
-                     random_machine, sample_machines, strings_up_to)
+                     random_machine, sample_machines, strings_up_to,
+                     unfrozen)
 
 T = Semiring.TROPICAL
 B = Semiring.BOOLEAN
@@ -225,10 +226,12 @@ def test_compose_respects_epsilon_paths():
     lambda e, m: intersect_samelength(e, m),
     lambda e, m: intersect_samelength(m, e)])
 def test_a_stateless_operand_is_rejected(op):
-    # ``Machine(kind)`` before any ``add_state`` has no start state
+    # ``Machine(kind)`` before any ``add_state`` has no start state; like
+    # an unfrozen copy of a machine, it is not frozen, and no op takes it
     m = build(T, [(0, 1, 1, 0.0, 1)], [1])
-    with pytest.raises(ContractError, match="no state"):
-        op(Machine(T), m)
+    for operand in (Machine(T), unfrozen(m)):
+        with pytest.raises(ContractError, match="no state"):
+            op(operand, m)
 
 
 def test_kind_mismatch():

@@ -14,8 +14,7 @@ from functools import reduce
 from .errors import ContractError, NoPathError
 from .machine import EPSILON, Machine, View, connect
 from .machine import observation_machine  # noqa: F401 (re-exported)
-from .ops import (_END, compose, label_index, label_indexes, lazy_compose,
-                  read_set)
+from .ops import _END, compose, label_index, label_indexes, lazy_compose
 from .semiring import Semiring
 
 INF = math.inf
@@ -209,23 +208,25 @@ class DecodeStats:
 
 
 class _ObservationMatcher(View):
-    """``lazy_compose(observation_machine(obs), x)`` read through ``x``'s
-    label index (same moves in order, weights, lookahead and range checks).
-    Pair (observation i, state q) is state ``q * (len(obs) + 1) + i``.  It
-    moves on ``x``'s arcs on ``obs[i]`` whose target reads ``obs[i + 1]``
-    (or ends), then on epsilon arcs whose target reads ``obs[i]``."""
+    """The live part of ``lazy_compose(observation_machine(obs), x)``, read
+    through the frozen machine ``x``'s label index (same moves in order,
+    weights and range checks).  Pair (observation i, state q) is state
+    ``q * (len(obs) + 1) + i``.  ``live[i]`` holds the states of ``x`` that
+    can read ``obs[i:]`` and stop; a move on ``obs[i]`` is kept iff its
+    target is in ``live[i + 1]``, an epsilon move iff its target is in
+    ``live[i]``, so every pair the matcher reaches can still finish."""
 
     def __init__(self, obs, x):
         if EPSILON in obs:
             raise ContractError("an observation may not be epsilon (0)")
         self.x, self.kind, width = x, x.kind, len(obs) + 1
         self.isymbols, self.osymbols = x.isymbols, x.osymbols
-        self._next = (*obs, _END, _END)  # pair i reads [i]; none reads _END
+        self._next = (*obs, _END)  # pair i reads [i]; none reads _END
         self._width, self.start = width, x.start * width
         self.start_weight = self._valid(x.kind.times(x.kind.one,
                                                      x.start_weight))
         self._index = label_indexes(x)
-        self._reads = label_indexes(x, "lookahead_sets")
+        self._live = _live_sets(x, obs)
 
     def _valid(self, w):
         if not self.kind.valid(w):
@@ -240,19 +241,57 @@ class _ObservationMatcher(View):
 
     def arcs(self, state):
         q, i = divmod(state, self._width)
-        x, table, reads, width = self.x, self._index, self._reads, self._width
-        index, reads_of, kind = label_index(x, table, q), reads.get, self.kind
+        index = label_index(self.x, self._index, q)
+        kind, live, width = self.kind, self._live, self._width
         times, one, valid = kind.times, kind.one, kind.valid
-        here, after, result = self._next[i], self._next[i + 1], []
+        result = []
         # a match on obs[i] steps to pair i + 1; an epsilon move stays
-        for label, ahead, step in ((here, after, 1), (EPSILON, here, 0)):
+        for label, ahead, step in ((self._next[i], live[i + 1], 1),
+                                   (EPSILON, live[i], 0)):
             for _, ol, w, t in index.get(label, ()):
-                if ahead in (reads_of(t) or read_set(x, table, reads, t)):
+                if t in ahead:
                     w = times(one, w) if step else w
                     if not valid(w):
                         raise kind.carrier_error(w)
                     result.append((label, ol, w, t * width + i + step))
         return tuple(result)
+
+
+def _reverse_index(x):
+    """``label -> target -> sources`` over the arcs of ``x``."""
+    index = {}
+    for q in x.states():
+        for il, _, _, t in x.arcs(q):
+            index.setdefault(il, {}).setdefault(t, []).append(q)
+    return index
+
+
+def _live_sets(x, obs):
+    """``live[i]``: the states of the frozen machine ``x`` that can read
+    ``obs[i:]`` and stop, each closed backwards over epsilon-input arcs; one
+    backward pass through ``x``'s reverse label index, kept with ``x``.
+    ``live[len(obs) + 1]`` is empty: no pair reads past the end."""
+    index = x._memo("reverse_label_index", lambda: _reverse_index(x))
+    into = index.get(EPSILON, {})
+
+    def closed(states):
+        stack = list(states)
+        while stack:
+            for s in into.get(stack.pop(), ()):
+                if s not in states:
+                    states.add(s)
+                    stack.append(s)
+        return states
+
+    zero = x.kind.zero
+    live = [closed({q for q, w in x.finals.items() if w != zero})]
+    for label in reversed(obs):
+        after = live[-1]
+        live.append(closed({q for t, sources in index.get(label, {}).items()
+                            if t in after for q in sources}))
+    live.reverse()
+    live.append(set())
+    return live
 
 
 def _composed(stages):
@@ -266,7 +305,12 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     """Frame-synchronous Viterbi beam search over the lazy cascade.
 
     A matcher reads the observations through the stages before the last,
-    composed statically once; only the last is composed lazily.
+    composed statically once; only the last is composed lazily.  The
+    matcher steps only into prefix states that can read the rest of the
+    observations and stop, so the search builds no pair the prefix dooms.
+    NoPathError blames the beam only when the beam pruned a state; a
+    search that pruned nothing was exact, so it says the cascade accepts
+    no path (at once, when the prefix cannot read the observations).
 
     States are grouped by the number of observation symbols consumed
     ("comparable states"; epsilon-reached states keep the frame of their
@@ -345,9 +389,10 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
                         back[t] = (q, ol)
         costs = nxt
     if best_final is None:
-        raise NoPathError("no surviving path; try a larger beam"
-                          if beam < INF else
-                          "the cascade accepts no path for the observations")
+        # a search that pruned nothing was exact
+        raise NoPathError("no surviving path; try a larger beam" if pruned
+                          else "the cascade accepts no path for the "
+                          "observations")
     # reconstruct outputs
     outputs = []
     q = best_final[1]

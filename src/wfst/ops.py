@@ -25,10 +25,13 @@ epsilon-output arc leads only to a pair that cannot finish keeps that
 B-alone target at filter 2, where the trimmed A merges it: the relation is
 the same, the trimmed operand gives no more states.
 
-The label lookahead in ``LazyComposition`` reads A through its
-output-epsilon moves, except at the target of a B-alone move, where A can
-only match (at filter 2) or writes no epsilon (at filter 0), so only A's
-own output labels count.
+The label lookahead in ``LazyComposition`` is symmetric.  It reads A
+through its output-epsilon moves and B through its input-epsilon moves,
+except at the target of a lone move, where the side that stayed put can
+only match next.  At a B-alone target A can only match (at filter 2) or
+writes no epsilon (at filter 0), so only A's own output labels count; at
+an A-alone target B can only match (at filter 1) or reads no epsilon (at
+filter 0), so only B's own input labels count.
 """
 
 from __future__ import annotations
@@ -159,10 +162,13 @@ class LazyComposition(View):
     Label lookahead: a target pair (s1, s2, f) cannot reach a final pair
     unless some label A writes after output-epsilon moves from ``s1`` is
     in ``read_set(b, ..., s2)``, ``_END`` (both sides can stop) included.
-    At the target of a B-alone move A may not move alone until the next
-    match, so only the labels on ``s1``'s own arcs count there.  Each
-    move is tested before its product is formed, and a move to a dead
-    pair is dropped, so the pair never receives an id.  Moves, and the
+    The rule is symmetric at the targets of lone moves.  At a B-alone
+    target A may not move alone until the next match, so only the labels
+    on ``s1``'s own arcs count; at an A-alone target B may not, so only
+    the labels of ``s2``'s own arcs count (the keys of its
+    ``label_index``, and ``_END`` if ``s2`` is final).  Each move is
+    tested before its product is formed, and a move to a dead pair is
+    dropped, so the pair never receives an id.  Moves, and the
     pair ids of the moves kept, come in ``merge_arcs`` order.  The view
     keeps what it reads from its operands for its own lifetime, B's
     tables through ``label_indexes``; a cache operand bounds only its arcs.
@@ -225,15 +231,21 @@ class LazyComposition(View):
                         pairs.append(target)
                     result.append((il, ol_b, w, t))
             if ol == EPSILON and f != _B_ALONE:
-                self._alone(result, il, EPSILON, wa, (n1, s2, a_alone),
-                            (memo(n1) or emits_of(n1))[1])
+                # B stays at s2 and may only match from the target, so
+                # only its own labels count (they are read_set(s2) when s2
+                # has no epsilon arc)
+                after = (memo(n1) or emits_of(n1))[1]
+                if not after.isdisjoint(index) or (
+                        _END in after and b.final(s2) != kind.zero):
+                    self._add(result, il, EPSILON, wa, (n1, s2, a_alone))
         if eps_b and direct and f != _A_ALONE:
             # A stays at s1 and may only match from the target, so only
             # its own labels count; an empty ``direct`` drops every move
             b_alone = _B_ALONE if writes_eps else FILTER_INITIAL
             for _, ol_b, wb, n2 in eps_b:
-                self._alone(result, EPSILON, ol_b, wb, (s1, n2, b_alone),
-                            direct)
+                if not direct.isdisjoint(reads_of(n2)
+                                         or read_set(b, index_b, reads, n2)):
+                    self._add(result, EPSILON, ol_b, wb, (s1, n2, b_alone))
         return tuple(result)
 
     def _emits_of(self, s1):
@@ -277,14 +289,9 @@ class LazyComposition(View):
         memo[s1] = emits = (arcs, after, direct, writes_eps)
         return emits
 
-    def _alone(self, result, il, ol, w, target, emits):
-        """Append a move where one side stays put, unless the lookahead
-        finds that ``emits``, A's labels from the target, miss what B
-        reads next; range-check its weight and give its target pair an id
-        if it has none."""
-        if emits.isdisjoint(self._reads.get(target[1]) or read_set(
-                self.b, self._index_b, self._reads, target[1])):
-            return
+    def _add(self, result, il, ol, w, target):
+        """Append a move where one side stays put: range-check its weight
+        and give its target pair an id if it has none."""
         if not self.kind.valid(w):
             raise self.kind.carrier_error(w)
         t = self._ids.setdefault(target, len(self._pairs))

@@ -470,8 +470,16 @@ def test_decode_reports_no_path_without_blaming_the_default_beam(
                          capsys)
     assert code == 1 and out == ""
     assert err == "error: the cascade accepts no path for the observations\n"
+    # no beam can help an observation the cascade cannot read
     code, out, err = run(decode_main, ["--cascade", str(manifest),
                                        "--beam", "5", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: the cascade accepts no path for the observations\n"
+    # a cheap live branch that ends only by an epsilon arc of cost 10
+    # prunes the path of cost 5 at beam 1, and then its own final
+    stage.write_text("0 1 1 5\n0 2 1 0\n1 1 2 0\n2 3 2 0\n3 4 0 10\n1\n4\n")
+    code, out, err = run(decode_main, ["--cascade", str(manifest),
+                                       "--beam", "1", "1 2"], capsys)
     assert code == 1 and out == ""
     assert err == "error: no surviving path; try a larger beam\n"
 

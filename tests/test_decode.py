@@ -395,10 +395,12 @@ def test_beam_sweep_monotone():
 
 
 def test_beam_too_small_raises():
-    # the cheap branch 0 -1-> 2 reads the second observation, then dies in
-    # non-final state 3, after its cost has pruned the live path at beam 1
+    # the cheap branch 0 -1-> 2 -2-> 3 is live, but ends only by an epsilon
+    # arc of cost 10 into final state 4: at beam 1 its cost 0 prunes the
+    # live path in frame 1, and the closure's cost 10 prunes state 4 in
+    # frame 2, so no final survives
     stage = build(T, [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1),
-                      (2, 2, 2, 0.0, 3)], {1: 0.0})
+                      (2, 2, 2, 0.0, 3), (3, 0, 0, 10.0, 4)], {1: 0.0, 4: 0.0})
     with pytest.raises(NoPathError, match="try a larger beam"):
         beam_decode(CascadeSpec([stage]), (1, 2), beam=1.0)
     outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1, 2))
@@ -413,13 +415,35 @@ def test_no_path_at_an_infinite_beam_is_not_blamed_on_the_beam():
         "the cascade accepts no path for the observations"
 
 
+@pytest.mark.parametrize("beam", [INF, 16.0, 0.0])
+def test_no_path_is_blamed_on_the_beam_only_when_it_pruned(beam):
+    # the channel never hears 3, so the matcher builds no move from the
+    # start; the LM reads only word 8, which the lexicon never writes.
+    # Either way the search prunes nothing, so no beam could help
+    channel = build(T, [(0, 1, 1, 0.0, 0), (0, 2, 1, 1.0, 0)], {0: 0.0})
+    lexicon = build(T, [(0, 1, 7, 0.0, 0)], {0: 0.0})
+    lm = build(T, [(0, 7, 7, 0.5, 0)], {0: 0.0})
+    rejecting = build(T, [(0, 8, 8, 0.5, 0)], {0: 0.0})
+    for stages, obs in [([channel], (1, 3, 2)), ([channel, lexicon], (1, 3)),
+                        ([channel, lexicon, lm], (3,)),
+                        ([channel, lexicon, rejecting], (1, 2))]:
+        with pytest.raises(NoPathError) as exc:
+            beam_decode(CascadeSpec(stages), obs, beam=beam)
+        assert str(exc.value) == \
+            "the cascade accepts no path for the observations"
+
+
 def test_dead_end_branch_never_enters_the_beam():
-    # 0 -1-> 2 cannot read the second observation: label lookahead never
+    # 0 -1-> 2 cannot read the second observation, or (second machine)
+    # reads it and then stops in non-final state 3: the matcher never
     # builds that pair state, so it cannot prune the live path at beam 1
-    stage = build(T, [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1)],
-                  {1: 0.0})
-    outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1, 2), beam=1.0)
-    assert (outputs, cost) == ((1, 1), 5.0)
+    arcs = [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1)]
+    for extra in ([], [(2, 2, 2, 0.0, 3)]):
+        stage = build(T, arcs + extra, {1: 0.0})
+        outputs, cost, stats = beam_decode(CascadeSpec([stage]), (1, 2),
+                                           beam=1.0)
+        assert (outputs, cost) == ((1, 1), 5.0)
+        assert (stats.expanded_states, stats.pruned) == (3, 0)
 
 
 def test_dead_back_off_pair_does_not_set_the_floor():
@@ -531,29 +555,33 @@ def test_search_reads_each_state_once(monkeypatch, beam, pruned):
         assert len(states) == len(set(states))
 
 
-def pinned(view):
-    m = expand(view)
-    return f"{write_text(m)}{m.start_weight!r}"
-
-
 def test_observation_matcher_equals_the_lazy_composition():
-    # frozen machines, caches and lazy compositions, all with epsilon on
-    # both tapes, read through the matcher and through the composition of
-    # the observation chain; the sweep meets empty, accepted and rejected
-    # observation strings
+    # frozen machines (a sampled one, an expanded cache and an expanded lazy
+    # composition), all with epsilon on both tapes, read through the
+    # matcher and through the composition of the observation chain: trimmed,
+    # the two are one machine, and trimming drops no state of the matcher's,
+    # so it builds no pair that cannot finish.  The sweep meets empty,
+    # accepted and rejected observation strings
+    def text(m):
+        return f"{write_text(m)}{m.start_weight!r}"
+
     met = {"empty": 0, "accepted": 0, "rejected": 0}
     for seed in range(40):
         a, b = sample_machines(5100 + seed, 2, kind=T, max_states=5,
                                max_arcs=8, alphabet=(1, 2))
-        for x in (a, cached(a), lazy_compose(a, b)):
+        for x in (a, expand(cached(a)), expand(lazy_compose(a, b))):
             for obs in [(), (1,), (2,), (1, 2), (2, 1, 1), (2, 2, 2)]:
-                expected = pinned(lazy_compose(observation_machine(obs), x))
-                assert pinned(decode._ObservationMatcher(obs, x)) == expected
-                accepted = bool(connect(expand(
-                    lazy_compose(observation_machine(obs), x))).finals)
+                full = connect(expand(
+                    lazy_compose(observation_machine(obs), x)))
+                matched = expand(decode._ObservationMatcher(obs, x))
+                assert text(connect(matched)) == text(full)
+                assert connect(matched).num_states == matched.num_states
                 met["empty" if not obs else
-                    "accepted" if accepted else "rejected"] += 1
+                    "accepted" if full.finals else "rejected"] += 1
     assert all(met.values()), met
+    for view in (cached(a), lazy_compose(a, b)):
+        with pytest.raises(ContractError):
+            decode._ObservationMatcher((1,), view)
 
 
 def test_epsilon_observation_raises():

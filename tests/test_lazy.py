@@ -441,6 +441,22 @@ def test_b_alone_move_is_tested_against_a_direct_labels():
     assert text_of(compose(a, b)) == text_of(product_compose(a, b))
 
 
+def test_a_alone_move_is_tested_against_b_own_labels():
+    # A writes epsilon, then 5; B's state 0 reads 6 and backs off over an
+    # epsilon arc to 1, which reads 5.  From (1, 0, _A_ALONE) the filter
+    # lets B only match, and state 0 reads no 5 of its own, so that pair is
+    # never built: the path goes through the both-move to (1, 1) instead
+    a = build(T, [(0, 1, 0, 0.0, 1), (1, 2, 5, 0.0, 2)], [2])
+    b = build(T, [(0, 6, 6, 0.0, 0), (0, 0, 0, 0.5, 1), (1, 5, 5, 0.0, 0)],
+              [0])
+    view = LazyComposition(a, b)
+    m = expand(view)
+    assert (1, 0, ops._A_ALONE) not in view._pairs
+    assert connect(m).num_states == m.num_states
+    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+        "0 1 1 0 0.5\n1 2 2 5\n2\n"
+
+
 def test_lookahead_reads_through_a_output_epsilon_moves():
     # A's state 1 writes epsilon and then 3; B's state 1 reads only 4, so
     # the match to (1, 1) is dropped and that pair never gets an id

@@ -227,9 +227,9 @@ OPS = {
 
 GOLDEN = {
     "beam_decode":
-        "af5250d89f03e5c03af7dc7ad847a5f7b49d5fc0ccfd821fc8fb5fe4594b4166",
+        "255536e9e4cf64a1ac5955836b7a34fd4efc6b22bfc44a5895f1853be897c7d3",
     "beam_decode of three stages":
-        "cbfa79b6b5b9a492d7a155de4361bb0e9c108751123a5871254f003d5df6a5f8",
+        "f2ecaedf872ed32b5b62ecdfebb78d9bdd32fc44839c86ad211d5baad72bb753",
     "closure":
         "5a6f16ce58303ebfd1511affb972dbba3290d60671fa5ce373ffc9746a08472e",
     "compact":
@@ -259,7 +259,7 @@ GOLDEN = {
     "intersect":
         "d63d218113e6a2cedecabca58373264e7d2004be74c670f41b04b921dac52e0a",
     "lazy_compose+expand":
-        "ba1c792ec00cb0663671e3d3b6d57cbe097a8b3f4e47910a37613f890de31f77",
+        "e66b2a59a440b566720f30c2286a2e2f8dbb75dc54aeb316bf13a715bf422e8f",
     "local_determinize":
         "ff68449c220bb833d36bb377c88deaab7ccca7749eb18417166fd58fd4d16a3e",
     "local_determinize k=2":

@@ -95,11 +95,12 @@ def best_path(m: Machine):
         raise NoPathError("machine accepts nothing")
     # hop counts to an optimal stopping state along weight-optimal arcs
     # only, so extraction cannot orbit a zero-weight cycle
-    h = {q: (0 if m.final(q) == d[q] else INF) for q in m.states()}
-    optimal_preds = {q: [] for q in m.states()}
-    for q, (_, _, w, t) in m.all_arcs():
-        if w + d[t] == d[q]:
-            optimal_preds[t].append(q)
+    h = [0 if m.final(q) == d[q] else INF for q in m.states()]
+    optimal_preds = [[] for _ in m.states()]
+    for q in m.states():
+        for _, _, w, t in m.arcs(q):
+            if w + d[t] == d[q]:
+                optimal_preds[t].append(q)
     queue = deque(q for q in m.states() if h[q] == 0)
     while queue:
         t = queue.popleft()
@@ -153,18 +154,18 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
     if best == INF:
         raise NoPathError("empty lattice")
     bound = best + threshold
-    keep = [q for q in m.states()
-            if fwd[q] + bwd[q] <= bound]
-    if m.start not in keep:
+    if not fwd[m.start] + bwd[m.start] <= bound:
         raise NoPathError("threshold pruned away every path")
     # pruned states keep their ids with no arcs; connect drops and renumbers
     arcs = [()] * m.num_states
     finals = {}
-    for q in keep:
-        arcs[q] = [arc for arc in m.arcs(q)
-                   if fwd[q] + arc[2] + bwd[arc[3]] <= bound]
-        if q in m.finals and fwd[q] + m.finals[q] <= bound:
-            finals[q] = m.finals[q]
+    for q in m.states():
+        fq = fwd[q]
+        if fq + bwd[q] <= bound:
+            arcs[q] = [arc for arc in m.arcs(q)
+                       if fq + arc[2] + bwd[arc[3]] <= bound]
+            if q in m.finals and fq + m.finals[q] <= bound:
+                finals[q] = m.finals[q]
     out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals,
                               m.start, m.start_weight)
     out._inherit_shape(m)
@@ -258,26 +259,27 @@ class _ObservationMatcher(View):
 
 
 def _reverse_index(x):
-    """``label -> target -> sources`` over the arcs of ``x``."""
-    index = {}
+    """Per state of ``x``, ``label -> sources`` over the arcs into it, and
+    whether any arc of ``x`` has an epsilon input."""
+    by_target = [{} for _ in x.states()]
     for q in x.states():
         for il, _, _, t in x.arcs(q):
-            index.setdefault(il, {}).setdefault(t, []).append(q)
-    return index
+            by_target[t].setdefault(il, []).append(q)
+    return by_target, any(EPSILON in row for row in by_target)
 
 
 def _live_sets(x, obs):
     """``live[i]``: the states of the frozen machine ``x`` that can read
     ``obs[i:]`` and stop, each closed backwards over epsilon-input arcs; one
-    backward pass through ``x``'s reverse label index, kept with ``x``.
-    ``live[len(obs) + 1]`` is empty: no pair reads past the end."""
-    index = x._memo("reverse_label_index", lambda: _reverse_index(x))
-    into = index.get(EPSILON, {})
+    backward pass from ``live[i + 1]``'s states through ``x``'s reverse
+    index, kept with ``x``.  ``live[len(obs) + 1]`` is empty: no pair reads
+    past the end."""
+    index, epsilon = x._memo("reverse_label_index", lambda: _reverse_index(x))
 
     def closed(states):
-        stack = list(states)
+        stack = list(states) if epsilon else ()
         while stack:
-            for s in into.get(stack.pop(), ()):
+            for s in index[stack.pop()].get(EPSILON, ()):
                 if s not in states:
                     states.add(s)
                     stack.append(s)
@@ -286,9 +288,8 @@ def _live_sets(x, obs):
     zero = x.kind.zero
     live = [closed({q for q, w in x.finals.items() if w != zero})]
     for label in reversed(obs):
-        after = live[-1]
-        live.append(closed({q for t, sources in index.get(label, {}).items()
-                            if t in after for q in sources}))
+        live.append(closed({q for t in live[-1]
+                            for q in index[t].get(label, ())}))
     live.reverse()
     live.append(set())
     return live

@@ -29,6 +29,7 @@ from .semiring import Semiring
 
 DEFAULT_EXPANSION_CAP = 10_000
 _RESIDUAL_STRING_CAP = 64
+_SUBSET_ELEMENTS_CAP = 16  # elements in all subsets, per subset of the cap
 
 
 def _require_divisible(kind):
@@ -51,11 +52,9 @@ def _lcp(strings):
 
 def _epsilon_arcs(m):
     """Input-epsilon arcs of ``m`` by source state."""
-    eps_arcs = {}
-    for q, arc in m.all_arcs():
-        if arc[0] == EPSILON:
-            eps_arcs.setdefault(q, []).append(arc)
-    return eps_arcs
+    rows = ((q, [arc for arc in m.arcs(q) if arc[0] == EPSILON])
+            for q in m.states())
+    return {q: row for q, row in rows if row}
 
 
 def _close_epsilon(kind, eps_arcs, best, cap):
@@ -147,15 +146,17 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     The result is deterministic on input; transducer subsets carry leftover
     output strings, materialized as epsilon-input emission chains when a
     leftover longer than one symbol must be flushed.  An acceptor's
-    leftover strings stay empty, so its arcs are emitted as they are read.
+    leftover strings stay empty, so its arcs are emitted as they are read,
+    one per label, and its output records that it is deterministic.
     A transducer is trimmed first: a dead state's leftover string would cut
     the live states' common prefix short and hold their output back.
-    Exceeding ``expansion_cap`` subset states, or ``expansion_cap``
-    elements in one subset, raises ``CapExceededError`` (suggesting
-    ``twins_test``).  Every product is range-checked as it is formed, and
-    one equal to the semiring zero, no path, is dropped; sums of carrier
-    weights under min or boolean or stay in the carrier.  A one-element
-    subset reached without input-epsilon moves is its own normal form.
+    More than ``expansion_cap`` subset states, ``expansion_cap`` elements
+    in one subset, or 16 times as many in all subsets raises
+    ``CapExceededError`` (suggesting ``twins_test``).  Every product is
+    range-checked as it is formed, and one equal to the semiring zero, no
+    path, is dropped; sums of carrier weights under min or boolean or stay
+    in the carrier.  A one-element subset reached without input-epsilon
+    moves is its own normal form.
     """
     _require_divisible(m.kind)
     kind = m.kind
@@ -165,6 +166,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     acceptor = m.is_acceptor()
     if not acceptor:
         m = connect(m)
+    m_finals, m_arcs = m.finals, m.arcs
     eps_arcs = _epsilon_arcs(m)
     start_elems = _close_epsilon(kind, eps_arcs, {(m.start, ()): one},
                                  expansion_cap)
@@ -175,6 +177,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
         (q, prefix + s, (times(total, r) if tropical else r))
         for q, s, r in start_subset))
     ids = {start_subset: 0}
+    # one subset's elements can grow with the number of subsets: bound both
+    elements_left = _SUBSET_ELEMENTS_CAP * expansion_cap - len(start_subset)
     arcs = [[]]
     finals = {}
     queue = deque([start_subset])
@@ -184,7 +188,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
         # finality: flush leftovers of final member states
         final_groups = {}
         for state, s, r in subset:
-            fw = m.final(state)
+            fw = m_finals.get(state, zero)
             if fw == zero:
                 continue
             w = times(r, fw)
@@ -193,7 +197,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
             if s in final_groups:
                 w = plus(final_groups[s], w)
             final_groups[s] = w
-        for s, w in sorted(final_groups.items()):
+        for s, w in (sorted(final_groups.items()) if len(final_groups) > 1
+                     else final_groups.items()):
             if not s:
                 if w != zero:
                     finals[q] = w
@@ -205,7 +210,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
         # label -> {(state, leftover string): weight} after that label
         by_label = {}
         for state, s, r in subset:
-            for il, ol, wa, t in m.arcs(state):
+            for il, ol, wa, t in m_arcs(state):
                 if il == EPSILON:
                     continue
                 ns = s
@@ -219,8 +224,11 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                     raise kind.carrier_error(w)
                 if w == zero:
                     continue
-                group = by_label.setdefault(il, {})
                 key = (t, ns)
+                if il not in by_label:
+                    by_label[il] = {key: w}
+                    continue
+                group = by_label[il]
                 group[key] = plus(group[key], w) if key in group else w
         for label in sorted(by_label):
             group = by_label[label]
@@ -237,6 +245,12 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                     raise CapExceededError(
                         f"determinization exceeded {expansion_cap} subset states; "
                         "the input is likely not subsequentiable (try twins_test)")
+                elements_left -= len(target)
+                if elements_left < 0:
+                    raise CapExceededError(
+                        "determinization exceeded "
+                        f"{_SUBSET_ELEMENTS_CAP * expansion_cap} elements in "
+                        "all subsets (try twins_test)")
                 t = ids[target] = len(arcs)
                 arcs.append([])
                 queue.append(target)
@@ -246,8 +260,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 _emit_string(arcs, q, label, prefix, total, t, one)
     out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
                               m.start_weight)
-    if acceptor:  # every arc is emitted as (label, label, ...)
-        out._derived["is_acceptor"] = True
+    if acceptor:  # every arc is emitted as (label, label, ...), one per label
+        out._derived["is_acceptor"] = out._derived["is_deterministic"] = True
     return out
 
 
@@ -517,17 +531,6 @@ def _weight_potentials(m):
     return d, start_weight, finals
 
 
-def _pushed_arcs(m, d):
-    """(source, arc, weight) for each arc of ``m``, the weight reweighted by
-    potentials ``d`` (None: kept as it is) and range-checked."""
-    kind = m.kind
-    for q, arc in m.all_arcs():
-        w = arc[2] if d is None else arc[2] + d[arc[3]] - d[q]
-        if not kind.valid(w):
-            raise kind.carrier_error(w)
-        yield q, arc, w
-
-
 def push(m: Machine, mode: str) -> Machine:
     """Move weights or output strings toward the start state.
 
@@ -546,9 +549,11 @@ def push(m: Machine, mode: str) -> Machine:
         d, start_weight, finals = _weight_potentials(m)
         if not any(d.values()):
             return m
-        arcs = [[] for _ in m.states()]
-        for q, (il, ol, _, t), w in _pushed_arcs(m, d):
-            arcs[q].append((il, ol, w, t))
+        arcs = [[(il, ol, w + d[t] - d[q], t) for il, ol, w, t in m.arcs(q)]
+                for q in m.states()]
+        for w in (arc[2] for row in arcs for arc in row):
+            if not kind.valid(w):  # each reweighted weight, in arc order
+                raise kind.carrier_error(w)
         out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals,
                                   m.start, start_weight)
         out._inherit_shape(m)
@@ -585,15 +590,23 @@ def _encoded_dfa(m):
     start prefix, the start state and the pushed start weight.
     """
     kind = m.kind
+    zero, valid = kind.zero, kind.valid
     d, start_weight, pushed = (
         _weight_potentials(m) if kind is Semiring.TROPICAL
         else (None, m.start_weight, m.finals))
     p = None if m.is_acceptor() else _string_potentials(m)
     prefix = p[m.start] if p else ()
-    enc = {q: {} for q in m.states()}
-    for q, arc, w in _pushed_arcs(m, d):
-        if w != kind.zero:  # an arc weighted zero is no path
-            enc[q][arc[0], () if p is None else _residue(p, q, arc), w] = arc[3]
+    enc = {}
+    for q in m.states():
+        row = enc[q] = {}
+        for arc in m.arcs(q):
+            il, _, w, t = arc
+            if d is not None:  # TROPICAL: pushed as it is encoded
+                w = w + d[t] - d[q]
+                if not valid(w):
+                    raise kind.carrier_error(w)
+            if w != zero:  # an arc weighted zero is no path
+                row[il, () if p is None else _residue(p, q, arc), w] = t
     identity = (EPSILON, (), kind.one)
     hop = {q: row[identity] for q, row in enc.items()
            if len(row) == 1 and identity in row and q not in m.finals}
@@ -604,7 +617,7 @@ def _encoded_dfa(m):
     if hop:
         enc = {q: {label: hop.get(t, t) for label, t in row.items()}
                for q, row in enc.items() if q not in hop}
-    finals = dict.fromkeys(enc, kind.zero)
+    finals = dict.fromkeys(enc, zero)
     finals.update(pushed)  # no final state is routed through
     return enc, finals, prefix, hop.get(m.start, m.start), start_weight
 
@@ -684,7 +697,8 @@ def _signature_classes(order, enc, finals):
     for q in reversed(order):
         row = enc.get(q)
         if row is not None:
-            signature = frozenset((label, index[t]) for label, t in row.items())
+            signature = frozenset(zip(row, map(index.__getitem__,
+                                              row.values())))
             index[q] = ids.setdefault((finals[q], signature), len(ids))
     return index
 
@@ -715,7 +729,8 @@ def minimize(m: Machine) -> Machine:
     residue, weight) order; output-chain states are numbered as they are
     emitted, and a hoisted start prefix's chain comes last.  The input is
     trimmed first unless it has a final and ``_all_live`` shows it needs
-    no trim."""
+    no trim.  An acceptor's ``determinize`` output is not scanned for
+    determinism: it records that it is deterministic."""
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "
                             "(determinize first)")
@@ -736,20 +751,24 @@ def minimize(m: Machine) -> Machine:
     out_finals = {}
     queue = deque([start])
     acceptor = m.is_acceptor()
+    zero, one = kind.zero, kind.one
+    popleft, enqueue, new_state = queue.popleft, queue.append, arcs.append
     while queue:
-        rep = queue.popleft()
+        rep = popleft()
         cls = ids[index[rep]]
+        row = arcs[cls]
         for (il, residue, w), t in sorted(enc[rep].items()):
-            nt = ids.get(index[t])
+            c = index[t]
+            nt = ids.get(c)
             if nt is None:
-                nt = ids[index[t]] = len(arcs)
-                arcs.append([])
-                queue.append(t)
+                nt = ids[c] = len(arcs)
+                new_state([])
+                enqueue(t)
             if acceptor:  # the residue is empty: the output repeats the input
-                arcs[cls].append((il, il, w, nt))
+                row.append((il, il, w, nt))
             else:
-                _emit_string(arcs, cls, il, residue, w, nt, kind.one)
-        if finals[rep] != kind.zero:
+                _emit_string(arcs, cls, il, residue, w, nt, one)
+        if finals[rep] != zero:
             out_finals[cls] = finals[rep]
     start = 0
     if prefix:

@@ -584,6 +584,21 @@ def test_lm_non_probability_arpa_exit_2(tmp_path, capsys, command):
     assert code == 2 and out == "" and err.startswith("error: line 3: ")
 
 
+def test_determinize_of_a_growing_transducer_exits_1_at_once(tmp_path,
+                                                             capsys):
+    # not determinizable: its largest subset grows with the number built,
+    # so the elements of all subsets grow with its square; at the default
+    # cap of 10,000 subsets they reach 16 x 10,000 at about 950 subsets
+    path = tmp_path / "growing.fst"
+    path.write_text("0 1 0 0\n0 1 1 1\n0 1 2 1\n1 1 1 0\n1 0 2 2\n0\n1\n")
+    begin = time.perf_counter()
+    code, out, err = run(fst_main, ["determinize", str(path), "--semiring",
+                                    "boolean", "--transducer"], capsys)
+    assert time.perf_counter() - begin < 15.0
+    assert code == 1 and out == ""
+    assert "160000 elements in all subsets" in err
+
+
 def test_exit_1_domain_errors(tmp_path, capsys):
     nopath = tmp_path / "nopath.fst"
     nopath.write_text("0 1 1\n2\n")  # final state unreachable

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from wfst import (Rule, Semiring, SymbolTable, compile_weighted_rule,
-                  count_ngrams, katz_model, optimize, write_arpa, write_text)
+                  count_ngrams, katz_model, write_arpa, write_text)
 from wfst.cli import _FST_COMMANDS, decode_main, fst_main, lm_main, rule_main
 from wfst.ngram import write_counts
 
@@ -53,19 +53,9 @@ RULE_FST = write_text(compile_weighted_rule(Rule("a", "<1>b|c", "", "c"),
 
 
 @pytest.fixture(autouse=True)
-def capped_determinize_and_empty_stdin(monkeypatch):
-    """The CLI determinizes under the default cap of 10,000 subsets.  On a
-    cyclic transducer that is not determinizable the subsets grow as they
-    are built, so reaching that cap can take minutes and gigabytes: a
-    7-line machine took 10 s and 1 GB to reach 3,200 subsets on a 2-CPU
-    VM.  The sweep caps determinization at 200.
-
-    A mutated path may read '-', standard input, which is empty here."""
+def empty_stdin(monkeypatch):
+    """A mutated path may read '-', standard input, which is empty here."""
     monkeypatch.setattr("sys.stdin", io.StringIO())
-    determinize = optimize.determinize
-    monkeypatch.setattr(optimize, "determinize",
-                        lambda m, expansion_cap=200: determinize(
-                            m, expansion_cap))
 
 
 def mutate(rng, text):

@@ -79,10 +79,14 @@ def test_lattice_pipeline_outputs_are_pinned():
 
 def check_recorded(m):
     """Check what an op recorded on ``m``: a topological order must order
-    every state before its arcs' targets, and backward distances must equal
-    ``_distances`` on a fresh copy that knows nothing.  Returns how many
-    recorded tables it checked."""
+    every state before its arcs' targets, and backward distances and a
+    determinism flag must equal ``_distances`` and ``_scan_deterministic``
+    on a fresh copy that knows nothing.  Returns how many recorded tables
+    it checked."""
     checked = 0
+    fresh = Machine._from_parts(m.kind, m.isymbols, m.osymbols,
+                                [m.arcs(q) for q in m.states()],
+                                dict(m.finals), m.start, m.start_weight)
     order = m._derived.get("topological_order")
     if order is not None:
         assert sorted(order) == list(m.states())
@@ -90,11 +94,11 @@ def check_recorded(m):
         assert all(place[q] < place[t] for q, (_, _, _, t) in m.all_arcs())
         checked += 1
     if "backward_distances" in m._derived:
-        fresh = Machine._from_parts(m.kind, m.isymbols, m.osymbols,
-                                    [m.arcs(q) for q in m.states()],
-                                    dict(m.finals), m.start, m.start_weight)
         assert m._derived["backward_distances"] == \
             decode._distances(fresh, False)
+        checked += 1
+    if "is_deterministic" in m._derived:
+        assert m._derived["is_deterministic"] == fresh._scan_deterministic()
         checked += 1
     return checked
 
@@ -149,10 +153,33 @@ def test_recorded_tables_hold_on_lattices():
     for _ in range(400):
         for out in pipeline_machines(slotted_dag(rng), PRUNE):
             checked += check_recorded(out)
-    # an order and distances on the determinized (computed once), the
-    # minimized, the pushed (the minimized itself) and its pruned lattice,
-    # and an order on the connected one and on the pruned determinized one
-    assert checked == 400 * 10
+    # an order, distances and the determinism flag on the determinized
+    # (computed once, the flag recorded by determinize), an order and
+    # distances on the minimized, the pushed (the minimized itself) and
+    # its pruned lattice, and an order on the connected one and on the
+    # pruned determinized one
+    assert checked == 400 * 11
+
+
+def test_minimize_reads_the_determinism_determinize_records(monkeypatch):
+    scanned = []
+    scan = Machine._scan_deterministic
+    monkeypatch.setattr(Machine, "_scan_deterministic",
+                        lambda m: scanned.append(m) or scan(m))
+    rng = random.Random(5)
+    drawn = [m for kind in (Semiring.TROPICAL, Semiring.BOOLEAN)
+             for m in sample_machines(60, 30, kind=kind, acceptor=True)]
+    for m in [slotted_dag(rng) for _ in range(10)] + drawn:
+        try:
+            minimize(determinize(m, expansion_cap=200))
+        except FsmError:  # a draw determinize cannot take
+            continue
+    assert scanned == []
+    # a transducer's output records nothing, so minimize scans it
+    transducer = Machine._from_parts(Semiring.TROPICAL, None, None,
+                                     [[(1, 2, 0.0, 1)], []], {1: 0.0})
+    minimize(determinize(transducer))
+    assert len(scanned) == 1
 
 
 def test_pushing_pruning_and_best_path_reuse_minimize_tables(monkeypatch):

@@ -40,13 +40,16 @@ def same_behaviour(a, b, max_len=5, max_arcs=16):
 
 
 # -- determinize ---------------------------------------------------------
+#
+# determinize records that an acceptor's output is deterministic, so
+# these tests scan the output rather than read the flag back.
 
 
 def test_determinize_acceptors():
     for m in twin_satisfying_machines(41, 20, kind=T, max_states=4,
                                       max_arcs=6, acceptor=True):
         d = determinize(m)
-        assert d.is_deterministic()
+        assert d._scan_deterministic()
         for s in strings_up_to((1, 2, 3), 4):
             assert weight_of(d, s, max_path_len=14) == \
                 weight_of(m, s, max_path_len=14), s
@@ -89,7 +92,7 @@ def test_determinize_boolean():
     for m in twin_satisfying_machines(47, 10, kind=B, max_states=4,
                                       max_arcs=6, acceptor=True):
         d = determinize(m)
-        assert d.is_deterministic()
+        assert d._scan_deterministic()
         for s in strings_up_to((1, 2, 3), 4):
             assert weight_of(d, s, max_path_len=14) == \
                 weight_of(m, s, max_path_len=14)
@@ -106,7 +109,7 @@ def test_determinize_acceptors_with_and_without_epsilon(seed, kind, eps):
     m, = twin_satisfying_machines(seed, 1, kind=kind, max_states=4,
                                   max_arcs=6, acceptor=True, eps=eps)
     d = determinize(m)
-    assert d.is_deterministic()
+    assert d._scan_deterministic()
     assert all(arc[0] != 0 for _, arc in d.all_arcs())
     for s in strings_up_to((1, 2, 3), 4):
         assert weight_of(d, s, max_path_len=19) == \
@@ -167,7 +170,7 @@ def test_twins_holds_on_a_weighted_epsilon_cycle():
     m = acceptor(T, [(0, 0, 1.0, 0), (0, 1, 0.0, 1)], [1])
     assert twins_test(m).has_twin_property
     d = determinize(m)
-    assert d.is_deterministic()
+    assert d._scan_deterministic()
     for s in strings_up_to((1,), 3):
         assert weight_of(d, s, max_path_len=8) == \
             weight_of(m, s, max_path_len=8)
@@ -208,12 +211,29 @@ def test_determinize_caps_subset_size(arcs):
     assert time.perf_counter() - begin < 15.0
 
 
+def test_determinize_caps_the_elements_of_all_subsets():
+    # a start subset, then k layers of 20 states and one final: 2 + 20k
+    # elements in k + 2 subsets, each within a cap of 20; the 16 * 20
+    # elements in all allow 15 layers but not 16
+    def layers(k):
+        last, final = range(20 * k - 19, 20 * k + 1), 20 * k + 1
+        arcs = [(0, 1, 0.0, q) for q in range(1, 21)]
+        arcs += [(q, 1, 0.0, q + 20) for q in range(1, last[0])]
+        arcs += [(q, 2, 0.0, final) for q in last]
+        return acceptor(T, arcs, [final])
+
+    assert optimize._SUBSET_ELEMENTS_CAP == 16
+    assert determinize(layers(15), expansion_cap=20).num_states == 17
+    with pytest.raises(CapExceededError, match="320 elements in all subsets"):
+        determinize(layers(16), expansion_cap=20)
+
+
 def test_twins_holds_on_sibling_cycles_with_equal_weights():
     m = acceptor(T, [(0, 1, 0.0, 1), (0, 1, 0.5, 2),
                      (1, 2, 1.0, 1), (2, 2, 1.0, 2)], {1: 0.0, 2: 0.0})
     assert twins_test(m).has_twin_property
     d = determinize(m)
-    assert d.is_deterministic()
+    assert d._scan_deterministic()
     for s in strings_up_to((1, 2), 5):
         assert weight_of(d, s, max_path_len=12) == \
             weight_of(m, s, max_path_len=12)

@@ -10,6 +10,11 @@ SHA-256 of those texts, joined over the inputs, pins each op byte for byte.
 Determinization is bounded by ``expansion_cap``, so an input that is not
 determinizable fails fast rather than being left out.
 
+``apply_rewrite`` is pinned over seeded grammars of one to three rules,
+composed and compacted as ``rule compile`` does: the ``repr`` of its
+``all`` and ``best`` results (or typed error) for each of a fixed set of
+seeded input strings, joined into one SHA-256.
+
 The ``lm count|build|fsa`` pipeline is pinned the same way: two seeded
 Zipf corpora (``helpers.zipf_corpus``), each at orders 2 and 3, run
 through ``lm_main`` into files, and one SHA-256 per stage, joined over the
@@ -25,7 +30,7 @@ import random
 import pytest
 
 from wfst import (CascadeSpec, FsmError, Machine, Rule, Semiring, SymbolTable,
-                  accepted_pairs, beam_decode, build_lm_fsa, closure, compact,
+                  accepted_pairs, apply_rewrite, beam_decode, build_lm_fsa, closure, compact,
                   compile_regex, compile_tree, compile_weighted_rule,
                   complement, compose, concat, connect, determinize,
                   difference, expand, intersect, lazy_compose,
@@ -33,6 +38,7 @@ from wfst import (CascadeSpec, FsmError, Machine, Rule, Semiring, SymbolTable,
                   parse_tree, project, push, reverse, union, write_text)
 
 from wfst.cli import lm_main
+from wfst.rewrite import register_symbols
 
 from helpers import (build, random_det_acceptor, random_rule_spec,
                      sample_machines, viable_model, zipf_corpus)
@@ -346,3 +352,56 @@ def test_lm_pipeline_outputs_are_pinned(tmp_path):
     parts = lm_pipeline_bytes(tmp_path)
     assert {stage: hashlib.sha256(b"\0".join(p)).hexdigest()
             for stage, p in parts.items()} == LM_GOLDEN
+
+
+def rewrite_grammars():
+    """Six seeded grammars of one to three rules over the alphabet
+    ``a b c``, each compiled and composed in order, then compacted, as
+    ``rule compile`` builds a cascade."""
+    out = []
+    for seed in range(6):
+        rng = random.Random(4600 + seed)
+        rules = [Rule(*random_rule_spec(rng)[4:])
+                 for _ in range(1 + seed % 3)]
+        symtab = SymbolTable()
+        for sym in "abc":
+            symtab.add(sym)
+        for r in rules:
+            register_symbols(r, symtab)
+        m = compile_weighted_rule(rules[0], symtab)
+        for r in rules[1:]:
+            m = compose(m, compile_weighted_rule(r, symtab))
+        m = compact(m)
+        m.isymbols = m.osymbols = symtab
+        out.append(m)
+    return out
+
+
+def rewrite_inputs():
+    """The empty string, then 39 seeded strings of 1-8 symbols over
+    ``a b c``, and one more that ends in a ``d`` no grammar knows."""
+    rng = random.Random(4700)
+    words = [tuple(rng.choice("abc") for _ in range(rng.randint(1, 8)))
+             for _ in range(39)]
+    return [(), *words, (*words[0], "d")]
+
+
+REWRITE_GOLDEN = (
+    "e95ed1a0d61aa0e75f910135723bfaa5372522d20bd7604525da9a45aba4c069")
+
+
+def rewrite_texts():
+    parts = []
+    for m in rewrite_grammars():
+        for inp in rewrite_inputs():
+            for mode in ("all", "best"):
+                try:
+                    parts.append(repr(apply_rewrite(m, list(inp), mode)))
+                except FsmError as exc:
+                    parts.append(repr(exc))
+    return parts
+
+
+def test_apply_rewrite_outputs_are_pinned():
+    digest = hashlib.sha256("\0".join(rewrite_texts()).encode()).hexdigest()
+    assert digest == REWRITE_GOLDEN

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ContractError, NoPathError
-from .machine import EPSILON, Machine, View, connect
+from .machine import EPSILON, Machine, View, check_machines, connect
 from .machine import observation_machine  # noqa: F401 (re-exported)
 from .ops import _END, compose, label_index, label_indexes, lazy_compose
 from .semiring import Semiring
@@ -21,10 +21,11 @@ INF = math.inf
 
 
 def _require_tropical(m):
-    """Refuse ``m`` unless it is TROPICAL, then return its start: reading it
-    refuses a machine that is not frozen."""
+    """Refuse ``m`` unless it is a TROPICAL ``Machine``, then return its
+    start: reading it refuses a machine that is not frozen."""
     if m.kind is not Semiring.TROPICAL:
         raise ContractError("decoding requires TROPICAL weights")
+    check_machines(m)
     return m.start
 
 
@@ -80,14 +81,18 @@ def _backward(m):
 
 def backward_distances(m: Machine) -> dict[int, float]:
     """Shortest distance from each state to a final (final weight included)."""
+    check_machines(m)
     return dict(_backward(m))
 
 
 def best_path(m: Machine):
     """One optimal accepting path: ((input, output), cost).
 
-    Ties are broken by smallest next-state id, then smallest labels, making
-    the result reproducible.
+    From each state the path takes an optimal arc fewest arcs away from an
+    optimal stop; ties are broken by smallest next-state id, then smallest
+    labels, making the result reproducible.  The arc counts take one
+    reverse-topological pass on acyclic input, else a breadth-first search
+    back from the optimal stops.
     """
     _require_tropical(m)
     d = _backward(m)
@@ -95,25 +100,34 @@ def best_path(m: Machine):
         raise NoPathError("machine accepts nothing")
     # hop counts to an optimal stopping state along weight-optimal arcs
     # only, so extraction cannot orbit a zero-weight cycle
-    h = [0 if m.final(q) == d[q] else INF for q in m.states()]
-    optimal_preds = [[] for _ in m.states()]
-    for q in m.states():
-        for _, _, w, t in m.arcs(q):
-            if w + d[t] == d[q]:
-                optimal_preds[t].append(q)
-    queue = deque(q for q in m.states() if h[q] == 0)
-    while queue:
-        t = queue.popleft()
-        for q in optimal_preds[t]:
-            if h[q] == INF:
-                h[q] = h[t] + 1
-                queue.append(q)
+    final, arcs_of = m.final, m.arcs
+    if m.is_acyclic():
+        # every optimal arc's target comes later in the order
+        h = [0] * m.num_states
+        for v in reversed(m.topological_order()):
+            dv = d[v]
+            h[v] = 0 if final(v) == dv else 1 + min(
+                [h[t] for _, _, w, t in arcs_of(v) if w + d[t] == dv])
+    else:
+        h = [0 if final(q) == d[q] else INF for q in m.states()]
+        optimal_preds = [[] for _ in m.states()]
+        for q in m.states():
+            for _, _, w, t in arcs_of(q):
+                if w + d[t] == d[q]:
+                    optimal_preds[t].append(q)
+        queue = deque(q for q in m.states() if h[q] == 0)
+        while queue:
+            t = queue.popleft()
+            for q in optimal_preds[t]:
+                if h[q] == INF:
+                    h[q] = h[t] + 1
+                    queue.append(q)
     inp, out = [], []
     q = m.start
     cost = m.start_weight
     while h[q] > 0:
         best = None
-        for il, ol, w, t in m.arcs(q):
+        for il, ol, w, t in arcs_of(q):
             if w + d[t] != d[q] or h[t] >= h[q]:
                 continue
             key = (t, il, ol)
@@ -125,7 +139,7 @@ def best_path(m: Machine):
         if ol != EPSILON:
             out.append(ol)
         cost += w
-    cost += m.final(q)
+    cost += final(q)
     return (tuple(inp), tuple(out)), cost
 
 

@@ -309,7 +309,20 @@ class View:
         raise ContractError(f"{type(self).__name__} is a view: expand() it")
 
     num_states = states = finals = all_arcs = is_acceptor = is_acyclic = \
-        is_deterministic = input_labels = _memo = property(_machine_only)
+        topological_order = is_deterministic = input_labels = _memo = \
+        property(_machine_only)
+
+
+def check_machines(*machines):
+    """Refuse with ``ContractError`` each operand that is not a
+    ``Machine``: a library view, or any other object, even one with a
+    machine's names (``kind``, ``start``, ``final``, ``arcs``).  Every op
+    that takes machines calls it before it reads one; reading a machine's
+    ``start`` then refuses one that is not frozen."""
+    for m in machines:
+        if not isinstance(m, Machine):
+            raise ContractError(f"{type(m).__name__} is not a frozen Machine: "
+                                "expand() a view")
 
 
 def observation_machine(labels, kind=Semiring.TROPICAL,
@@ -420,6 +433,7 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
 
 def write_text(m: Machine, acceptor=None) -> str:
     """Canonical text: start state's block first, then ascending states."""
+    check_machines(m)
     if acceptor is None:
         acceptor = m.is_acceptor() and m.osymbols is None
     kind = m.kind
@@ -455,6 +469,7 @@ def connect(m: Machine) -> Machine:
     zero-weight arc, is returned itself, with its derived tables;
     otherwise a known topological order is carried through the renumbering.
     """
+    check_machines(m)
     n = m.num_states
     start = m.start
     zero = m.kind.zero
@@ -529,6 +544,7 @@ def _path_sums(m: Machine, advance, progress, max_path_len):
     whether some path goes on past the bound.  Machine weights are in the
     carrier, so the sums use the unchecked ``plus``/``times``.
     """
+    check_machines(m)
     plus, times, finals = m.kind.plus, m.kind.times, m.finals
     sums = {}
     layer = {(m.start, progress): m.start_weight}

@@ -37,7 +37,7 @@ filter 0), so only B's own input labels count.
 from __future__ import annotations
 
 from .errors import ContractError, SemiringError, SymbolError
-from .machine import EPSILON, Machine, View, connect
+from .machine import EPSILON, Machine, View, check_machines, connect
 from .semiring import Semiring, require_same_kind
 
 FILTER_INITIAL = 0
@@ -194,7 +194,10 @@ class LazyComposition(View):
 
     def final(self, state):
         s1, s2, _ = self._pairs[state]
-        w = self.kind.times(self.a.final(s1), self.b.final(s2))
+        wa = self.a.final(s1)
+        if wa == self.kind.zero:  # zero (x) anything in the carrier
+            return wa
+        w = self.kind.times(wa, self.b.final(s2))
         if not self.kind.valid(w):
             raise self.kind.carrier_error(w)
         return w
@@ -307,9 +310,16 @@ def lazy_compose(a, b) -> LazyComposition:
 def compose(a: Machine, b: Machine) -> Machine:
     """Static composition: (u, w) -> sum_v A(u, v) (x) B(v, w), trimmed.
 
-    Expands every pair state of ``LazyComposition`` in id order, which is
-    breadth-first order, then trims.
+    ``connect`` of ``_compose_untrimmed(a, b)``.
     """
+    return connect(_compose_untrimmed(a, b))
+
+
+def _compose_untrimmed(a, b) -> Machine:
+    """Every pair state of ``LazyComposition(a, b)``, expanded in id order,
+    which is breadth-first order from the start pair, state 0.  Each state
+    is accessible; those that cannot finish (the lookahead drops most) are
+    kept, and so are arcs of zero weight."""
     view = LazyComposition(a, b)
     final, arcs_of, pairs = view.final, view.arcs, view._pairs
     zero = view.kind.zero
@@ -320,12 +330,13 @@ def compose(a: Machine, b: Machine) -> Machine:
             finals[q] = fw
         arcs.append(arcs_of(q))
         q += 1
-    return connect(Machine._from_parts(view.kind, view.isymbols, view.osymbols,
-                                       arcs, finals, 0, view.start_weight))
+    return Machine._from_parts(view.kind, view.isymbols, view.osymbols, arcs,
+                               finals, 0, view.start_weight)
 
 
 def intersect(a: Machine, b: Machine) -> Machine:
     """Acceptor intersection: weight(w) = A(w) (x) B(w)."""
+    check_machines(a, b)
     if not a.is_acceptor() or not b.is_acceptor():
         raise ContractError("intersect requires acceptors")
     return compose(a, b)
@@ -357,6 +368,7 @@ def _tables(*machines):
 
 def union(a: Machine, b: Machine) -> Machine:
     """weight(x) = A(x) (+) B(x), via a fresh super-start."""
+    check_machines(a, b)
     kind = require_same_kind(a, b)
     arcs, finals = [[]], {}
     for src in (a, b):
@@ -372,6 +384,7 @@ def concat(a: Machine, b: Machine, *more: Machine) -> Machine:
 
     Further machines are concatenated in the same single copy, numbered as
     pairwise concatenation from the left would number them."""
+    check_machines(a, b, *more)
     parts = (a, b, *more)
     for part in parts[1:]:
         kind = require_same_kind(a, part)
@@ -396,6 +409,7 @@ def closure(a: Machine) -> Machine:
     REAL is rejected: the sum over unboundedly many repetitions need not
     converge.
     """
+    check_machines(a)
     if a.kind is Semiring.REAL:
         raise SemiringError("closure is not supported over the REAL semiring")
     arcs = [[(EPSILON, EPSILON, a.start_weight, a.start + 1)], *_shifted(a, 1)]
@@ -407,6 +421,7 @@ def closure(a: Machine) -> Machine:
 
 def reverse(a: Machine) -> Machine:
     """weight(w) = A(reverse(w)); arcs flipped, start/finals swapped."""
+    check_machines(a)
     arcs = [[(EPSILON, EPSILON, w, q + 1) for q, w in a.finals.items()]]
     arcs += [[] for _ in a.states()]
     for q, (il, ol, w, t) in a.all_arcs():
@@ -418,6 +433,7 @@ def reverse(a: Machine) -> Machine:
 
 def project(a: Machine, side: str) -> Machine:
     """Acceptor over the chosen tape; path weights preserved."""
+    check_machines(a)
     if side not in ("input", "output"):
         raise ContractError(f"side must be 'input' or 'output', got {side!r}")
     tape = 0 if side == "input" else 1  # the label's field in an arc
@@ -468,6 +484,7 @@ def complement(a: Machine, alphabet=None) -> Machine:
     """
     from .optimize import determinize
 
+    check_machines(a)
     if a.kind is not Semiring.BOOLEAN or not a.is_acceptor():
         raise SemiringError("complement is defined for BOOLEAN acceptors only")
     sigma = _alphabet_of(a) if alphabet is None else sorted(set(alphabet))
@@ -480,6 +497,7 @@ def complement(a: Machine, alphabet=None) -> Machine:
 
 def difference(a: Machine, b: Machine) -> Machine:
     """L(A) minus L(B) for boolean acceptors."""
+    check_machines(a, b)
     if a.kind is not Semiring.BOOLEAN or b.kind is not Semiring.BOOLEAN:
         raise SemiringError("difference is defined for BOOLEAN acceptors only")
     return intersect(a, complement(b, alphabet=_alphabet_of(a, b)))

@@ -24,7 +24,7 @@ from functools import reduce
 
 from .decode import INF, _backward
 from .errors import CapExceededError, ContractError, SemiringError
-from .machine import EPSILON, Machine, connect
+from .machine import EPSILON, Machine, check_machines, connect
 from .semiring import Semiring
 
 DEFAULT_EXPANSION_CAP = 10_000
@@ -158,6 +158,7 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     in the carrier.  A one-element subset reached without input-epsilon
     moves is its own normal form.
     """
+    check_machines(m)
     _require_divisible(m.kind)
     kind = m.kind
     times, plus, valid = kind.times, kind.plus, kind.valid
@@ -366,6 +367,7 @@ def twins_test(m: Machine) -> TwinReport:
     transducers) admit a consistent potential labeling; an inconsistent
     edge exhibits a common input cycle with unequal weight or output.
     """
+    check_machines(m)
     if m.kind not in (Semiring.TROPICAL, Semiring.BOOLEAN):
         raise ContractError("twins_test expects a TROPICAL or BOOLEAN machine")
     try:
@@ -417,6 +419,7 @@ def local_determinize(m: Machine, k: int) -> Machine:
     more than ``DEFAULT_EXPANSION_CAP`` states beyond the input's own
     raises ``CapExceededError``.
     """
+    check_machines(m)
     if k < 1:
         raise ContractError("k must be >= 1")
     _require_divisible(m.kind)
@@ -541,6 +544,7 @@ def push(m: Machine, mode: str) -> Machine:
     transducer): hoist each state's common output prefix; weights are
     copied as they are.
     """
+    check_machines(m)
     kind = m.kind
     one = kind.one
     if mode == "weights":
@@ -731,6 +735,7 @@ def minimize(m: Machine) -> Machine:
     trimmed first unless it has a final and ``_all_live`` shows it needs
     no trim.  An acceptor's ``determinize`` output is not scanned for
     determinism: it records that it is deterministic."""
+    check_machines(m)
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "
                             "(determinize first)")

@@ -18,9 +18,11 @@ from functools import reduce
 
 from .errors import ContractError, ParseError, SymbolError
 from .machine import (EPSILON, Machine, SymbolTable, _resolve,
-                      accepted_pairs, connect, observation_machine)
-from .ops import (_END, _complete_table, _relabel, closure, complement,
-                  compose, concat, intersect, read_set, reverse, union)
+                      accepted_pairs, check_machines, connect,
+                      observation_machine)
+from .ops import (_END, _complete_table, _compose_untrimmed, _relabel,
+                  closure, complement, compose, concat, intersect, read_set,
+                  reverse, union)
 from .optimize import compact, determinize
 from .semiring import Semiring, require_same_kind
 
@@ -221,6 +223,7 @@ def marker(alpha: Machine, mtype: int, insert=(), delete=()) -> Machine:
     them after accepted ones.  The result is a TROPICAL transducer
     accepting every string over alpha's labels.
     """
+    check_machines(alpha)
     sigma = alpha.input_labels()
     trans, finals, start = _complete_table(alpha, sigma)
     if mtype not in (1, 2, 3):
@@ -402,8 +405,16 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
         if type(t) is not int:  # bool is an int subclass, not a label
             raise SymbolError(f"token {t!r} is neither a symbol nor an "
                               "int label")
-    comp = compose(observation_machine(labels, rule_fst.kind, table),
-                   rule_fst)
+    comp = _compose_untrimmed(
+        observation_machine(labels, rule_fst.kind, table), rule_fst)
+    # Each state is accessible, and one that cannot finish changes no
+    # result, so the untrimmed machine is searched as it is, unless a
+    # zero-weight arc (which connect drops) may hide an accepted path
+    # behind it, or 'all' meets a cycle, which may be a dead one.
+    zero = comp.kind.zero
+    if (mode == "all" and not comp.is_acyclic()) or any(
+            w == zero for q in comp.states() for _, _, w, _ in comp.arcs(q)):
+        comp = connect(comp)
     if not comp.finals:
         return []
     if mode == "best":
@@ -461,6 +472,7 @@ def intersect_samelength(t1: Machine, t2: Machine) -> Machine:
     Both transducers must be epsilon-free (same-length relations); label
     pairs are packed into single symbols and intersected as acceptors.
     """
+    check_machines(t1, t2)
     require_same_kind(t1, t2)
     for m in (t1, t2):
         for _, (il, ol, _, _) in m.all_arcs():

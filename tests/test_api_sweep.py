@@ -17,8 +17,9 @@ and ``determinize`` runs under ``expansion_cap``.  A returned view is
 expanded, so its lazy work is swept too.
 
 A second sweep holds each function to the operand contract: one that
-takes a ``Machine`` raises ``ContractError`` on a lazy view or an unfrozen
-machine, and the view readers take views.
+takes a ``Machine`` raises ``ContractError`` on a lazy view, on an object
+that only has a machine's names, or on an unfrozen machine, and the view
+readers take views.
 """
 
 import inspect
@@ -289,15 +290,29 @@ def test_a_call_returns_or_raises_a_typed_error(name, data):
 
 # -- the operand contract -------------------------------------------------
 #
-# Every op takes frozen machines: a lazy view passed where a ``Machine`` is
-# expected, or a machine that is not frozen, raises ``ContractError``.
+# Every op takes frozen machines: a lazy view or any other object passed
+# where a ``Machine`` is expected, or a machine that is not frozen, raises
+# ``ContractError``.
 # Only the view readers take views.
 
 T, B = Semiring.TROPICAL, Semiring.BOOLEAN
+
+
+class Duck:
+    """A generalized state machine by its names alone: ``m``'s kind,
+    start, start weight, final weights and arcs, with no library base."""
+
+    def __init__(self, m):
+        self.kind, self.start, self.start_weight = (m.kind, m.start,
+                                                    m.start_weight)
+        self.final, self.arcs = m.final, m.arcs
+
+
 # shape -> (the operand made of a frozen machine, the error it raises)
 SHAPES = {
     "lazy_compose": (lambda a: lazy_compose(a, a), "view|frozen Machine"),
     "cached": (cached, "view|frozen Machine"),
+    "duck": (Duck, "frozen Machine"),
     "unfrozen": (unfrozen, "not frozen")}
 
 # (function, semiring, a call that passes operand ``e`` where a frozen

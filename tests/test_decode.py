@@ -217,6 +217,39 @@ def test_best_path_reproducible_ties():
     assert cost == 1.0 and inp == (1,)
 
 
+@st.composite
+def small_dags(draw):
+    """Arcs ``(src, ilabel, olabel, weight, dst)`` with ``src < dst`` and
+    finals of a TROPICAL machine on two to six states; weights are 0 or 1,
+    so that ties are common."""
+    n = draw(st.integers(2, 6))
+    forward = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    arcs = [(s, il, ol, w, t) for (s, t), il, ol, w in draw(st.lists(
+        st.tuples(st.sampled_from(forward), st.integers(0, 2),
+                  st.integers(0, 2), st.integers(0, 1)), max_size=12))]
+    finals = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1),
+                                  min_size=1))
+    return n, arcs, finals
+
+
+@given(small_dags())
+@settings(max_examples=300, deadline=None)
+def test_best_path_hop_pass_agrees_with_the_search_on_cyclic_input(dag):
+    n, arcs, finals = dag
+    m = build(T, arcs, finals, num_states=n)
+    # one more state, with a loop and no arc in: no path changes, but the
+    # machine is cyclic, so best_path counts hops by breadth-first search
+    looped = build(T, arcs + [(n, 1, 1, 0, n)], finals)
+    assert m.is_acyclic() and not looped.is_acyclic()
+    try:
+        expected = best_path(m)
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            best_path(looped)
+    else:
+        assert best_path(looped) == expected
+
+
 def test_best_path_empty():
     m = acceptor(T, [(0, 1, 1.0, 1)], {})
     m2 = connect(m)

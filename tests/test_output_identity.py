@@ -30,12 +30,13 @@ import random
 import pytest
 
 from wfst import (CascadeSpec, FsmError, Machine, Rule, Semiring, SymbolTable,
-                  accepted_pairs, apply_rewrite, beam_decode, build_lm_fsa, closure, compact,
-                  compile_regex, compile_tree, compile_weighted_rule,
-                  complement, compose, concat, connect, determinize,
-                  difference, expand, intersect, lazy_compose,
-                  local_determinize, marker, minimize, observation_machine,
-                  parse_tree, project, push, reverse, union, write_text)
+                  accepted_pairs, apply_rewrite, beam_decode, build_lm_fsa,
+                  closure, compact, compile_regex, compile_tree,
+                  compile_weighted_rule, complement, compose, concat,
+                  connect, determinize, difference, expand, intersect,
+                  lazy_compose, local_determinize, marker, minimize,
+                  observation_machine, parse_tree, project, push, reverse,
+                  union, write_text)
 
 from wfst.cli import lm_main
 from wfst.rewrite import register_symbols
@@ -371,9 +372,7 @@ def rewrite_grammars():
         m = compile_weighted_rule(rules[0], symtab)
         for r in rules[1:]:
             m = compose(m, compile_weighted_rule(r, symtab))
-        m = compact(m)
-        m.isymbols = m.osymbols = symtab
-        out.append(m)
+        out.append(compact(m))
     return out
 
 

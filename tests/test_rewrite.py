@@ -7,11 +7,12 @@ from wfst import (ContractError, Machine, ParseError, Rule, Semiring,
                   compile_regex, compile_tree, compile_weighted_rule,
                   intersect_samelength, marker, parse_rule_file, parse_tree,
                   read_text, weight_of)
-from wfst import ops
+from wfst import observation_machine, ops
 
-from helpers import random_rule_spec, scan_rewrite, strings_up_to
+from helpers import build, random_rule_spec, scan_rewrite, strings_up_to
 
 B = Semiring.BOOLEAN
+T = Semiring.TROPICAL
 
 
 # -- regular expressions -------------------------------------------------
@@ -212,6 +213,42 @@ def test_apply_rewrite_all_refuses_infinitely_many_rewritings():
     assert apply_rewrite(fst, ["a"], mode="best") == [((), 0.0)]
 
 
+def test_apply_rewrite_reads_past_a_dead_cycle():
+    # 0 -e:3-> 2 is kept by the lookahead (2 reads 1), but 2 loops and
+    # never finishes: the untrimmed composition of the input 1 is cyclic,
+    # while its trimmed part is one arc, so 'all' still has an answer
+    rule = build(T, [(0, 1, 2, 0.0, 1), (0, 0, 3, 0.0, 2), (2, 0, 3, 0.0, 2),
+                     (2, 1, 1, 0.0, 3)], {1: 0.0})
+    untrimmed = ops._compose_untrimmed(observation_machine([1]), rule)
+    assert not untrimmed.is_acyclic()
+    for mode in ("all", "best"):
+        assert apply_rewrite(rule, [1], mode) == [((2,), 0.0)]
+
+
+def test_apply_rewrite_carries_no_path_over_a_zero_weight_arc():
+    inf = float("inf")
+    # the only path of the input 1 crosses a zero-weight arc
+    rule = build(T, [(0, 1, 2, inf, 1)], {1: 0.0})
+    for mode in ("all", "best"):
+        assert apply_rewrite(rule, [1], mode) == []
+    # behind the zero-weight arc lies a negative cycle, which only an
+    # untrimmed search would meet
+    rule = build(T, [(0, 1, 2, inf, 1), (1, 0, 3, -1.0, 1), (0, 1, 4, 0.0, 2)],
+                 {1: 0.0, 2: 0.0})
+    for mode in ("all", "best"):
+        assert apply_rewrite(rule, [1], mode) == [((4,), 0.0)]
+
+
+def test_apply_rewrite_best_reports_a_rejected_input_before_the_semiring():
+    # BOOLEAN: 1 is accepted, 3 only over a zero-weight arc, 2 not at all
+    rule = build(B, [(0, 1, 2, 1.0, 1), (0, 3, 3, 0.0, 1)], {1: 1.0})
+    assert apply_rewrite(rule, [1]) == [((2,), 1.0)]
+    for inp in ([2], [3]):
+        assert apply_rewrite(rule, inp, "best") == []
+    with pytest.raises(ContractError, match="TROPICAL"):
+        apply_rewrite(rule, [1], "best")
+
+
 def test_simple_rule_displayed_example():
     fst = compile_weighted_rule(Rule("a", "b", "c", "b"))
     assert apply_strings(fst, "cab") == {tuple("cbb"): 0.0}
@@ -388,7 +425,6 @@ def test_intersect_samelength():
 
 
 def test_intersect_samelength_rejects_epsilon():
-    from helpers import build
     t = build(Semiring.TROPICAL, [(0, 1, 0, 0.0, 1)], [1])
     with pytest.raises(ContractError):
         intersect_samelength(t, t)

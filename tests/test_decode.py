@@ -617,6 +617,18 @@ def test_observation_matcher_equals_the_lazy_composition():
             decode._ObservationMatcher((1,), view)
 
 
+def test_one_stage_equal_cost_tie_is_broken_by_the_stage_state():
+    # two paths of cost 1.0 meet at state 3 in the epsilon closure of frame
+    # 1; the search settles equal costs in ascending state order, and the
+    # prefix numbers one frame's states in ascending order of the stage's
+    # state, so the path through state 1 wins although state 2's arc comes
+    # first
+    stage = build(T, [(0, 1, 8, 0.0, 2), (0, 1, 7, 0.0, 1),
+                      (1, 0, 5, 1.0, 3), (2, 0, 6, 1.0, 3)], {3: 0.0})
+    outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1,))
+    assert (outputs, cost) == ((7, 5), 1.0)
+
+
 def test_epsilon_observation_raises():
     stage = build(T, [(0, 1, 7, 0.5, 0), (0, 0, 8, 1.0, 0)], {0: 0.0})
     with pytest.raises(ContractError, match="epsilon"):

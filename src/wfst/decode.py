@@ -10,9 +10,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 
 from .errors import ContractError, NoPathError
-from .machine import EPSILON, Machine, View, check_machines, connect
+from .machine import EPSILON, Machine, check_machines, connect
 from .machine import observation_machine  # noqa: F401 (re-exported)
 from .ops import _END, compose, label_index, label_indexes, lazy_compose
 from .semiring import Semiring
@@ -222,90 +223,96 @@ class DecodeStats:
     pruned: int = 0
 
 
-class _ObservationMatcher(View):
-    """The live part of ``lazy_compose(observation_machine(obs), x)``, read
-    through the frozen machine ``x``'s label index (same moves in order,
-    weights and range checks).  Pair (observation i, state q) is state
-    ``q * (len(obs) + 1) + i``.  ``live[i]`` holds the states of ``x`` that
-    can read ``obs[i:]`` and stop; a move on ``obs[i]`` is kept iff its
-    target is in ``live[i + 1]``, an epsilon move iff its target is in
-    ``live[i]``, so every pair the matcher reaches can still finish."""
+def _live_product(obs, x):
+    """The live part of ``compose(observation_machine(obs), x)`` for the
+    frozen machine ``x``: the pairs (observation i, state q) the start
+    reaches, numbered frame by frame, in ascending order of ``q`` within a
+    frame (the search breaks equal costs by id).  From pair (i, q) a move
+    on ``obs[i]`` is kept iff its target is in ``live[i + 1]``, then an
+    epsilon move iff its target is in ``live[i]``, so every pair but the
+    start can still finish; weights are checked as a composition's."""
+    if EPSILON in obs:
+        raise ContractError("an observation may not be epsilon (0)")
+    sources = x._memo("label_sources", lambda: _label_sources(x))
+    live = _live_sets(x, sources, obs)
+    kind, table = x.kind, label_indexes(x)
+    times, one, valid = kind.times, kind.one, kind.valid
 
-    def __init__(self, obs, x):
-        if EPSILON in obs:
-            raise ContractError("an observation may not be epsilon (0)")
-        self.x, self.kind, width = x, x.kind, len(obs) + 1
-        self.isymbols, self.osymbols = x.isymbols, x.osymbols
-        self._next = (*obs, _END)  # pair i reads [i]; none reads _END
-        self._width, self.start = width, x.start * width
-        self.start_weight = self._valid(x.kind.times(x.kind.one,
-                                                     x.start_weight))
-        self._index = label_indexes(x)
-        self._live = _live_sets(x, obs)
-
-    def _valid(self, w):
-        if not self.kind.valid(w):
-            raise self.kind.carrier_error(w)
+    def checked(w):
+        w = times(one, w)
+        if not valid(w):
+            raise kind.carrier_error(w)
         return w
 
-    def final(self, state):
-        q, i = divmod(state, self._width)
-        if i < self._width - 1:
-            return self.kind.zero  # zero times a weight in the carrier
-        return self._valid(self.kind.times(self.kind.one, self.x.final(q)))
-
-    def arcs(self, state):
-        q, i = divmod(state, self._width)
-        index = label_index(self.x, self._index, q)
-        kind, live, width = self.kind, self._live, self._width
-        times, one, valid = kind.times, kind.one, kind.valid
-        result = []
-        # a match on obs[i] steps to pair i + 1; an epsilon move stays
-        for label, ahead, step in ((self._next[i], live[i + 1], 1),
-                                   (EPSILON, live[i], 0)):
+    # forward: frame i's pairs, as state of x -> id
+    ids, size, reached = [], 0, {x.start}
+    for here, ahead, label in zip(live, live[1:], (*obs, _END)):
+        stack = list(reached) if EPSILON in sources else ()
+        while stack:
+            for _, _, _, t in label_index(x, table, stack.pop()).get(
+                    EPSILON, ()):
+                if t in here and t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        ids.append(dict(zip(sorted(reached), count(size))))
+        size += len(reached)
+        reached = {t for q in reached for _, _, _, t in
+                   label_index(x, table, q).get(label, ()) if t in ahead}
+    arcs = []
+    for here, ahead, alive, label in zip(ids, ids[1:] + [{}], live,
+                                         (*obs, _END)):
+        for q in here:
+            index = table[q]
+            out = []
             for _, ol, w, t in index.get(label, ()):
                 if t in ahead:
-                    w = times(one, w) if step else w
+                    w = times(one, w)
                     if not valid(w):
                         raise kind.carrier_error(w)
-                    result.append((label, ol, w, t * width + i + step))
-        return tuple(result)
+                    out.append((label, ol, w, ahead[t]))
+            if EPSILON in index:
+                out += [(EPSILON, ol, w, here[t])
+                        for _, ol, w, t in index[EPSILON] if t in alive]
+            arcs.append(out)
+    finals = {p: checked(w) for q, p in ids[-1].items()
+              if (w := x.final(q)) != kind.zero}
+    return Machine._from_parts(kind, x.isymbols, x.osymbols, arcs, finals,
+                               ids[0][x.start], checked(x.start_weight))
 
 
-def _reverse_index(x):
-    """Per state of ``x``, ``label -> sources`` over the arcs into it, and
-    whether any arc of ``x`` has an epsilon input."""
-    by_target = [{} for _ in x.states()]
+def _label_sources(x):
+    """``label -> target -> sources`` over the arcs of ``x``."""
+    sources = {}
     for q in x.states():
         for il, _, _, t in x.arcs(q):
-            by_target[t].setdefault(il, []).append(q)
-    return by_target, any(EPSILON in row for row in by_target)
+            sources.setdefault(il, {}).setdefault(t, []).append(q)
+    return sources
 
 
-def _live_sets(x, obs):
+def _live_sets(x, sources, obs):
     """``live[i]``: the states of the frozen machine ``x`` that can read
     ``obs[i:]`` and stop, each closed backwards over epsilon-input arcs; one
-    backward pass from ``live[i + 1]``'s states through ``x``'s reverse
-    index, kept with ``x``.  ``live[len(obs) + 1]`` is empty: no pair reads
+    backward pass from ``live[i + 1]``'s states through ``x``'s
+    ``_label_sources``.  ``live[len(obs) + 1]`` is empty: no pair reads
     past the end."""
-    index, epsilon = x._memo("reverse_label_index", lambda: _reverse_index(x))
+    into = sources.get(EPSILON, {})
 
     def closed(states):
-        stack = list(states) if epsilon else ()
+        stack = list(states) if into else ()
         while stack:
-            for s in index[stack.pop()].get(EPSILON, ()):
+            for s in into.get(stack.pop(), ()):
                 if s not in states:
                     states.add(s)
                     stack.append(s)
         return states
 
     zero = x.kind.zero
-    live = [closed({q for q, w in x.finals.items() if w != zero})]
+    live = [set(), closed({q for q, w in x.finals.items() if w != zero})]
     for label in reversed(obs):
-        live.append(closed({q for t in live[-1]
-                            for q in index[t].get(label, ())}))
+        step = sources.get(label, {})
+        live.append(closed(set().union(
+            *map(step.__getitem__, step.keys() & live[-1]))))
     live.reverse()
-    live.append(set())
     return live
 
 
@@ -319,10 +326,13 @@ def _composed(stages):
 def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     """Frame-synchronous Viterbi beam search over the lazy cascade.
 
-    A matcher reads the observations through the stages before the last,
-    composed statically once; only the last is composed lazily.  The
-    matcher steps only into prefix states that can read the rest of the
-    observations and stop, so the search builds no pair the prefix dooms.
+    The stages before the last are composed statically once; per call,
+    the live part of the observations composed with that prefix is built
+    as a frozen machine (live sets from one backward pass over a per-label
+    source table kept with the prefix, then one forward pass), and only
+    the last stage is composed lazily onto it.  The live product holds
+    only prefix states that can read the rest of the observations and
+    stop, so the search builds no pair the prefix dooms.
     NoPathError blames the beam only when the beam pruned a state; a
     search that pruned nothing was exact, so it says the cascade accepts
     no path (at once, when the prefix cannot read the observations).
@@ -340,7 +350,7 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
         raise ContractError(f"beam must be a non-negative number, got {beam!r}")
     observations = tuple(observations)
     stages = cascade.stages
-    view = _ObservationMatcher(observations, _composed(stages[:-1] or stages))
+    view = _live_product(observations, _composed(stages[:-1] or stages))
     if len(stages) > 1:
         view = lazy_compose(view, stages[-1])
     n_frames = len(observations)

@@ -216,31 +216,34 @@ class LazyComposition(View):
         result = []
         for il, ol, wa, n1 in arcs_a:
             if ol != EPSILON:
-                group = index.get(ol, ())
+                group, alone = index.get(ol, ()), False
             else:
-                group = eps_b if both else ()
-            if group:
-                after = (memo(n1) or emits_of(n1))[1]
-                for _, ol_b, wb, n2 in group:
-                    if after.isdisjoint(reads_of(n2)
-                                        or read_set(b, index_b, reads, n2)):
-                        continue
-                    w = times(wa, wb)
-                    if not valid(w):
-                        raise kind.carrier_error(w)
-                    target = (n1, n2, FILTER_INITIAL)
-                    t = ids.setdefault(target, len(pairs))
-                    if t == len(pairs):
-                        pairs.append(target)
-                    result.append((il, ol_b, w, t))
-            if ol == EPSILON and f != _B_ALONE:
-                # B stays at s2 and may only match from the target, so
-                # only its own labels count (they are read_set(s2) when s2
-                # has no epsilon arc)
-                after = (memo(n1) or emits_of(n1))[1]
-                if not after.isdisjoint(index) or (
-                        _END in after and b.final(s2) != kind.zero):
-                    self._add(result, il, EPSILON, wa, (n1, s2, a_alone))
+                group, alone = eps_b if both else (), f != _B_ALONE
+            if not (group or alone):
+                continue
+            after = (memo(n1) or emits_of(n1))[1]
+            for _, ol_b, wb, n2 in group:
+                if after.isdisjoint(reads_of(n2)
+                                    or read_set(b, index_b, reads, n2)):
+                    continue
+                w = times(wa, wb)
+                if not valid(w):
+                    raise kind.carrier_error(w)
+                target = (n1, n2, FILTER_INITIAL)
+                t = ids.setdefault(target, len(pairs))
+                if t == len(pairs):
+                    pairs.append(target)
+                result.append((il, ol_b, w, t))
+            # B stays at s2 and may only match from the target, so only its
+            # own labels count (they are read_set(s2) when s2 has no
+            # epsilon arc); the keys view walks the smaller side
+            if alone and (not index.keys().isdisjoint(after) or (
+                    _END in after and b.final(s2) != kind.zero)):
+                target = (n1, s2, a_alone)
+                t = ids.setdefault(target, len(pairs))
+                if t == len(pairs):
+                    pairs.append(target)
+                result.append((il, EPSILON, wa, t))
         if eps_b and direct and f != _A_ALONE:
             # A stays at s1 and may only match from the target, so only
             # its own labels count; an empty ``direct`` drops every move
@@ -248,7 +251,11 @@ class LazyComposition(View):
             for _, ol_b, wb, n2 in eps_b:
                 if not direct.isdisjoint(reads_of(n2)
                                          or read_set(b, index_b, reads, n2)):
-                    self._add(result, EPSILON, ol_b, wb, (s1, n2, b_alone))
+                    target = (s1, n2, b_alone)
+                    t = ids.setdefault(target, len(pairs))
+                    if t == len(pairs):
+                        pairs.append(target)
+                    result.append((EPSILON, ol_b, wb, t))
         return tuple(result)
 
     def _emits_of(self, s1):
@@ -264,11 +271,17 @@ class LazyComposition(View):
         a, zero, memo = self.a, self.kind.zero, self._emits
         crossed = self._crossed
         arcs = crossed.pop(s1) if s1 in crossed else tuple(a.arcs(s1))
-        direct = {arc[1] for arc in arcs}
+        direct, stack, writes_eps = set(), [], False
+        for _, ol, _, t in arcs:
+            if ol != EPSILON:
+                direct.add(ol)
+            else:
+                writes_eps = True
+                if t != s1:
+                    stack.append(t)
         if a.final(s1) != zero:
             direct.add(_END)
         after = set(direct)
-        stack = [t for _, ol, _, t in arcs if ol == EPSILON and t != s1]
         seen = {s1, *stack}
         while stack:
             q = stack.pop()
@@ -286,21 +299,8 @@ class LazyComposition(View):
                 elif t not in seen:
                     seen.add(t)
                     stack.append(t)
-        writes_eps = EPSILON in direct
-        direct.discard(EPSILON)
-        after.discard(EPSILON)
         memo[s1] = emits = (arcs, after, direct, writes_eps)
         return emits
-
-    def _add(self, result, il, ol, w, target):
-        """Append a move where one side stays put: range-check its weight
-        and give its target pair an id if it has none."""
-        if not self.kind.valid(w):
-            raise self.kind.carrier_error(w)
-        t = self._ids.setdefault(target, len(self._pairs))
-        if t == len(self._pairs):
-            self._pairs.append(target)
-        result.append((il, ol, w, t))
 
 
 def lazy_compose(a, b) -> LazyComposition:
@@ -350,7 +350,7 @@ def _shifted(m: Machine, offset: int) -> list[list[tuple]]:
 
 
 def _same_table(x, y):
-    return x is None or y is None or x is y or x.items() == y.items()
+    return x is None or y is None or x is y or x._by_id == y._by_id
 
 
 def _tables(*machines):

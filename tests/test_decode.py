@@ -450,7 +450,7 @@ def test_no_path_at_an_infinite_beam_is_not_blamed_on_the_beam():
 
 @pytest.mark.parametrize("beam", [INF, 16.0, 0.0])
 def test_no_path_is_blamed_on_the_beam_only_when_it_pruned(beam):
-    # the channel never hears 3, so the matcher builds no move from the
+    # the channel never hears 3, so the live product has no move from the
     # start; the LM reads only word 8, which the lexicon never writes.
     # Either way the search prunes nothing, so no beam could help
     channel = build(T, [(0, 1, 1, 0.0, 0), (0, 2, 1, 1.0, 0)], {0: 0.0})
@@ -468,8 +468,8 @@ def test_no_path_is_blamed_on_the_beam_only_when_it_pruned(beam):
 
 def test_dead_end_branch_never_enters_the_beam():
     # 0 -1-> 2 cannot read the second observation, or (second machine)
-    # reads it and then stops in non-final state 3: the matcher never
-    # builds that pair state, so it cannot prune the live path at beam 1
+    # reads it and then stops in non-final state 3: the live product
+    # never holds that pair state, so it cannot prune the live path at beam 1
     arcs = [(0, 1, 1, 5.0, 1), (0, 1, 2, 0.0, 2), (1, 2, 1, 0.0, 1)]
     for extra in ([], [(2, 2, 2, 0.0, 3)]):
         stage = build(T, arcs + extra, {1: 0.0})
@@ -588,13 +588,13 @@ def test_search_reads_each_state_once(monkeypatch, beam, pruned):
         assert len(states) == len(set(states))
 
 
-def test_observation_matcher_equals_the_lazy_composition():
+def test_live_product_equals_the_lazy_composition():
     # frozen machines (a sampled one, an expanded cache and an expanded lazy
-    # composition), all with epsilon on both tapes, read through the
-    # matcher and through the composition of the observation chain: trimmed,
-    # the two are one machine, and trimming drops no state of the matcher's,
-    # so it builds no pair that cannot finish.  The sweep meets empty,
-    # accepted and rejected observation strings
+    # composition), all with epsilon on both tapes, read through the live
+    # product and through the composition of the observation chain:
+    # trimmed, the two are one machine, and trimming drops no state or arc
+    # of the product's, so it builds no pair that cannot finish.  The sweep meets
+    # empty, accepted and rejected observation strings
     def text(m):
         return f"{write_text(m)}{m.start_weight!r}"
 
@@ -606,15 +606,40 @@ def test_observation_matcher_equals_the_lazy_composition():
             for obs in [(), (1,), (2,), (1, 2), (2, 1, 1), (2, 2, 2)]:
                 full = connect(expand(
                     lazy_compose(observation_machine(obs), x)))
-                matched = expand(decode._ObservationMatcher(obs, x))
+                product = decode._live_product(obs, x)
+                matched = expand(product)
                 assert text(connect(matched)) == text(full)
-                assert connect(matched).num_states == matched.num_states
+                assert (connect(matched).num_states, connect(matched).num_arcs) \
+                    == (matched.num_states, matched.num_arcs)
+                assert_ids_ascend_with_the_state_in_each_frame(obs, x)
                 met["empty" if not obs else
                     "accepted" if full.finals else "rejected"] += 1
     assert all(met.values()), met
     for view in (cached(a), lazy_compose(a, b)):
         with pytest.raises(ContractError):
-            decode._ObservationMatcher((1,), view)
+            decode._live_product((1,), view)
+
+
+def assert_ids_ascend_with_the_state_in_each_frame(obs, x):
+    # each arc of ``x`` writes its target + 1, which the product copies, so
+    # every product state's state of x and frame can be read off its arcs
+    marked = Machine._from_parts(
+        T, None, None, [[(il, t + 1, w, t) for il, _, w, t in x.arcs(q)]
+                        for q in x.states()],
+        dict(x.finals), x.start, x.start_weight)
+    product = decode._live_product(obs, marked)
+    pair = {product.start: (0, x.start)}
+    queue = [product.start]
+    for p in queue:
+        frame, _ = pair[p]
+        for il, ol, _, t in product.arcs(p):
+            if t not in pair:
+                pair[t] = (frame + (il != 0), ol - 1)
+                queue.append(t)
+    assert len(pair) == product.num_states
+    for frame in range(len(obs) + 1):
+        ids = [p for p in sorted(pair) if pair[p][0] == frame]
+        assert ids == sorted(ids, key=pair.get)
 
 
 def test_one_stage_equal_cost_tie_is_broken_by_the_stage_state():

@@ -266,10 +266,7 @@ def _live_product(obs, x):
             out = []
             for _, ol, w, t in index.get(label, ()):
                 if t in ahead:
-                    w = times(one, w)
-                    if not valid(w):
-                        raise kind.carrier_error(w)
-                    out.append((label, ol, w, ahead[t]))
+                    out.append((label, ol, checked(w), ahead[t]))
             if EPSILON in index:
                 out += [(EPSILON, ol, w, here[t])
                         for _, ol, w, t in index[EPSILON] if t in alive]

@@ -593,8 +593,8 @@ def test_live_product_equals_the_lazy_composition():
     # composition), all with epsilon on both tapes, read through the live
     # product and through the composition of the observation chain:
     # trimmed, the two are one machine, and trimming drops no state or arc
-    # of the product's, so it builds no pair that cannot finish.  The sweep meets
-    # empty, accepted and rejected observation strings
+    # of the product's, so it builds no pair that cannot finish.  The sweep
+    # meets empty, accepted and rejected observation strings
     def text(m):
         return f"{write_text(m)}{m.start_weight!r}"
 
@@ -606,11 +606,11 @@ def test_live_product_equals_the_lazy_composition():
             for obs in [(), (1,), (2,), (1, 2), (2, 1, 1), (2, 2, 2)]:
                 full = connect(expand(
                     lazy_compose(observation_machine(obs), x)))
-                product = decode._live_product(obs, x)
-                matched = expand(product)
-                assert text(connect(matched)) == text(full)
-                assert (connect(matched).num_states, connect(matched).num_arcs) \
-                    == (matched.num_states, matched.num_arcs)
+                matched = expand(decode._live_product(obs, x))
+                trimmed = connect(matched)
+                assert text(trimmed) == text(full)
+                assert (trimmed.num_states, trimmed.num_arcs) == \
+                    (matched.num_states, matched.num_arcs)
                 assert_ids_ascend_with_the_state_in_each_frame(obs, x)
                 met["empty" if not obs else
                     "accepted" if full.finals else "rejected"] += 1

@@ -645,9 +645,9 @@ def assert_ids_ascend_with_the_state_in_each_frame(obs, x):
 def test_one_stage_equal_cost_tie_is_broken_by_the_stage_state():
     # two paths of cost 1.0 meet at state 3 in the epsilon closure of frame
     # 1; the search settles equal costs in ascending state order, and the
-    # prefix numbers one frame's states in ascending order of the stage's
-    # state, so the path through state 1 wins although state 2's arc comes
-    # first
+    # live product numbers one frame's pairs in ascending order of the
+    # stage's state, so the path through state 1 wins although state 2's
+    # arc comes first
     stage = build(T, [(0, 1, 8, 0.0, 2), (0, 1, 7, 0.0, 1),
                       (1, 0, 5, 1.0, 3), (2, 0, 6, 1.0, 3)], {3: 0.0})
     outputs, cost, _ = beam_decode(CascadeSpec([stage]), (1,))

@@ -273,24 +273,15 @@ class Machine:
         return self.topological_order() is not None
 
     def is_deterministic(self) -> bool:
-        """True iff traversal never faces a choice: no shared ilabel within
-        a state, and an input-epsilon arc only as a state's sole arc (the
-        forced continuation of an output flush chain).  A frozen machine is
-        scanned once."""
+        """True iff no input label, epsilon included, repeats among one
+        state's arcs (OpenFst's input determinism), so a functional
+        ``determinize`` output's final-output flush passes.  A frozen
+        machine is scanned once."""
         return self._memo("is_deterministic", self._scan_deterministic)
 
     def _scan_deterministic(self):
-        for q in self.states():
-            seen = set()
-            for il, _, _, _ in self._arcs[q]:
-                if il == EPSILON:
-                    if len(self._arcs[q]) > 1:
-                        return False
-                    continue
-                if il in seen:
-                    return False
-                seen.add(il)
-        return True
+        return all(len({arc[0] for arc in arcs}) == len(arcs)
+                   for arcs in self._arcs)
 
     def input_labels(self):
         return sorted({a[0] for _, a in self.all_arcs()} - {EPSILON})

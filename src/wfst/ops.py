@@ -205,7 +205,7 @@ class LazyComposition(View):
     def arcs(self, state):
         s1, s2, f = self._pairs[state]
         b, index_b, reads = self.b, self._index_b, self._reads
-        index = label_index(b, index_b, s2)
+        index = index_b.get(s2) or label_index(b, index_b, s2)
         eps_b = index.get(EPSILON, ())
         kind, ids, pairs = self.kind, self._ids, self._pairs
         times, valid = kind.times, kind.valid
@@ -462,10 +462,12 @@ def _alphabet_of(*machines):
 def _complete_table(dfa, sigma):
     """(transitions, finals, start) of the deterministic acceptor ``dfa``
     with a total transition function over ``sigma``: a dead state is
-    appended when some transition is missing."""
-    if not dfa.is_acceptor() or not dfa.is_deterministic():
-        raise ContractError("a complete table needs a deterministic acceptor")
+    appended when some transition is missing.  An epsilon arc is refused:
+    a table row has one target per label read."""
     trans = [{il: t for il, _, _, t in dfa.arcs(q)} for q in dfa.states()]
+    if not dfa.is_acceptor() or not dfa.is_deterministic() or any(
+            EPSILON in row for row in trans):
+        raise ContractError("a complete table needs an epsilon-free DFA")
     if any(x not in row for row in trans for x in sigma):
         dead = len(trans)
         trans.append({})

@@ -588,10 +588,11 @@ def _encoded_dfa(m):
     Labels are (ilabel, output-residue, pushed-weight) triples: a TROPICAL
     weight is pushed as it is encoded, by the potentials ``push`` would
     use, and a transducer's output by its string potentials.  A non-final
-    state whose one arc is an identity move (input epsilon, no residue,
-    weight one) is routed through to its target and left out, with the
-    start too.  Returns the maps, the pushed final weights, the hoisted
-    start prefix, the start state and the pushed start weight.
+    state's input-epsilon arc with no residue into an arcless final is
+    encoded as its final weight, and a non-final state whose one arc is an
+    identity move (such an arc, weighted one) is routed through to its
+    target and left out, with the start too.  Returns the maps, the pushed
+    finals, the hoisted start prefix, the start and the pushed start weight.
     """
     kind = m.kind
     zero, valid = kind.zero, kind.valid
@@ -600,7 +601,7 @@ def _encoded_dfa(m):
         else (None, m.start_weight, m.finals))
     p = None if m.is_acceptor() else _string_potentials(m)
     prefix = p[m.start] if p else ()
-    enc = {}
+    enc, ends = {}, {}
     for q in m.states():
         row = enc[q] = {}
         for arc in m.arcs(q):
@@ -610,7 +611,11 @@ def _encoded_dfa(m):
                 if not valid(w):
                     raise kind.carrier_error(w)
             if w != zero:  # an arc weighted zero is no path
-                row[il, () if p is None else _residue(p, q, arc), w] = t
+                label = il, () if p is None else _residue(p, q, arc), w
+                if il != EPSILON or label[1] or m.arcs(t) or q in m.finals:
+                    row[label] = t
+                else:  # an empty flush into an arcless final: a final weight
+                    ends[q] = kind.times(w, pushed[t])
     identity = (EPSILON, (), kind.one)
     hop = {q: row[identity] for q, row in enc.items()
            if len(row) == 1 and identity in row and q not in m.finals}
@@ -623,6 +628,7 @@ def _encoded_dfa(m):
                for q, row in enc.items() if q not in hop}
     finals = dict.fromkeys(enc, zero)
     finals.update(pushed)  # no final state is routed through
+    finals.update(ends)
     return enc, finals, prefix, hop.get(m.start, m.start), start_weight
 
 
@@ -726,15 +732,17 @@ def _all_live(m):
 def minimize(m: Machine) -> Machine:
     """Equivalent deterministic machine with the minimum number of states.
 
-    After pushing, acyclic input (every lattice) is partitioned in one
-    O(V+E) signature pass (Revuz 1992); cyclic input takes Hopcroft's
-    partition refinement.  Either way the output is numbered breadth-first
-    from the start (0), walking each state's arcs in (input label, output
-    residue, weight) order; output-chain states are numbered as they are
-    emitted, and a hoisted start prefix's chain comes last.  The input is
-    trimmed first unless it has a final and ``_all_live`` shows it needs
-    no trim.  An acceptor's ``determinize`` output is not scanned for
-    determinism: it records that it is deterministic."""
+    The input must be deterministic (no input label, epsilon included,
+    repeats at a state), as every functional ``determinize`` output is,
+    final-output flush arcs and all.  After pushing, acyclic input (every
+    lattice) is partitioned in one O(V+E) signature pass (Revuz 1992);
+    cyclic input takes Hopcroft's partition refinement.  Either way the
+    output is numbered breadth-first from the start (0), walking each
+    state's arcs in (input label, output residue, weight) order;
+    output-chain states are numbered as they are emitted, and a hoisted
+    start prefix's chain comes last.  The input is trimmed first unless it
+    has a final and ``_all_live`` shows it needs no trim.  An acceptor's
+    ``determinize`` output is not scanned: it records its determinism."""
     check_machines(m)
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "

@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 
+from .decode import best_path
 from .errors import ContractError, ParseError, SymbolError
 from .machine import (EPSILON, Machine, SymbolTable, _resolve,
                       accepted_pairs, check_machines, connect,
@@ -418,8 +419,6 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
     if not comp.finals:
         return []
     if mode == "best":
-        from .decode import best_path
-
         (_, out), cost = best_path(comp)
         return [(tuple(out), cost)]
     if not comp.is_acyclic():

@@ -16,7 +16,7 @@ import enum
 import math
 import operator
 
-from .errors import SemiringError
+from .errors import KindMismatchError, SemiringError
 
 INF = math.inf
 
@@ -119,8 +119,6 @@ class Semiring(enum.Enum):
 
 def require_same_kind(a, b):
     """Raise unless machines/values a and b share a semiring kind."""
-    from .errors import KindMismatchError
-
     if a.kind is not b.kind:
         raise KindMismatchError(f"semiring mismatch: {a.kind.value} vs {b.kind.value}")
     return a.kind

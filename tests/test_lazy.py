@@ -10,7 +10,7 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, ContractError, Machine, Semiring,
 
 from wfst import ops
 from wfst.machine import EPSILON
-from wfst.ops import LazyComposition, label_index, label_indexes
+from wfst.ops import LazyComposition, label_indexes
 
 from helpers import (acceptor, bounded_pairs, build, product_compose,
                      sample_machines, unfrozen)
@@ -496,27 +496,34 @@ def test_lookahead_walk_terminates_on_an_output_epsilon_cycle():
         assert text_of(connect(expand(lazy_compose(a, b)))) == expected
 
 
-def test_lookahead_sets_are_shared_and_interned_on_frozen_machine(
-        monkeypatch):
+class FillCounter(dict):
+    """A dict that records each key written to it with ``[]``."""
+
+    def __init__(self):
+        super().__init__()
+        self.fills = []
+
+    def __setitem__(self, key, value):
+        self.fills.append(key)
+        super().__setitem__(key, value)
+
+
+def test_lookahead_sets_are_shared_and_interned_on_frozen_machine():
     a, b = lookahead_operands()
+    indexes = b._derived["label_indexes"] = FillCounter()
+    reads = b._derived["lookahead_sets"] = FillCounter()
     compose(a, b)
+    assert indexes.fills and len(set(indexes.fills)) == len(indexes.fills)
     table = dict(label_indexes(b, "lookahead_sets"))
     assert table[1] == {2, 3}  # state 1 reads 2, and 3 after epsilon
     assert table[3] is table[4]  # equal sets are one object
-    # a second composition indexes B once per pair state it expands, and
-    # never walks B to compute a label set
-    lookups = []
-
-    def counted(m, index_table, state):
-        lookups.append(state)
-        return label_index(m, index_table, state)
-
-    monkeypatch.setattr(ops, "label_index", counted)
-    view = lazy_compose(a, b)
-    expand(view)
-    assert len(lookups) == len(view._pairs)
+    # a second composition reads both shared tables as they are: it
+    # indexes no state again, and never walks B to compute a label set
+    filled = len(indexes.fills), len(reads.fills)
+    expand(lazy_compose(a, b))
+    assert (len(indexes.fills), len(reads.fills)) == filled
     shared = label_indexes(b, "lookahead_sets")
-    assert shared == table
+    assert shared is reads and shared == table
     assert all(shared[k] is v for k, v in table.items())
 
 

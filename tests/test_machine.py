@@ -269,6 +269,15 @@ def test_weight_validation():
         m2.add_arc(q2, 1, 1, float("nan"), q2)
 
 
+def test_epsilon_is_one_more_input_label_for_determinism():
+    # one epsilon arc beside labelled arcs, as determinize flushes a final
+    # output, leaves no choice; two epsilon arcs on one state do
+    flush = [(0, 1, 1, 0.0, 1), (0, 0, 2, 0.0, 1)]
+    assert build(T, flush, [1]).is_deterministic()
+    assert build(T, [(0, 0, 2, 0.0, 1)], [1]).is_deterministic()
+    assert not build(T, [*flush, (0, 0, 3, 0.0, 1)], [1]).is_deterministic()
+
+
 def test_predicates():
     m = acceptor(T, [(0, 1, 0.0, 1), (1, 2, 0.0, 0)], [1])
     assert not m.is_acyclic()

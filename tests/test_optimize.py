@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wfst import optimize
-from wfst import (CapExceededError, ContractError, Machine, Semiring,
+from wfst import (EPSILON, CapExceededError, ContractError, Machine, Semiring,
                   SemiringError, accepted_pairs, backward_distances, compact,
                   connect, determinize, equivalent, local_determinize,
                   minimize, push, twins_test, union, weight_of, write_text)
@@ -619,6 +619,55 @@ def test_minimize_requires_deterministic():
         minimize(m)
 
 
+def test_minimize_takes_a_final_output_flush_beside_labelled_arcs():
+    # input 1 writes 10, input 1 2 writes 11: determinize flushes state
+    # 1's final output 10 over an epsilon arc beside its arc on label 2
+    m = build(T, [(0, 1, 10, 0.0, 1), (0, 1, 11, 0.0, 2), (2, 2, 0, 0.0, 1)],
+              [1])
+    det = determinize(m)
+    assert sorted(arc[0] for arc in det.arcs(1)) == [0, 2]
+    assert det.is_deterministic()
+    mini = minimize(det)
+    assert accepted_pairs(mini) == accepted_pairs(m) == \
+        {((1,), (10,)): 0.0, ((1, 2), (11,)): 0.0}
+    assert equivalent(m, m)
+
+
+def test_minimize_reads_an_empty_flush_into_an_arcless_final_as_final():
+    # state 1 finishes through an epsilon arc that writes nothing: the same
+    # machine as one where state 1 is final with that arc's weight
+    arcs = [(0, 1, 3, 0.0, 1), (1, 2, 4, 0.5, 1)]
+    flush = build(T, [*arcs, (1, 0, 0, 1.0, 2)], {2: 0.25})
+    final = build(T, arcs, {1: 1.25})
+    assert flush.is_deterministic()
+    assert write_text(minimize(flush)) == write_text(minimize(final))
+
+
+def test_equivalent_to_its_own_union_on_functional_transducers():
+    # every determinized draw with no two epsilon flushes at one state
+    # minimizes; union(m, m) is the same relation, one more path is not
+    extra = build(T, [(0, 9, 9, 0.0, 1)], [1])
+    taken = refused = 0
+    for seed in range(11, 15):
+        for m in sample_machines(seed, 200, kind=T, max_states=5, max_arcs=8):
+            if m.is_acceptor():
+                continue
+            try:
+                det = determinize(m, expansion_cap=200)
+            except CapExceededError:
+                continue
+            if not det.is_deterministic():
+                refused += 1
+                assert any(sum(arc[0] == EPSILON for arc in det.arcs(q)) >= 2
+                           for q in det.states())
+                continue
+            minimize(det)
+            taken += 1
+            assert equivalent(m, union(m, m))
+            assert not equivalent(m, union(m, extra))
+    assert (taken, refused) == (293, 35)
+
+
 def test_minimize_transducer_with_outputs():
     m = build(T, [(0, 1, 4, 0.0, 1), (1, 2, 5, 0.0, 2),
                   (0, 2, 4, 0.0, 3), (3, 1, 5, 0.0, 4)],
@@ -637,10 +686,7 @@ def test_minimize_transducer_with_outputs():
                    (0, 1, 1, 0.0, 2)], {2: 0.5}))
 def test_minimize_determinize_is_idempotent(m):
     det = determinize(m)
-    # skips a non-functional transducer, which flushes several outputs from
-    # one state, and also a functional one whose final-output flush chain
-    # sits beside labelled arcs: is_deterministic refuses both, and
-    # minimize does not yet read such a chain as a final output
+    # skips a non-functional transducer: two epsilon flushes at one state
     assume(det.is_deterministic())
     once = minimize(det)
     assert write_text(minimize(determinize(once))) == write_text(once)
@@ -660,9 +706,7 @@ def partition(index):
        st.sampled_from((None, "weight", "olabel", "final")), st.integers(0, 7))
 def test_signature_pass_partitions_like_hopcroft(m, copy, change, k):
     det = connect(determinize(m))
-    # skips what minimize refuses: a non-functional transducer's several
-    # flushed outputs, and a functional one's final-output flush chain
-    # beside labelled arcs
+    # skips a non-functional transducer: two epsilon flushes at one state
     assume(det.finals and det.is_deterministic())
     if copy:
         # every state equivalent to its copy, or all but a few

@@ -280,7 +280,7 @@ GOLDEN = {
     "marker 3":
         "2c82439701aa23c338969de11f3e84ffb88a06a5eb224f78cdd3327fd78c2b4a",
     "minimize":
-        "f0e1cd5de9e3f83c0d01b8c937d43ad1469271a2f22581574ead471990c304b9",
+        "b9d4a4296ae9282b75fdb69a2d6e28970b9b1ccaee91750d6c2a80695415dd00",
     "observation_machine":
         "8a092e01e557056e81e6046e28858750bc9e486cd38817936391c5f9bd3cab7d",
     "project":

@@ -172,6 +172,15 @@ def test_marker_choice_set():
     assert outputs_of(m, (a, b)) == {(a, b, 8), (a, b, 9)}
 
 
+def test_marker_refuses_an_epsilon_acceptor():
+    # epsilon passes is_deterministic, but a complete table reads labels
+    for arcs in ([(0, 0, 0, 1.0, 1)], [(0, 0, 0, 1.0, 1), (0, 1, 1, 1.0, 1)]):
+        alpha = build(B, arcs, [1])
+        assert alpha.is_deterministic()
+        with pytest.raises(ContractError, match="epsilon-free"):
+            marker(alpha, 1, insert=(9,))
+
+
 def test_marker_bad_type():
     alpha, a, b = marker_fixture()
     with pytest.raises(ContractError):

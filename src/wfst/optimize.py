@@ -732,12 +732,12 @@ def _all_live(m):
 def minimize(m: Machine) -> Machine:
     """Equivalent deterministic machine with the minimum number of states.
 
-    The input must be deterministic (no input label, epsilon included,
-    repeats at a state), as every functional ``determinize`` output is,
-    final-output flush arcs and all.  After pushing, acyclic input (every
-    lattice) is partitioned in one O(V+E) signature pass (Revuz 1992);
-    cyclic input takes Hopcroft's partition refinement.  Either way the
-    output is numbered breadth-first from the start (0), walking each
+    Takes any input where no input label, epsilon included, repeats at a
+    state, as in every functional ``determinize`` output; the result is
+    canonical only for functional input.  After pushing, acyclic input
+    (every lattice) is partitioned in one O(V+E) signature pass (Revuz
+    1992); cyclic input takes Hopcroft's partition refinement.  Either way
+    the output is numbered breadth-first from the start (0), walking each
     state's arcs in (input label, output residue, weight) order;
     output-chain states are numbered as they are emitted, and a hoisted
     start prefix's chain comes last.  The input is trimmed first unless it

@@ -4,16 +4,16 @@ weight/string pushing, minimization, compaction, and equivalence testing.
 Determinization is the weighted powerset construction: subset elements are
 (state, leftover-output-string, leftover-weight) triples, normalized so the
 best leftover weight is the semiring one and the leftover strings share no
-common nonempty prefix; an acceptor's strings stay empty (Mohri 1997), so
-only transducers do string work.  Weight pushing returns an already pushed
-machine as it is; a pushed copy keeps its input's topological order
-and acceptor flag.  Minimization pushes weights (and output strings) as it
-encodes each arc, building no pushed copy, and partitions the states on
-(input label, output residue, pushed weight) as one opaque label: acyclic
-input takes one O(V+E) signature pass in reverse topological order (Revuz
-1992), cyclic input takes Hopcroft partition refinement.  Compaction runs
-both on a machine read as an acceptor over its arcs' (input, output,
-weight) triples, so it changes no weight.
+common nonempty prefix (Mohri 1997); an epsilon-free TROPICAL acceptor
+(every lattice) takes a plain loop with no string work and no closure.
+Weight pushing returns an already pushed machine as it is; a pushed copy
+keeps its input's topological order and acceptor flag.  Minimization
+pushes weights (and output strings) as it encodes each arc, building no
+pushed copy, and partitions the states on (input label, output residue,
+pushed weight) as one opaque label: acyclic input is classed as it is
+encoded, in one walk back along its topological order (Revuz 1992),
+cyclic input takes Hopcroft partition refinement.  Compaction runs both
+on an acceptor over its arcs' (input, output, weight) triples.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .semiring import Semiring
 DEFAULT_EXPANSION_CAP = 10_000
 _RESIDUAL_STRING_CAP = 64
 _SUBSET_ELEMENTS_CAP = 16  # elements in all subsets, per subset of the cap
+_NOT_SUBSEQUENTIABLE = "the input is likely not subsequentiable (try twins_test)"
 
 
 def _require_divisible(kind):
@@ -51,10 +52,13 @@ def _lcp(strings):
 
 
 def _epsilon_arcs(m):
-    """Input-epsilon arcs of ``m`` by source state."""
-    rows = ((q, [arc for arc in m.arcs(q) if arc[0] == EPSILON])
-            for q in m.states())
-    return {q: row for q, row in rows if row}
+    """Input-epsilon arcs of ``m`` by source state, for a state with one."""
+    rows = {}
+    for q in m.states():
+        for arc in m.arcs(q):
+            if arc[0] == EPSILON:
+                rows.setdefault(q, []).append(arc)
+    return rows
 
 
 def _close_epsilon(kind, eps_arcs, best, cap):
@@ -76,9 +80,8 @@ def _close_epsilon(kind, eps_arcs, best, cap):
     while True:
         # every added element is queued, so this sees the final size too
         if len(best) > cap:
-            raise CapExceededError(
-                f"determinization subset exceeded {cap} elements; "
-                "the input is likely not subsequentiable (try twins_test)")
+            raise CapExceededError(f"determinization subset exceeded {cap} "
+                                   f"elements; {_NOT_SUBSEQUENTIABLE}")
         if not queue:
             return best
         q, s = queue.popleft()
@@ -140,6 +143,77 @@ def _emit_string(arcs, src, ilabel, symbols, weight, dst, one):
         cur, il, w = target, EPSILON, one
 
 
+def _count_subset(ids, target, cap, elements_left):
+    """Elements left for subsets once ``target`` is one more; past ``cap``
+    subsets, or 16 times as many elements in all, ``CapExceededError``."""
+    if len(ids) >= cap:
+        raise CapExceededError(f"determinization exceeded {cap} subset "
+                               f"states; {_NOT_SUBSEQUENTIABLE}")
+    elements_left -= len(target)
+    if elements_left < 0:
+        raise CapExceededError(
+            f"determinization exceeded {_SUBSET_ELEMENTS_CAP * cap} elements "
+            "in all subsets (try twins_test)")
+    return elements_left
+
+
+def _plain_subsets(m, start_subset, cap):
+    """``determinize``'s loop for a TROPICAL acceptor with no input-epsilon
+    arc: no leftover string, no closure, so each label's moves are grouped
+    by target, their weights added and compared inline.  Subsets, ids, caps
+    and errors are the general loop's; returns the arcs and the finals."""
+    m_finals, m_arcs = m.finals, m.arcs
+    zero, lowest, carrier_error = INF, -INF, Semiring.TROPICAL.carrier_error
+    ids = {start_subset: 0}
+    elements_left = _SUBSET_ELEMENTS_CAP * cap - len(start_subset)
+    arcs, finals = [[]], {}
+    queue = deque([start_subset])
+    while queue:
+        subset = queue.popleft()
+        q = ids[subset]
+        final = zero
+        by_label = {}  # label -> {target: best weight after that label}
+        for state, _, r in subset:
+            if state in m_finals:
+                w = r + m_finals[state]
+                if not lowest < w:
+                    raise carrier_error(w)
+                final = min(final, w)
+            for label, _, w, t in m_arcs(state):
+                w = r + w
+                if not lowest < w:
+                    raise carrier_error(w)
+                if w == zero:  # no path
+                    continue
+                group = by_label.get(label)
+                if group is None:
+                    by_label[label] = {t: w}
+                elif w < group.get(t, zero):
+                    group[t] = w
+        if final != zero:
+            finals[q] = final
+        row = arcs[q]
+        for label in sorted(by_label):
+            group = by_label[label]
+            if len(group) == 1:
+                ((t, total),) = group.items()
+                target = ((t, (), 0.0),)
+            else:
+                # with no epsilon arc, this checks the one-subset cap only
+                _close_epsilon(Semiring.TROPICAL, {}, group, cap)
+                total = min(group.values())
+                target = tuple(sorted([(t, (), w - total)
+                                       for t, w in group.items()]))
+            t = ids.get(target)
+            if t is None:
+                elements_left = _count_subset(ids, target, cap, elements_left)
+                t = ids[target] = len(arcs)
+                arcs.append([])
+                queue.append(target)
+            row.append((label, label, total, t))
+    return arcs, finals
+
+
 def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machine:
     """Weighted subset determinization (TROPICAL/BOOLEAN).
 
@@ -155,8 +229,8 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     ``CapExceededError`` (suggesting ``twins_test``).  Every product is
     range-checked as it is formed, and one equal to the semiring zero, no
     path, is dropped; sums of carrier weights under min or boolean or stay
-    in the carrier.  A one-element subset reached without input-epsilon
-    moves is its own normal form.
+    in the carrier.  An epsilon-free TROPICAL acceptor, such as a lattice,
+    takes a plain loop with no string work and no epsilon closure.
     """
     check_machines(m)
     _require_divisible(m.kind)
@@ -177,6 +251,9 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
     start_subset = tuple(sorted(
         (q, prefix + s, (times(total, r) if tropical else r))
         for q, s, r in start_subset))
+    if tropical and acceptor and not eps_arcs:
+        arcs, finals = _plain_subsets(m, start_subset, expansion_cap)
+        return _determinized(m, arcs, finals, acceptor)
     ids = {start_subset: 0}
     # one subset's elements can grow with the number of subsets: bound both
     elements_left = _SUBSET_ELEMENTS_CAP * expansion_cap - len(start_subset)
@@ -232,26 +309,12 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 group = by_label[il]
                 group[key] = plus(group[key], w) if key in group else w
         for label in sorted(by_label):
-            group = by_label[label]
-            if len(group) == 1 and not eps_arcs:
-                # normal as it is: its weight and string move onto the arc
-                ((state, prefix), total), = group.items()
-                target = ((state, (), total - total if tropical else one),)
-            else:
-                total, prefix, target = _normalize(kind, _close_epsilon(
-                    kind, eps_arcs, group, expansion_cap), acceptor)
+            total, prefix, target = _normalize(kind, _close_epsilon(
+                kind, eps_arcs, by_label[label], expansion_cap), acceptor)
             t = ids.get(target)
             if t is None:
-                if len(ids) >= expansion_cap:
-                    raise CapExceededError(
-                        f"determinization exceeded {expansion_cap} subset states; "
-                        "the input is likely not subsequentiable (try twins_test)")
-                elements_left -= len(target)
-                if elements_left < 0:
-                    raise CapExceededError(
-                        "determinization exceeded "
-                        f"{_SUBSET_ELEMENTS_CAP * expansion_cap} elements in "
-                        "all subsets (try twins_test)")
+                elements_left = _count_subset(ids, target, expansion_cap,
+                                              elements_left)
                 t = ids[target] = len(arcs)
                 arcs.append([])
                 queue.append(target)
@@ -259,7 +322,12 @@ def determinize(m: Machine, expansion_cap: int = DEFAULT_EXPANSION_CAP) -> Machi
                 arcs[q].append((label, label, total, t))
             else:
                 _emit_string(arcs, q, label, prefix, total, t, one)
-    out = Machine._from_parts(kind, m.isymbols, m.osymbols, arcs, finals, 0,
+    return _determinized(m, arcs, finals, acceptor)
+
+
+def _determinized(m, arcs, finals, acceptor):
+    """``determinize``'s output, from its loop's arcs and finals."""
+    out = Machine._from_parts(m.kind, m.isymbols, m.osymbols, arcs, finals, 0,
                               m.start_weight)
     if acceptor:  # every arc is emitted as (label, label, ...), one per label
         out._derived["is_acceptor"] = out._derived["is_deterministic"] = True
@@ -582,8 +650,8 @@ def push(m: Machine, mode: str) -> Machine:
 # -- minimization -------------------------------------------------------
 
 
-def _encoded_dfa(m):
-    """Deterministic machine as (label -> target) maps over opaque labels.
+def _encoded_dfa(m, order=None):
+    """Deterministic machine as (label -> target) rows over opaque labels.
 
     Labels are (ilabel, output-residue, pushed-weight) triples: a TROPICAL
     weight is pushed as it is encoded, by the potentials ``push`` would
@@ -591,45 +659,58 @@ def _encoded_dfa(m):
     state's input-epsilon arc with no residue into an arcless final is
     encoded as its final weight, and a non-final state whose one arc is an
     identity move (such an arc, weighted one) is routed through to its
-    target and left out, with the start too.  Returns the maps, the pushed
-    finals, the hoisted start prefix, the start and the pushed start weight.
-    """
+    target and left out, with the start too.  Returns the rows, the pushed
+    finals, the hoisted start prefix, the start, the pushed start weight
+    and None.  Given the topological ``order`` of acyclic ``m``, states are
+    encoded backwards along it, targets first, each given its Revuz (1992)
+    class as its row is made: equal signatures, final weight and (label,
+    target class) moves, are exactly the states Hopcroft merges.  Rows,
+    finals and start are then the classes', and the last item maps each
+    state to its class (a routed state to its target's)."""
     kind = m.kind
-    zero, valid = kind.zero, kind.valid
+    zero, times, lowest = kind.zero, kind.times, -INF
     d, start_weight, pushed = (
         _weight_potentials(m) if kind is Semiring.TROPICAL
         else (None, m.start_weight, m.finals))
     p = None if m.is_acceptor() else _string_potentials(m)
     prefix = p[m.start] if p else ()
-    enc, ends = {}, {}
-    for q in m.states():
-        row = enc[q] = {}
-        for arc in m.arcs(q):
+    identity = (EPSILON, (), kind.one)
+    arcs_of = m.arcs
+    rows, finals, hop, signatures = {}, {}, {}, {}
+    index = None if order is None else {}
+    resolve = hop if index is None else index  # target -> class, or hop
+    for q in m.states() if order is None else reversed(order):
+        row, final = {}, pushed.get(q, zero)
+        dq = d[q] if d is not None else None
+        for arc in arcs_of(q):
             il, _, w, t = arc
             if d is not None:  # TROPICAL: pushed as it is encoded
-                w = w + d[t] - d[q]
-                if not valid(w):
+                w = w + d[t] - dq
+                if not lowest < w:  # the TROPICAL carrier test, inline
                     raise kind.carrier_error(w)
             if w != zero:  # an arc weighted zero is no path
                 label = il, () if p is None else _residue(p, q, arc), w
-                if il != EPSILON or label[1] or m.arcs(t) or q in m.finals:
-                    row[label] = t
+                if il != EPSILON or label[1] or arcs_of(t) or q in pushed:
+                    row[label] = resolve.get(t, t)
                 else:  # an empty flush into an arcless final: a final weight
-                    ends[q] = kind.times(w, pushed[t])
-    identity = (EPSILON, (), kind.one)
-    hop = {q: row[identity] for q, row in enc.items()
-           if len(row) == 1 and identity in row and q not in m.finals}
+                    final = times(w, pushed[t])
+        if len(row) == 1 and identity in row and q not in pushed:
+            resolve[q] = row[identity]
+        elif index is None:
+            rows[q], finals[q] = row, final
+        else:
+            c = index[q] = signatures.setdefault(
+                (final, frozenset(row.items())), len(signatures))
+            if c == len(rows):
+                rows[c], finals[c] = row, final
     for q, t in hop.items():
         while t in hop:  # connected input: no cycle of identity moves
             t = hop[t]
         hop[q] = t
     if hop:
-        enc = {q: {label: hop.get(t, t) for label, t in row.items()}
-               for q, row in enc.items() if q not in hop}
-    finals = dict.fromkeys(enc, zero)
-    finals.update(pushed)  # no final state is routed through
-    finals.update(ends)
-    return enc, finals, prefix, hop.get(m.start, m.start), start_weight
+        rows = {q: {label: hop.get(t, t) for label, t in row.items()}
+                for q, row in rows.items()}
+    return rows, finals, prefix, resolve.get(m.start, m.start), start_weight, index
 
 
 def _hopcroft(states, enc, finals):
@@ -695,24 +776,6 @@ def _hopcroft(states, enc, finals):
     return index
 
 
-def _signature_classes(order, enc, finals):
-    """Revuz's one pass over an acyclic machine; returns state -> class id.
-
-    Walking ``order`` (topological) backwards classes every target before
-    its sources, so a state's signature, its final weight and its
-    (label, target class) moves, is complete when it is reached: equal
-    signatures are exactly the states Hopcroft would merge.  States of
-    ``order`` routed through by ``_encoded_dfa`` are not in ``enc``."""
-    ids, index = {}, {}
-    for q in reversed(order):
-        row = enc.get(q)
-        if row is not None:
-            signature = frozenset(zip(row, map(index.__getitem__,
-                                              row.values())))
-            index[q] = ids.setdefault((finals[q], signature), len(ids))
-    return index
-
-
 def _all_live(m):
     """True iff ``m`` is a TROPICAL acceptor each state of which reaches a
     final at a finite cost, by its shared backward distances.  Minimizing
@@ -734,15 +797,16 @@ def minimize(m: Machine) -> Machine:
 
     Takes any input where no input label, epsilon included, repeats at a
     state, as in every functional ``determinize`` output; the result is
-    canonical only for functional input.  After pushing, acyclic input
-    (every lattice) is partitioned in one O(V+E) signature pass (Revuz
-    1992); cyclic input takes Hopcroft's partition refinement.  Either way
-    the output is numbered breadth-first from the start (0), walking each
-    state's arcs in (input label, output residue, weight) order;
-    output-chain states are numbered as they are emitted, and a hoisted
-    start prefix's chain comes last.  The input is trimmed first unless it
-    has a final and ``_all_live`` shows it needs no trim.  An acceptor's
-    ``determinize`` output is not scanned: it records its determinism."""
+    canonical only for functional input.  Acyclic input (every lattice) is
+    classed as it is pushed and encoded, in one O(V+E) walk back along its
+    topological order (Revuz 1992); cyclic input takes Hopcroft's partition
+    refinement.  Either way the output is numbered breadth-first from the
+    start (0), walking each class's arcs in (input label, output residue,
+    weight) order; output-chain states are numbered as they are emitted,
+    and a hoisted start prefix's chain comes last.  The input is trimmed
+    first unless it has a final and ``_all_live`` shows it needs no trim.
+    An acceptor's ``determinize`` output is not scanned: it records its
+    determinism."""
     check_machines(m)
     if not m.is_deterministic():
         raise ContractError("minimize requires a deterministic machine "
@@ -753,13 +817,16 @@ def minimize(m: Machine) -> Machine:
     if not m.finals:
         return m
     kind = m.kind
-    enc, finals, prefix, start, start_weight = _encoded_dfa(m)
     order = m.topological_order()
-    if order is None:
-        index = _hopcroft(list(enc), enc, finals)
-    else:
-        index = _signature_classes(order, enc, finals)
-    ids = {index[start]: 0}
+    rows, finals, prefix, start, start_weight, index = _encoded_dfa(m, order)
+    if index is None:  # Hopcroft's classes, each read off one of its states
+        index = _hopcroft(list(rows), rows, finals)
+        reps = {index[q]: q for q in rows}
+        rows = {c: {label: index[t] for label, t in rows[q].items()}
+                for c, q in reps.items()}
+        finals = {c: finals[q] for c, q in reps.items()}
+        start = index[start]
+    ids = {start: 0}
     arcs = [[]]
     out_finals = {}
     queue = deque([start])
@@ -767,22 +834,21 @@ def minimize(m: Machine) -> Machine:
     zero, one = kind.zero, kind.one
     popleft, enqueue, new_state = queue.popleft, queue.append, arcs.append
     while queue:
-        rep = popleft()
-        cls = ids[index[rep]]
-        row = arcs[cls]
-        for (il, residue, w), t in sorted(enc[rep].items()):
-            c = index[t]
-            nt = ids.get(c)
-            if nt is None:
-                nt = ids[c] = len(arcs)
+        c = popleft()
+        q = ids[c]
+        row = arcs[q]
+        for (il, residue, w), tc in sorted(rows[c].items()):
+            t = ids.get(tc)
+            if t is None:
+                t = ids[tc] = len(arcs)
                 new_state([])
-                enqueue(t)
+                enqueue(tc)
             if acceptor:  # the residue is empty: the output repeats the input
-                row.append((il, il, w, nt))
+                row.append((il, il, w, t))
             else:
-                _emit_string(arcs, cls, il, residue, w, nt, one)
-        if finals[rep] != zero:
-            out_finals[cls] = finals[rep]
+                _emit_string(arcs, q, il, residue, w, t, one)
+        if finals[c] != zero:
+            out_finals[q] = finals[c]
     start = 0
     if prefix:
         start = len(arcs)
@@ -811,12 +877,14 @@ def compact(m: Machine) -> Machine:
 
     ``(epsilon, epsilon, one)`` stays epsilon, and a final weight other
     than one becomes an arc into one new final state, so every encoded
-    weight is one and minimization pushes nothing.  Weights are copied,
-    never computed: every path keeps its exact float sum.  Merging paths
-    that spell one triple string is exact only under an idempotent sum,
-    so REAL raises ``SemiringError``.  Past a cap of the trimmed input's
-    state count on determinization, ``connect(m)`` is returned: ``m``
-    itself when ``connect`` passes it through.
+    weight is one and minimization pushes nothing; such arcs into an
+    arcless final are folded back into final weights at the end.  Weights
+    are copied, never computed: every path keeps its exact float sum.
+    Merging paths that spell one triple string is exact only under an
+    idempotent sum, so REAL raises ``SemiringError``.  Past a cap of the
+    encoded states reachable on determinization, or if the result has
+    more states, ``connect(m)`` is returned: ``m`` itself when ``connect``
+    passes it through.
     """
     _require_divisible(m.kind)
     m = connect(m)
@@ -844,16 +912,28 @@ def compact(m: Machine) -> Machine:
         else:
             c = code[EPSILON, EPSILON, w]
             arcs[q].append((c, c, one, tail))
+    weighted = any(w != one for w in m.finals.values())
     encoded = Machine._from_parts(kind, None, None, arcs, finals, m.start)
-    try:
-        dfa = minimize(determinize(encoded, expansion_cap=m.num_states))
+    try:  # capped at the states that the encoded input reaches
+        dfa = minimize(determinize(encoded, m.num_states + weighted))
     except CapExceededError:
         return m
     labels = [identity, *triples]
     out = [[(*labels[c], t) for c, _, _, t in dfa.arcs(q)]
            for q in dfa.states()]
-    return Machine._from_parts(kind, m.isymbols, m.osymbols, out,
-                               dict(dfa.finals), dfa.start, m.start_weight)
+    finals = dict(dfa.finals)
+    for q, row in enumerate(out if weighted else ()):
+        for arc in row:  # an epsilon move into an arcless final: a weight
+            if arc[0] == arc[1] == EPSILON and not dfa.arcs(arc[3]) \
+                    and q not in finals:
+                finals[q] = arc[2]
+                row.remove(arc)
+                break
+    out = Machine._from_parts(kind, m.isymbols, m.osymbols, out, finals,
+                              dfa.start, m.start_weight)
+    if weighted:  # drop the new final state if no arc is left into it
+        out = connect(out)
+    return out if out.num_states <= m.num_states else m
 
 
 # -- equivalence --------------------------------------------------------

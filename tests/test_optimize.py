@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wfst import optimize
-from wfst import (EPSILON, CapExceededError, ContractError, Machine, Semiring,
-                  SemiringError, accepted_pairs, backward_distances, compact,
-                  connect, determinize, equivalent, local_determinize,
-                  minimize, push, twins_test, union, weight_of, write_text)
+from wfst import (EPSILON, CapExceededError, ContractError, FsmError, Machine,
+                  Semiring, SemiringError, accepted_pairs, backward_distances,
+                  compact, connect, determinize, equivalent,
+                  local_determinize, minimize, push, twins_test, union,
+                  weight_of, write_text)
 
 from helpers import (acceptor, bounded_pairs, build, enum_paths,
                      nerode_class_count, random_det_acceptor, sample_machines,
@@ -211,21 +212,87 @@ def test_determinize_caps_subset_size(arcs):
     assert time.perf_counter() - begin < 15.0
 
 
-def test_determinize_caps_the_elements_of_all_subsets():
-    # a start subset, then k layers of 20 states and one final: 2 + 20k
-    # elements in k + 2 subsets, each within a cap of 20; the 16 * 20
-    # elements in all allow 15 layers but not 16
-    def layers(k):
-        last, final = range(20 * k - 19, 20 * k + 1), 20 * k + 1
-        arcs = [(0, 1, 0.0, q) for q in range(1, 21)]
-        arcs += [(q, 1, 0.0, q + 20) for q in range(1, last[0])]
-        arcs += [(q, 2, 0.0, final) for q in last]
-        return acceptor(T, arcs, [final])
+def layers(k):
+    """A start, then k layers of 20 states read on 1 and one final read on
+    2: 2 + 20k elements in k + 2 subsets of at most 20 elements."""
+    last, final = range(20 * k - 19, 20 * k + 1), 20 * k + 1
+    arcs = [(0, 1, 0.0, q) for q in range(1, 21)]
+    arcs += [(q, 1, 0.0, q + 20) for q in range(1, last[0])]
+    arcs += [(q, 2, 0.0, final) for q in last]
+    return acceptor(T, arcs, [final])
 
+
+def test_determinize_caps_the_elements_of_all_subsets():
+    # the 16 * 20 elements in all allow 15 layers but not 16
     assert optimize._SUBSET_ELEMENTS_CAP == 16
     assert determinize(layers(15), expansion_cap=20).num_states == 17
     with pytest.raises(CapExceededError, match="320 elements in all subsets"):
         determinize(layers(16), expansion_cap=20)
+
+
+def through_general_loop(m):
+    """``m`` and one more state, unreachable, whose input-epsilon arc sends
+    ``determinize`` of an epsilon-free TROPICAL acceptor through its
+    general loop instead of the plain one, with no other effect."""
+    arcs = [(q, *arc) for q, arc in m.all_arcs()]
+    arcs.append((m.num_states, EPSILON, EPSILON, m.kind.one, m.start))
+    return build(m.kind, arcs, m.finals, start=m.start,
+                 start_weight=m.start_weight)
+
+
+def determinized(m, cap):
+    """``determinize(m)``'s text and start weight, or its error."""
+    try:
+        out = determinize(m, expansion_cap=cap)
+    except FsmError as err:
+        return type(err), str(err)
+    return write_text(out), out.start_weight
+
+
+@pytest.mark.parametrize("acyclic", [True, False])
+def test_plain_subset_loop_matches_the_general_loop(acyclic, monkeypatch):
+    plain, loop = [], optimize._plain_subsets
+
+    def spy(m, *args):
+        plain.append(m)
+        return loop(m, *args)
+
+    monkeypatch.setattr(optimize, "_plain_subsets", spy)
+    for m in sample_machines(601, 150, kind=T, acceptor=True, eps_in=False,
+                             acyclic=acyclic, max_states=6, max_arcs=12):
+        general = through_general_loop(m)
+        assert determinized(m, 20) == determinized(general, 20)
+        assert plain[-1] is m
+    assert len(plain) == 150
+
+
+@pytest.mark.parametrize("m, cap, error", [
+    (TWIN_VIOLATION, 50, "exceeded 50 subset states"),
+    (layers(1), 19, "subset exceeded 19 elements"),
+    (layers(16), 20, "320 elements in all subsets"),
+    # 16 layers of 20, the last one final: the start subset's element is
+    # the one past the cap
+    (acceptor(T, [(0, 1, 0.0, q) for q in range(1, 21)]
+              + [(q, 1, 0.0, q + 20) for q in range(1, 301)],
+              range(301, 321)), 20, "320 elements in all subsets"),
+])
+def test_both_subset_loops_raise_alike(m, cap, error):
+    with pytest.raises(CapExceededError, match=error):
+        determinize(m, expansion_cap=cap)
+    assert determinized(m, cap) == determinized(through_general_loop(m), cap)
+
+
+def test_both_subset_loops_drop_a_residual_that_overflows():
+    # state 2's residual, 1e308 above state 1's weight, overflows to inf:
+    # every move from it is no path.  No product reaches -inf: a residual
+    # is never negative, and no weight is -inf
+    big = 1e308
+    m = acceptor(T, [(0, 1, -big, 1), (0, 1, big, 2), (1, 2, -big, 3),
+                     (2, 2, big, 3), (2, 3, 0.0, 3)], {2: 0.0, 3: 0.0})
+    assert determinized(m, 10) == determinized(through_general_loop(m), 10)
+    d = determinize(m)
+    assert list(d.all_arcs()) == [(0, (1, 1, -big, 1)), (1, (2, 2, -big, 2))]
+    assert d.finals == {2: 0.0}
 
 
 def test_twins_holds_on_sibling_cycles_with_equal_weights():
@@ -712,8 +779,11 @@ def partition(index):
 @given(acyclic_machines(kinds=(T, B), acceptors=True) |
        acyclic_machines(kinds=(T, B)), st.booleans(),
        st.sampled_from((None, "weight", "olabel", "final")), st.integers(0, 7))
+# states 2 and 3 reach no final
+@example(acceptor(T, [(0, 1, 0.5, 1), (0, 2, 0.5, 2), (2, 1, 0.0, 3)], [1]),
+         False, None, 0)
 def test_signature_pass_partitions_like_hopcroft(m, copy, change, k):
-    det = connect(determinize(m))
+    det = determinize(m)
     # skips a non-functional transducer's output with two epsilon flushes
     # at one state, which minimize refuses
     assume(det.finals and det.is_deterministic())
@@ -721,10 +791,18 @@ def test_signature_pass_partitions_like_hopcroft(m, copy, change, k):
         # every state equivalent to its copy, or all but a few
         assume(det.kind is T or change in (None, "olabel"))
         det = with_copy(det, change, k)
-    enc, finals, _, _, _ = optimize._encoded_dfa(det)
     order = det.topological_order()
     assert order is not None
-    assert partition(optimize._signature_classes(order, enc, finals)) == \
+    if not optimize._all_live(det):
+        # minimize trims first; the walk pushes no weight from a dead state
+        if det.kind is T and det.is_acceptor():
+            with pytest.raises(ContractError, match="cannot reach a final"):
+                optimize._encoded_dfa(det, order)
+        det = connect(det)
+        order = det.topological_order()
+    enc, finals, _, _, _, _ = optimize._encoded_dfa(det)
+    index = optimize._encoded_dfa(det, order)[-1]
+    assert partition({q: index[q] for q in enc}) == \
         partition(optimize._hopcroft(list(enc), enc, finals))
 
 
@@ -763,8 +841,22 @@ def test_compact_merges_parallel_paths_with_equal_triples():
     m = build(T, [(0, 1, 2, 0.5, 1), (0, 1, 2, 0.5, 2),
                   (1, 3, 3, 1.0, 3), (2, 3, 3, 1.0, 3)], {3: 2.0})
     c = compact(m)
-    assert c.num_states == 4  # three on the path, one after the final arc
+    # three on the path: the final arc is folded back into a final weight
+    assert c.num_states == 3 and c.finals == {2: 2.0}
     assert accepted_pairs(c) == accepted_pairs(m) == {((1, 3), (2, 3)): 3.5}
+
+
+def test_compact_folds_final_weights_back():
+    # two finals of weight 2.0 merge; while encoded, each is an arc into
+    # one new final state, so the encoded input has 4 states to the 3 here
+    m = acceptor(T, [(0, 1, 0.5, 1), (0, 2, 0.5, 2)], {1: 2.0, 2: 2.0})
+    c = compact(m)
+    assert (c.num_states, c.finals) == (2, {1: 2.0})
+    assert accepted_pairs(c) == accepted_pairs(m)
+    # all but 3 of these compact within a cap of the encoded states
+    draws = sample_machines(91, 40, kind=T, acceptor=True, acyclic=True,
+                            max_states=6, max_arcs=10)
+    assert sum(compact(m) is m for m in draws) == 3
 
 
 def test_compact_rejects_real():

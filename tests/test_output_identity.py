@@ -240,7 +240,7 @@ GOLDEN = {
     "closure":
         "5a6f16ce58303ebfd1511affb972dbba3290d60671fa5ce373ffc9746a08472e",
     "compact":
-        "4c7d481af01d957c294540741adc3253616a69347eaaa2be251b58376374b89e",
+        "cb3a066143717d672329d02f30c0ca0d990bda0044ff536b427ed92b48a41c55",
     "compile_regex":
         "95f51bcbf23eb002771f09fac082c07f6be013a6b035dc53918b6517cf7cb755",
     "compile_tree":

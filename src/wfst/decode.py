@@ -24,9 +24,9 @@ INF = math.inf
 def _require_tropical(m):
     """Refuse ``m`` unless it is a TROPICAL ``Machine``, then return its
     start: reading it refuses a machine that is not frozen."""
+    check_machines(m)
     if m.kind is not Semiring.TROPICAL:
         raise ContractError("decoding requires TROPICAL weights")
-    check_machines(m)
     return m.start
 
 
@@ -211,8 +211,6 @@ class CascadeSpec:
         if not self.stages:
             raise ContractError("cascade needs at least one stage")
         for m in self.stages:
-            if not isinstance(m, Machine):
-                raise ContractError("a cascade stage must be a frozen Machine")
             _require_tropical(m)
 
 

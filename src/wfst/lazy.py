@@ -1,8 +1,10 @@
 """On-demand machine views: state caching and expansion.
 
-A lazy view implements the generalized-state-machine contract (``start``,
-``final(state)``, ``arcs(state)``) over integer state ids, expanding states
-only when a traversal asks for them.  Views stack: a lazy composition
+A lazy view implements the generalized-state-machine contract that
+``machine.check_views`` checks (a ``Semiring`` ``kind``, ``start``,
+``start_weight``, ``final(state)`` and ``arcs(state)``; symbol tables are
+optional) over integer state ids, expanding states only when a traversal
+asks for them.  Views stack: a lazy composition
 (``ops.LazyComposition``, the pair-state kernel ``compose`` also expands)
 can be built over machines, caches or other lazy views.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 
 from .errors import ContractError
-from .machine import Machine, View
+from .machine import Machine, check_views
 from .ops import LazyComposition, lazy_compose  # noqa: F401 (re-exported)
 
 
@@ -21,7 +23,7 @@ LRU = "lru"
 REFCOUNT = "refcount"
 
 
-class CachedMachine(View):
+class CachedMachine:
     """Caching wrapper around a generalized state machine.
 
     Disciplines:
@@ -37,6 +39,7 @@ class CachedMachine(View):
     """
 
     def __init__(self, m, mode=MEMOIZE, capacity=None):
+        [(self.isymbols, self.osymbols)] = check_views(m)
         if mode not in (MEMOIZE, LRU, REFCOUNT):
             raise ContractError(f"unknown cache discipline {mode!r}")
         if mode == LRU and (capacity is None or capacity < 1):
@@ -45,8 +48,6 @@ class CachedMachine(View):
         self.mode = mode
         self.capacity = capacity
         self.kind = m.kind
-        self.isymbols = getattr(m, "isymbols", None)
-        self.osymbols = getattr(m, "osymbols", None)
         self.start = m.start
         self.start_weight = m.start_weight
         self.expansions = 0
@@ -98,6 +99,7 @@ def expand(view) -> Machine:
     composition's products, or a user's own view), so each one is checked
     as it is copied.
     """
+    [tables] = check_views(view)
     kind = view.kind
     check, zero = kind.check, kind.zero
     start_weight = check(view.start_weight)
@@ -119,6 +121,4 @@ def expand(view) -> Machine:
                 arcs.append([])
                 queue.append(nxt)
             out.append((il, ol, check(w), t))
-    return Machine._from_parts(kind, getattr(view, "isymbols", None),
-                               getattr(view, "osymbols", None), arcs, finals,
-                               0, start_weight)
+    return Machine._from_parts(kind, *tables, arcs, finals, 0, start_weight)

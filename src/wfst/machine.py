@@ -291,22 +291,9 @@ class Machine:
                 f"arcs={self.num_arcs} finals={len(self.finals)}>")
 
 
-class View:
-    """Base of the library's lazy views.  Only ``compose``, ``lazy_compose``,
-    ``cached``, ``expand`` and the decoder read a view: each Machine-only
-    name that another op reads first raises ``ContractError`` on one."""
-
-    def _machine_only(self):
-        raise ContractError(f"{type(self).__name__} is a view: expand() it")
-
-    num_states = states = finals = all_arcs = is_acceptor = is_acyclic = \
-        topological_order = is_deterministic = input_labels = _memo = \
-        property(_machine_only)
-
-
 def check_machines(*machines):
     """Refuse with ``ContractError`` each operand that is not a
-    ``Machine``: a library view, or any other object, even one with a
+    ``Machine``: a lazy view, or any other object, even one with a
     machine's names (``kind``, ``start``, ``final``, ``arcs``).  Every op
     that takes machines calls it before it reads one; reading a machine's
     ``start`` then refuses one that is not frozen."""
@@ -314,6 +301,28 @@ def check_machines(*machines):
         if not isinstance(m, Machine):
             raise ContractError(f"{type(m).__name__} is not a frozen Machine: "
                                 "expand() a view")
+
+
+def check_views(*views):
+    """Refuse with ``ContractError`` each operand that is neither a
+    ``Machine`` nor a generalized state machine: an object with a
+    ``Semiring`` ``kind``, ``start``, ``start_weight``, ``final(state)`` and
+    ``arcs(state)``.  Every view reader calls it before it reads an
+    operand; reading a machine's ``start`` then refuses one that is not
+    frozen.  Returns each operand's ``(isymbols, osymbols)``: a view's
+    symbol tables are optional, None where it has none."""
+    tables = []
+    for v in views:
+        if not isinstance(v, Machine) and not (
+                isinstance(getattr(v, "kind", None), Semiring) and all(
+                    hasattr(v, name)
+                    for name in ("start", "start_weight", "final", "arcs"))):
+            raise ContractError(
+                f"{type(v).__name__} is not a state machine: a view needs a "
+                "Semiring kind, start, start_weight, final and arcs")
+        tables.append((getattr(v, "isymbols", None),
+                       getattr(v, "osymbols", None)))
+    return tables
 
 
 def observation_machine(labels, kind=Semiring.TROPICAL,
@@ -422,11 +431,11 @@ def read_text(text, isymbols=None, osymbols=None, kind=Semiring.TROPICAL,
                                start or 0)
 
 
-def write_text(m: Machine, acceptor=None) -> str:
-    """Canonical text: start state's block first, then ascending states."""
+def write_text(m: Machine) -> str:
+    """Canonical text: start state's block first, then ascending states;
+    an acceptor without output symbols in the acceptor form."""
     check_machines(m)
-    if acceptor is None:
-        acceptor = m.is_acceptor() and m.osymbols is None
+    acceptor = m.is_acceptor() and m.osymbols is None
     kind = m.kind
     ilabels = _Tokens(str if m.isymbols is None else m.isymbols.find)
     olabels = _Tokens(str if m.osymbols is None else m.osymbols.find)

@@ -51,7 +51,7 @@ class CountTable:
         return sorted(g[0] for g in self.counts if len(g) == 1 and g[0] != bos)
 
 
-def count_ngrams(corpus, n: int, symbols: SymbolTable | None = None) -> CountTable:
+def count_ngrams(corpus, n: int) -> CountTable:
     """Count all k-grams (k <= n) over boundary-padded sentences.
 
     ``corpus`` is an iterable of sentences, each a sequence of token
@@ -62,7 +62,7 @@ def count_ngrams(corpus, n: int, symbols: SymbolTable | None = None) -> CountTab
     """
     if n < 1:
         raise ContractError("order must be >= 1")
-    table = CountTable(n, symbols=symbols or SymbolTable())
+    table = CountTable(n)
     bos = table.symbols.add(BOS)
     eos = table.symbols.add(EOS)
     labels = _labels(table.symbols, (BOS, EOS, EPSILON_SYMBOL))
@@ -102,12 +102,12 @@ def _read_int(text, lineno, least=0):
     return value
 
 
-def read_counts(text, symbols: SymbolTable | None = None) -> CountTable:
+def read_counts(text) -> CountTable:
     """Count table from ``write_counts`` text; ``ParseError`` with the line
     number on a line without a tab, a negative or non-integer field, or
     the word ``<eps>``.  A declared order above the longest gram read is
     lowered to that gram's length."""
-    table = CountTable(1, symbols=symbols or SymbolTable())
+    table = CountTable(1)
     label = _labels(table.symbols, (EPSILON_SYMBOL,)).__getitem__
     # count field -> its value, each distinct field read once, on the
     # line that first holds it (the line an error names)
@@ -143,11 +143,12 @@ def frequency_of_frequencies(ct: CountTable, k: int) -> Counter:
     return ff
 
 
-def mle(ct: CountTable, gram, conditional=True) -> float:
-    """Maximum-likelihood estimate; unseen n-grams get zero."""
+def mle(ct: CountTable, gram) -> float:
+    """Maximum-likelihood estimate of the last word given the rest (of one
+    word: its share of the tokens); unseen n-grams get zero."""
     gram = tuple(gram)
     c = ct.count(gram)
-    if not conditional or len(gram) == 1:
+    if len(gram) == 1:
         if ct.total < 1:
             raise ContractError(f"token total is {ct.total}: no unigram MLE")
         return c / ct.total
@@ -373,11 +374,11 @@ def write_arpa(model: BackoffModel) -> str:
     return "\n".join(lines)
 
 
-def read_arpa(text, symbols: SymbolTable | None = None) -> BackoffModel:
+def read_arpa(text) -> BackoffModel:
     """Inverse of write_arpa (up to the dump's 6-decimal rounding);
     ``ParseError`` with the line number on a malformed line or the word
     ``<eps>``."""
-    symbols = symbols or SymbolTable()
+    symbols = SymbolTable()
     label = _labels(symbols, (EPSILON_SYMBOL,)).__getitem__
     probs = {(): {}}
     alphas = {}

@@ -37,7 +37,7 @@ filter 0), so only B's own input labels count.
 from __future__ import annotations
 
 from .errors import ContractError, SemiringError, SymbolError
-from .machine import EPSILON, Machine, View, check_machines, connect
+from .machine import EPSILON, Machine, check_machines, check_views, connect
 from .semiring import Semiring, require_same_kind
 
 FILTER_INITIAL = 0
@@ -137,14 +137,7 @@ def merge_arcs(kind, arcs_a, index_b, f, filtered=True):
             yield EPSILON, ol_b, wb, (None, n2, b_alone)
 
 
-def check_composable(a, b):
-    kind = require_same_kind(a, b)
-    if not _same_table(a.osymbols, b.isymbols):
-        raise SymbolError("output symbols of A do not match input symbols of B")
-    return kind
-
-
-class LazyComposition(View):
+class LazyComposition:
     """Deferred composition of two generalized state machines.
 
     The one pair-state kernel: ``compose`` expands it state by state, and
@@ -177,10 +170,12 @@ class LazyComposition(View):
     start = 0
 
     def __init__(self, a, b):
+        (self.isymbols, a_out), (b_in, self.osymbols) = check_views(a, b)
         self.a, self.b = a, b
-        self.kind = check_composable(a, b)
-        self.isymbols = a.isymbols
-        self.osymbols = b.osymbols
+        self.kind = require_same_kind(a, b)
+        if not _same_table(a_out, b_in):
+            raise SymbolError("output symbols of A do not match input "
+                              "symbols of B")
         self.start_weight = self.kind.times(a.start_weight, b.start_weight)
         if not self.kind.valid(self.start_weight):
             raise self.kind.carrier_error(self.start_weight)

@@ -96,7 +96,7 @@ def _close_epsilon(kind, eps_arcs, best, cap):
             if nr == zero:
                 continue
             key = (t, ns)
-            if key not in best or kind.compare(nr, best[key]) < 0:
+            if key not in best or nr < best[key]:
                 best[key], hops[key] = nr, h
                 # its path repeats an element, on a cycle that lowered it
                 if h >= len(best):
@@ -886,6 +886,7 @@ def compact(m: Machine) -> Machine:
     more states, ``connect(m)`` is returned: ``m`` itself when ``connect``
     passes it through.
     """
+    check_machines(m)
     _require_divisible(m.kind)
     m = connect(m)
     kind = m.kind

@@ -19,7 +19,7 @@ from functools import reduce
 from .decode import best_path
 from .errors import ContractError, ParseError, SymbolError
 from .machine import (EPSILON, Machine, SymbolTable, _resolve,
-                      accepted_pairs, check_machines, connect,
+                      accepted_pairs, check_machines, check_views, connect,
                       observation_machine)
 from .ops import (_END, _complete_table, _compose_untrimmed, _relabel,
                   closure, complement, compose, concat, intersect, read_set,
@@ -400,7 +400,7 @@ def apply_rewrite(rule_fst: Machine, inp, mode: str = "all"):
     """
     if mode not in ("all", "best"):
         raise ContractError(f"mode must be 'all' or 'best', got {mode!r}")
-    table = rule_fst.isymbols
+    [(table, _)] = check_views(rule_fst)
     labels = [_resolve(t, table) if isinstance(t, str) else t for t in inp]
     for t in labels:
         if type(t) is not int:  # bool is an int subclass, not a label
@@ -633,21 +633,20 @@ def _leaf_machine(left, right, phi, pairs, costs, sigma):
                                        finals))
 
 
-def compile_tree(spec: DecisionTreeSpec,
-                 symtab: SymbolTable | None = None) -> Machine:
+def compile_tree(spec: DecisionTreeSpec) -> Machine:
     """Simultaneous weighted coercion rules for one input symbol.
 
     Each occurrence of the symbol is rewritten per the unique leaf whose
     full left/right context matches; the result is the same-length
-    intersection of the per-leaf transducers, over all of ``symtab``'s
-    labels once every declared class's members are registered too.
+    intersection of the per-leaf transducers, over every symbol the tree
+    names (class members included), which the result's symbol table holds.
     """
     if not spec.leaves:
         raise ContractError("tree has no leaves")
     insyms = {leaf.insym for leaf in spec.leaves}
     if len(insyms) != 1:
         raise ContractError(f"one tree rewrites one symbol, got {sorted(insyms)}")
-    symtab = symtab if symtab is not None else SymbolTable()
+    symtab = SymbolTable()
     classes = spec.classes or {}
     phi = symtab.add(next(iter(insyms)))
     # per leaf, output label -> its cost, each cost checked as it enters

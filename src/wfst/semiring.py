@@ -86,22 +86,12 @@ class Semiring(enum.Enum):
         self.check(b)
         return self.times(a, b)
 
-    def compare(self, a: float, b: float) -> int:
-        """Total order consistent with "better path": negative if a is better."""
-        if self is Semiring.TROPICAL:
-            return (a > b) - (a < b)
-        # a higher probability, and true (1.0) over false, is better
-        return (b > a) - (b < a)
-
-    @property
-    def idempotent(self) -> bool:
-        return self is not Semiring.REAL
-
     def format(self, w: float) -> str:
-        """Textual weight syntax: decimal literals, ``inf`` for TROPICAL zero."""
+        """Textual weight syntax: decimal literals, ``inf`` for TROPICAL zero;
+        ``repr`` (``-1e+308``) for an integral weight of magnitude >= 1e16."""
         if w == INF:
             return "inf"
-        if w == int(w):
+        if abs(w) < 1e16 and w == int(w):
             return str(int(w))
         return repr(w)
 

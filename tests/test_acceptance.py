@@ -243,12 +243,10 @@ def test_criterion_6_lazy_equals_static():
                                    max_arcs=7)
             static = compose(a, b)
             lazy = connect(expand(lazy_compose(a, b)))
-            assert write_text(static, acceptor=False) == \
-                write_text(lazy, acceptor=False)
+            assert write_text(static) == write_text(lazy)
             if i < 30:
                 texts = [write_text(connect(expand(cached(
-                                    lazy_compose(a, b), disc, **kw))),
-                                    acceptor=False)
+                                    lazy_compose(a, b), disc, **kw))))
                          for disc, kw in ((MEMOIZE, {}),
                                           (LRU, {"capacity": 2}),
                                           (REFCOUNT, {}))]

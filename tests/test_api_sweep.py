@@ -18,8 +18,9 @@ expanded, so its lazy work is swept too.
 
 A second sweep holds each function to the operand contract: one that
 takes a ``Machine`` raises ``ContractError`` on a lazy view, on an object
-that only has a machine's names, or on an unfrozen machine, and the view
-readers take views.
+that only has a machine's names, on an unfrozen machine, or on an object
+that is no machine at all (``None``, ``42``), and the view readers take
+views, with or without symbol tables, but refuse the last two shapes.
 """
 
 import inspect
@@ -187,8 +188,7 @@ SWEEP = {
     "compile_regex": lambda draw: compile_regex(
         mutated(draw, draw(st.sampled_from(PATTERNS))), SymbolTable(),
         {"C": ("b", "c")}),
-    "compile_tree": lambda draw: compile_tree(parse_tree(mutated(draw, TREE)),
-                                              SymbolTable()),
+    "compile_tree": lambda draw: compile_tree(parse_tree(mutated(draw, TREE))),
     "compile_weighted_rule": lambda draw: compile_weighted_rule(
         rule(draw), SymbolTable()),
     "complement": lambda draw: complement(
@@ -218,7 +218,7 @@ SWEEP = {
         draw(st.sampled_from(((), (5,))))),
     "minimize": lambda draw: minimize(
         determinized(draw) if draw(st.booleans()) else machine(draw)),
-    "mle": lambda draw: mle(counts(draw), draw(LABELS), draw(st.booleans())),
+    "mle": lambda draw: mle(counts(draw), draw(LABELS)),
     "observation_machine": lambda draw: observation_machine(
         draw(LABELS), draw(st.sampled_from(list(Semiring)))),
     "parse_rule_file": lambda draw: parse_rule_file(mutated(draw, RULES)),
@@ -242,8 +242,7 @@ SWEEP = {
         machine(draw), draw(LABELS), draw(LABELS),
         draw(st.sampled_from(PATH_BOUNDS))),
     "write_arpa": lambda draw: write_arpa(model(draw)),
-    "write_text": lambda draw: write_text(
-        machine(draw), draw(st.sampled_from((None, True, False)))),
+    "write_text": lambda draw: write_text(machine(draw)),
     # the constructors that check their arguments
     "CachedMachine": lambda draw: expand(CachedMachine(
         view(draw), *cache_discipline(draw))),
@@ -293,14 +292,16 @@ def test_a_call_returns_or_raises_a_typed_error(name, data):
 # Every op takes frozen machines: a lazy view or any other object passed
 # where a ``Machine`` is expected, or a machine that is not frozen, raises
 # ``ContractError``.
-# Only the view readers take views.
+# Only the view readers take views, and they too raise ``ContractError``
+# on an object that is no state machine or on an unfrozen machine.
 
 T, B = Semiring.TROPICAL, Semiring.BOOLEAN
 
 
 class Duck:
     """A generalized state machine by its names alone: ``m``'s kind,
-    start, start weight, final weights and arcs, with no library base."""
+    start, start weight, final weights and arcs, with no library base and
+    no symbol tables."""
 
     def __init__(self, m):
         self.kind, self.start, self.start_weight = (m.kind, m.start,
@@ -310,10 +311,12 @@ class Duck:
 
 # shape -> (the operand made of a frozen machine, the error it raises)
 SHAPES = {
-    "lazy_compose": (lambda a: lazy_compose(a, a), "view|frozen Machine"),
-    "cached": (cached, "view|frozen Machine"),
+    "lazy_compose": (lambda a: lazy_compose(a, a), "frozen Machine"),
+    "cached": (cached, "frozen Machine"),
     "duck": (Duck, "frozen Machine"),
-    "unfrozen": (unfrozen, "not frozen")}
+    "unfrozen": (unfrozen, "not frozen"),
+    "none": (lambda a: None, "frozen Machine"),
+    "int": (lambda a: 42, "frozen Machine")}
 
 # (function, semiring, a call that passes operand ``e`` where a frozen
 # machine is expected, beside the frozen machine ``m``)
@@ -414,8 +417,17 @@ def test_the_view_readers_take_views_and_no_unfrozen_machine(name, call):
 
     a = one_arc(T)
     expected = result(call(a, a))
-    # a composed with itself has a's relation, so both views read as a
-    for view in (lazy_compose(a, a), cached(a)):
+    # a composed with itself has a's relation, so every view reads as a
+    for view in (lazy_compose(a, a), cached(a), Duck(a)):
         assert result(call(view, a)) == expected
     with pytest.raises(ContractError, match="not frozen"):
         call(unfrozen(a), a)
+
+
+@pytest.mark.parametrize("shape", ("none", "int"))
+@pytest.mark.parametrize("name, call", READS_VIEWS, ids=ids(READS_VIEWS))
+def test_the_view_readers_refuse_an_object_that_is_no_state_machine(
+        name, call, shape):
+    a = one_arc(T)
+    with pytest.raises(ContractError, match="not a state machine"):
+        call(SHAPES[shape][0](a), a)

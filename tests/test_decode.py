@@ -615,9 +615,6 @@ def test_live_product_equals_the_lazy_composition():
                 met["empty" if not obs else
                     "accepted" if full.finals else "rejected"] += 1
     assert all(met.values()), met
-    for view in (cached(a), lazy_compose(a, b)):
-        with pytest.raises(ContractError):
-            decode._live_product((1,), view)
 
 
 def assert_ids_ascend_with_the_state_in_each_frame(obs, x):

@@ -32,8 +32,7 @@ def test_lazy_expansion_equals_static_compose():
     for a, b in pair_samples(1000, 40):
         static = compose(a, b)
         lazy = connect(expand(lazy_compose(a, b)))
-        assert write_text(static, acceptor=False) == \
-            write_text(lazy, acceptor=False)
+        assert write_text(static) == write_text(lazy)
 
 
 def test_untrimmed_expand_contains_dead_branches():
@@ -54,7 +53,7 @@ def test_cache_disciplines_observationally_identical():
         for view in (cached(lazy_compose(a, b), MEMOIZE),
                      cached(lazy_compose(a, b), LRU, capacity=2),
                      cached(lazy_compose(a, b), REFCOUNT)):
-            texts.append(write_text(connect(expand(view)), acceptor=False))
+            texts.append(write_text(connect(expand(view))))
         assert texts[0] == texts[1] == texts[2]
 
 
@@ -71,9 +70,9 @@ def test_lru_evicts_but_stays_correct():
     a, b = pair_samples(1300, 1)[0]
     full = cached(lazy_compose(a, b), MEMOIZE)
     tight = cached(lazy_compose(a, b), LRU, capacity=1)
-    ta = write_text(connect(expand(full)), acceptor=False)
+    ta = write_text(connect(expand(full)))
     expand(tight)
-    tb = write_text(connect(expand(tight)), acceptor=False)
+    tb = write_text(connect(expand(tight)))
     assert ta == tb
     assert tight.expansions >= full.expansions
 
@@ -151,23 +150,20 @@ def test_stacked_lazy_composition():
 # -- the per-state label index compositions keep for their right operand --
 
 
-def text_of(m):
-    return write_text(m, acceptor=False)
-
-
 def test_shared_index_on_frozen_machine_matches_fresh_copy():
     # B is read from text, as its fresh copies are, so arc orders agree
-    b_text = text_of(sample_machines(1800, 1, kind=T, max_states=5,
-                                     max_arcs=10)[0])
-    b = read_text(b_text, kind=T, acceptor=False)
+    sample = sample_machines(1800, 1, kind=T, max_states=5, max_arcs=10)[0]
+    b_text = write_text(sample)
+    shape = sample.is_acceptor()  # the form write_text chose
+    b = read_text(b_text, kind=T, acceptor=shape)
     many_a = sample_machines(1801, 30, kind=T, max_states=4, max_arcs=7)
     for i, a in enumerate(many_a):
-        fresh = read_text(b_text, kind=T, acceptor=False)
-        expected = text_of(compose(a, fresh))
+        fresh = read_text(b_text, kind=T, acceptor=shape)
+        expected = write_text(compose(a, fresh))
         if i % 2:
-            got = text_of(connect(expand(lazy_compose(a, b))))
+            got = write_text(connect(expand(lazy_compose(a, b))))
         else:
-            got = text_of(compose(a, b))
+            got = write_text(compose(a, b))
         assert got == expected, i
     assert label_indexes(b)  # filled once, then shared by every composition
 
@@ -186,10 +182,10 @@ def test_evicting_lazy_view_as_right_operand():
     for a, b1, b2 in zip(*(sample_machines(seed, 10, kind=T, max_states=4,
                                            max_arcs=7)
                            for seed in (1900, 1901, 1902))):
-        expected = text_of(compose(a, expand(lazy_compose(b1, b2))))
+        expected = write_text(compose(a, expand(lazy_compose(b1, b2))))
         view = cached(lazy_compose(b1, b2), LRU, capacity=1)
-        assert text_of(compose(a, view)) == expected
-        assert text_of(connect(expand(lazy_compose(a, view)))) == expected
+        assert write_text(compose(a, view)) == expected
+        assert write_text(connect(expand(lazy_compose(a, view)))) == expected
         assert len(view._cache) <= view.capacity  # it bounds its own arcs
 
 
@@ -197,10 +193,10 @@ def test_refcount_view_as_right_operand():
     for a, b1, b2 in zip(*(sample_machines(seed, 10, kind=T, max_states=4,
                                            max_arcs=7)
                            for seed in (1910, 1911, 1912))):
-        expected = text_of(compose(a, expand(lazy_compose(b1, b2))))
+        expected = write_text(compose(a, expand(lazy_compose(b1, b2))))
         view = cached(lazy_compose(b1, b2), REFCOUNT)
         view.acquire(view.start)
-        assert text_of(compose(a, view)) == expected
+        assert write_text(compose(a, view)) == expected
         assert list(view._cache) == [view.start]  # only the held state
         view.release(view.start)
         assert not view._cache
@@ -223,18 +219,18 @@ def test_trimmed_lazy_expansion_equals_static_compose(pair):
     # both run the one pair-state kernel, so the unpruned product is the
     # reference that catches a kernel fault
     a, b = pair
-    assert text_of(connect(expand(lazy_compose(a, b)))) == \
-        text_of(compose(a, b)) == text_of(product_compose(a, b))
+    assert write_text(connect(expand(lazy_compose(a, b)))) == \
+        write_text(compose(a, b)) == write_text(product_compose(a, b))
 
 
 @settings(deadline=None)
 @given(machine_pairs())
 def test_lookahead_matches_unpruned_product(pair):
     a, b = pair
-    expected = text_of(product_compose(a, b))
-    assert text_of(compose(a, b)) == expected
+    expected = write_text(product_compose(a, b))
+    assert write_text(compose(a, b)) == expected
     view = LazyComposition(a, b)
-    assert text_of(connect(expand(view))) == expected
+    assert write_text(connect(expand(view))) == expected
 
 
 def assert_filter_states_normal(view):
@@ -268,7 +264,7 @@ def test_b_alone_twin_takes_filter_0():
     view = lazy_compose(a, b)
     expand(view)
     assert view._pairs == [(0, 0, 0), (1, 1, 0)]
-    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+    assert write_text(compose(a, b)) == write_text(product_compose(a, b)) == \
         "0 0 0 5 0.5\n0 1 1 1\n1\n"
     assert weight_of(compose(a, b), (1,), (5, 5, 1)) == 1.0
 
@@ -284,19 +280,19 @@ def test_nested_cascade_equals_unpruned_product(kind, seed):
     # operand, which expands inner pair states ahead of the outer search
     a, b, c = sample_machines(seed, 3, kind=kind, max_states=5, max_arcs=8)
     full = expand(lazy_compose(a, b))
-    expected = text_of(compose(full, c))
-    assert text_of(product_compose(full, c)) == expected
+    expected = write_text(compose(full, c))
+    assert write_text(product_compose(full, c)) == expected
     for inner in (cached(lazy_compose(a, b)), lazy_compose(a, b),
                   cached(lazy_compose(a, b), LRU, capacity=1)):
         nested = connect(expand(lazy_compose(inner, c)))
-        assert text_of(nested) == expected
+        assert write_text(nested) == expected
     trimmed = compose(compose(a, b), c)
-    assert text_of(trimmed) == \
-        text_of(product_compose(product_compose(a, b), c))
+    assert write_text(trimmed) == \
+        write_text(product_compose(product_compose(a, b), c))
     if epsilon_outputs(connect(full)) == epsilon_outputs(full):
         # trimming the inner view drops no epsilon-output arc, so every
         # outer pair state takes the same filter state
-        assert text_of(nested) == text_of(trimmed)
+        assert write_text(nested) == write_text(trimmed)
     assert trimmed.num_states <= nested.num_states
     relation = bounded_pairs(nested, 3, 3, 10)
     assert relation.keys() == bounded_pairs(trimmed, 3, 3, 10).keys()
@@ -331,12 +327,12 @@ def test_lazy_cascade_keeps_a_twin_over_a_dead_inner_arc():
     b = build(T, [(0, 1, 1, 0.0, 1), (0, 2, 0, 0.0, 2), (2, 3, 3, 0.0, 3)],
               [1, 3])
     c = build(T, [(0, 0, 7, 0.5, 0), (0, 1, 1, 0.0, 1)], [1])
-    assert text_of(expand(lazy_compose(a, b))) == "0 1 1 1\n0 2 2 0\n1\n"
+    assert write_text(expand(lazy_compose(a, b))) == "0 1 1 1\n0 2 2 0\n1\n"
     nested = connect(expand(lazy_compose(lazy_compose(a, b), c)))
     trimmed = compose(compose(a, b), c)
-    assert text_of(nested) == \
+    assert write_text(nested) == \
         "0 2 0 7 0.5\n0 1 1 1\n1\n2 2 0 7 0.5\n2 1 1 1\n"
-    assert text_of(trimmed) == "0 0 0 7 0.5\n0 1 1 1\n1\n"
+    assert write_text(trimmed) == "0 0 0 7 0.5\n0 1 1 1\n1\n"
     assert bounded_pairs(nested, 1, 3, 8) == bounded_pairs(trimmed, 1, 3, 8)
 
 
@@ -359,7 +355,7 @@ def test_bare_lazy_left_operand_arcs_are_kept_per_state():
 
         inner.arcs = counted
         nested = connect(expand(lazy_compose(inner, c)))
-        assert text_of(nested) == text_of(compose(compose(a, b), c))
+        assert write_text(nested) == write_text(compose(compose(a, b), c))
     assert len(states) == 38
     assert calls == len(states)
 
@@ -371,7 +367,7 @@ def test_output_epsilon_self_loop_reads_its_state_once():
     calls, cache_arcs = [], a.arcs
     a.arcs = lambda state: calls.append(state) or cache_arcs(state)
     got = connect(expand(lazy_compose(a, b)))
-    assert text_of(got) == text_of(product_compose(a.m, b))
+    assert write_text(got) == write_text(product_compose(a.m, b))
     assert sorted(calls) == [0, 1]
 
 
@@ -414,7 +410,7 @@ def test_lookahead_builds_only_pairs_that_can_succeed():
     assert view._pairs == [(0, 0, 0), (1, 1, 0), (0, 5, 0), (2, 2, 0)]
     assert len(view._ids) == len(view._pairs) == 4
     assert len(view.arcs(0)) == 2  # the arc to (1, 3) is dropped
-    assert text_of(compose(a, b)) == text_of(product_compose(a, b))
+    assert write_text(compose(a, b)) == write_text(product_compose(a, b))
 
 
 def test_lookahead_lets_output_epsilon_moves_through():
@@ -423,7 +419,7 @@ def test_lookahead_lets_output_epsilon_moves_through():
     a = build(T, [(0, 1, 1, 0.0, 1), (1, 2, 0, 0.0, 2), (2, 3, 3, 0.0, 3)],
               [3])
     b = build(T, [(0, 1, 1, 0.0, 1), (1, 3, 3, 0.0, 2)], [2])
-    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+    assert write_text(compose(a, b)) == write_text(product_compose(a, b)) == \
         "0 1 1 1\n1 2 2 0\n2 3 3 3\n3\n"
 
 
@@ -438,7 +434,7 @@ def test_b_alone_move_is_tested_against_a_direct_labels():
     view = LazyComposition(a, b)
     expand(view)
     assert (1, 2, ops._B_ALONE) not in view._pairs
-    assert text_of(compose(a, b)) == text_of(product_compose(a, b))
+    assert write_text(compose(a, b)) == write_text(product_compose(a, b))
 
 
 def test_a_alone_move_is_tested_against_b_own_labels():
@@ -453,7 +449,7 @@ def test_a_alone_move_is_tested_against_b_own_labels():
     m = expand(view)
     assert (1, 0, ops._A_ALONE) not in view._pairs
     assert connect(m).num_states == m.num_states
-    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+    assert write_text(compose(a, b)) == write_text(product_compose(a, b)) == \
         "0 1 1 0 0.5\n1 2 2 5\n2\n"
 
 
@@ -467,8 +463,8 @@ def test_lookahead_reads_through_a_output_epsilon_moves():
     view = LazyComposition(a, b)
     expand(view)
     assert view._pairs == [(0, 0, 0), (3, 2, 0)]
-    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
-        "0 1 5 5\n1\n"
+    assert write_text(compose(a, b)) == write_text(product_compose(a, b)) == \
+        "0 1 5\n1\n"
 
 
 def test_lookahead_finds_a_final_behind_output_epsilon_moves():
@@ -476,7 +472,7 @@ def test_lookahead_finds_a_final_behind_output_epsilon_moves():
     # it starts: the end of the walk must count as a label both share
     a = build(T, [(0, 1, 0, 0.5, 1), (1, 2, 0, 0.25, 2)], [2])
     b = build(T, [], [0])
-    assert text_of(compose(a, b)) == text_of(product_compose(a, b)) == \
+    assert write_text(compose(a, b)) == write_text(product_compose(a, b)) == \
         "0 1 1 0 0.5\n1 2 2 0 0.25\n2\n"
 
 
@@ -491,9 +487,9 @@ def test_lookahead_walk_terminates_on_an_output_epsilon_cycle():
               build(T, [(0, 6, 6, 0.0, 1), (1, 0, 7, 0.0, 2),
                         (2, 3, 3, 0.0, 3)], [3]),
               build(T, [(0, 7, 7, 0.0, 1)], [1])):
-        expected = text_of(product_compose(a, b))
-        assert text_of(compose(a, b)) == expected
-        assert text_of(connect(expand(lazy_compose(a, b)))) == expected
+        expected = write_text(product_compose(a, b))
+        assert write_text(compose(a, b)) == expected
+        assert write_text(connect(expand(lazy_compose(a, b)))) == expected
 
 
 class FillCounter(dict):
@@ -529,8 +525,8 @@ def test_lookahead_sets_are_shared_and_interned_on_frozen_machine():
 
 def test_lookahead_over_an_evicting_right_operand():
     for a, b in pair_samples(2000, 20):
-        expected = text_of(compose(a, b))
+        expected = write_text(compose(a, b))
         view = cached(b, LRU, capacity=1)
-        assert text_of(compose(a, view)) == expected
-        assert text_of(connect(expand(lazy_compose(a, view)))) == expected
+        assert write_text(compose(a, view)) == expected
+        assert write_text(connect(expand(lazy_compose(a, view)))) == expected
         assert len(view._cache) <= view.capacity  # it bounds its own arcs

@@ -157,10 +157,23 @@ def test_write_read_roundtrip_random():
         for m in sample_machines(37, 15, kind=kind, acceptor=flag,
                                  weights=(0.0, 0.5, -1.25, 0.1, 1e22)):
             m.isymbols = m.osymbols = table
-            text = write_text(m, acceptor=flag)
+            text = write_text(m)
+            # write_text's form: an acceptor without an output table
+            # spells one label per arc
             back = read_text(text, isymbols=table, osymbols=table, kind=kind,
-                             acceptor=flag)
-            assert write_text(back, acceptor=flag) == text, (kind, symbols)
+                             acceptor=m.is_acceptor() and table is None)
+            assert write_text(back) == text, (kind, symbols)
+
+
+def test_a_huge_integral_weight_is_written_in_exponent_form():
+    # from magnitude 1e16 on, an integral weight is written by repr, not
+    # as an integer of up to 309 digits; below it, as an integer
+    m = acceptor(T, [(0, 1, -1e308, 1), (1, 2, 1e16, 2),
+                     (2, 3, 9999999999999998.0, 3)], [3])
+    text = write_text(m)
+    assert text == "0 1 1 -1e+308\n1 2 2 1e+16\n2 3 3 9999999999999998\n3\n"
+    assert [arc[2] for q in range(3) for arc in read_text(text).arcs(q)] == \
+        [-1e308, 1e16, 9999999999999998.0]
 
 
 def test_hash_is_a_symbol_and_comments_are_whole_lines():

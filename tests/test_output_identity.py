@@ -223,8 +223,7 @@ OPS = {
         p, SymbolTable(), CLASSES)),
     "compile_weighted_rule": (
         _rules(4400, 40), lambda r: compile_weighted_rule(r, SymbolTable())),
-    "compile_tree": (TREES, lambda t: compile_tree(
-        parse_tree(t), SymbolTable())),
+    "compile_tree": (TREES, lambda t: compile_tree(parse_tree(t))),
     "beam_decode": (_decodes(), lambda a, b, obs, beam: beam_decode(
         CascadeSpec([a, b]), obs, beam)),
     "beam_decode of three stages": (

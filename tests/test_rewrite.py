@@ -472,15 +472,13 @@ def test_parse_tree_depth_costs_no_recursion(depth):
 
 
 def test_compile_tree_outputs():
-    symtab = SymbolTable()
-    for s in ("a", "b", "$", "v"):
-        symtab.add(s)
-    tree = """
+    # the class puts $ and v in the alphabet
+    tree = """Class X = [$ v]
 split right a.*
  leaf a -> 0.5 b | 1.5 a
  leaf a -> 0.0 a
 """
-    fst = compile_tree(parse_tree(tree), symtab)
+    fst = compile_tree(parse_tree(tree))
     got = apply_strings(fst, "vaa")
     # first 'a' is followed by another 'a': leaf 1 applies; the last 'a'
     # is not: identity
@@ -488,9 +486,6 @@ split right a.*
 
 
 def test_compile_tree_partition_validation():
-    symtab = SymbolTable()
-    for s in ("a", "b"):
-        symtab.add(s)
     overlapping = """
 split right a.*
  leaf a -> b
@@ -499,18 +494,18 @@ split right a.*
     spec = parse_tree(overlapping)
     spec.leaves[1].constraints = ()  # second leaf now matches everywhere
     with pytest.raises(ContractError, match="overlap"):
-        compile_tree(spec, symtab)
+        compile_tree(spec)
     non_exhaustive = parse_tree(overlapping)
     non_exhaustive.leaves = non_exhaustive.leaves[:1]
     with pytest.raises(ContractError, match="exhaustive"):
-        compile_tree(non_exhaustive, symtab)
+        compile_tree(non_exhaustive)
 
 
 def test_compile_tree_registers_every_declared_symbol():
-    t = SymbolTable()
     spec = parse_tree("Class U = [u o]\nsplit right a.*\n leaf a -> 0.5 b\n"
                       " leaf a -> a\n")
-    fst = compile_tree(spec, t)
+    fst = compile_tree(spec)
+    t = fst.isymbols
     assert [t.find(s) for s in ("a", "b", "u", "o")] == [1, 2, 3, 4]
     assert apply_rewrite(fst, ["u", "a", "o"]) == [((3, 1, 4), 0.0)]
 
@@ -569,9 +564,6 @@ def tree_oracle(inp, leaves, symtab, phi="a"):
 
 def test_tree_matches_context_oracle():
     rng = random.Random(103)
-    symtab = SymbolTable()
-    for s in ("a", "b", "v"):
-        symtab.add(s)
     tree = """
 split left .*v.*
  leaf a -> 0.5 b | 1.0 a
@@ -580,7 +572,8 @@ split left .*v.*
   leaf a -> 0.0 a
 """
     spec = parse_tree(tree)
-    fst = compile_tree(spec, symtab)
+    fst = compile_tree(spec)
+    symtab = fst.isymbols
     for _ in range(25):
         inp = [rng.choice(("a", "b", "v")) for _ in range(rng.randint(0, 6))]
         ids = [symtab.find(s) for s in inp]

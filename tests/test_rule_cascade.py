@@ -61,7 +61,7 @@ def sha256(text):
 
 def test_cascade_is_byte_identical():
     m, _, _ = compile_cascade()
-    assert sha256(write_text(m, acceptor=False)) == CASCADE_SHA256
+    assert sha256(write_text(m)) == CASCADE_SHA256
     results = [(w, apply_rewrite(m, list(w), "all"),
                 apply_rewrite(m, list(w), "best")) for w in WORDS]
     assert results[0][1] == [((m.isymbols.find("b"), m.isymbols.find("c")),

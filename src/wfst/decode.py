@@ -13,7 +13,8 @@ from functools import reduce
 from itertools import count
 
 from .errors import ContractError, NoPathError
-from .machine import EPSILON, Machine, check_machines, connect
+from .machine import (EPSILON, Machine, check_machines, check_record,
+                      connect)
 from .machine import observation_machine  # noqa: F401 (re-exported)
 from .ops import _END, compose, label_index, label_indexes, lazy_compose
 from .semiring import Semiring
@@ -160,6 +161,7 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
     """Keep exactly the states/arcs on some path with cost <= best + threshold.
 
     A NaN threshold raises ContractError; a negative one prunes every path."""
+    check_record(lattice, Lattice)
     if math.isnan(threshold):
         raise ContractError(f"threshold must be a number, got {threshold!r}")
     m = lattice.machine
@@ -193,6 +195,7 @@ def lattice_prune(lattice: Lattice, threshold: float) -> Lattice:
 
 def rescore(lattice: Lattice, full: Machine):
     """Best path through the lattice re-weighted by a full model."""
+    check_record(lattice, Lattice)
     combined = compose(lattice.machine, full)
     try:
         (inp, out), cost = best_path(combined)
@@ -341,6 +344,7 @@ def beam_decode(cascade: CascadeSpec, observations, beam=INF):
     iterable; it is read once.  A NaN or negative beam, or an epsilon
     observation, raises ContractError.
     """
+    check_record(cascade, CascadeSpec)
     if not beam >= 0:  # also false for NaN
         raise ContractError(f"beam must be a non-negative number, got {beam!r}")
     observations = tuple(observations)

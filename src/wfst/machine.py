@@ -303,6 +303,15 @@ def check_machines(*machines):
                                 "expand() a view")
 
 
+def check_record(record, cls):
+    """Refuse with ``ContractError`` a record operand that is not a ``cls``
+    (a ``Lattice``, ``CascadeSpec``, ``CountTable``, ``BackoffModel``,
+    ``Rule`` or ``DecisionTreeSpec``).  Every function that takes a record
+    calls it before it reads one."""
+    if not isinstance(record, cls):
+        raise ContractError(f"{type(record).__name__} is not a {cls.__name__}")
+
+
 def check_views(*views):
     """Refuse with ``ContractError`` each operand that is neither a
     ``Machine`` nor a generalized state machine: an object with a

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import ContractError, ParseError, SymbolError
-from .machine import EPSILON, EPSILON_SYMBOL, Machine, SymbolTable, _Tokens
+from .machine import (EPSILON, EPSILON_SYMBOL, Machine, SymbolTable, _Tokens,
+                      check_record)
 from .semiring import Semiring
 
 BOS = "<s>"
@@ -84,6 +85,7 @@ def count_ngrams(corpus, n: int) -> CountTable:
 
 def write_counts(ct: CountTable) -> str:
     """Count-table text: header lines then 'symbols<TAB>count' per k-gram."""
+    check_record(ct, CountTable)
     lines = [f"order {ct.order}", f"total {ct.total}"]
     word = _Tokens(ct.symbols.find).__getitem__
     counts = ct.counts
@@ -146,6 +148,7 @@ def frequency_of_frequencies(ct: CountTable, k: int) -> Counter:
 def mle(ct: CountTable, gram) -> float:
     """Maximum-likelihood estimate of the last word given the rest (of one
     word: its share of the tokens); unseen n-grams get zero."""
+    check_record(ct, CountTable)
     gram = tuple(gram)
     c = ct.count(gram)
     if len(gram) == 1:
@@ -234,6 +237,7 @@ def katz_model(ct: CountTable, k_threshold: int = DEFAULT_K_THRESHOLD) -> Backof
     Every context's probabilities sum to one over the full vocabulary once
     unseen words are scored through alpha(h) * P(word | shorter context).
     """
+    check_record(ct, CountTable)
     vocab = ct.vocabulary()
     if ct.counts and ct.total < 1:  # as read from counts without 'total'
         raise ContractError(f"token total is {ct.total}: no unigram estimate")
@@ -299,6 +303,7 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
     epsilon arc per state backs off to the shortened context at cost
     -ln alpha(context); sentence end is carried by final weights.
     """
+    check_record(model, BackoffModel)
     eos = model.symbols.find(EOS)
     kind = Semiring.TROPICAL
     contexts = sorted(model.probs, key=lambda h: (len(h), h))
@@ -341,6 +346,7 @@ def build_lm_fsa(model: BackoffModel) -> Machine:
 def write_arpa(model: BackoffModel) -> str:
     """ARPA-style text dump: per-order sections of log10 P lines with
     trailing log10 back-off weights on context grams."""
+    check_record(model, BackoffModel)
     word = _Tokens(model.symbols.find)
     # probability or weight -> its log10 field, formatted once
     log10 = _Tokens(lambda x: f"{-99.0 if x <= 0 else math.log10(x):.6f}")

@@ -14,13 +14,13 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .decode import best_path
 from .errors import ContractError, ParseError, SymbolError
 from .machine import (EPSILON, Machine, SymbolTable, _resolve,
-                      accepted_pairs, check_machines, check_views, connect,
-                      observation_machine)
+                      accepted_pairs, check_machines, check_record,
+                      check_views, connect, observation_machine)
 from .ops import (_END, _complete_table, _compose_untrimmed, _relabel,
                   closure, complement, compose, concat, intersect, read_set,
                   reverse, union)
@@ -33,48 +33,53 @@ _METACHARS = set("()|*+?[].~&")
 _MAX_NESTING = 100
 # a rule file's class statement, or a tree file's class line with its ';'
 _CLASS = re.compile(r"Class\s+(\w+)\s*=\s*\[(.*)\]\s*;?\s*$", re.S)
+# the cuts of a rule statement, phi -> psi / lambda _ rho, in order
+_SEPARATORS = ("->", "/", "_")
 
 
 # -- regular expressions -------------------------------------------------
 
 
-def _tokenize(pattern, symtab, classes):
-    """Token stream: ('lit', label), ('set', labels), ('meta', char).
+@lru_cache(maxsize=64)
+def _scanner(names):
+    """Token pattern: a brace, closed or not, a bare class name (longest
+    first; none empty or led by whitespace), or one character."""
+    bare = sorted((n for n in names if n[:1].strip()), key=len, reverse=True)
+    return re.compile(r"\{(?:([^}]*)\})?|(%s)|(\S)"
+                      % ("|".join(map(re.escape, bare)) or "(?!)"))
 
-    Single characters are literals; ``{name}`` names a multi-character
-    symbol or a declared class; bare declared class names also match
-    (longest first).  Whitespace separates tokens and is otherwise ignored.
-    """
-    tokens = []
-    names = sorted(classes, key=len, reverse=True)
-    i = 0
-    while i < len(pattern):
-        ch = pattern[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "{":
-            j = pattern.find("}", i)
-            if j < 0:
-                raise ParseError(f"unclosed '{{' in pattern {pattern!r}")
-            name = pattern[i + 1:j].strip()
-            i = j + 1
-            if name in classes:
-                tokens.append(("set", tuple(symtab.add(s) for s in classes[name])))
-            else:
-                tokens.append(("lit", symtab.add(name)))
-            continue
-        hit = next((n for n in names if pattern.startswith(n, i)), None)
-        if hit is not None:
-            tokens.append(("set", tuple(symtab.add(s) for s in classes[hit])))
-            i += len(hit)
-            continue
-        if ch in _METACHARS:
-            tokens.append(("meta", ch))
+
+def _lex(text, classes, line=None):
+    """The one scanner of rule text: its (kind, value, position, depth)
+    tokens.  ('lit', symbol) is a character or a ``{name}`` naming no class,
+    ('set', name) a class named in braces or bare (longest first), ('meta',
+    char) an operator; ``depth`` counts the '(' and '[' groups open around
+    it.  Whitespace only separates.  An unclosed '{' raises ``ParseError``
+    at ``line``."""
+    tokens, depth = [], 0
+    for hit in _scanner(tuple(classes)).finditer(text):
+        braced, bare, ch = hit.groups()
+        if braced is not None:
+            value = braced.strip()
+            kind = "set" if value in classes else "lit"
+        elif bare is not None:
+            kind, value = "set", bare
+        elif ch is None:
+            raise ParseError(f"unclosed '{{' in pattern {text!r}", line)
         else:
-            tokens.append(("lit", symtab.add(ch)))
-        i += 1
+            kind, value = "meta" if ch in _METACHARS else "lit", ch
+        depth -= ch in (")", "]")
+        tokens.append((kind, value, hit.start(), depth))
+        depth += ch in ("(", "[")
     return tokens
+
+
+def _tokenize(pattern, symtab, classes):
+    """``_lex`` as ('lit', label), ('set', labels) and ('meta', char)."""
+    add = symtab.add
+    return [("lit", add(value)) if kind == "lit" else
+            ("set", tuple(map(add, classes[value]))) if kind == "set" else
+            (kind, value) for kind, value, _, _ in _lex(pattern, classes)]
 
 
 def _labels_machine(labels):
@@ -264,35 +269,21 @@ class Rule:
     classes: dict = field(default_factory=dict)
 
 
-def _split_alternation(text):
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "|" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _parse_psi(psi):
-    """[(cost, pattern)] from a weighted alternation like '<0.9>c|<0.1>t'."""
+def _parse_psi(psi, classes):
+    """[(cost, pattern)] from a weighted alternation like '<0.9>c|<0.1>t',
+    cut at each '|' outside every group."""
+    bars = [pos for kind, value, pos, depth in _lex(psi, classes)
+            if (kind, value, depth) == ("meta", "|", 0)]
     alts = []
-    for part in _split_alternation(psi):
-        part = part.strip()
+    for start, end in zip([-1, *bars], [*bars, len(psi)]):
+        part = psi[start + 1:end].strip()
         hit = re.match(r"<([^<>]*)>\s*", part)
         cost = 0.0
         if hit:
             try:
-                cost = float(hit.group(1))
+                cost = Semiring.TROPICAL.check(float(hit.group(1)))
             except ValueError:
                 raise ParseError(f"bad weight prefix in {part!r}") from None
-            cost = Semiring.TROPICAL.check(cost)
             part = part[hit.end():]
         alts.append((cost, part))
     return alts
@@ -335,12 +326,13 @@ def register_symbols(rule: Rule, symtab: SymbolTable) -> None:
     """Add to ``symtab`` each declared class's members, unreferenced ones
     too, then each pattern's literals.  Rules that share a table (one
     alphabet) are all registered before the first of them compiles."""
+    check_record(rule, Rule)
     classes = rule.classes or {}
     for members in classes.values():
         for sym in members:
             symtab.add(sym)
     for pat in (rule.phi, rule.lam, rule.rho,
-                *(p for _, p in _parse_psi(rule.psi))):
+                *(p for _, p in _parse_psi(rule.psi, classes))):
         _tokenize(pat, symtab, classes)
 
 
@@ -353,14 +345,14 @@ def compile_weighted_rule(rule: Rule,
     alphabet is ``symtab``'s labels after ``register_symbols(rule)``.
     """
     symtab = symtab if symtab is not None else SymbolTable()
-    classes = rule.classes or {}
     register_symbols(rule, symtab)
+    classes = rule.classes or {}
     sigma = symtab.labels()
     phi = connect(compile_regex(rule.phi, symtab, classes))
     lam = compile_regex(rule.lam, symtab, classes)
     rho = compile_regex(rule.rho, symtab, classes)
     alts = [(cost, compile_regex(p, symtab, classes))
-            for cost, p in _parse_psi(rule.psi)]
+            for cost, p in _parse_psi(rule.psi, classes)]
     if _END in read_set(phi, {}, {}, phi.start):
         raise ContractError("rule pattern must not accept the empty string")
 
@@ -432,33 +424,41 @@ def parse_rule_file(text):
 
     ``Class NAME = [sym sym ...]`` declares a class usable in later rules;
     lines whose first non-blank character is '#' are comments (inline '#'
-    stays available as an ordinary symbol).
+    stays available as an ordinary symbol).  A rule is cut at its first
+    '->', '/' and '_' tokens outside every group, from one ``_lex``; an
+    error names the line on which its statement starts.
     """
-    kept = [line for line in text.splitlines()
+    kept = [(number, line) for number, line in enumerate(text.splitlines(), 1)
             if not line.lstrip().startswith("#")]
-    classes = {}
-    rules = []
-    for lineno, stmt in enumerate("\n".join(kept).split(";"), 1):
+    classes, rules = {}, []
+    row = 0  # index in ``kept`` of the line the next statement starts on
+    for stmt in "\n".join(line for _, line in kept).split(";"):
+        first = row + stmt.count("\n", 0, len(stmt) - len(stmt.lstrip()))
+        row += stmt.count("\n")
         stmt = stmt.strip()
         if not stmt:
             continue
-        decl = _CLASS.match(stmt)
-        if decl:
+        lineno = kept[first][0]
+        if decl := _CLASS.match(stmt):
             classes[decl.group(1)] = tuple(decl.group(2).split())
             continue
-        if "->" not in stmt:
+        starts, ends = [0], []  # of phi, psi, lambda and rho
+        for kind, value, pos, depth in _lex(stmt, classes, lineno):
+            sep = _SEPARATORS[len(ends)]
+            if value == sep[0] and (kind, depth) == ("lit", 0) and \
+                    stmt.startswith(sep, pos):  # '{_}' is no cut
+                starts.append(pos + len(sep))
+                ends.append(pos)
+                if len(ends) == 3:
+                    break
+        if not ends:
             raise ParseError(f"statement is neither a rule nor a class: {stmt!r}",
                              lineno)
-        phi, rest = stmt.split("->", 1)
-        if "/" in rest:
-            psi, ctx = rest.split("/", 1)
-            if "_" not in ctx:
-                raise ParseError(f"context of {stmt!r} lacks '_'", lineno)
-            lam, rho = ctx.split("_", 1)
-        else:
-            psi, lam, rho = rest, "", ""
-        rules.append(Rule(phi.strip(), psi.strip(), lam.strip(), rho.strip(),
-                          dict(classes)))
+        if len(ends) == 2:
+            raise ParseError(f"context of {stmt!r} lacks '_'", lineno)
+        rules.append(Rule(*(stmt[a:b].strip() for a, b in
+                            zip(starts, [*ends, len(stmt)])),
+                          classes=dict(classes)))
     return rules
 
 
@@ -511,34 +511,31 @@ def parse_tree(text) -> DecisionTreeSpec:
     declarations may precede the tree.
     """
     classes = {}
-    lines = []
-    for raw in text.splitlines():
+    lines = []  # (line number, indent, content) of each tree line
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         stripped = raw.strip()
-        decl = _CLASS.match(stripped)
-        if decl:
+        if decl := _CLASS.match(stripped):
             classes[decl.group(1)] = tuple(decl.group(2).split())
             continue
-        lines.append((len(raw) - len(raw.lstrip()), stripped))
+        lines.append((lineno, len(raw) - len(raw.lstrip()), stripped))
 
-    def parse_leaf(content, constraints):
+    def parse_leaf(content, constraints, lineno):
         head, _, tail = content[4:].partition("->")
         insym = head.strip()
         if not insym or not tail.strip():
-            raise ParseError(f"malformed leaf line {content!r}")
+            raise ParseError(f"malformed leaf line {content!r}", lineno)
         outs = []
         for alt in tail.split("|"):
             parts = alt.split()
-            if len(parts) == 2:
-                try:
-                    outs.append((float(parts[0]), parts[1]))
-                except ValueError:
-                    raise ParseError(f"malformed leaf weight {alt!r}") from None
-            elif len(parts) == 1:
-                outs.append((0.0, parts[0]))
-            else:
-                raise ParseError(f"malformed leaf alternative {alt!r}")
+            if len(parts) not in (1, 2):
+                raise ParseError(f"malformed leaf alternative {alt!r}", lineno)
+            try:
+                outs.append((float(parts[0]) if parts[1:] else 0.0, parts[-1]))
+            except ValueError:
+                raise ParseError(f"malformed leaf weight {alt!r}",
+                                 lineno) from None
         return TreeLeaf(insym, tuple(outs), tuple(constraints))
 
     # preorder walk with an explicit stack of the splits whose second
@@ -548,27 +545,29 @@ def parse_tree(text) -> DecisionTreeSpec:
     while True:
         if i >= len(lines):
             raise ParseError("tree ended where a node was expected")
-        indent, content = lines[i]
+        lineno, indent, content = lines[i]
         i += 1
         if content.startswith("leaf"):
-            leaves.append(parse_leaf(content, constraints))
+            leaves.append(parse_leaf(content, constraints, lineno))
             if not pending:
                 break
-            indent, content, side, rx, constraints = pending.pop()
-            if i >= len(lines) or lines[i][0] <= indent:
-                raise ParseError(f"split {content!r} lacks its second branch")
+            lineno, indent, content, side, rx, constraints = pending.pop()
+            if i >= len(lines) or lines[i][1] <= indent:
+                raise ParseError(f"split {content!r} lacks its second branch",
+                                 lineno)
             constraints = constraints + [(side, f"~({rx})")]
             continue
         if not content.startswith("split"):
-            raise ParseError(f"expected 'split' or 'leaf', got {content!r}")
+            raise ParseError(f"expected 'split' or 'leaf', got {content!r}",
+                             lineno)
         parts = content.split(None, 2)
         if len(parts) != 3 or parts[1] not in ("left", "right"):
-            raise ParseError(f"malformed split line {content!r}")
+            raise ParseError(f"malformed split line {content!r}", lineno)
         side, rx = parts[1], parts[2]
-        pending.append((indent, content, side, rx, constraints))
+        pending.append((lineno, indent, content, side, rx, constraints))
         constraints = constraints + [(side, rx)]
     if i != len(lines):
-        raise ParseError("trailing lines after the tree root")
+        raise ParseError("trailing lines after the tree root", lines[i][0])
     return DecisionTreeSpec(leaves, classes)
 
 
@@ -641,6 +640,7 @@ def compile_tree(spec: DecisionTreeSpec) -> Machine:
     intersection of the per-leaf transducers, over every symbol the tree
     names (class members included), which the result's symbol table holds.
     """
+    check_record(spec, DecisionTreeSpec)
     if not spec.leaves:
         raise ContractError("tree has no leaves")
     insyms = {leaf.insym for leaf in spec.leaves}

@@ -21,6 +21,9 @@ takes a ``Machine`` raises ``ContractError`` on a lazy view, on an object
 that only has a machine's names, on an unfrozen machine, or on an object
 that is no machine at all (``None``, ``42``), and the view readers take
 views, with or without symbol tables, but refuse the last two shapes.
+A function that takes a record (a ``Lattice``, ``CascadeSpec``,
+``CountTable``, ``BackoffModel``, ``Rule`` or ``DecisionTreeSpec``)
+raises ``ContractError`` on ``None`` or a frozen machine in its place.
 """
 
 import inspect
@@ -44,6 +47,8 @@ from wfst import (LRU, MEMOIZE, REFCOUNT, CachedMachine, CascadeSpec,
                   parse_tree, project, push, read_arpa, read_text, rescore,
                   reverse, shortest_distance, twins_test, union, weight_of,
                   write_arpa, write_text)
+from wfst.ngram import write_counts
+from wfst.rewrite import register_symbols
 
 from helpers import acceptor, random_rule_spec, sample_machines, unfrozen
 
@@ -431,3 +436,46 @@ def test_the_view_readers_refuse_an_object_that_is_no_state_machine(
     a = one_arc(T)
     with pytest.raises(ContractError, match="not a state machine"):
         call(SHAPES[shape][0](a), a)
+
+
+# -- the record operands --------------------------------------------------
+
+# (function, the record class it takes, a call that passes ``r`` in its
+# place)
+TAKES_RECORDS = [
+    ("beam_decode", "CascadeSpec", lambda r: beam_decode(r, [1])),
+    ("build_lm_fsa", "BackoffModel", lambda r: build_lm_fsa(r)),
+    ("compile_tree", "DecisionTreeSpec", lambda r: compile_tree(r)),
+    ("compile_weighted_rule", "Rule", lambda r: compile_weighted_rule(r)),
+    ("katz_model", "CountTable", lambda r: katz_model(r)),
+    ("lattice_prune", "Lattice", lambda r: lattice_prune(r, 1.0)),
+    ("mle", "CountTable", lambda r: mle(r, (1,))),
+    ("register_symbols", "Rule",
+     lambda r: register_symbols(r, SymbolTable())),
+    ("rescore", "Lattice", lambda r: rescore(r, one_arc(T))),
+    ("write_arpa", "BackoffModel", lambda r: write_arpa(r)),
+    ("write_counts", "CountTable", lambda r: write_counts(r)),
+]
+
+
+def test_every_public_function_that_takes_a_record_has_it_tested():
+    records = {"Lattice", "CascadeSpec", "CountTable", "BackoffModel", "Rule",
+               "DecisionTreeSpec"}
+    takes = set()
+    for name, value in vars(wfst).items():
+        if inspect.isfunction(value) and not name.startswith("_"):
+            params = inspect.signature(value).parameters.values()
+            if {str(p.annotation) for p in params} & records:
+                takes.add(name)
+    assert takes == {name for name, _, _ in TAKES_RECORDS} - {
+        "register_symbols", "write_counts"}
+
+
+@pytest.mark.parametrize("operand", ("none", "machine"))
+@pytest.mark.parametrize("name, record, call", TAKES_RECORDS,
+                         ids=ids(TAKES_RECORDS))
+def test_a_function_that_takes_a_record_refuses_anything_else(
+        name, record, call, operand):
+    r = None if operand == "none" else one_arc(T)
+    with pytest.raises(ContractError, match=f"is not a {record}$"):
+        call(r)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfst import (ContractError, Machine, ParseError, Rule, Semiring,
                   SemiringError, SymbolError, SymbolTable, apply_rewrite,
@@ -8,6 +9,7 @@ from wfst import (ContractError, Machine, ParseError, Rule, Semiring,
                   intersect_samelength, marker, parse_rule_file, parse_tree,
                   read_text, weight_of)
 from wfst import observation_machine, ops
+from wfst.rewrite import register_symbols
 
 from helpers import build, random_rule_spec, scan_rewrite, strings_up_to
 
@@ -393,6 +395,89 @@ def test_parse_rule_file_errors():
         parse_rule_file("this is not a rule;")
     with pytest.raises(ParseError):
         parse_rule_file("a -> b / nocontext;")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# c\n\na -> b;\nfoo;\n", 4),
+    ("a -> b; c -> d;\n\n\nx -> y / nocontext;\n", 4),
+    ("a -> b;\n# c\n\n  c -> {d;\n", 4),
+    ("a -> b;\nc ->\nd / e;\n", 2)])
+def test_a_rule_file_error_names_the_line_its_statement_starts_on(text,
+                                                                   line):
+    with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+        parse_rule_file(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# c\nsplit left a\n split up a\n  leaf a -> b\n", 3),
+    ("split left a\n leaf a -> 1 b c\n leaf a -> a\n", 2),
+    ("split left a\n leaf a -> x b\n leaf a -> a\n", 2),
+    ("split left a\n leaf a -> b\n leaf a -> a\n\nleaf a -> c\n", 5),
+    ("split left a\n leaf a -> b\n\n# c\nleaf a -> c\n", 1),
+    ("split left a\n leaf ->\n leaf a -> a\n", 2),
+    ("leaf a -> a\n\nnode\n", 3)])
+def test_a_tree_error_names_its_line(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+        parse_tree(text)
+    assert info.value.line == line
+
+
+def compiled(text):
+    """The first rule of a rule file, compiled over the file's alphabet."""
+    rules = parse_rule_file(text)
+    table = SymbolTable()
+    for rule in rules:
+        register_symbols(rule, table)
+    return compile_weighted_rule(rules[0], table)
+
+
+def test_a_class_name_with_an_underscore_is_one_token_of_a_context():
+    [rule] = parse_rule_file("Class my_vowel = [e i]; a -> b / my_vowel _ ;")
+    assert (rule.lam, rule.rho) == ("my_vowel", "")
+    fst = compiled("Class my_vowel = [e i]; a -> b / my_vowel _ ;")
+    assert apply_strings(fst, "ea") == {("e", "b"): 0.0}
+    assert apply_strings(fst, "aa") == {("a", "a"): 0.0}
+
+
+@pytest.mark.parametrize("text, word, outputs", [
+    ("a -> {x|y};", "a", {("x|y",): 0.0}),
+    ("a -> <1>{)}|<2>b;", "a", {(")",): 1.0, ("b",): 2.0}),
+    ("a -> <1>b|<2>{x|y};", "a", {("b",): 1.0, ("x|y",): 2.0}),
+    ("{->} -> b;", ["->"], {("b",): 0.0}),
+    ("a -> {/};", "a", {("/",): 0.0}),
+    ("a -> b / {_} _ ;", "_a", {("_", "b"): 0.0}),
+    ("a -> b / (c_d) _ ;", "c_da", {("c", "_", "d", "b"): 0.0})])
+def test_braces_and_groups_read_alike_in_every_part_of_a_rule(text, word,
+                                                              outputs):
+    assert apply_strings(compiled(text), word) == outputs
+
+
+def test_a_class_name_that_is_empty_or_led_by_whitespace_is_never_bare():
+    classes = {"": ("c",), " a": ("d",)}
+    table = SymbolTable()
+    assert regex_lang("a b", table, 2, classes) == {
+        (table.find("a"), table.find("b"))}
+
+
+# the pieces of the scanner property: each reads as one unit in any part
+LETTERS = st.sampled_from("abcde")
+BRACED = st.sampled_from(["{a->b}", "{/}", "{_}", "{|}", "{x|y}", "{->}"])
+CLASSES = {"my_v": ("a", "e"), "v_1": ("c",), "_x": ("d",)}
+GROUPS = st.sampled_from(["(a_b)", "(c/d)", "(a|b)", "[a_c]", "[a/b]",
+                          "(a(b_c)|d/e)"])
+PART = st.lists(st.one_of(LETTERS, BRACED, st.sampled_from(sorted(CLASSES)),
+                          GROUPS), max_size=4).map(" ".join)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(phi=PART, psi=PART, lam=PART, rho=PART)
+def test_a_rule_statement_is_cut_at_the_scanners_own_tokens(phi, psi, lam,
+                                                           rho):
+    declarations = "".join(f"Class {name} = [{' '.join(members)}];\n"
+                           for name, members in CLASSES.items())
+    [rule] = parse_rule_file(f"{declarations}{phi} -> {psi} / {lam} _ {rho};")
+    assert (rule.phi, rule.psi, rule.lam, rule.rho) == (phi, psi, lam, rho)
 
 
 # -- same-length intersection and trees ----------------------------------
